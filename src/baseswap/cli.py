@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     except (ParseError, json.JSONDecodeError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (IncompatiblePairsError, ReductionError) as err:
+    except (IncompatiblePairsError, ReductionError, MatroidError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except (UnsupportedStructureError, CapacityError) as err:
@@ -142,15 +142,22 @@ def _pairs(inst):
 def cmd_solve(args) -> int:
     inst = _load_instance(args)
     labels = inst["labels"]
-    _, x, y = _pairs(inst)
-    if inst["mode"] == "gabow":
-        report = solve_gabow(
-            inst["structure"], x, last=inst["last"], bfs_cap=args.bfs_cap
-        )
-    else:
-        report = solve_white(
-            inst["structure"], x, y, forbidden=inst["forbidden"], bfs_cap=args.bfs_cap
-        )
+    m, x, y = _pairs(inst)
+    try:
+        if inst["mode"] == "gabow":
+            report = solve_gabow(
+                inst["structure"], x, last=inst["last"], bfs_cap=args.bfs_cap
+            )
+        else:
+            report = solve_white(
+                inst["structure"], x, y, forbidden=inst["forbidden"], bfs_cap=args.bfs_cap
+            )
+    except RecursionError:
+        # the solvers recurse once per reduction, so depth grows with the rank
+        raise UnsupportedStructureError(
+            f"recursion limit {sys.getrecursionlimit()} reached on an instance of "
+            f"{len(m.ground)} elements (rank {m.full_rank})"
+        ) from None
     if args.json:
         payload = {
             "mode": report.mode,

@@ -141,7 +141,10 @@ def solve_graphic_gabow(graph: Multigraph, x: BasisPair, h: int):
     steps = _solve(graph, x.first, x.second, x.second, x.first, frozenset(), h)
     seq = ExchangeSequence(steps)
     r = m.full_rank
-    assert seq.length == r, f"reversal took {seq.length} steps, expected {r}"
-    assert seq.width <= 1, "reversal sequence must use each edge at most once"
-    assert r == 0 or h in seq.steps[-1], "last step must use the designated edge"
+    if seq.length != r:
+        raise AssertionError(f"reversal took {seq.length} steps, expected {r}")
+    if seq.width > 1:
+        raise AssertionError("reversal sequence must use each edge at most once")
+    if r and h not in seq.steps[-1]:
+        raise AssertionError("last step must use the designated edge")
     return seq

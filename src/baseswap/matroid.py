@@ -251,49 +251,52 @@ class Multigraph:
         drop = _as_frozen(edge_ids)
         return Multigraph({e: uv for e, uv in self.edges.items() if e not in drop})
 
-    def contract_edge(self, edge_id) -> "Multigraph":
-        u, v = self.edges[edge_id]
-        new_edges = {}
-        for e, (a, b) in self.edges.items():
-            if e == edge_id:
-                continue
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            new_edges[e] = (a2, b2)
-        return Multigraph(new_edges)
-
     def contract_edges(self, edge_ids) -> "Multigraph":
-        # contracting a loop deletes it
-        g = self
-        for e in sorted(_as_frozen(edge_ids)):
-            if e in g.edges and g.edges[e][0] != g.edges[e][1]:
-                g = g.contract_edge(e)
-            else:
-                g = g.delete_edges({e})
-        return g
+        """Contract the given edges in one union-find pass.
+
+        Renaming rule: edges are taken in sorted id order, and contracting
+        edge (u, v) merges the vertex now carrying v's name into the vertex
+        now carrying u's name, which keeps its name.  This is what contracting
+        the edges one at a time gives, so vertex names do not depend on how
+        the contraction is carried out.  An edge that is a loop by its turn
+        is deleted, ids not in the graph are ignored, and surviving edges
+        keep their order.
+        """
+        drop = _as_frozen(edge_ids)
+        edges = self.edges
+        parent: dict = {}  # non-root vertex -> a vertex closer to its root
+
+        def root(x):
+            while x in parent:
+                up = parent[x]
+                parent[x] = x = parent.get(up, up)  # to the grandparent
+            return x
+
+        for e in sorted(drop):
+            if e in edges:
+                u, v = edges[e]
+                u, v = root(u), root(v)
+                if u != v:
+                    parent[v] = u
+        return Multigraph(
+            {e: (root(a), root(b)) for e, (a, b) in edges.items() if e not in drop}
+        )
 
     def forest_rank(self, edge_ids) -> int:
         """Rank of an edge subset: vertices touched minus components."""
-        parent: dict = {}
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
+        edges = self.edges
+        parent: dict = {}  # non-root vertex -> a vertex closer to its root
         rank = 0
         for e in edge_ids:
-            u, v = self.edges[e]
-            if u not in parent:
-                parent[u] = u
-            if v not in parent:
-                parent[v] = v
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+            u, v = edges[e]
+            while u in parent:
+                up = parent[u]
+                parent[u] = u = parent.get(up, up)  # to the grandparent
+            while v in parent:
+                vp = parent[v]
+                parent[v] = v = parent.get(vp, vp)  # to the grandparent
+            if u != v:
+                parent[u] = v
                 rank += 1
         return rank
 

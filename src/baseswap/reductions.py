@@ -366,40 +366,38 @@ def reduce_triad(inst: Instance, triad, minor=default_minor) -> Reduction:
     parent_m = inst.matroid
 
     def lift(seq):
+        def both_bases(first, second):
+            return parent_m.is_basis(first) and parent_m.is_basis(second)
+
         out = []
-        cur1, cur2 = child.x.first, child.x.second
+        # the child's current pair, updated in place step by step
+        cur1, cur2 = set(child.x.first), set(child.x.second)
         for step in seq:
-            e, f = ExchangeStep(*step)
-            if t1 not in (e, f):
-                out.append(ExchangeStep(e, f))
+            if not isinstance(step, ExchangeStep):
+                step = ExchangeStep(*step)
+            e, f = step
+            if t1 != e and t1 != f:
+                out.append(step)
             elif e == t1:
                 # completed pair (cur1 + t2, cur2 + t3); two-step options
-                inter_a = (cur1 | {t3}, cur2 | {t2})
-                if parent_m.is_basis(inter_a[0]) and parent_m.is_basis(inter_a[1]):
-                    out.append(ExchangeStep(t2, t3))
-                    out.append(ExchangeStep(t1, f))
+                if both_bases(cur1 | {t3}, cur2 | {t2}):
+                    out += (ExchangeStep(t2, t3), ExchangeStep(t1, f))
+                elif both_bases((cur1 - {t1}) | {t2, t3}, cur2 | {t1}):
+                    out += (ExchangeStep(t1, t3), ExchangeStep(t2, f))
                 else:
-                    inter_b = ((cur1 - {t1}) | {t2, t3}, cur2 | {t1})
-                    assert parent_m.is_basis(inter_b[0]) and parent_m.is_basis(
-                        inter_b[1]
-                    ), "no feasible two-step replacement; this cannot happen"
-                    out.append(ExchangeStep(t1, t3))
-                    out.append(ExchangeStep(t2, f))
+                    raise AssertionError("no feasible two-step replacement; this cannot happen")
             else:
                 # f == t1, completed pair (cur1 + t3, cur2 + t2)
-                inter_a = (cur1 | {t2}, cur2 | {t3})
-                if parent_m.is_basis(inter_a[0]) and parent_m.is_basis(inter_a[1]):
-                    out.append(ExchangeStep(t3, t2))
-                    out.append(ExchangeStep(e, t1))
+                if both_bases(cur1 | {t2}, cur2 | {t3}):
+                    out += (ExchangeStep(t3, t2), ExchangeStep(e, t1))
+                elif both_bases(cur1 | {t1}, (cur2 - {t1}) | {t2, t3}):
+                    out += (ExchangeStep(t3, t1), ExchangeStep(e, t2))
                 else:
-                    inter_b = (cur1 | {t1}, (cur2 - {t1}) | {t2, t3})
-                    assert parent_m.is_basis(inter_b[0]) and parent_m.is_basis(
-                        inter_b[1]
-                    ), "no feasible two-step replacement; this cannot happen"
-                    out.append(ExchangeStep(t3, t1))
-                    out.append(ExchangeStep(e, t2))
-            cur1 = cur1 - {e} | {f}
-            cur2 = cur2 - {f} | {e}
+                    raise AssertionError("no feasible two-step replacement; this cannot happen")
+            cur1.discard(e)
+            cur1.add(f)
+            cur2.discard(f)
+            cur2.add(e)
         if swapped:
             out = [s.reversed() for s in out]
         prefix = [step_x] if step_x else []
@@ -458,5 +456,6 @@ def solve_rank_le2(inst: Instance, h=None) -> ExchangeSequence:
             search(nxt, used | {step.e, step.f}, trail + [step])
 
     search(BasisPair(inst.x.first, inst.x.second, m), frozenset(), [])
-    assert best is not None, "rank <= 2 instance without a short sequence; this cannot happen"
+    if best is None:
+        raise AssertionError("rank <= 2 instance without a short sequence; this cannot happen")
     return ExchangeSequence(best[1])

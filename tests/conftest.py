@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from baseswap.matroid import graphic_matroid
+from baseswap.matroid import Multigraph, graphic_matroid
 from baseswap.exchange import BasisPair
 
 # K4 fixture: a=12 b=23 c=34 d=13 e=14 f=24, ids 0..5 in that letter order
@@ -89,6 +89,22 @@ def dfs_forest_rank(edges, subset):
                     seen.add(nxt)
                     stack.append(nxt)
     return len(seen) - comps
+
+
+def reference_contract_edges(graph, edge_ids):
+    """Contraction one edge at a time, in sorted id order, rebuilding the
+    edge dict for every edge: contracting (u, v) renames v to u everywhere;
+    a loop is deleted and an absent id ignored.  Multigraph.contract_edges
+    must produce exactly this graph, vertex names and edge order included."""
+    edges = dict(graph.edges)
+    for e in sorted(edge_ids):
+        if e not in edges:
+            continue
+        u, v = edges.pop(e)
+        if u == v:
+            continue
+        edges = {x: (u if a == v else a, u if b == v else b) for x, (a, b) in edges.items()}
+    return Multigraph(edges)
 
 
 def cycle_space_masks(m):

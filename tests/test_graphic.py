@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from baseswap.cli import main
 from baseswap.exchange import BasisPair, apply_and_validate
 from baseswap.gen import (
     random_bispanning_graph,
@@ -157,3 +160,34 @@ class TestPickVertex:
             vertex, kind = pick_reduction_vertex(g)
             deg = g.degree()
             assert deg[vertex] in (2, 3)
+
+
+# sha256 of the JSON step list `baseswap solve --json` prints for
+# `gen bispanning --n n --seed s --mode mode`, recorded before the one-pass
+# contraction and the set-based triad lift replaced the per-edge versions
+GOLDEN_SEQUENCES = {
+    (40, 0, "white"): "a0d462b7f0614d6e34e7985e50ff9ded539c701669e522bac317c24a56a781a8",
+    (40, 0, "gabow"): "ad70ff0bcfe899f3cb81ea0dce6c39d4d047f1d428b4f7c09276ece41ac0679f",
+    (40, 1, "white"): "75fc91e6e7c6ef83a18fa6057d60975edaa54e3dbe4f706fe80703b6997864f3",
+    (40, 1, "gabow"): "e84319b4f266f7ebfe8f1ddf1e19199fa188dcf8a30a7030e76f77c92718b56c",
+    (40, 2, "white"): "a38c87d4ba81f9e45176189fcf6f7eb468f55a577b97897e1c5a3037dbd279f4",
+    (40, 2, "gabow"): "1118d91894f85f23ad574444b124edfbf3950684cbfb59fba411aa18fbd3df52",
+    (80, 0, "white"): "bbbac3d4364f3465a81a00e0e6b9e4be6b935fe2e4d6a99eb530c09d78c90c10",
+    (80, 0, "gabow"): "53af781fbf0fb387e9d120a926f9e8315570c4cd5b3bcdc65bd38d2ef7ccce3f",
+    (80, 1, "white"): "a7c23f4aaf89428b3487c4e06efb15de48d09c52e3f709f032226c6ec94af5d7",
+    (80, 1, "gabow"): "96935ca56284aaacd334389e0a32f46abf8a5e7514e849a894425fcbf3c711f7",
+    (80, 2, "white"): "6ab335d2813c60bff0c7d97e84578ee058fac86fe03f735e1385ae18f5d1c19b",
+    (80, 2, "gabow"): "67b36d1c4a9f705b2c7eab0192d1320bddfad3a0d207d531f3a7aca03b7316b7",
+}
+
+
+@pytest.mark.parametrize("n, seed, mode", sorted(GOLDEN_SEQUENCES))
+def test_golden_sequences(n, seed, mode, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "bispanning", "--n", str(n), "--seed", str(seed),
+                 "--mode", mode, "-o", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--json"]) == 0
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    digest = hashlib.sha256(json.dumps(steps).encode()).hexdigest()
+    assert digest == GOLDEN_SEQUENCES[(n, seed, mode)]

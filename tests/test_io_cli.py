@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import baseswap
+import baseswap.cli
 from baseswap.cli import main
 from baseswap.io import (
     LabelMap,
@@ -265,3 +271,30 @@ class TestCliRoundTrips:
         code, out, _ = self.run(capsys, "solve", str(path), "--json")
         assert code == 0
         assert json.loads(out)["rank"] == 2
+
+    def test_bad_forbidden_set_exits_two_without_traceback(self, tmp_path, capsys):
+        # F = {e0, e3, e9, e10} spans more than three vertices: a GroundSetError
+        inst = tmp_path / "b.json"
+        self.run(capsys, "gen", "bispanning", "--n", "12", "--seed", "3", "-o", str(inst))
+        src = str(Path(baseswap.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "baseswap.cli", "solve", str(inst),
+             "--forbidden", "e0,e3,e9,e10"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "three vertices" in proc.stderr
+
+    def test_recursion_limit_exits_three(self, tmp_path, capsys, monkeypatch):
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(baseswap.cli, "solve_gabow", too_deep)
+        inst = tmp_path / "g.json"
+        self.run(capsys, "gen", "bispanning", "--n", "6", "--seed", "1",
+                 "--mode", "gabow", "-o", str(inst))
+        code, _, err = self.run(capsys, "solve", str(inst))
+        assert code == 3
+        assert "recursion limit" in err and "10 elements" in err

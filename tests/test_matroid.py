@@ -23,6 +23,7 @@ from conftest import (
     brute_cocircuits,
     brute_sum_rank_fn,
     dfs_forest_rank,
+    reference_contract_edges,
     subsets,
 )
 
@@ -72,6 +73,36 @@ class TestRank:
         m = graphic_matroid(edges)
         for s in subsets(m.ground):
             assert m.rank(s) == dfs_forest_rank(edges, s)
+
+
+# vertex names mix ints and strings; few of them, so loops and parallel edges
+# are common
+_vertices = st.one_of(st.integers(0, 4), st.sampled_from(["a", "b", "c", "0"]))
+
+
+@st.composite
+def _multigraphs(draw):
+    ids = draw(st.lists(st.integers(0, 20), unique=True, max_size=12))
+    return Multigraph({e: (draw(_vertices), draw(_vertices)) for e in ids})
+
+
+class TestContraction:
+    @settings(max_examples=300, deadline=None)
+    @given(_multigraphs(), st.sets(st.integers(-2, 24), max_size=10))
+    def test_one_pass_matches_per_edge_reference(self, g, contracted):
+        # contracted ids may be absent from the graph or loops by their turn
+        got = g.contract_edges(contracted)
+        want = reference_contract_edges(g, contracted)
+        assert list(got.edges.items()) == list(want.edges.items())
+        assert g.contract_edges(frozenset(contracted)).edges == got.edges
+
+    @settings(max_examples=300, deadline=None)
+    @given(_multigraphs(), st.data())
+    def test_forest_rank_matches_dfs_oracle(self, g, data):
+        subset = data.draw(st.lists(st.sampled_from(sorted(g.edges)), unique=True)
+                           if g.edges else st.just([]))
+        assert g.forest_rank(subset) == dfs_forest_rank(g.edges, subset)
+        assert g.forest_rank(g.edges) == dfs_forest_rank(g.edges, g.edges)
 
 
 class TestBasis:
