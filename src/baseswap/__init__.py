@@ -14,9 +14,9 @@ from .matroid import (
     GraphicMatroid,
     Multigraph,
     SumSpec,
-    compose_sum,
     graphic_matroid,
 )
+from .structure import compose_sum
 from .exchange import (
     BasisPair,
     ExchangeStep,

@@ -68,6 +68,10 @@ def main(argv=None) -> int:
     except (UnsupportedStructureError, CapacityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except AssertionError as err:
+        # a failed internal check: the library would have returned a wrong answer
+        print(f"error: internal check failed: {err}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
 
 
 def _build_parser():
@@ -358,8 +362,7 @@ def _gen_tree(n, rng, mode):
             s1, s2 = matroid_union_partition(view, view, view.ground)
         except (ParseError, InfeasiblePartitionError):
             continue
-        m = structure.matroid
-        if not (m.is_basis(s1) and m.is_basis(s2)):
+        if not (view.is_basis(s1) and view.is_basis(s2)):
             continue
         x = BasisPair(s1, s2, view)
         obj = {

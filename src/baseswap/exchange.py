@@ -198,31 +198,16 @@ def bfs_oracle(
     target = frozenset(y.first - common)
     start = frozenset(x.first - common)
 
+    toward = target if monotone else None
     parents = {start: None}
     queue = deque([start])
     while queue:
         a = queue.popleft()
         if a == target:
             break
-        others = [z for z in live if z not in a]
-        for e in sorted(a):
-            if e in avoid:
-                continue
-            if monotone and e in target:
-                continue
-            for f in others:
-                if f in avoid:
-                    continue
-                if monotone and f not in target:
-                    continue
-                na = a - {e} | {f}
-                if na in parents:
-                    continue
-                first = common | na
-                second = common | (frozenset(live) - na)
-                if m.is_basis(first) and m.is_basis(second):
-                    parents[na] = (a, ExchangeStep(e, f))
-                    queue.append(na)
+        for na, step in _exchanges(m, common, live, a, avoid, toward, parents):
+            parents[na] = (a, step)
+            queue.append(na)
     if target not in parents:
         return UNREACHABLE
     steps = []
@@ -252,19 +237,27 @@ def bfs_distances(m: Matroid, x: BasisPair, forbidden=(), monotone_to=None, cap:
     queue = deque([start])
     while queue:
         a = queue.popleft()
-        others = [z for z in live if z not in a]
-        for e in sorted(a):
-            if e in avoid or (target is not None and e in target):
-                continue
-            for f in others:
-                if f in avoid or (target is not None and f not in target):
-                    continue
-                na = a - {e} | {f}
-                if na in dist:
-                    continue
-                first = common | na
-                second = common | (frozenset(live) - na)
-                if m.is_basis(first) and m.is_basis(second):
-                    dist[na] = dist[a] + 1
-                    queue.append(na)
+        for na, _ in _exchanges(m, common, live, a, avoid, target, dist):
+            dist[na] = dist[a] + 1
+            queue.append(na)
     return {common | a: d for a, d in dist.items()}
+
+
+def _exchanges(m: Matroid, common, live, a, avoid, toward, seen):
+    """Unseen states one valid exchange from the state ``a`` (the first basis
+    minus ``common``), each with its step, in the order both searches
+    explore them.  With ``toward`` set, only steps moving both bases toward
+    that first basis are taken.  ``seen`` is read as the caller fills it."""
+    others = [z for z in live if z not in a]
+    rest = frozenset(live)
+    for e in sorted(a):
+        if e in avoid or (toward is not None and e in toward):
+            continue
+        for f in others:
+            if f in avoid or (toward is not None and f not in toward):
+                continue
+            na = a - {e} | {f}
+            if na in seen:
+                continue
+            if m.is_basis(common | na) and m.is_basis(common | (rest - na)):
+                yield na, ExchangeStep(e, f)

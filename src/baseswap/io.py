@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass
 
 from .matroid import Multigraph, Gf2Matroid, SumSpec
-from .special import r10_matroid, f7_matroid, K5_EDGES, F7_ELEMENTS
+from .special import r10_matroid, fano_gf2, K5_EDGES, F7_ELEMENTS
 from .structure import (
-    Leaf,
     compose_structures,
     cographic_leaf,
     gf2_leaf,
@@ -125,37 +124,22 @@ def _leaf_from_node(node: dict):
         if text is None:
             raise ParseError("gf2 leaf needs a 'matrix' field")
         labels, rows = parse_gf2_text(text if isinstance(text, str) else "\n".join(text))
+        columns = [0] * len(labels)
+        for i, row in enumerate(rows):
+            for j, ch in enumerate(row):
+                if ch == "1":
+                    columns[j] |= 1 << i
+    elif tag in ("r10", "f7"):
+        labels = _builtin_labels(tag, node)
+        base = r10_matroid() if tag == "r10" else fano_gf2()
+        columns = [base.columns[i] for i in range(len(labels))]
+    else:
+        raise ParseError(f"unknown leaf tag {tag!r}")
 
-        def build(resolve, _labels=labels, _rows=rows):
-            cols = {resolve(lab): 0 for lab in _labels}
-            for i, row in enumerate(_rows):
-                for j, ch in enumerate(row):
-                    if ch == "1":
-                        cols[resolve(_labels[j])] |= 1 << i
-            return gf2_leaf(Gf2Matroid(cols))
+    def build(resolve):
+        return gf2_leaf(Gf2Matroid({resolve(lab): col for lab, col in zip(labels, columns)}))
 
-        return labels, build
-    if tag == "r10":
-        labels = _builtin_labels("r10", node)
-
-        def build(resolve, _labels=labels):
-            base = r10_matroid()
-            cols = {resolve(_labels[i]): base.columns[i] for i in range(10)}
-            return gf2_leaf(Gf2Matroid(cols))
-
-        return labels, build
-    if tag == "f7":
-        labels = _builtin_labels("f7", node)
-
-        def build(resolve, _labels=labels):
-            from .structure import fano_gf2
-
-            base = fano_gf2()
-            cols = {resolve(_labels[i]): base.columns[i] for i in range(7)}
-            return gf2_leaf(Gf2Matroid(cols))
-
-        return labels, build
-    raise ParseError(f"unknown leaf tag {tag!r}")
+    return labels, build
 
 
 def parse_tree(tree: dict):
@@ -246,31 +230,17 @@ def load_matroid_source(spec: dict, read_file=None):
         labelmap = LabelMap.from_labels(edges)
         graph = Multigraph({labelmap.id(lab): uv for lab, uv in edges.items()})
         return graphic_leaf(graph), labelmap
-    if kind == "gf2":
-        labels, rows = parse_gf2_text(text_of("text"))
+    if kind in ("gf2", "r10", "f7"):
+        node = {"tag": kind, "matrix": text_of("text")} if kind == "gf2" else {"tag": kind}
+        labels, build = _leaf_from_node(node)
         labelmap = LabelMap.from_labels(labels)
-        cols = {labelmap.id(lab): 0 for lab in labels}
-        for i, row in enumerate(rows):
-            for j, ch in enumerate(row):
-                if ch == "1":
-                    cols[labelmap.id(labels[j])] |= 1 << i
-        return gf2_leaf(Gf2Matroid(cols)), labelmap
+        return build(labelmap.id), labelmap
     if kind == "tree":
         if "tree" in spec:
             tree = spec["tree"]
         else:
             tree = json.loads(text_of("tree"))
         return parse_tree(tree)
-    if kind == "r10":
-        labelmap = LabelMap.from_labels(R10_LABELS)
-        base = r10_matroid()
-        cols = {labelmap.id(R10_LABELS[i]): base.columns[i] for i in range(10)}
-        return gf2_leaf(Gf2Matroid(cols)), labelmap
-    if kind == "f7":
-        labelmap = LabelMap.from_labels(F7_LABELS)
-        leaf = Leaf("f7", f7_matroid())
-        # canonical ids already match sorted 'a'..'g'
-        return leaf, labelmap
     raise ParseError(f"unknown matroid kind {kind!r}")
 
 

@@ -1,15 +1,14 @@
 """Element-indexed matroid backends with rank and basis queries.
 
 Every matroid lives on a ground set of small nonnegative integers.  Concrete
-backends: binary matrices over GF(2), multigraphs, lazy duals and minors, and
-binary 1-/2-/3-sums.  Instances are immutable after construction and all
-queries are read-only, so values can be shared freely between threads; rank
-caches fill idempotently.
+backends: binary matrices over GF(2), multigraphs, and lazy duals and minors;
+binary 1-/2-/3-sums are GF(2) matrices built in ``structure``.  Instances are
+immutable after construction and all queries are read-only, so values can be
+shared freely between threads; rank caches fill idempotently.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -132,6 +131,11 @@ class Matroid:
             raise GroundSetError("minor sets must lie in the ground set")
         if not c and not d:
             return self
+        return self._minor(c, d)
+
+    def _minor(self, c: frozenset, d: frozenset) -> "Matroid":
+        """The minor for checked, disjoint sets, not both empty: a lazy view
+        unless the backend overrides this with an explicit one."""
         return MinorMatroid(self, c, d)
 
     def contract(self, subset) -> "Matroid":
@@ -173,6 +177,18 @@ class Gf2Matroid(Matroid):
                 if int(entry) % 2:
                     cols[elements[j]] |= 1 << i
         return cls(cols)
+
+    def _minor(self, c: frozenset, d: frozenset) -> "Gf2Matroid":
+        """Explicit minor: each contracted column in turn is added to every
+        other column holding its lowest set bit, which clears that row, and
+        is dropped; a zero column (a loop) is just dropped."""
+        cols = {e: v for e, v in self.columns.items() if e not in d}
+        for e in sorted(c):
+            v = cols.pop(e)
+            if v:
+                low = v & -v
+                cols = {x: w ^ v if w & low else w for x, w in cols.items()}
+        return Gf2Matroid(cols)
 
     def _rank(self, subset: frozenset) -> int:
         pivots = []
@@ -380,15 +396,7 @@ class MinorMatroid(Matroid):
     def _rank(self, subset: frozenset) -> int:
         return self.base.rank(subset | self.contracted) - self._contract_rank
 
-    def minor(self, contract=(), delete=()) -> Matroid:
-        c = _as_frozen(contract)
-        d = _as_frozen(delete)
-        if c & d:
-            raise GroundSetError(f"contract/delete overlap: {sorted(c & d)}")
-        if not c <= self.ground or not d <= self.ground:
-            raise GroundSetError("minor sets must lie in the ground set")
-        if not c and not d:
-            return self
+    def _minor(self, c: frozenset, d: frozenset) -> Matroid:
         return MinorMatroid(self.base, self.contracted | c, self.deleted | d)
 
 
@@ -436,111 +444,6 @@ def validate_sum(m1: Matroid, m2: Matroid, spec: SumSpec) -> None:
                 raise CompositionError(f"shared set is not a triangle of the {name} part")
             if not m.is_coindependent(t):
                 raise CompositionError(f"shared triangle is not coindependent in the {name} part")
-
-
-class SumMatroid(Matroid):
-    """Binary 1-/2-/3-sum of two matroids along a shared set T.
-
-    Rank of a subset S is computed from cycle-space dimensions of the parts:
-    cycles of the sum inside S are symmetric differences of part cycles that
-    agree on T, so
-
-        r(S) = |S| - (dim ker1 + dim ker2 + dim(V1 cap V2) - dim K)
-
-    where ker_i counts part cycles avoiding T inside S_i, V_i is the space of
-    T-projections of part cycles supported in S_i + T, and K is the space of
-    cycles common to both parts inside T itself.  All dimensions come from
-    rank queries on the parts.
-
-    Basis membership is decided directly from the basis descriptions of
-    binary sums (three branches for the 3-sum), not from the rank formula.
-    """
-
-    def __init__(self, m1: Matroid, m2: Matroid, spec: SumSpec, validated: bool = True):
-        t = spec.shared
-        ground = (m1.ground | m2.ground) - t
-        super().__init__(ground)
-        self.m1 = m1
-        self.m2 = m2
-        self.spec = spec
-        self.side1 = m1.ground - t
-        self.side2 = m2.ground - t
-        self.valid_spec = validated
-        # dim of the common cycle space inside T: {0, T} for triangles
-        self._ker_dim = 1 if spec.arity == 3 else 0
-        self._t_sorted = tuple(sorted(t))
-
-    # -- rank --------------------------------------------------------------
-
-    def _projection_space(self, m: Matroid, part_side: frozenset, s_part: frozenset):
-        """Subsets of T arising as C ∩ T for a cycle C of ``m`` inside s_part + T."""
-        t = self.spec.shared
-        cycle_dim = {}
-        for k in range(len(self._t_sorted) + 1):
-            for tau in itertools.combinations(self._t_sorted, k):
-                tau = frozenset(tau)
-                cycle_dim[tau] = len(s_part) + len(tau) - m.rank(s_part | tau)
-        members = set()
-        for tau in cycle_dim:
-            count = 0
-            for k in range(len(tau) + 1):
-                for sigma in itertools.combinations(sorted(tau), k):
-                    sign = -1 if (len(tau) - k) % 2 else 1
-                    count += sign * (1 << cycle_dim[frozenset(sigma)])
-            if count > 0:
-                members.add(tau)
-        return members, cycle_dim[frozenset()]
-
-    def _rank(self, subset: frozenset) -> int:
-        s1 = subset & self.side1
-        s2 = subset & self.side2
-        v1, ker1 = self._projection_space(self.m1, self.side1, s1)
-        v2, ker2 = self._projection_space(self.m2, self.side2, s2)
-        common = v1 & v2
-        vdim = len(common).bit_length() - 1  # |subspace| = 2**dim
-        cycle_dim = ker1 + ker2 + vdim - self._ker_dim
-        return len(subset) - cycle_dim
-
-    # -- direct basis membership --------------------------------------------
-
-    def is_basis(self, subset) -> bool:
-        s = _as_frozen(subset)
-        if not s <= self.ground:
-            raise GroundSetError("is_basis: elements outside ground set")
-        if not self.valid_spec:
-            return super().is_basis(s)
-        b1 = s & self.side1
-        b2 = s & self.side2
-        if self.spec.arity == 1:
-            return self.m1.is_basis(b1) and self.m2.is_basis(b2)
-        if self.spec.arity == 2:
-            (t,) = self.spec.shared
-            return (self.m1.is_basis(b1 | {t}) and self.m2.is_basis(b2)) or (
-                self.m1.is_basis(b1) and self.m2.is_basis(b2 | {t})
-            )
-        t1, t2, t3 = self._t_sorted
-        r1 = self.m1.full_rank
-        r2 = self.m2.full_rank
-        n1, n2 = len(b1), len(b2)
-        if n1 + n2 != r1 + r2 - 2:
-            return False
-        if n1 == r1 - 2:
-            return self.m1.is_basis(b1 | {t1, t2}) and self.m2.is_basis(b2)
-        if n1 == r1:
-            return self.m1.is_basis(b1) and self.m2.is_basis(b2 | {t1, t2})
-        if n1 == r1 - 1:
-            p1 = frozenset(t for t in self._t_sorted if self.m1.is_basis(b1 | {t}))
-            if len(p1) != 2:
-                return False
-            p2 = frozenset(t for t in self._t_sorted if self.m2.is_basis(b2 | {t}))
-            return len(p2) == 2 and p1 != p2
-        return False
-
-
-def compose_sum(m1: Matroid, m2: Matroid, spec: SumSpec) -> SumMatroid:
-    """Compose two binary matroids along ``spec``, checking its preconditions."""
-    validate_sum(m1, m2, spec)
-    return SumMatroid(m1, m2, spec, validated=True)
 
 
 def graphic_matroid(edges: dict) -> GraphicMatroid:

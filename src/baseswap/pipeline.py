@@ -11,9 +11,8 @@ be replayed; the report carries the width/length guarantees for the mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .matroid import Matroid, Gf2Matroid, CompositionError, _as_frozen
+from .matroid import Matroid, Gf2Matroid, _as_frozen
 from .exchange import (
     BasisPair,
     ExchangeSequence,
@@ -53,7 +52,6 @@ from .structure import (
     as_structure,
     find_triad_fast,
     find_triangle_fast,
-    gf2_view,
     structure_minor,
 )
 
@@ -139,10 +137,12 @@ def solve_white(source, x, y, forbidden=(), bfs_cap: int = 16) -> SolveReport:
     steps = _engine(struct, inst, "white", None, bfs_cap, trace.children)
     seq = ExchangeSequence(steps)
     final = apply_and_validate(x, seq, inst.forbidden)
-    assert final.first == y.first and final.second == y.second
+    if not (final.first == y.first and final.second == y.second):
+        raise AssertionError("the sequence does not end on the target pair")
     graphic_run = isinstance(struct, Leaf) and struct.tag in ("graphic", "cographic")
     bl, bw = _bounds("white", m.full_rank, graphic_run)
-    assert seq.length <= bl and seq.width <= bw, "solver exceeded its bounds"
+    if not (seq.length <= bl and seq.width <= bw):
+        raise AssertionError("solver exceeded its bounds")
     return SolveReport(seq, m.full_rank, "white", bl, bw, trace)
 
 
@@ -162,16 +162,20 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
     steps = _engine(struct, inst, "gabow", last, bfs_cap, trace.children)
     seq = ExchangeSequence(steps)
     final = apply_and_validate(x, seq)
-    assert final.first == y.first and final.second == y.second
+    if not (final.first == y.first and final.second == y.second):
+        raise AssertionError("the sequence does not end on the swapped pair")
     r = m.full_rank
-    assert seq.length == r, f"reversal length {seq.length} != rank {r}"
-    assert seq.width <= 1
+    if seq.length != r:
+        raise AssertionError(f"reversal length {seq.length} != rank {r}")
+    if seq.width > 1:
+        raise AssertionError(f"reversal width {seq.width} > 1")
     cur = x
     for step in seq:
-        assert step.e in cur.first - y.first and step.f in cur.second - y.second
+        if not (step.e in cur.first - y.first and step.f in cur.second - y.second):
+            raise AssertionError(f"reversal step {step} is not monotone")
         cur = apply_step(cur, step)
-    if last is not None and seq.length:
-        assert last in seq.steps[-1]
+    if last is not None and seq.length and last not in seq.steps[-1]:
+        raise AssertionError(f"the last step does not use the designated element {last}")
     graphic_run = isinstance(struct, Leaf) and struct.tag in ("graphic", "cographic")
     bl, bw = _bounds("gabow", r, graphic_run)
     return SolveReport(seq, r, "gabow", bl, bw, trace)
@@ -211,13 +215,8 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
             return list(solve_graphic_gabow(struct.graph, inst.x, h))
         return list(solve_graphic_white(struct.graph, inst.x, inst.y, inst.forbidden))
 
-    accel = _accelerated_view(struct)
-    search_m = accel if accel is not None else m
-
-    z = find_nontrivial_tight_set(search_m, BasisPair(inst.x.first, inst.x.second))
+    z = find_nontrivial_tight_set(m, BasisPair(inst.x.first, inst.x.second))
     if z is not None:
-        if len(z) != 2 * m.rank(z):
-            raise AssertionError("accelerated view disagrees on tightness")
         restrict_last = last is not None and last in z
         record = []
         red = split_on_tight_set(
@@ -237,11 +236,12 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
             seqs.append(_engine(child_struct, child, mode, child_last, cap, wrapper.children))
         return red.lift(*seqs)
 
-    cover = m.ground if last is None else m.ground - {last}
-    triad = find_triad_fast(accel) if (accel is not None and last is None) else find_triad(m, cover)
+    # a triad or triangle holding an element of F or the designated last
+    # element cannot be reduced; the fast finders need an explicit matrix
+    cover = m.ground - inst.forbidden - {last}
+    fast = isinstance(m, Gf2Matroid)
+    triad = find_triad_fast(m, cover) if fast else find_triad(m, cover)
     if triad is not None:
-        if not _is_triad(m, triad):
-            raise AssertionError("accelerated view disagrees on the triad")
         record = []
         red = reduce_triad(inst, triad, minor=_recording_factory(struct, record))
         node = TraceNode("triad", dict(red.certificate.payload))
@@ -250,14 +250,8 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
         steps = _engine(record[0], red.children[0], mode, last, cap, node.children)
         return red.lift(steps)
 
-    triangle = (
-        find_triangle_fast(accel)
-        if (accel is not None and last is None)
-        else find_triangle(m, cover)
-    )
+    triangle = find_triangle_fast(m, cover) if fast else find_triangle(m, cover)
     if triangle is not None:
-        if not _is_triad(m.dual(), triangle):
-            raise AssertionError("accelerated view disagrees on the triangle")
         dual_m = m.dual()
         dual_inst = Instance(
             dual_m,
@@ -304,23 +298,6 @@ def _recording_factory(struct, record: list):
         return sub.matroid
 
     return factory
-
-
-def _accelerated_view(struct) -> Optional[Gf2Matroid]:
-    if isinstance(struct, Leaf) and struct.tag in ("gf2", "r10") and isinstance(
-        struct.matroid, Gf2Matroid
-    ):
-        return struct.matroid
-    try:
-        return gf2_view(struct)
-    except CompositionError:
-        return None
-
-
-def _is_triad(m: Matroid, t: frozenset) -> bool:
-    rest = m.ground - t
-    r = m.full_rank
-    return m.rank(rest) == r - 1 and all(m.rank(rest | {x}) == r for x in t)
 
 
 def _bfs_solve(m: Matroid, inst: Instance, mode: str, last, cap: int):
@@ -441,95 +418,4 @@ def _three_sum_route(struct: SumNode, inst: Instance, mode: str, cap: int, out_t
             )
 
         return list(three_sum_gabow(ctx, inst.x, recurse_rev))
-    return None
-
-
-# -- structure detection for raw matroids ---------------------------------------
-
-
-def detect_1sum(m: Matroid):
-    """Connectivity components, or None when the matroid is connected.
-
-    Components are computed from the incidence of a fixed basis with the
-    fundamental circuits of the remaining elements: two elements share a
-    component exactly when some circuit contains both.
-    """
-    if not m.ground:
-        return None
-    basis = set()
-    rank = 0
-    for e in sorted(m.ground):
-        if m.rank(basis | {e}) > rank:
-            basis.add(e)
-            rank += 1
-    parent = {e: e for e in m.ground}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in sorted(m.ground - basis):
-        circuit = m.fundamental_circuit(frozenset(basis), e)
-        items = sorted(circuit)
-        for other in items[1:]:
-            ra, rb = find(items[0]), find(other)
-            if ra != rb:
-                parent[ra] = rb
-    comps: dict = {}
-    for e in m.ground:
-        comps.setdefault(find(e), set()).add(e)
-    if len(comps) <= 1:
-        return None
-    return sorted((frozenset(c) for c in comps.values()), key=lambda s: tuple(sorted(s)))
-
-
-class _TwoSumPart(Matroid):
-    """One side of a detected 2-separation, with a marker element standing
-    in for the span of the other side."""
-
-    def __init__(self, base: Matroid, side: frozenset, marker: int):
-        super().__init__(side | {marker})
-        self.base = base
-        self.side = side
-        self.marker = marker
-        self.other = base.ground - side
-
-    def _rank(self, subset: frozenset) -> int:
-        if self.marker not in subset:
-            return self.base.rank(subset)
-        s = subset - {self.marker}
-        joint = self.base.rank(s | self.other)
-        if joint == self.base.rank(s) + self.base.rank(self.other):
-            return self.base.rank(s) + 1
-        return self.base.rank(s)
-
-
-def detect_2sum_small(m: Matroid, cap: int = 12):
-    """Exhaustive 2-separation search for small ground sets.
-
-    Returns (A, B, part_a, part_b, marker) reconstructing
-    m = part_a +2 part_b along the fresh marker element, or None.
-    """
-    n = len(m.ground)
-    if n > cap or n < 4:
-        return None
-    elems = sorted(m.ground)
-    r = m.full_rank
-    marker = max(elems) + 1
-    import itertools as _it
-
-    for size in range(2, n - 1):
-        for a in _it.combinations(elems, size):
-            if elems[0] not in a:
-                continue  # fix the first element on the A side; halves the search
-            a_set = frozenset(a)
-            b_set = m.ground - a_set
-            if len(b_set) < 2:
-                continue
-            if m.rank(a_set) + m.rank(b_set) == r + 1:
-                part_a = _TwoSumPart(m, a_set, marker)
-                part_b = _TwoSumPart(m, b_set, marker)
-                return a_set, b_set, part_a, part_b, marker
     return None

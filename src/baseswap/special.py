@@ -4,7 +4,8 @@ R10 is the ten-element regular matroid represented over GF(2) by the ten
 columns of length five with exactly three nonzero entries; equivalently the
 even-cycle matroid of K5, mapping the edge v_i v_j to the column whose i-th
 and j-th entries are zero.  F7 is the Fano matroid on {a..g}: every
-three-element subset is a basis except the seven lines.
+three-element subset is a basis except the seven lines; over GF(2) its
+columns are the seven nonzero vectors of length three.
 
 Both are small enough that exchange sequences are found by breadth-first
 search over the exchange graph after stripping common and uncovered
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .matroid import Matroid, Gf2Matroid, Multigraph
+from .matroid import Matroid, Gf2Matroid
 from .exchange import (
     BasisPair,
     ExchangeSequence,
@@ -44,50 +45,6 @@ def r10_matroid() -> Gf2Matroid:
     return Gf2Matroid(cols)
 
 
-class EvenCycleMatroid(Matroid):
-    """Even-cycle matroid of a graph with every edge odd.
-
-    A set is independent when each of its components contains at most one
-    cycle and that cycle is odd; the rank of S is |V(S)| minus the number of
-    components plus the number of non-bipartite components.
-    """
-
-    def __init__(self, graph: Multigraph):
-        super().__init__(frozenset(graph.edges))
-        self.graph = graph
-
-    def _rank(self, subset: frozenset) -> int:
-        adj: dict = {}
-        for e in subset:
-            u, v = self.graph.edges[e]
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        seen: dict = {}
-        rank = 0
-        for start in adj:
-            if start in seen:
-                continue
-            seen[start] = 0
-            stack = [start]
-            size = 1
-            odd = False
-            while stack:
-                node = stack.pop()
-                for nxt in adj[node]:
-                    if nxt not in seen:
-                        seen[nxt] = seen[node] ^ 1
-                        size += 1
-                        stack.append(nxt)
-                    elif seen[nxt] == seen[node]:
-                        odd = True
-            rank += size - 1 + (1 if odd else 0)
-        return rank
-
-
-def r10_even_cycle_backend() -> EvenCycleMatroid:
-    return EvenCycleMatroid(Multigraph(dict(enumerate(K5_EDGES))))
-
-
 def r10_fixture_pair(m: Matroid = None) -> BasisPair:
     """Two complementary Hamiltonian 5-cycles of K5."""
     if m is None:
@@ -110,34 +67,20 @@ F7_LINES = (
 )
 
 
-class FanoMatroid(Matroid):
-    """Rank-3 matroid on {0..6}: bases are the 3-sets other than the lines."""
-
-    def __init__(self):
-        super().__init__(frozenset(range(7)))
-        self.lines = tuple(
-            frozenset(F7_ELEMENTS.index(c) for c in line) for line in F7_LINES
-        )
-
-    def _rank(self, subset: frozenset) -> int:
-        n = len(subset)
-        if n <= 2:
-            return n
-        if n == 3:
-            return 2 if subset in self.lines else 3
-        return 3
+def fano_gf2() -> Gf2Matroid:
+    """F7 over GF(2) on elements 0..6 (a..g); the lines of ``F7_LINES`` are
+    exactly the triples whose columns sum to zero."""
+    return Gf2Matroid({0: 0b001, 1: 0b010, 2: 0b100, 3: 0b011, 4: 0b110, 5: 0b101, 6: 0b111})
 
 
-def f7_matroid() -> FanoMatroid:
-    return FanoMatroid()
+f7_matroid = fano_gf2
 
 
 def f7_bases() -> list:
-    m = f7_matroid()
+    """The 28 three-element subsets of 0..6 that are not lines."""
+    lines = {frozenset(F7_ELEMENTS.index(c) for c in line) for line in F7_LINES}
     return [
-        frozenset(c)
-        for c in itertools.combinations(range(7), 3)
-        if frozenset(c) not in m.lines
+        frozenset(c) for c in itertools.combinations(range(7), 3) if frozenset(c) not in lines
     ]
 
 

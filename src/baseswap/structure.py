@@ -1,22 +1,22 @@
 """Structured matroids: leaf descriptions composed by 1-/2-/3-sums.
 
 A structure mirrors a user decomposition tree: leaves are graphic,
-cographic, r10, f7 or raw GF(2) matroids; internal nodes are binary sums.
-Minors push into the owning leaves so graph realizations survive reduction;
-when a pushed minor breaks a sum precondition the node collapses to an
-opaque leaf over a lazy minor view.
+cographic or GF(2) matroids (R10 and F7 included), or a matroid the caller
+passed in ("opaque"); internal nodes are binary sums.  Minors push into the
+owning leaves so graph realizations survive reduction; when a pushed minor
+breaks a sum precondition the node collapses to a GF(2) leaf.
 
-Each structure also yields an equivalent explicit GF(2) matroid built by
-composing cocycle spaces bottom-up.  The definitional sum backend stays
-authoritative for basis queries; the GF(2) view makes reduction searches
-(tight sets, triads, triangles) and instance generation affordable on
-deeply composed ground sets, and the two backends are checked against each
-other in the tests.
+The matroid of a sum node is an explicit GF(2) matroid built by composing
+cocycle spaces bottom-up (``gf2_view``).  It answers every rank, basis and
+minor query on the node, and the tree is kept only for routing: graph
+solves on graphic bullets and the 2-/3-sum merges.  The tests check it
+against the definitional rank of a binary sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .matroid import (
@@ -25,18 +25,16 @@ from .matroid import (
     GraphicMatroid,
     DualMatroid,
     Multigraph,
-    SumMatroid,
     SumSpec,
     CompositionError,
     validate_sum,
     _as_frozen,
 )
-from .special import FanoMatroid
 
 
 @dataclass
 class Leaf:
-    tag: str  # graphic | cographic | r10 | f7 | gf2 | opaque
+    tag: str  # graphic | cographic | gf2 | opaque
     matroid: Matroid
     graph: Optional[Multigraph] = None
     cache: dict = field(default_factory=dict)
@@ -51,12 +49,17 @@ class SumNode:
     spec: SumSpec
     left: "Leaf | SumNode"
     right: "Leaf | SumNode"
-    matroid: SumMatroid
     cache: dict = field(default_factory=dict)
 
+    @cached_property
+    def ground(self) -> frozenset:
+        return (self.left.ground | self.right.ground) - self.spec.shared
+
     @property
-    def ground(self):
-        return self.matroid.ground
+    def matroid(self) -> Gf2Matroid:
+        # built on first query: composing a node builds only its children's
+        # matrices, to check the sum
+        return gf2_view(self)
 
 
 def graphic_leaf(graph: Multigraph) -> Leaf:
@@ -76,16 +79,13 @@ def opaque_leaf(matroid: Matroid) -> Leaf:
 
 
 def compose_structures(left, right, spec: SumSpec) -> SumNode:
-    # precondition checks run against the GF(2) views when available; they
-    # agree with the definitional matroids and avoid deep sum recursion
-    try:
-        validate_sum(gf2_view(left), gf2_view(right), spec)
-    except CompositionError:
-        raise
-    except Exception:
-        validate_sum(left.matroid, right.matroid, spec)
-    matroid = SumMatroid(left.matroid, right.matroid, spec, validated=True)
-    return SumNode(spec, left, right, matroid)
+    validate_sum(gf2_view(left), gf2_view(right), spec)
+    return SumNode(spec, left, right)
+
+
+def compose_sum(m1: Matroid, m2: Matroid, spec: SumSpec) -> Gf2Matroid:
+    """Compose two binary matroids along ``spec``, checking its preconditions."""
+    return compose_structures(as_structure(m1), as_structure(m2), spec).matroid
 
 
 def as_structure(source) -> "Leaf | SumNode":
@@ -95,8 +95,6 @@ def as_structure(source) -> "Leaf | SumNode":
         return graphic_leaf(source.graph)
     if isinstance(source, Gf2Matroid):
         return gf2_leaf(source)
-    if isinstance(source, FanoMatroid):
-        return Leaf("f7", source)
     if isinstance(source, Matroid):
         return opaque_leaf(source)
     raise TypeError(f"cannot interpret {source!r} as a matroid structure")
@@ -108,8 +106,8 @@ def as_structure(source) -> "Leaf | SumNode":
 def structure_minor(struct, contract=(), delete=()):
     """Minor of a structure, pushing the operations into the owning leaves.
 
-    Falls back to an opaque leaf over a lazy minor view when a sum
-    precondition stops holding or a degenerate side appears.
+    Falls back to a GF(2) leaf holding the minor of the node's matroid when
+    the minor touches the shared set or a sum precondition stops holding.
     """
     c = _as_frozen(contract)
     d = _as_frozen(delete)
@@ -119,7 +117,7 @@ def structure_minor(struct, contract=(), delete=()):
         return _leaf_minor(struct, c, d)
     t = struct.spec.shared
     if (c | d) & t:
-        return opaque_leaf(struct.matroid.minor(contract=c, delete=d))
+        return gf2_leaf(struct.matroid.minor(contract=c, delete=d))
     left_ground = struct.left.ground
     new_left = structure_minor(struct.left, c & left_ground, d & left_ground)
     new_right = structure_minor(
@@ -132,7 +130,7 @@ def structure_minor(struct, contract=(), delete=()):
     try:
         return compose_structures(new_left, new_right, struct.spec)
     except CompositionError:
-        return opaque_leaf(struct.matroid.minor(contract=c, delete=d))
+        return gf2_leaf(struct.matroid.minor(contract=c, delete=d))
 
 
 def _leaf_minor(leaf: Leaf, c: frozenset, d: frozenset) -> Leaf:
@@ -143,6 +141,8 @@ def _leaf_minor(leaf: Leaf, c: frozenset, d: frozenset) -> Leaf:
         # minor of the dual: contraction deletes in the graph and vice versa
         graph = leaf.graph.delete_edges(c).contract_edges(d)
         return cographic_leaf(graph)
+    if isinstance(leaf.matroid, Gf2Matroid):
+        return gf2_leaf(leaf.matroid.minor(contract=c, delete=d))
     return opaque_leaf(leaf.matroid.minor(contract=c, delete=d))
 
 
@@ -179,23 +179,15 @@ def _leaf_rows(leaf: Leaf) -> list:
             circuit = m.circuit_in(forest, e)
             rows.append(frozenset(circuit))
         return rows
-    if leaf.tag in ("gf2", "r10") and isinstance(leaf.matroid, Gf2Matroid):
+    if isinstance(leaf.matroid, Gf2Matroid):
         cols = leaf.matroid.columns
         height = max((c.bit_length() for c in cols.values()), default=0)
         return [
             frozenset(e for e, col in cols.items() if col >> i & 1)
             for i in range(height)
         ]
-    if isinstance(leaf.matroid, FanoMatroid):
-        gf = fano_gf2()
-        return [
-            frozenset(e for e, col in gf.columns.items() if col >> i & 1)
-            for i in range(3)
-        ]
-    # generic small leaf: fundamental cocircuits of a basis
+    # a matroid the caller passed in: fundamental cocircuits of a basis
     m = leaf.matroid
-    if len(m.ground) > 24:
-        raise CompositionError("no cocycle description for a large opaque leaf")
     basis = _greedy_basis(m)
     circuits = {e: m.fundamental_circuit(basis, e) for e in sorted(m.ground - basis)}
     rows = []
@@ -203,11 +195,6 @@ def _leaf_rows(leaf: Leaf) -> list:
         row = {b} | {e for e, circ in circuits.items() if b in circ}
         rows.append(frozenset(row))
     return rows
-
-
-def fano_gf2() -> Gf2Matroid:
-    """GF(2) columns realizing the Fano line list on elements 0..6."""
-    return Gf2Matroid({0: 0b001, 1: 0b010, 2: 0b100, 3: 0b011, 4: 0b110, 5: 0b101, 6: 0b111})
 
 
 def _greedy_basis(m: Matroid) -> frozenset:
@@ -338,15 +325,17 @@ def small_circuit_triples(m: Gf2Matroid):
     return found
 
 
-def find_triangle_fast(m: Gf2Matroid):
+def find_triangle_fast(m: Gf2Matroid, cover=None):
+    """Lexicographically first triangle inside ``cover`` (default: all)."""
     triples = small_circuit_triples(m)
-    if not triples:
-        return None
-    return min(triples, key=lambda s: tuple(sorted(s)))
+    if cover is not None:
+        triples = [t for t in triples if t <= cover]
+    return min(triples, key=lambda s: tuple(sorted(s)), default=None)
 
 
-def find_triad_fast(m: Gf2Matroid):
-    """Lexicographically first 3-element cocircuit, via the dual columns."""
+def find_triad_fast(m: Gf2Matroid, cover=None):
+    """Lexicographically first 3-element cocircuit inside ``cover``, via the
+    dual columns."""
     basis = _greedy_basis(m)
     nonbasis = sorted(m.ground - basis)
     circuits = [m.circuit_in(basis, e) for e in nonbasis]
@@ -357,5 +346,4 @@ def find_triad_fast(m: Gf2Matroid):
             if b in circuit:
                 mask |= 1 << i
         dual_cols[b] = mask
-    dual = Gf2Matroid(dual_cols)
-    return find_triangle_fast(dual)
+    return find_triangle_fast(Gf2Matroid(dual_cols), cover)

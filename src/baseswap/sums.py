@@ -136,8 +136,10 @@ def merge_two_sum(seq_circ, seq_bullet, ctx: TwoSumContext) -> list:
     uses_c = sum(1 for s in sc if t in s)
     uses_b = sum(1 for s in sb if t in s)
     fused = min(uses_c, uses_b)
-    assert len(out) == len(sc) + len(sb) - fused
-    assert not any(t in s for s in out)
+    if len(out) != len(sc) + len(sb) - fused:
+        raise AssertionError(f"merged length {len(out)} != {len(sc)} + {len(sb)} - {fused}")
+    if any(t in s for s in out):
+        raise AssertionError("the merged sequence uses the shared element")
     return out
 
 
@@ -350,13 +352,12 @@ def four_regular_triangle_partition(graph: Multigraph, triangle_ordered, validat
 
 
 def _replay(total: Matroid, start: BasisPair, steps) -> BasisPair:
-    """Apply steps on the composed matroid, asserting every pair is a basis pair."""
+    """Apply steps on the composed matroid, checking every pair is a basis pair."""
     cur = BasisPair(start.first, start.second, total)
     for step in steps:
         cur = apply_step(cur, ExchangeStep(*step))
-        assert total.is_basis(cur.first) and total.is_basis(
-            cur.second
-        ), "intermediate pair is not a basis pair of the composition"
+        if not (total.is_basis(cur.first) and total.is_basis(cur.second)):
+            raise AssertionError("intermediate pair is not a basis pair of the composition")
     return cur
 
 
@@ -419,7 +420,8 @@ def three_sum_white(ctx: ThreeSumContext, x: BasisPair, y: BasisPair, recurse: C
 
     steps = list(seg1) + seg2 + list(seg3)
     final = _replay(ctx.total, x, steps)
-    assert final.first == y.first and final.second == y.second
+    if not (final.first == y.first and final.second == y.second):
+        raise AssertionError("the 3-sum sequence does not end on the target pair")
     return ExchangeSequence(steps)
 
 
@@ -439,9 +441,11 @@ def three_sum_gabow(ctx: ThreeSumContext, x: BasisPair, recurse: Callable):
 
     sub = [ExchangeStep(*s) for s in recurse(t2, (x1c | {t1}, x2c))]
     t1_positions = [idx for idx, s in enumerate(sub) if t1 in s]
-    assert len(t1_positions) == 1, "reversal must use the contracted triangle element once"
+    if len(t1_positions) != 1:
+        raise AssertionError("reversal must use the contracted triangle element once")
     pos = t1_positions[0]
-    assert sub[pos].e == t1, "the triangle element leaves the first member"
+    if sub[pos].e != t1:
+        raise AssertionError("the triangle element must leave the first member")
     e_elt = sub[pos].f
 
     # circ pair just before the t1 step, with t1 stripped from the first member
@@ -452,18 +456,22 @@ def three_sum_gabow(ctx: ThreeSumContext, x: BasisPair, recurse: Callable):
     yc1, yc2 = cur1 - {t1}, cur2
 
     candidates = [t for t in (t1, t3) if ctx.circ.is_basis(yc2 | {t})]
-    assert len(candidates) == 1, "exactly one completion works; none-or-two rule"
+    if len(candidates) != 1:
+        raise AssertionError("exactly one completion must work; none-or-two rule")
     t_j = t3 if candidates == [t1] else t1
 
     bullet_pair = BasisPair(x1b, x2b | {t_j}, ctx.bullet)
     seq_b = solve_graphic_gabow(ctx.bullet.graph, bullet_pair, t_j)
     last = seq_b.steps[-1]
-    assert last.f == t_j, "the designated edge enters the first member last"
+    if last.f != t_j:
+        raise AssertionError("the designated edge must enter the first member last")
     bridging = ExchangeStep(last.e, e_elt)
 
     steps = list(sub[:pos]) + list(seq_b.steps[:-1]) + [bridging] + list(sub[pos + 1 :])
     final = _replay(ctx.total, x, steps)
-    assert final.first == x.second and final.second == x.first
+    if not (final.first == x.second and final.second == x.first):
+        raise AssertionError("the 3-sum reversal does not end on the swapped pair")
     r = ctx.total.full_rank
-    assert len(steps) == r, f"reversal length {len(steps)} != rank {r}"
+    if len(steps) != r:
+        raise AssertionError(f"reversal length {len(steps)} != rank {r}")
     return ExchangeSequence(steps)

@@ -38,8 +38,8 @@ def matroid_union_partition(m1: Matroid, m2: Matroid, target) -> tuple:
     assignment: dict = {}
     for x in sorted(t):
         _augment(matroids, sets, assignment, x)
-        assert matroids[0].is_independent(sets[0])
-        assert matroids[1].is_independent(sets[1])
+        if not (matroids[0].is_independent(sets[0]) and matroids[1].is_independent(sets[1])):
+            raise AssertionError("augmenting left a dependent part; this cannot happen")
     return frozenset(sets[0]), frozenset(sets[1])
 
 

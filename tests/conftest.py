@@ -9,8 +9,10 @@ import itertools
 
 import pytest
 
-from baseswap.matroid import Multigraph, graphic_matroid
+from baseswap.matroid import GroundSetError, Matroid, Multigraph, graphic_matroid
 from baseswap.exchange import BasisPair
+from baseswap.special import K5_EDGES
+from baseswap.structure import Leaf
 
 # K4 fixture: a=12 b=23 c=34 d=13 e=14 f=24, ids 0..5 in that letter order
 K4_EDGES = {0: (1, 2), 1: (2, 3), 2: (3, 4), 3: (1, 3), 4: (1, 4), 5: (2, 4)}
@@ -157,3 +159,144 @@ def brute_sum_rank_fn(m1, m2, shared):
         return len(subset) - (inside.bit_length() - 1)
 
     return rank
+
+
+class DefinitionalSum(Matroid):
+    """Binary 1-/2-/3-sum of two matroids along a shared set T, by definition.
+
+    Rank of a subset S is computed from cycle-space dimensions of the parts:
+    cycles of the sum inside S are symmetric differences of part cycles that
+    agree on T, so
+
+        r(S) = |S| - (dim ker1 + dim ker2 + dim(V1 cap V2) - dim K)
+
+    where ker_i counts part cycles avoiding T inside S_i, V_i is the space of
+    T-projections of part cycles supported in S_i + T, and K is the space of
+    cycles common to both parts inside T itself.  All dimensions come from
+    rank queries on the parts.
+
+    Basis membership is decided directly from the basis descriptions of
+    binary sums (three branches for the 3-sum), not from the rank formula.
+    The parts must satisfy the sum preconditions.
+    """
+
+    def __init__(self, m1, m2, spec):
+        t = spec.shared
+        super().__init__((m1.ground | m2.ground) - t)
+        self.m1 = m1
+        self.m2 = m2
+        self.spec = spec
+        self.side1 = m1.ground - t
+        self.side2 = m2.ground - t
+        # dim of the common cycle space inside T: {0, T} for triangles
+        self._ker_dim = 1 if spec.arity == 3 else 0
+        self._t_sorted = tuple(sorted(t))
+
+    def _projection_space(self, m, s_part):
+        """Subsets of T arising as C ∩ T for a cycle C of ``m`` inside s_part + T."""
+        cycle_dim = {}
+        for k in range(len(self._t_sorted) + 1):
+            for tau in itertools.combinations(self._t_sorted, k):
+                tau = frozenset(tau)
+                cycle_dim[tau] = len(s_part) + len(tau) - m.rank(s_part | tau)
+        members = set()
+        for tau in cycle_dim:
+            count = 0
+            for k in range(len(tau) + 1):
+                for sigma in itertools.combinations(sorted(tau), k):
+                    sign = -1 if (len(tau) - k) % 2 else 1
+                    count += sign * (1 << cycle_dim[frozenset(sigma)])
+            if count > 0:
+                members.add(tau)
+        return members, cycle_dim[frozenset()]
+
+    def _rank(self, subset):
+        v1, ker1 = self._projection_space(self.m1, subset & self.side1)
+        v2, ker2 = self._projection_space(self.m2, subset & self.side2)
+        vdim = len(v1 & v2).bit_length() - 1  # |subspace| = 2**dim
+        return len(subset) - (ker1 + ker2 + vdim - self._ker_dim)
+
+    def is_basis(self, subset):
+        s = frozenset(subset)
+        if not s <= self.ground:
+            raise GroundSetError("is_basis: elements outside ground set")
+        b1 = s & self.side1
+        b2 = s & self.side2
+        if self.spec.arity == 1:
+            return self.m1.is_basis(b1) and self.m2.is_basis(b2)
+        if self.spec.arity == 2:
+            (t,) = self.spec.shared
+            return (self.m1.is_basis(b1 | {t}) and self.m2.is_basis(b2)) or (
+                self.m1.is_basis(b1) and self.m2.is_basis(b2 | {t})
+            )
+        t1, t2, t3 = self._t_sorted
+        r1 = self.m1.full_rank
+        r2 = self.m2.full_rank
+        n1, n2 = len(b1), len(b2)
+        if n1 + n2 != r1 + r2 - 2:
+            return False
+        if n1 == r1 - 2:
+            return self.m1.is_basis(b1 | {t1, t2}) and self.m2.is_basis(b2)
+        if n1 == r1:
+            return self.m1.is_basis(b1) and self.m2.is_basis(b2 | {t1, t2})
+        if n1 == r1 - 1:
+            p1 = frozenset(t for t in self._t_sorted if self.m1.is_basis(b1 | {t}))
+            if len(p1) != 2:
+                return False
+            p2 = frozenset(t for t in self._t_sorted if self.m2.is_basis(b2 | {t}))
+            return len(p2) == 2 and p1 != p2
+        return False
+
+
+def definitional_matroid(struct):
+    """The matroid of a structure with every sum node taken by definition."""
+    if isinstance(struct, Leaf):
+        return struct.matroid
+    return DefinitionalSum(
+        definitional_matroid(struct.left), definitional_matroid(struct.right), struct.spec
+    )
+
+
+class EvenCycleMatroid(Matroid):
+    """Even-cycle matroid of a graph with every edge odd.
+
+    A set is independent when each of its components contains at most one
+    cycle and that cycle is odd; the rank of S is |V(S)| minus the number of
+    components plus the number of non-bipartite components.
+    """
+
+    def __init__(self, graph):
+        super().__init__(frozenset(graph.edges))
+        self.graph = graph
+
+    def _rank(self, subset):
+        adj = {}
+        for e in subset:
+            u, v = self.graph.edges[e]
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        seen = {}
+        rank = 0
+        for start in adj:
+            if start in seen:
+                continue
+            seen[start] = 0
+            stack = [start]
+            size = 1
+            odd = False
+            while stack:
+                node = stack.pop()
+                for nxt in adj[node]:
+                    if nxt not in seen:
+                        seen[nxt] = seen[node] ^ 1
+                        size += 1
+                        stack.append(nxt)
+                    elif seen[nxt] == seen[node]:
+                        odd = True
+            rank += size - 1 + (1 if odd else 0)
+        return rank
+
+
+def r10_even_cycle_backend():
+    """R10 as the even-cycle matroid of K5, an independent representation."""
+    return EvenCycleMatroid(Multigraph(dict(enumerate(K5_EDGES))))

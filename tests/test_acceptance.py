@@ -25,11 +25,11 @@ from baseswap.gen import (
 )
 from baseswap.graphic import solve_graphic_gabow, solve_graphic_white
 from baseswap.io import parse_instance
-from baseswap.matroid import GraphicMatroid, Multigraph, SumSpec, compose_sum, graphic_matroid
+from baseswap.matroid import GraphicMatroid, Multigraph, SumSpec, graphic_matroid
 from baseswap.pipeline import solve_white
 from baseswap.reductions import find_nontrivial_tight_set
-from baseswap.special import f7_bases, f7_matroid, r10_fixture_pair, r10_matroid, solve_f7
-from baseswap.structure import fano_gf2, gf2_view, graphic_leaf, compose_structures
+from baseswap.special import f7_bases, f7_matroid, fano_gf2, r10_fixture_pair, r10_matroid, solve_f7
+from baseswap.structure import compose_structures, compose_sum, gf2_view, graphic_leaf
 from baseswap.sums import SparsityError, check_near_sparse, four_regular_triangle_partition
 from baseswap.union import matroid_union_partition
 

@@ -298,3 +298,15 @@ class TestCliRoundTrips:
         code, _, err = self.run(capsys, "solve", str(inst))
         assert code == 3
         assert "recursion limit" in err and "10 elements" in err
+
+    def test_failed_internal_check_exits_one_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("solver exceeded its bounds")
+
+        monkeypatch.setattr(baseswap.cli, "solve_white", broken)
+        inst = tmp_path / "w.json"
+        self.run(capsys, "gen", "bispanning", "--n", "6", "--seed", "1", "-o", str(inst))
+        code, _, err = self.run(capsys, "solve", str(inst))
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error:") and "exceeded its bounds" in err

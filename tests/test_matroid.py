@@ -9,11 +9,12 @@ from baseswap.matroid import (
     Gf2Matroid,
     GraphicMatroid,
     GroundSetError,
+    MinorMatroid,
     Multigraph,
     SumSpec,
-    compose_sum,
     graphic_matroid,
 )
+from baseswap.structure import compose_sum
 
 from conftest import (
     A, B, C, D, E, F,
@@ -22,6 +23,7 @@ from conftest import (
     brute_circuits,
     brute_cocircuits,
     brute_sum_rank_fn,
+    DefinitionalSum,
     dfs_forest_rank,
     reference_contract_edges,
     subsets,
@@ -233,6 +235,31 @@ class TestGf2:
                     assert m.circuit_in(s, e) == Matroid.circuit_in(m, s, e)
 
 
+@st.composite
+def _gf2_minor_cases(draw):
+    # four-bit columns over up to nine elements: zero columns (loops) and
+    # repeated columns (parallel pairs) are common
+    cols = draw(st.dictionaries(st.integers(0, 12), st.integers(0, 15), max_size=9))
+    ground = sorted(cols)
+    contract = draw(st.sets(st.sampled_from(ground))) if ground else set()
+    rest = [e for e in ground if e not in contract]
+    delete = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    return Gf2Matroid(cols), frozenset(contract), frozenset(delete)
+
+
+class TestGf2Minor:
+    @settings(max_examples=300, deadline=None)
+    @given(_gf2_minor_cases())
+    def test_explicit_minor_matches_lazy_view(self, case):
+        m, c, d = case
+        got = m.minor(contract=c, delete=d)
+        lazy = MinorMatroid(m, c, d)
+        assert isinstance(got, Gf2Matroid)
+        assert got.ground == lazy.ground == m.ground - c - d
+        for s in subsets(got.ground):
+            assert got.rank(s) == lazy.rank(s)
+
+
 def k3_matroid(first_id, vertex_base=0):
     edges = {
         first_id: (vertex_base + 1, vertex_base + 2),
@@ -261,8 +288,9 @@ class TestComposeSum:
         assert s.full_rank == 5  # 3 + 3 - 1
 
     def test_three_sum_rank(self):
-        s = three_sum_example()
-        assert s.full_rank == s.m1.full_rank + s.m2.full_rank - 2
+        m1, m2, spec = three_sum_parts()
+        s = compose_sum(m1, m2, spec)
+        assert s.full_rank == m1.full_rank + m2.full_rank - 2
 
     def test_spec_violations_named(self):
         m1 = k4_matroid([0, 1, 2, 3, 4, 5])
@@ -291,27 +319,30 @@ class TestComposeSum:
             assert s.rank(sub) == oracle(sub)
 
     def test_three_sum_against_cycle_space_and_basis_formula(self):
-        s = three_sum_example()
-        oracle = brute_sum_rank_fn(s.m1, s.m2, s.spec.shared)
+        m1, m2, spec = three_sum_parts()
+        s = compose_sum(m1, m2, spec)
+        definitional = DefinitionalSum(m1, m2, spec)
+        oracle = brute_sum_rank_fn(m1, m2, spec.shared)
         rng = random.Random(0)
         elems = sorted(s.ground)
         for _ in range(400):
             sub = frozenset(rng.sample(elems, rng.randint(0, len(elems))))
-            assert s.rank(sub) == oracle(sub)
+            assert s.rank(sub) == oracle(sub) == definitional.rank(sub)
         # basis membership: direct branch formula vs rank-derived, all r-subsets
         r = s.full_rank
         for sub in itertools.combinations(elems, r):
             sub = frozenset(sub)
-            assert s.is_basis(sub) == (s.rank(sub) == r)
+            assert s.is_basis(sub) == definitional.is_basis(sub) == (oracle(sub) == r)
 
     def test_one_sum_basis_formula_all_subsets(self):
         m1 = k3_matroid(0)
         m2 = k3_matroid(3, vertex_base=10)
         s = compose_sum(m1, m2, SumSpec(1))
+        definitional = DefinitionalSum(m1, m2, SumSpec(1))
         for sub in subsets(s.ground):
-            direct = s.is_basis(sub)
+            direct = definitional.is_basis(sub)
             by_rank = len(sub) == s.full_rank and s.rank(sub) == s.full_rank
-            assert direct == by_rank
+            assert direct == by_rank == s.is_basis(sub)
 
 
 def wheel_with_triangle():
@@ -334,10 +365,8 @@ def octahedron(tri_ids=(100, 101, 102)):
     return graphic_matroid(edges)
 
 
-def three_sum_example():
-    return compose_sum(
-        wheel_with_triangle(), octahedron(), SumSpec(3, frozenset({100, 101, 102}))
-    )
+def three_sum_parts():
+    return wheel_with_triangle(), octahedron(), SumSpec(3, frozenset({100, 101, 102}))
 
 
 class TestBinaryLemmas:

@@ -1,5 +1,6 @@
-import itertools
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,17 +8,15 @@ from baseswap.exchange import BasisPair, ExchangeSequence, apply_and_validate, b
 from baseswap.matroid import (
     Gf2Matroid,
     GraphicMatroid,
+    MinorMatroid,
     Multigraph,
     SumSpec,
-    compose_sum,
     graphic_matroid,
 )
 from baseswap.pipeline import (
     Instance,
     SolveReport,
     UnsupportedStructureError,
-    detect_1sum,
-    detect_2sum_small,
     solve_gabow,
     solve_white,
 )
@@ -41,7 +40,7 @@ from baseswap.structure import (
 from baseswap.union import matroid_union_partition
 from baseswap.gen import random_exchange_walk, random_bispanning_graph
 
-from conftest import K4_EDGES, subsets
+from conftest import K4_EDGES, brute_sum_rank_fn, definitional_matroid, subsets
 
 
 def remark_construction():
@@ -98,8 +97,19 @@ class TestStructure:
         )
         node = compose_structures(left, right, SumSpec(2, frozenset({5})))
         view = gf2_view(node)
+        oracle = brute_sum_rank_fn(left.matroid, right.matroid, frozenset({5}))
         for s in subsets(node.ground):
-            assert view.rank(s) == node.matroid.rank(s)
+            assert view.rank(s) == oracle(s)
+
+    def test_remark_node_matches_definitional_sum_rank(self):
+        node = remark_construction()
+        definitional = definitional_matroid(node)
+        assert node.matroid.ground == definitional.ground
+        rng = random.Random(3)
+        elems = sorted(node.ground)
+        for _ in range(40):
+            s = frozenset(rng.sample(elems, rng.randint(0, len(elems))))
+            assert node.matroid.rank(s) == definitional.rank(s)
 
     def test_structure_minor_pushes_into_leaves(self):
         left = graphic_leaf(Multigraph(dict(K4_EDGES)))
@@ -111,7 +121,7 @@ class TestStructure:
         sub = structure_minor(node, contract=frozenset({0}), delete=frozenset({10}))
         assert isinstance(sub, SumNode)
         assert isinstance(sub.left, Leaf) and sub.left.tag == "graphic"
-        lazy = node.matroid.minor(contract={0}, delete={10})
+        lazy = MinorMatroid(node.matroid, frozenset({0}), frozenset({10}))
         for s in subsets(sub.ground):
             assert sub.matroid.rank(s) == lazy.rank(s)
 
@@ -295,54 +305,6 @@ class TestTraceReplay:
         assert "tight_split" in kinds
 
 
-class TestDetectors:
-    def test_direct_sum_components(self):
-        left = {i: K4_EDGES[i] for i in range(6)}
-        right = {i + 6: (u + 10, v + 10) for i, (u, v) in K4_EDGES.items()}
-        m = graphic_matroid({**left, **right})
-        comps = detect_1sum(m)
-        assert comps == [frozenset(range(6)), frozenset(range(6, 12))]
-
-    def test_connected_matroid_none(self, k4):
-        assert detect_1sum(k4[0]) is None
-
-    def test_component_rule_matches_circuit_definition(self):
-        from conftest import brute_circuits
-
-        left = {i: K4_EDGES[i] for i in range(6)}
-        right = {i + 6: (1 + u, 11 + v) for i, (u, v) in [(0, (0, 0))]}
-        m = graphic_matroid({**left, 6: (20, 21), 7: (20, 21)})
-        comps = detect_1sum(m)
-        circuits = brute_circuits(m)
-        for comp in comps:
-            for e, f in itertools.combinations(sorted(comp), 2):
-                assert any(e in c and f in c for c in circuits) or len(comp) == 1
-        for c1, c2 in itertools.combinations(comps, 2):
-            for e in c1:
-                for f in c2:
-                    assert not any(e in c and f in c for c in circuits)
-
-    def test_two_sum_detection_and_reconstruction(self):
-        left = graphic_matroid(dict(K4_EDGES))
-        right = graphic_matroid(
-            {5: (11, 12), 6: (12, 13), 7: (13, 14), 8: (11, 13), 9: (11, 14), 10: (12, 14)}
-        )
-        total = compose_sum(left, right, SumSpec(2, frozenset({5})))
-        det = detect_2sum_small(total, cap=12)
-        assert det is not None
-        a, b, part_a, part_b, marker = det
-        recon = compose_sum(part_a, part_b, SumSpec(2, frozenset({marker})))
-        for s in subsets(total.ground):
-            assert recon.rank(s) == total.rank(s)
-
-    def test_r10_is_three_connected(self):
-        from baseswap.special import r10_matroid
-
-        m = r10_matroid()
-        assert detect_1sum(m) is None
-        assert detect_2sum_small(m, cap=12) is None
-
-
 class TestMoreStructure:
     def test_gf2_view_handles_loops_and_parallels(self):
         g = Multigraph({0: (1, 1), 1: (1, 2), 2: (1, 2), 3: (2, 3)})
@@ -440,3 +402,58 @@ class TestTreeLoadedInstances:
         final = apply_and_validate(x, report.sequence)
         assert final.first == y.first
         assert solve_gabow(structure, x).length == m.full_rank == 7
+
+
+def test_library_has_no_assert_statements():
+    # an assert vanishes under python -O; the library's checks must not
+    src = Path(__file__).resolve().parent.parent / "src" / "baseswap"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(src.glob("*.py"))) > 10
+    assert found == []
+
+
+def incidence_encoding(obj):
+    """A graph instance re-encoded as ``kind: gf2``, the vertex-edge incidence
+    matrix over GF(2); pairs and F are kept."""
+    from baseswap.io import parse_graph_text
+
+    edges = parse_graph_text(obj["matroid"]["text"])
+    labels = sorted(edges)
+    verts = sorted({v for uv in edges.values() for v in uv})
+    rows = [
+        "".join("1" if v in edges[lab] and edges[lab][0] != edges[lab][1] else "0" for lab in labels)
+        for v in verts
+    ]
+    return dict(obj, matroid={"kind": "gf2", "text": "\n".join([" ".join(labels)] + rows)})
+
+
+def test_forbidden_set_on_gf2_instances():
+    # `gen bispanning` white instances that carry F, solved as GF(2) matrices:
+    # the triad and triangle searches must avoid F
+    from baseswap.cli import _gen_bispanning
+    from baseswap.io import parse_instance
+
+    solved = 0
+    for n in (12, 16, 24):
+        for seed in range(10):
+            obj = _gen_bispanning(n, random.Random(seed), "white")
+            if "forbidden" not in obj:
+                continue
+            inst = parse_instance(incidence_encoding(obj))
+            m = inst["structure"].matroid
+            assert isinstance(m, Gf2Matroid)
+            x = BasisPair(inst["x1"], inst["x2"], m)
+            y = BasisPair(inst["y1"], inst["y2"], m)
+            forbidden = inst["forbidden"]
+            report = solve_white(inst["structure"], x, y, forbidden=forbidden)
+            final = apply_and_validate(x, report.sequence, forbidden)
+            assert (final.first, final.second) == (y.first, y.second)
+            r = m.full_rank
+            assert report.length <= 2 * r * r and report.width <= 4 * (r - 1)
+            solved += 1
+    assert solved == 25

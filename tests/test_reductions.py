@@ -91,7 +91,8 @@ class TestTightSets:
         assert brute_tight_sets(m) == []
 
     def test_one_sum_side_is_tight(self):
-        from baseswap.matroid import SumSpec, compose_sum
+        from baseswap.matroid import SumSpec
+        from baseswap.structure import compose_sum
 
         left = graphic_matroid({i: K4_EDGES[i] for i in range(6)})
         right_edges = {i + 6: (u + 10, v + 10) for i, (u, v) in K4_EDGES.items()}

@@ -6,17 +6,15 @@ from baseswap.exchange import BasisPair, apply_and_validate, bfs_distances
 from baseswap.reductions import IncompatiblePairsError
 from baseswap.special import (
     F7_LINES,
-    FanoMatroid,
     f7_bases,
     f7_matroid,
-    r10_even_cycle_backend,
     r10_fixture_pair,
     r10_matroid,
     solve_f7,
     solve_r10,
 )
 
-from conftest import brute_circuits, subsets
+from conftest import brute_circuits, r10_even_cycle_backend, subsets
 
 
 class TestR10Construction:
@@ -91,12 +89,15 @@ class TestF7:
             assert m.rank(line) == 2
 
     def test_rank_rule_matches_gf2_representation(self):
-        from baseswap.structure import fano_gf2
-
+        # F7's rank rule: sets of at most two elements are independent, a
+        # three-element set has rank 2 exactly when it is a line, and every
+        # larger set spans
         m = f7_matroid()
-        gf = fano_gf2()
+        lines = {frozenset("abcdefg".index(c) for c in line) for line in F7_LINES}
+        assert m.ground == frozenset(range(7))
         for s in subsets(m.ground):
-            assert m.rank(s) == gf.rank(s)
+            want = len(s) if len(s) <= 2 else (2 if s in lines else 3)
+            assert m.rank(s) == want
 
     def test_no_loops_or_parallel_elements(self):
         m = f7_matroid()

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from baseswap.exchange import BasisPair, ExchangeSequence, apply_and_validate, bfs_oracle
-from baseswap.matroid import GraphicMatroid, Multigraph, SumSpec, compose_sum, graphic_matroid
-from baseswap.structure import compose_structures, gf2_view, graphic_leaf
+from baseswap.matroid import GraphicMatroid, Multigraph, SumSpec, graphic_matroid
+from baseswap.structure import compose_structures, compose_sum, gf2_view, graphic_leaf
 from baseswap.sums import (
     SparsityError,
     SumStructureError,
