@@ -28,7 +28,7 @@ from .exchange import (
 )
 from .union import matroid_union_partition, InfeasiblePartitionError
 from .graphic import solve_graphic_white, solve_graphic_gabow
-from .special import r10_matroid, f7_matroid, solve_r10, solve_f7
+from .special import r10_matroid, f7_matroid
 from .pipeline import solve_white, solve_gabow, SolveReport
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "solve_graphic_gabow",
     "r10_matroid",
     "f7_matroid",
-    "solve_r10",
-    "solve_f7",
     "solve_white",
     "solve_gabow",
     "SolveReport",

@@ -18,7 +18,6 @@ from .exchange import (
     SequenceValidationError,
     CapacityError,
     bfs_oracle,
-    compatible,
     UNREACHABLE,
 )
 from .gen import (
@@ -29,6 +28,7 @@ from .gen import (
 from .io import (
     ParseError,
     format_graph_text,
+    load_json,
     parse_instance,
     parse_sequence_json,
     parse_sequence_text,
@@ -118,7 +118,7 @@ def _common_flags(cmd):
 
 def _load_instance(args):
     path = Path(args.instance)
-    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj = load_json(path.read_text(encoding="utf-8"))
     inst = parse_instance(obj, read_file=lambda p: (path.parent / p).read_text(encoding="utf-8"))
     if args.mode:
         inst["mode"] = args.mode
@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
     m, x, y = _pairs(inst)
     text = Path(args.sequence).read_text(encoding="utf-8")
     try:
-        steps = parse_sequence_json(json.loads(text), labels)
+        steps = parse_sequence_json(load_json(text), labels)
     except json.JSONDecodeError:
         steps = parse_sequence_text(text, labels)
     try:

@@ -66,9 +66,6 @@ class ExchangeSequence:
     def __repr__(self):
         return f"ExchangeSequence({list(self.steps)})"
 
-    def to_text(self) -> str:
-        return "\n".join(f"{k}: {s.e} <-> {s.f}" for k, s in enumerate(self.steps))
-
     def to_json_obj(self, label=None) -> list:
         conv = label if label is not None else (lambda x: x)
         return [{"e": conv(s.e), "f": conv(s.f)} for s in self.steps]

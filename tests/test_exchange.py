@@ -16,6 +16,7 @@ from baseswap.exchange import (
     compatible,
     is_valid_exchange,
 )
+from baseswap.io import sequence_to_text
 from baseswap.matroid import graphic_matroid
 
 from conftest import A, B, C, D, E, F
@@ -95,7 +96,7 @@ class TestSequenceAccounting:
 
     def test_serialization_roundtrip(self):
         seq = ExchangeSequence([(1, 2), (3, 4)])
-        assert seq.to_text() == "0: 1 <-> 2\n1: 3 <-> 4"
+        assert sequence_to_text(seq) == "0: 1 <-> 2\n1: 3 <-> 4"
         assert json.dumps(seq.to_json_obj()) == '[{"e": 1, "f": 2}, {"e": 3, "f": 4}]'
 
 

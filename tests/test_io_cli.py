@@ -310,3 +310,95 @@ class TestCliRoundTrips:
         assert code == 1
         assert "Traceback" not in err
         assert err.startswith("error:") and "exceeded its bounds" in err
+
+
+_K4_TEXT = "a 1 2\nb 2 3\nc 3 4\nd 1 3\ne 1 4\nf 2 4"
+
+
+def _k4_instance(**changes):
+    obj = {
+        "matroid": {"kind": "graph", "text": _K4_TEXT},
+        "mode": "white",
+        "x1": ["a", "b", "c"], "x2": ["d", "e", "f"],
+        "y1": ["a", "e", "c"], "y2": ["d", "b", "f"],
+    }
+    obj.update(changes)
+    return obj
+
+
+def _tree_instance(tree):
+    return {"matroid": {"kind": "tree", "tree": tree}, "mode": "gabow",
+            "x1": ["a1"], "x2": ["b1"]}
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+# file texts: each instance is solved, each sequence verified against K4
+MALFORMED_INSTANCES = {name: json.dumps(obj) for name, obj in {
+    "top-level list": [_k4_instance()],
+    "text is a number": _k4_instance(matroid={"kind": "graph", "text": 5}),
+    "x1 is a number": _k4_instance(x1=7),
+    "forbidden is a number": _k4_instance(forbidden=5),
+    "last is a list": _k4_instance(mode="gabow", last=["e1"]),
+    "label is a list": _k4_instance(x1=[["a"], "b", "c"]),
+    "tree node is a string": _tree_instance({"nodes": ["l"], "sums": []}),
+    "tree sum is a string": _tree_instance({
+        "nodes": [{"id": "l", "tag": "graphic", "graph": "a1 1 2\nb1 1 2"}],
+        "sums": ["l+r"],
+    }),
+    "tree is a list": _tree_instance(["l"]),
+    "r10 labels is a number": _tree_instance(
+        {"nodes": [{"id": "r", "tag": "r10", "labels": 5}], "sums": []}
+    ),
+}.items()}
+MALFORMED_INSTANCES["nested too deeply"] = _DEEP
+MALFORMED_SEQUENCES = {
+    "list of a number": "[1]",
+    "object, not a list": '{"e": 1}',
+    "step without f": '[{"e": "a"}]',
+    "nested too deeply": _DEEP,
+}
+
+
+class TestMalformedJsonShapes:
+    """Wrong JSON shapes are parse errors (exit 4), never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_INSTANCES))
+    def test_instance_exits_four(self, name, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(MALFORMED_INSTANCES[name])
+        code = main(["solve", str(path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err and err.startswith("error:")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SEQUENCES))
+    def test_sequence_exits_four(self, name, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(_k4_instance()))
+        seq = tmp_path / "seq.json"
+        seq.write_text(MALFORMED_SEQUENCES[name])
+        code = main(["verify", str(inst), str(seq)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err and err.startswith("error:")
+
+
+def test_gen_solve_verify_under_python_O(tmp_path):
+    """The CLI's checks are explicit, so a round trip works with asserts off."""
+    src = str(Path(baseswap.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def cli(*args):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "baseswap.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    inst = tmp_path / "tree.json"
+    cli("gen", "tree-composed", "--n", "12", "--seed", "1", "-o", str(inst))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(json.loads(cli("solve", str(inst), "--json"))["steps"]))
+    assert cli("verify", str(inst), str(seq)).strip() == "ok"

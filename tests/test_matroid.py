@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from baseswap.matroid import (
     CompositionError,
+    DualMatroid,
     Gf2Matroid,
     GraphicMatroid,
     GroundSetError,
@@ -200,8 +201,9 @@ class TestDualMinor:
             for delete in ({F}, set()):
                 if contract & delete:
                     continue
-                lazy = m.minor(contract=contract, delete=delete)
-                explicit = m.graph_minor(contract=contract, delete=delete)
+                lazy = MinorMatroid(m, frozenset(contract), frozenset(delete))
+                explicit = m.minor(contract=contract, delete=delete)
+                assert isinstance(explicit, GraphicMatroid)
                 assert lazy.ground == explicit.ground
                 for s in subsets(lazy.ground):
                     assert lazy.rank(s) == explicit.rank(s)
@@ -256,6 +258,21 @@ class TestGf2Minor:
         lazy = MinorMatroid(m, c, d)
         assert isinstance(got, Gf2Matroid)
         assert got.ground == lazy.ground == m.ground - c - d
+        for s in subsets(got.ground):
+            assert got.rank(s) == lazy.rank(s)
+
+
+class TestGf2Dual:
+    @settings(max_examples=300, deadline=None)
+    @given(_gf2_minor_cases())
+    def test_explicit_dual_matches_lazy_view(self, case):
+        # loops (zero columns), coloops and parallel pairs (repeated
+        # columns) are all common among nine four-bit columns
+        m, _, _ = case
+        got = m.dual()
+        lazy = DualMatroid(m)
+        assert isinstance(got, Gf2Matroid)
+        assert got.ground == m.ground
         for s in subsets(got.ground):
             assert got.rank(s) == lazy.rank(s)
 

@@ -27,6 +27,7 @@ from baseswap.reductions import (
     split_on_tight_set,
 )
 from baseswap.structure import (
+    as_structure,
     compose_structures,
     cographic_leaf,
     find_triad_fast,
@@ -100,6 +101,20 @@ class TestStructure:
         oracle = brute_sum_rank_fn(left.matroid, right.matroid, frozenset({5}))
         for s in subsets(node.ground):
             assert view.rank(s) == oracle(s)
+
+    def test_two_sum_with_a_callers_matroid_part(self):
+        # a lazy dual is neither GF(2) nor graphic, so its leaf's matrix is
+        # [I | A] built from fundamental circuits
+        left = graphic_matroid(dict(K4_EDGES)).dual()
+        right = graphic_matroid(
+            {5: (11, 12), 6: (12, 13), 7: (13, 14), 8: (11, 13), 9: (11, 14), 10: (12, 14)}
+        )
+        node = compose_structures(as_structure(left), graphic_leaf(right.graph),
+                                  SumSpec(2, frozenset({5})))
+        assert node.left.tag == "opaque"
+        oracle = brute_sum_rank_fn(left, right, frozenset({5}))
+        for s in subsets(node.ground):
+            assert node.matroid.rank(s) == oracle(s)
 
     def test_remark_node_matches_definitional_sum_rank(self):
         node = remark_construction()

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from baseswap.exchange import BasisPair, apply_and_validate, bfs_distances
+from baseswap.exchange import BasisPair, apply_and_validate, bfs_distances, bfs_oracle
+from baseswap.pipeline import solve_white
 from baseswap.reductions import IncompatiblePairsError
 from baseswap.special import (
     F7_LINES,
@@ -10,8 +11,6 @@ from baseswap.special import (
     f7_matroid,
     r10_fixture_pair,
     r10_matroid,
-    solve_f7,
-    solve_r10,
 )
 
 from conftest import brute_circuits, r10_even_cycle_backend, subsets
@@ -46,7 +45,7 @@ class TestR10Solver:
     def test_reversal_exactly_five(self):
         m = r10_matroid()
         x = r10_fixture_pair(m)
-        seq = solve_r10(x, x.swapped(), mode="gabow")
+        seq = bfs_oracle(m, x, x.swapped(), monotone=True).sequence
         assert seq.length == 5 and seq.width == 1
         final = apply_and_validate(x, seq)
         assert final.first == x.second
@@ -54,7 +53,7 @@ class TestR10Solver:
     def test_same_pair_empty(self):
         m = r10_matroid()
         x = r10_fixture_pair(m)
-        assert solve_r10(x, x, mode="white").length == 0
+        assert bfs_oracle(m, x, x).sequence.length == 0
 
     def test_every_disjoint_pair_within_five(self):
         m = r10_matroid()
@@ -73,7 +72,7 @@ class TestR10Solver:
         m = r10_matroid()
         x = r10_fixture_pair(m)
         with pytest.raises(IncompatiblePairsError):
-            solve_r10(x, BasisPair(x.first, x.first, m), mode="white")
+            solve_white(m, x, BasisPair(x.first, x.first, m))
 
 
 class TestF7:
@@ -111,7 +110,7 @@ class TestF7:
         assert len(pairs) == 84
         for b1, b2 in pairs:
             x = BasisPair(b1, b2, m)
-            seq = solve_f7(x, x.swapped(), mode="gabow")
+            seq = bfs_oracle(m, x, x.swapped(), monotone=True).sequence
             assert seq.length == 3
             final = apply_and_validate(x, seq)
             assert final.first == b2
@@ -121,7 +120,7 @@ class TestF7:
         x = BasisPair(frozenset({0, 1, 2}), frozenset({0, 4, 5}), m)
         y = BasisPair(frozenset({0, 2, 4}), frozenset({0, 1, 5}), m)
         assert all(m.is_basis(s) for s in (x.first, x.second, y.first, y.second))
-        seq = solve_f7(x, y, mode="white")
+        seq = bfs_oracle(m, x, y).sequence
         final = apply_and_validate(x, seq)
         assert final.first == y.first
         assert seq.length <= 9 and seq.width <= 4
