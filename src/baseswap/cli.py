@@ -17,7 +17,9 @@ from .exchange import (
     ExchangeSequence,
     SequenceValidationError,
     CapacityError,
+    apply_and_validate,
     bfs_oracle,
+    check_reversal,
     UNREACHABLE,
 )
 from .gen import (
@@ -208,11 +210,11 @@ def cmd_verify(args) -> int:
         steps = parse_sequence_json(load_json(text), labels)
     except json.JSONDecodeError:
         steps = parse_sequence_text(text, labels)
+    seq = ExchangeSequence(steps)
     try:
-        final = BasisPair(x.first, x.second, m)
-        from .exchange import apply_and_validate
-
-        final = apply_and_validate(final, ExchangeSequence(steps), inst["forbidden"])
+        final = apply_and_validate(x, seq, inst["forbidden"])
+        if inst["mode"] == "gabow":
+            check_reversal(x, seq, inst["last"])
     except SequenceValidationError as err:
         print(f"fail at step {err.index}: {err.reason}")
         return EXIT_VERIFY_FAIL

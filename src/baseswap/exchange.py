@@ -57,9 +57,6 @@ class ExchangeSequence:
     def __len__(self):
         return len(self.steps)
 
-    def __add__(self, other) -> "ExchangeSequence":
-        return ExchangeSequence(self.steps + tuple(other))
-
     def __eq__(self, other):
         return isinstance(other, ExchangeSequence) and self.steps == other.steps
 
@@ -78,12 +75,6 @@ class BasisPair:
     first: frozenset
     second: frozenset
     matroid: Optional[Matroid] = None
-
-    @classmethod
-    def of(cls, matroid: Matroid, first, second) -> "BasisPair":
-        pair = cls(_as_frozen(first), _as_frozen(second), matroid)
-        pair.validate()
-        return pair
 
     def validate(self) -> None:
         if self.matroid is None:
@@ -149,6 +140,27 @@ def apply_and_validate(pair: BasisPair, seq, forbidden=()) -> BasisPair:
             raise SequenceValidationError(k, f"invalid exchange {step}")
         current = apply_step(current, step)
     return current
+
+
+def check_reversal(x: BasisPair, seq, last=None) -> None:
+    """Check that ``seq`` reverses the disjoint pair ``x`` in exactly r
+    strictly monotone steps (each moves two elements that have not moved
+    yet), the last one using ``last`` when it is given.  Raises
+    SequenceValidationError at the first failing step; whether each step is
+    a valid exchange is ``apply_and_validate``'s check."""
+    first, second = set(x.first), set(x.second)  # elements not moved yet
+    steps = list(seq)
+    for k, (e, f) in enumerate(steps):
+        if e not in first or f not in second:
+            raise SequenceValidationError(k, f"step {(e, f)} is not monotone")
+        first.remove(e)
+        second.remove(f)
+    if first:
+        raise SequenceValidationError(len(steps), f"{len(first)} elements have not moved")
+    if last is not None and not (steps and last in steps[-1]):
+        raise SequenceValidationError(
+            max(len(steps) - 1, 0), f"the last step does not use the designated element {last}"
+        )
 
 
 def compatible(x: BasisPair, y: BasisPair) -> bool:

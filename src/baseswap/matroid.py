@@ -78,10 +78,6 @@ class Matroid:
             return False
         return all(self.is_independent(s - {x}) for x in s)
 
-    def spans(self, subset, e: int) -> bool:
-        s = _as_frozen(subset)
-        return self.rank(s | {e}) == self.rank(s)
-
     def is_coindependent(self, subset) -> bool:
         s = _as_frozen(subset)
         return self.rank(self.ground - s) == self.full_rank
@@ -105,19 +101,25 @@ class Matroid:
                 circuit.add(x)
         return frozenset(circuit)
 
-    def fundamental_circuit(self, basis, e: int) -> frozenset:
-        """The unique circuit inside ``basis + e`` for a basis and e outside it."""
-        b = _as_frozen(basis)
-        if e in b:
-            raise GroundSetError(f"element {e} already in the basis")
-        if e not in self.ground:
-            raise GroundSetError(f"element {e} not in ground set")
-        if not self.is_basis(b):
-            raise GroundSetError("fundamental_circuit requires a basis")
-        circuit = self.circuit_in(b, e)
-        if circuit is None:
-            raise MatroidError("basis does not span the requested element")
-        return circuit
+    def fundamental_circuits(self, basis=None) -> tuple:
+        """(B, {e: C(e)}): the fundamental circuit, the unique circuit inside
+        B + e, of every element e outside the basis B.
+
+        B defaults to the greedy basis, which takes each element in
+        increasing order when it is independent of the ones taken before it.
+        A given ``basis`` that is not a basis raises GroundSetError.
+        """
+        if basis is None:
+            b: set = set()
+            for e in sorted(self.ground):
+                if self.rank(b | {e}) > len(b):
+                    b.add(e)
+            b = frozenset(b)
+        else:
+            b = _as_frozen(basis)
+            if not self.is_basis(b):
+                raise GroundSetError("fundamental_circuits requires a basis")
+        return b, {e: self.circuit_in(b, e) for e in sorted(self.ground - b)}
 
     # -- views -------------------------------------------------------------
 
@@ -143,19 +145,13 @@ class Matroid:
     def contract(self, subset) -> "Matroid":
         return self.minor(contract=subset)
 
-    def delete(self, subset) -> "Matroid":
-        return self.minor(delete=subset)
-
-    def restrict(self, subset) -> "Matroid":
-        return self.minor(delete=self.ground - _as_frozen(subset))
-
 
 class Gf2Matroid(Matroid):
     """Matroid of a 0/1 matrix over GF(2), one column per element.
 
-    Columns are stored as integer bitmasks over the row index.  Rank queries
-    run bitset Gaussian elimination; results are memoized since rank queries
-    dominate every algorithm built on top.
+    Columns are stored as integer bitmasks over the row index.  One bitset
+    Gaussian elimination (``_eliminate``) answers rank queries, which are
+    memoized, and circuit queries.
     """
 
     def __init__(self, columns: dict):
@@ -182,7 +178,7 @@ class Gf2Matroid(Matroid):
         the i-th non-basis element e, whose column is the unit vector e_i, and
         a basis element's column holds the rows of the circuits C(e) it lies
         on."""
-        basis, circuits = fundamental_circuits(self)
+        basis, circuits = self.fundamental_circuits()
         cols = {b: 0 for b in basis}
         for i, (e, circuit) in enumerate(sorted(circuits.items())):
             cols[e] = 1 << i
@@ -202,46 +198,68 @@ class Gf2Matroid(Matroid):
                 cols = {x: w ^ v if w & low else w for x, w in cols.items()}
         return Gf2Matroid(cols)
 
-    def _rank(self, subset: frozenset) -> int:
+    def _eliminate(self, order) -> tuple:
+        """One Gaussian elimination over the columns of ``order``, in order.
+
+        Returns (pivots, masks): the elements whose columns are independent
+        of the ones before them, and for every other element a bitmask over
+        positions in ``order`` marking its circuit with the earlier pivots.
+        Each reduced column carries the mask of the columns it sums.
+        """
+        cols = self.columns
+        reduced = []  # (column, its lowest set bit, mask of the columns summed)
         pivots = []
-        rank = 0
-        for e in sorted(subset):
-            vec = self.columns[e]
-            for p in pivots:
-                low = p & -p
+        masks = {}
+        for i, e in enumerate(order):
+            vec, support = cols[e], 1 << i
+            for rvec, low, rsupport in reduced:
                 if vec & low:
-                    vec ^= p
+                    vec ^= rvec
+                    support ^= rsupport
             if vec:
-                pivots.append(vec)
-                rank += 1
-        return rank
+                reduced.append((vec, vec & -vec, support))
+                pivots.append(e)
+            else:
+                masks[e] = support
+        return pivots, masks
+
+    def _rank(self, subset: frozenset) -> int:
+        return len(self._eliminate(sorted(subset))[0])
+
+    def _check_ground(self, elements) -> None:
+        if not elements <= self.ground:
+            raise GroundSetError(f"elements {sorted(elements - self.ground)} not in ground set")
 
     def circuit_in(self, independent, e: int):
         s = _as_frozen(independent)
-        if e not in self.ground:
-            raise GroundSetError(f"element {e} not in ground set")
-        # Eliminate e's column against the set's columns, remembering which
-        # ones were used; those form the circuit.
-        reduced = []
-        for x in sorted(s):
-            vec, support = self.columns[x], {x}
-            for rvec, rsupp in reduced:
-                low = rvec & -rvec
-                if vec & low:
-                    vec ^= rvec
-                    support = support ^ rsupp
-            if vec:
-                reduced.append((vec, support))
-        target = self.columns[e]
-        used = {e}
-        for rvec, rsupp in reduced:
-            low = rvec & -rvec
-            if target & low:
-                target ^= rvec
-                used ^= rsupp
-        if target:
-            return None
-        return frozenset(used)
+        self._check_ground(s | {e})
+        order = sorted(s) + [e]
+        mask = self._eliminate(order)[1].get(e)
+        return None if mask is None else _decode(order, mask)
+
+    def fundamental_circuits(self, basis=None) -> tuple:
+        if basis is None:
+            order = sorted(self.ground)
+        else:
+            b = _as_frozen(basis)
+            self._check_ground(b)
+            order = sorted(b) + sorted(self.ground - b)
+        pivots, masks = self._eliminate(order)
+        if basis is not None and set(pivots) != b:
+            # a dependent B is padded out by pivots from outside it
+            raise GroundSetError("fundamental_circuits requires a basis")
+        return frozenset(pivots), {e: _decode(order, mask) for e, mask in masks.items()}
+
+
+def _decode(order, mask: int) -> frozenset:
+    """The elements at the set bits of ``mask``, a bitmask over positions in
+    ``order``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(order[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 class Multigraph:
@@ -429,25 +447,6 @@ class SumSpec:
                 f"{self.arity}-sum needs {sizes[self.arity]} shared elements, "
                 f"got {len(self.shared)}"
             )
-
-
-def greedy_basis(m: Matroid) -> frozenset:
-    """The basis that takes each element, in increasing order, when it is
-    independent of the ones taken before it."""
-    basis: set = set()
-    rank = 0
-    for e in sorted(m.ground):
-        if m.rank(basis | {e}) > rank:
-            basis.add(e)
-            rank += 1
-    return frozenset(basis)
-
-
-def fundamental_circuits(m: Matroid) -> tuple:
-    """(B, {e: C(e)}): the greedy basis B and the fundamental circuit in
-    B + e of every element e outside it."""
-    basis = greedy_basis(m)
-    return basis, {e: m.circuit_in(basis, e) for e in sorted(m.ground - basis)}
 
 
 def validate_sum(m1: Matroid, m2: Matroid, spec: SumSpec) -> None:

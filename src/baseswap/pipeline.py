@@ -17,9 +17,10 @@ from .exchange import (
     BasisPair,
     ExchangeSequence,
     ExchangeStep,
+    SequenceValidationError,
     apply_and_validate,
-    apply_step,
     bfs_oracle,
+    check_reversal,
     is_valid_exchange,
     UNREACHABLE,
 )
@@ -161,21 +162,12 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
     trace = TraceNode("solve", {"mode": "gabow"})
     steps = _engine(struct, inst, "gabow", last, bfs_cap, trace.children)
     seq = ExchangeSequence(steps)
-    final = apply_and_validate(x, seq)
-    if not (final.first == y.first and final.second == y.second):
-        raise AssertionError("the sequence does not end on the swapped pair")
+    apply_and_validate(x, seq)
+    try:
+        check_reversal(x, seq, last)
+    except SequenceValidationError as err:
+        raise AssertionError(f"the sequence is not a reversal: {err}") from None
     r = m.full_rank
-    if seq.length != r:
-        raise AssertionError(f"reversal length {seq.length} != rank {r}")
-    if seq.width > 1:
-        raise AssertionError(f"reversal width {seq.width} > 1")
-    cur = x
-    for step in seq:
-        if not (step.e in cur.first - y.first and step.f in cur.second - y.second):
-            raise AssertionError(f"reversal step {step} is not monotone")
-        cur = apply_step(cur, step)
-    if last is not None and seq.length and last not in seq.steps[-1]:
-        raise AssertionError(f"the last step does not use the designated element {last}")
     graphic_run = isinstance(struct, Leaf) and struct.tag in ("graphic", "cographic")
     bl, bw = _bounds("gabow", r, graphic_run)
     return SolveReport(seq, r, "gabow", bl, bw, trace)

@@ -122,17 +122,18 @@ def find_nontrivial_tight_set(m: Matroid, x: BasisPair):
     """Some nonempty proper Z with |Z| = 2 r(Z), or None.
 
     Requires the ground set to be partitioned by the pair.  Tight sets are
-    exactly the sets closed under the arcs y -> fundamental_circuit(y, other
-    basis) - y, so minimal ones are the sink strongly connected components of
-    that digraph; ties break to the lexicographically smallest element set.
+    exactly the sets closed under the arcs y -> C(y) - y, C(y) the fundamental
+    circuit of y in the other basis, so minimal ones are the sink strongly
+    connected components of that digraph; ties break to the lexicographically
+    smallest element set.
     """
     ground = m.ground
     if x.first & x.second or x.first | x.second != ground:
         raise GroundSetError("tight-set search needs a disjoint covering pair")
     adj = {}
-    for y in ground:
-        other = x.first if y in x.second else x.second
-        adj[y] = sorted(m.fundamental_circuit(other, y) - {y})
+    for basis in (x.first, x.second):
+        for y, circuit in m.fundamental_circuits(basis)[1].items():
+            adj[y] = sorted(circuit - {y})
     sinks = _sink_components(adj)
     proper = [scc for scc in sinks if len(scc) < len(ground)]
     if not proper:

@@ -30,7 +30,6 @@ from .matroid import (
     Multigraph,
     SumSpec,
     CompositionError,
-    fundamental_circuits,
     validate_sum,
     _as_frozen,
 )
@@ -59,7 +58,7 @@ class Leaf:
             return incidence if self.tag == "graphic" else incidence.dual()
         # a matroid the caller passed in: [I | A] from a basis B, with the
         # row of b in B on the columns of b and of every e whose C(e) holds b
-        basis, circuits = fundamental_circuits(self.matroid)
+        basis, circuits = self.matroid.fundamental_circuits()
         row = {b: i for i, b in enumerate(sorted(basis))}
         cols = {b: 1 << row[b] for b in basis}
         for e, circuit in circuits.items():
@@ -220,33 +219,27 @@ def gf2_view(struct) -> Gf2Matroid:
 # -- fast searches on a GF(2) view --------------------------------------------
 
 
-def small_circuit_triples(m: Gf2Matroid):
-    """All triangles (3-element circuits): nonzero distinct columns xoring to 0."""
-    elems = sorted(m.ground)
+def find_triangle_fast(m: Gf2Matroid, cover=None):
+    """Lexicographically first triangle (three nonzero, distinct columns
+    that sum to zero) inside ``cover`` (default: all).  Triples x < y < z
+    are walked in order, so the first one found is the first of all."""
+    cols = m.columns
+    elems = sorted(m.ground if cover is None else m.ground & cover)
     by_col: dict = {}
     for e in elems:
-        by_col.setdefault(m.columns[e], []).append(e)
-    found = []
+        by_col.setdefault(cols[e], []).append(e)
     for i, x in enumerate(elems):
-        cx = m.columns[x]
+        cx = cols[x]
         if not cx:
             continue
         for y in elems[i + 1 :]:
-            cy = m.columns[y]
+            cy = cols[y]
             if not cy or cy == cx:
                 continue
             for z in by_col.get(cx ^ cy, ()):
                 if z > y:
-                    found.append(frozenset({x, y, z}))
-    return found
-
-
-def find_triangle_fast(m: Gf2Matroid, cover=None):
-    """Lexicographically first triangle inside ``cover`` (default: all)."""
-    triples = small_circuit_triples(m)
-    if cover is not None:
-        triples = [t for t in triples if t <= cover]
-    return min(triples, key=lambda s: tuple(sorted(s)), default=None)
+                    return frozenset({x, y, z})
+    return None
 
 
 def find_triad_fast(m: Gf2Matroid, cover=None):

@@ -286,7 +286,7 @@ def _dense_component(graph: Multigraph, edge_witness: frozenset) -> frozenset:
     return frozenset().union(*comps) if comps else frozenset()
 
 
-def four_regular_triangle_partition(graph: Multigraph, triangle_ordered, validate=True):
+def four_regular_triangle_partition(graph: Multigraph, triangle_ordered):
     """Partition E - T of a simple 4-regular graph with triangle T.
 
     ``triangle_ordered`` is (t1, t2, t3) edge ids; t2 and t3 must share a
@@ -303,8 +303,7 @@ def four_regular_triangle_partition(graph: Multigraph, triangle_ordered, validat
     (v1,) = common
     if v1 in graph.edges[t1]:
         raise GroundSetError("t1 must be the triangle edge off the shared vertex")
-    if validate:
-        check_near_sparse(graph, {t1, t2, t3})
+    check_near_sparse(graph, {t1, t2, t3})
 
     star_v1 = sorted(graph.incident(v1) - {t2, t3})
     if len(star_v1) != 2:

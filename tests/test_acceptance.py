@@ -30,7 +30,7 @@ from baseswap.pipeline import solve_white
 from baseswap.reductions import find_nontrivial_tight_set
 from baseswap.special import f7_bases, f7_matroid, fano_gf2, r10_fixture_pair, r10_matroid
 from baseswap.structure import compose_structures, compose_sum, gf2_view, graphic_leaf
-from baseswap.sums import SparsityError, check_near_sparse, four_regular_triangle_partition
+from baseswap.sums import SparsityError, four_regular_triangle_partition
 from baseswap.union import matroid_union_partition
 
 from conftest import K4_EDGES, DT_EDGES, brute_circuits, brute_cocircuits, subsets
@@ -270,10 +270,9 @@ def test_criterion_8_four_regular_partition_suite():
         except RuntimeError:
             continue
         try:
-            check_near_sparse(graph, set(tri))
+            f1, f2, e_edge = four_regular_triangle_partition(graph, tri)
         except SparsityError:
             continue
-        f1, f2, e_edge = four_regular_triangle_partition(graph, tri, validate=False)
         host = GraphicMatroid(graph)
         t1, t2, t3 = tri
         assert e_edge in f1 and not (f1 & f2)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import baseswap
 import baseswap.cli
@@ -233,6 +236,26 @@ class TestCliRoundTrips:
         code, out, _ = self.run(capsys, "verify", str(inst), str(seqfile))
         assert code == 0 and out.strip() == "ok"
 
+    def test_verify_checks_a_reversal(self, tmp_path, capsys):
+        inst = tmp_path / "g.json"
+        self.run(capsys, "gen", "bispanning", "--n", "5", "--seed", "3",
+                 "--mode", "gabow", "-o", str(inst))
+        code, out, _ = self.run(capsys, "solve", str(inst), "--json")
+        steps = json.loads(out)["steps"]
+        assert code == 0 and len(steps) == 4 and steps[-1] == {"e": "e3", "f": "e7"}
+        solved = tmp_path / "solved.json"
+        solved.write_text(json.dumps(steps))
+        # two valid exchanges that undo each other reach the swapped pair
+        # too, in r + 2 steps, the second of them not monotone
+        detour = tmp_path / "detour.json"
+        detour.write_text(json.dumps([{"e": "e0", "f": "e4"}, {"e": "e4", "f": "e0"}] + steps))
+        code, out, _ = self.run(capsys, "verify", str(inst), str(detour))
+        assert code == 1 and out.startswith("fail at step 1:")
+        code, out, _ = self.run(capsys, "verify", str(inst), str(solved), "--last", "e0")
+        assert code == 1 and out.startswith("fail at step 3:")
+        code, out, _ = self.run(capsys, "verify", str(inst), str(solved), "--last", "e7")
+        assert code == 0 and out.strip() == "ok"
+
     def test_verify_catches_forbidden_use(self, tmp_path, capsys):
         inst = {
             "matroid": {"kind": "graph",
@@ -402,3 +425,85 @@ def test_gen_solve_verify_under_python_O(tmp_path):
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps(json.loads(cli("solve", str(inst), "--json"))["steps"]))
     assert cli("verify", str(inst), str(seq)).strip() == "ok"
+
+
+# -- fuzzing instance files through the command line -------------------------
+
+_FUZZ_GEN = [
+    ("bispanning", "--n", "6", "--seed", "1"),
+    ("bispanning", "--n", "8", "--seed", "2", "--mode", "gabow"),
+    ("tree-composed", "--n", "8", "--seed", "0"),
+    ("tree-composed", "--n", "8", "--seed", "3", "--mode", "gabow"),
+    ("r10", "--seed", "2"),
+]
+
+
+def _cli(*args):
+    """(exit code, stdout, stderr) of one in-process run of the command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """Each generated instance with the steps its solve returns."""
+    root = tmp_path_factory.mktemp("fuzz")
+    bases = []
+    for k, args in enumerate(_FUZZ_GEN):
+        path = root / f"base{k}.json"
+        assert _cli("gen", *args, "-o", str(path))[0] == 0
+        code, out, _ = _cli("solve", str(path), "--json")
+        assert code == 0
+        bases.append((json.loads(path.read_text()), json.loads(out)["steps"]))
+    return root, bases
+
+
+def _labels(obj):
+    return sorted({lab for key in ("x1", "x2", "y1", "y2") for lab in obj.get(key, ())})
+
+
+@st.composite
+def _mutated(draw, bases):
+    obj, steps = draw(st.sampled_from(bases))
+    obj = json.loads(json.dumps(obj))
+    labels = _labels(obj)
+    kind = draw(st.sampled_from(
+        ["none", "drop", "unknown", "non-basis", "forbidden", "last", "arity"]
+    ))
+    if kind == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "unknown":
+        key = draw(st.sampled_from([k for k in ("x1", "x2", "y1", "y2") if k in obj]))
+        obj[key][draw(st.integers(0, len(obj[key]) - 1))] = "no-such-label"
+    elif kind == "non-basis":
+        key = draw(st.sampled_from(["x1", "x2"]))
+        obj[key] = draw(st.lists(st.sampled_from(labels), unique=True, max_size=len(obj[key]) + 1))
+    elif kind == "forbidden":
+        obj["forbidden"] = draw(st.lists(st.sampled_from(labels), unique=True, max_size=4))
+    elif kind == "last":
+        outside = sorted(set(labels) - set(obj["x1"]) - set(obj["x2"])) or ["no-such-label"]
+        obj["last"] = draw(st.sampled_from(outside))
+    elif kind == "arity" and obj["matroid"].get("kind") == "tree":
+        obj["matroid"]["tree"]["sums"][0]["arity"] = draw(st.sampled_from([0, 1, 2, 3, 4]))
+    return obj, steps
+
+
+class TestCliFuzz:
+    """Mutated instance files end in an exit code 0-4, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_instances_keep_the_exit_code_contract(self, fuzz_bases, data):
+        root, bases = fuzz_bases
+        obj, steps = data.draw(_mutated(bases))
+        inst = root / "mutated.json"
+        inst.write_text(json.dumps(obj))
+        seq = root / "seq.json"
+        seq.write_text(json.dumps(steps))
+        command = data.draw(st.sampled_from(["solve", "distance", "verify"]))
+        args = [command, str(inst)] + ([str(seq)] if command == "verify" else [])
+        code, _, err = _cli(*args)
+        assert code in range(5)
+        assert "Traceback" not in err

@@ -10,6 +10,7 @@ from baseswap.matroid import (
     Gf2Matroid,
     GraphicMatroid,
     GroundSetError,
+    Matroid,
     MinorMatroid,
     Multigraph,
     SumSpec,
@@ -127,26 +128,28 @@ class TestBasis:
 class TestFundamentalCircuit:
     def test_k4_examples(self, k4):
         m, x, _ = k4
-        assert m.fundamental_circuit(x.first, D) == {D, A, B}
-        assert m.fundamental_circuit(x.first, F) == {F, B, C}
+        basis, circuits = m.fundamental_circuits(x.first)
+        assert basis == x.first
+        assert circuits[D] == {D, A, B}
+        assert circuits[F] == {F, B, C}
 
     def test_dt_parallel(self, dt):
         m, x = dt
-        assert m.fundamental_circuit(x.first, 1) == {0, 1}
+        assert m.fundamental_circuits(x.first)[1][1] == {0, 1}
 
     def test_rejects_member(self, k4):
+        # a basis member has no entry in the map
         m, x, _ = k4
-        with pytest.raises(GroundSetError):
-            m.fundamental_circuit(x.first, A)
+        circuits = m.fundamental_circuits(x.first)[1]
+        assert A not in circuits
+        assert set(circuits) == m.ground - x.first
 
     def test_rejects_non_basis(self, k4):
         m, _, _ = k4
         with pytest.raises(GroundSetError):
-            m.fundamental_circuit(frozenset({A, B, D}), E)
+            m.fundamental_circuits(frozenset({A, B, D}))
 
     def test_backend_override_matches_generic(self, k4):
-        from baseswap.matroid import Matroid
-
         m, _, _ = k4
         for basis in itertools.combinations(sorted(m.ground), 3):
             basis = frozenset(basis)
@@ -161,8 +164,7 @@ class TestFundamentalCircuit:
         for basis in map(frozenset, itertools.combinations(sorted(m.ground), 3)):
             if not m.is_basis(basis):
                 continue
-            for e in m.ground - basis:
-                circuit = m.fundamental_circuit(basis, e)
+            for e, circuit in m.fundamental_circuits(basis)[1].items():
                 for x in circuit - {e}:
                     assert m.is_basis(basis - {x} | {e})
 
@@ -224,8 +226,6 @@ class TestGf2:
         assert not m.is_independent({7, 8, 9})
 
     def test_circuit_in_matches_generic(self):
-        from baseswap.matroid import Matroid
-
         rng = random.Random(4)
         for _ in range(25):
             cols = {i: rng.randint(0, 15) for i in range(6)}
@@ -275,6 +275,31 @@ class TestGf2Dual:
         assert got.ground == m.ground
         for s in subsets(got.ground):
             assert got.rank(s) == lazy.rank(s)
+
+
+class TestGf2FundamentalCircuits:
+    @settings(max_examples=300, deadline=None)
+    @given(_gf2_minor_cases(), st.data())
+    def test_one_elimination_matches_generic(self, case, data):
+        # the generic method on a rank-only view of the same matrix: rank
+        # queries there never read the supports the elimination tracks
+        m, _, _ = case
+        view = MinorMatroid(m, frozenset(), frozenset())
+        assert m.fundamental_circuits() == view.fundamental_circuits()
+        r = m.full_rank
+        drawn = frozenset(
+            data.draw(st.sets(st.sampled_from(sorted(m.ground)), min_size=r, max_size=r))
+            if m.ground else set()
+        )
+        if m.is_basis(drawn):
+            got = m.fundamental_circuits(drawn)
+            assert got == view.fundamental_circuits(drawn)
+            assert got[0] == drawn
+        else:
+            with pytest.raises(GroundSetError):
+                m.fundamental_circuits(drawn)
+            with pytest.raises(GroundSetError):
+                view.fundamental_circuits(drawn)
 
 
 def k3_matroid(first_id, vertex_base=0):
