@@ -2,7 +2,7 @@
 
 Library surface: matroid backends and queries (matroid), matroid union
 (union), basis pairs and the exchange-graph oracle (exchange), instance
-reductions (reductions), the graphic solver (graphic), 2-/3-sum sequence
+reductions (reductions), the graph reduction rule (graphic), 2-/3-sum sequence
 composition (sums), R10 and Fano base cases (special), structured matroids
 (structure), the end-to-end pipeline (pipeline), file formats (io), and the
 command line (cli).

@@ -159,7 +159,8 @@ def cmd_solve(args) -> int:
                 inst["structure"], x, y, forbidden=inst["forbidden"], bfs_cap=args.bfs_cap
             )
     except RecursionError:
-        # the solvers recurse once per reduction, so depth grows with the rank
+        # reductions run on an explicit stack, but the sum routes recurse once
+        # per sum node, so a deep decomposition tree can still reach the limit
         raise UnsupportedStructureError(
             f"recursion limit {sys.getrecursionlimit()} reached on an instance of "
             f"{len(m.ground)} elements (rank {m.full_rank})"
@@ -216,7 +217,7 @@ def cmd_verify(args) -> int:
         if inst["mode"] == "gabow":
             check_reversal(x, seq, inst["last"])
     except SequenceValidationError as err:
-        print(f"fail at step {err.index}: {err.reason}")
+        print(f"fail at step {err.index}: {err.describe(labels.label)}")
         return EXIT_VERIFY_FAIL
     if final.first != y.first or final.second != y.second:
         print("fail: sequence does not reach the target pair")

@@ -96,20 +96,30 @@ class BasisPair:
 
 
 class SequenceValidationError(Exception):
-    """A step of a sequence is invalid; carries the failing index."""
+    """A step of a sequence is invalid; carries the failing index and the
+    offending step or element.  ``reason`` names them as ``{step}`` and
+    ``{element}``, which ``describe`` fills in."""
 
-    def __init__(self, index: int, reason: str):
-        super().__init__(f"step {index}: {reason}")
+    def __init__(self, index: int, reason: str, step=None, element=None):
         self.index = index
         self.reason = reason
+        self.step = step
+        self.element = element
+        super().__init__(f"step {index}: {self.describe()}")
+
+    def describe(self, label=str) -> str:
+        """The reason, with the step and element written through ``label``
+        (for instance a file's element labels)."""
+        step = None if self.step is None else f"({label(self.step[0])}, {label(self.step[1])})"
+        element = None if self.element is None else label(self.element)
+        return self.reason.format(step=step, element=element)
 
 
 class ForbiddenElementError(SequenceValidationError):
     """A step touched an element of the forbidden set."""
 
     def __init__(self, index: int, element):
-        super().__init__(index, f"forbidden element {element} used")
-        self.element = element
+        super().__init__(index, "forbidden element {element} used", element=element)
 
 
 def is_valid_exchange(pair: BasisPair, step: ExchangeStep) -> bool:
@@ -137,7 +147,7 @@ def apply_and_validate(pair: BasisPair, seq, forbidden=()) -> BasisPair:
         if step.e in avoid or step.f in avoid:
             raise ForbiddenElementError(k, step.e if step.e in avoid else step.f)
         if not is_valid_exchange(current, step):
-            raise SequenceValidationError(k, f"invalid exchange {step}")
+            raise SequenceValidationError(k, "invalid exchange {step}", step=step)
         current = apply_step(current, step)
     return current
 
@@ -152,14 +162,16 @@ def check_reversal(x: BasisPair, seq, last=None) -> None:
     steps = list(seq)
     for k, (e, f) in enumerate(steps):
         if e not in first or f not in second:
-            raise SequenceValidationError(k, f"step {(e, f)} is not monotone")
+            raise SequenceValidationError(k, "step {step} is not monotone", step=(e, f))
         first.remove(e)
         second.remove(f)
     if first:
         raise SequenceValidationError(len(steps), f"{len(first)} elements have not moved")
     if last is not None and not (steps and last in steps[-1]):
         raise SequenceValidationError(
-            max(len(steps) - 1, 0), f"the last step does not use the designated element {last}"
+            max(len(steps) - 1, 0),
+            "the last step does not use the designated element {element}",
+            element=last,
         )
 
 

@@ -1,25 +1,23 @@
-"""Exchange sequences for graphic matroids.
+"""The graph rule of the engine and the graph entry points.
 
-The solver recurses on the structure of graphs whose edge set splits into two
-maximal forests: delete uncovered edges, contract common ones, split on the
-tight set E - delta(u) at a degree-2 vertex, or shrink along the triad
-delta(u) at a degree-3 vertex (one always exists by degree counting).  The
-unrestricted transform stays within width 2(r-1) and length r^2 even when a
-forbidden edge set F with at most three vertices is imposed; the reversal of
-a disjoint pair takes exactly r strictly monotone steps and can finish on a
-designated edge.
+On a graph, the engine (``pipeline``) reduces at a low-degree vertex u
+picked by ``pick_reduction_vertex``: it splits on the tight set E - delta(u)
+at a degree-2 vertex, or shrinks along the triad delta(u) at a degree-3
+vertex (one always exists by degree counting).  This rule keeps the
+unrestricted transform within width 2(r-1) and length r^2 even when a
+forbidden edge set F with at most three vertices is imposed, and makes the
+reversal of a disjoint pair take exactly r strictly monotone steps, which
+can finish on a designated edge.  ``solve_graphic_white`` and
+``solve_graphic_gabow`` check their inputs and run the engine on the graph,
+which replays and checks what it returns.
 """
 
 from __future__ import annotations
 
-from .matroid import GraphicMatroid, Multigraph, GroundSetError, _as_frozen
-from .exchange import BasisPair, ExchangeSequence, compatible
-from .reductions import (
-    Instance,
-    IncompatiblePairsError,
-    reduce_triad,
-    solve_rank_le2,
-)
+from .matroid import Multigraph, GroundSetError, _as_frozen
+from .exchange import BasisPair, compatible
+from .reductions import IncompatiblePairsError
+from .structure import graphic_leaf
 
 
 def vertex_span(graph: Multigraph, edge_ids) -> frozenset:
@@ -51,57 +49,6 @@ def pick_reduction_vertex(graph: Multigraph, forbidden=(), last=None):
     raise AssertionError("no low-degree vertex available; this cannot happen")
 
 
-def _solve(graph: Multigraph, x1, x2, y1, y2, forbidden, last):
-    if x1 == y1:
-        return []
-
-    covered = x1 | x2
-    if covered != frozenset(graph.edges):
-        return _solve(graph.restrict(covered), x1, x2, y1, y2, forbidden, last)
-
-    common = x1 & x2
-    if common:
-        g2 = graph.contract_edges(common)
-        return _solve(
-            g2, x1 - common, x2 - common, y1 - common, y2 - common,
-            forbidden - common, last,
-        )
-
-    m = GraphicMatroid(graph)
-    if m.full_rank <= 2:
-        inst = Instance(m, BasisPair(x1, x2, m), BasisPair(y1, y2, m), forbidden)
-        return list(solve_rank_le2(inst, h=last))
-
-    u, kind = pick_reduction_vertex(graph, forbidden, last)
-    star = graph.incident(u)
-
-    if kind == "degree2":
-        z = frozenset(graph.edges) - star
-        g_z = graph.restrict(z)
-        g_rest = graph.contract_edges(z)
-        seq_z = _solve(
-            g_z, x1 & z, x2 & z, y1 & z, y2 & z, forbidden & z,
-            last if last in z else None,
-        )
-        seq_rest = _solve(
-            g_rest, x1 - z, x2 - z, y1 - z, y2 - z, forbidden - z,
-            last if last in star else None,
-        )
-        if last is not None and last in z:
-            return seq_rest + seq_z
-        return seq_z + seq_rest
-
-    inst = Instance(m, BasisPair(x1, x2, m), BasisPair(y1, y2, m), forbidden)
-    red = reduce_triad(inst, star)
-    child = red.children[0]
-    seq = _solve(
-        child.matroid.graph,
-        child.x.first, child.x.second, child.y.first, child.y.second,
-        child.forbidden, last,
-    )
-    return red.lift(seq)
-
-
 def solve_graphic_white(graph: Multigraph, x: BasisPair, y: BasisPair, forbidden=()):
     """F-avoiding sequence from x to y, width <= 2(r-1), length <= r^2.
 
@@ -111,7 +58,8 @@ def solve_graphic_white(graph: Multigraph, x: BasisPair, y: BasisPair, forbidden
     f = _as_frozen(forbidden)
     if not compatible(x, y):
         raise IncompatiblePairsError("pairs are not compatible")
-    m = GraphicMatroid(graph)
+    leaf = graphic_leaf(graph)
+    m = leaf.matroid
     for part in (x.first, x.second, y.first, y.second):
         if not m.is_basis(part):
             raise IncompatiblePairsError("pair member is not a maximal forest")
@@ -120,8 +68,9 @@ def solve_graphic_white(graph: Multigraph, x: BasisPair, y: BasisPair, forbidden
     eligible = (x.first & y.first) | (x.second & y.second)
     if not f <= eligible:
         raise GroundSetError("forbidden edges must stay put in both pairs")
-    steps = _solve(graph, x.first, x.second, y.first, y.second, f, None)
-    return ExchangeSequence(steps)
+    from .pipeline import solve_white  # the engine imports this module
+
+    return solve_white(leaf, x, y, f).sequence
 
 
 def solve_graphic_gabow(graph: Multigraph, x: BasisPair, h: int):
@@ -131,16 +80,11 @@ def solve_graphic_gabow(graph: Multigraph, x: BasisPair, h: int):
         raise GroundSetError("reversal requires disjoint bases")
     if h not in x.union:
         raise GroundSetError("designated last edge must lie in one of the bases")
-    m = GraphicMatroid(graph)
+    leaf = graphic_leaf(graph)
+    m = leaf.matroid
     if not m.is_basis(x.first) or not m.is_basis(x.second):
         raise GroundSetError("pair members must be bases (spanning forests)")
-    steps = _solve(graph, x.first, x.second, x.second, x.first, frozenset(), h)
-    seq = ExchangeSequence(steps)
-    r = m.full_rank
-    if seq.length != r:
-        raise AssertionError(f"reversal took {seq.length} steps, expected {r}")
-    if seq.width > 1:
-        raise AssertionError("reversal sequence must use each edge at most once")
-    if r and h not in seq.steps[-1]:
-        raise AssertionError("last step must use the designated edge")
-    return seq
+    from .pipeline import solve_gabow  # the engine imports this module
+
+    return solve_gabow(leaf, x, last=h).sequence
+

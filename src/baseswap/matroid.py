@@ -390,8 +390,14 @@ class GraphicMatroid(Matroid):
         return frozenset(circuit)
 
     def _minor(self, c: frozenset, d: frozenset) -> "GraphicMatroid":
-        """Explicit minor: the graph with d deleted and c contracted."""
-        return GraphicMatroid(self.graph.delete_edges(d).contract_edges(c))
+        """Explicit minor: the graph with d deleted and c contracted; an
+        empty set costs no pass over the edges."""
+        graph = self.graph
+        if d:
+            graph = graph.delete_edges(d)
+        if c:
+            graph = graph.contract_edges(c)
+        return GraphicMatroid(graph)
 
 
 class DualMatroid(Matroid):

@@ -1,18 +1,22 @@
-"""End-to-end solver: reduction loop, structure resolution, recursion, lifting.
+"""End-to-end solver: reduction loop, structure resolution, lifting.
 
-The engine repeatedly strips uncovered and common elements, splits on tight
-sets, and shrinks along triads (or triangles, through the dual); irreducible
-instances are routed to the graphic solver, the 2-/3-sum machinery of the
-structure, or the exhaustive search fallback for small ground sets (which
-solves R10 and F7).  Reductions are recorded as certificates so a solve can
-be replayed; the report carries the width/length guarantees for the mode.
+The engine strips uncovered and common elements, splits on tight sets, and
+shrinks along triads (or triangles, through the dual); a graphic or
+cographic leaf picks its tight set or triad at a low-degree vertex
+(``graphic.pick_reduction_vertex``).  Irreducible instances go to the
+2-/3-sum machinery of the structure, or to the exhaustive search fallback
+for small ground sets (which solves R10 and F7).  Reductions run on an
+explicit stack; only the sum routes, which call the engine once per side,
+add Python stack depth.  Reductions are recorded as certificates so a solve
+can be replayed; the report carries the width/length guarantees for the mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .matroid import Matroid, Gf2Matroid, _as_frozen
+from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen
 from .exchange import (
     BasisPair,
     ExchangeSequence,
@@ -37,7 +41,7 @@ from .reductions import (
     solve_rank_le2,
     split_on_tight_set,
 )
-from .graphic import solve_graphic_white, solve_graphic_gabow
+from .graphic import pick_reduction_vertex, vertex_span
 from .sums import (
     ThreeSumContext,
     TwoSumContext,
@@ -53,6 +57,7 @@ from .structure import (
     as_structure,
     find_triad_fast,
     find_triangle_fast,
+    graphic_leaf,
     structure_minor,
 )
 
@@ -68,9 +73,13 @@ class TraceNode:
     children: list = field(default_factory=list)
 
     def flatten(self) -> list:
-        out = [self]
-        for child in self.children:
-            out.extend(child.flatten())
+        """This node and its descendants in pre-order."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(reversed(node.children))
         return out
 
 
@@ -176,38 +185,75 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
 # -- the engine ----------------------------------------------------------------
 
 
+class _Lift(NamedTuple):
+    """A reduction whose ``arity`` children are being solved."""
+
+    lift: Callable
+    arity: int
+
+
 def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
+    """Solve an instance on an explicit stack of frames (structure,
+    instance, last, trace list), so a chain of reductions adds no Python
+    stack depth.  A reduction pushes its lift and then its children; once
+    they are solved, their sequences are the top ``arity`` of ``solved``."""
+    stack: list = [(struct, inst, last, out_trace)]
+    solved: list = []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Lift):
+            k = len(solved) - item.arity
+            solved[k:] = [item.lift(*solved[k:])]
+            continue
+        out = _reduce(*item, mode, cap)
+        if isinstance(out, tuple):
+            lift, children = out
+            stack.append(_Lift(lift, len(children)))
+            stack.extend(reversed(children))
+        else:
+            solved.append(out)
+    (steps,) = solved
+    return steps
+
+
+def _reduce(struct, inst: Instance, last, out_trace: list, mode: str, cap: int):
+    """One step on a frame: its list of steps, or (lift, child frames)."""
     m = inst.matroid
     if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
         out_trace.append(TraceNode("identity"))
         return []
 
     # strip uncovered and common elements
-    for fn, kind in ((delete_uncovered, "delete_uncovered"), (contract_common, "contract_common")):
+    for fn in (delete_uncovered, contract_common):
         record: list = []
         red = fn(inst, minor=_recording_factory(struct, record))
         if red is not None:
-            child_struct = record[0]
-            node = TraceNode(kind, dict(red.certificate.payload))
-            node.payload["child"] = _pair_summary(red.children[0])
-            out_trace.append(node)
-            steps = _engine(child_struct, red.children[0], mode, last, cap, node.children)
-            return red.lift(steps)
+            return _one_child(red, record[0], last, out_trace)
 
     if m.full_rank <= 2:
         out_trace.append(TraceNode("rank_le2"))
         return list(solve_rank_le2(inst, h=last))
 
-    # graphic or cographic leaves go straight to the graph solver; pairs are
-    # disjoint covering here, so the dual view solves identically
-    if isinstance(struct, Leaf) and struct.tag in ("graphic", "cographic") and struct.graph is not None:
-        out_trace.append(TraceNode(struct.tag))
-        if mode == "gabow":
-            h = last if last is not None else min(inst.x.union)
-            return list(solve_graphic_gabow(struct.graph, inst.x, h))
-        return list(solve_graphic_white(struct.graph, inst.x, inst.y, inst.forbidden))
+    triad = None
+    if isinstance(struct, Leaf) and struct.graph is not None:
+        # a graph reduces at a low-degree vertex.  The pair is disjoint and
+        # covering here, so a cographic pair is also a pair of spanning
+        # trees, and the graph is solved as a graphic leaf
+        graph = struct.graph
+        if struct.tag == "cographic":
+            struct = graphic_leaf(graph)
+            m = struct.matroid
+            inst = _on(m, inst)
+        # minors never widen F's vertex span: only a solve's first graph
+        # frame can fail this
+        if len(vertex_span(graph, inst.forbidden)) > 3:
+            raise GroundSetError("forbidden edges span more than three vertices")
+        u, kind = pick_reduction_vertex(graph, inst.forbidden, last)
+        star = graph.incident(u)
+        z, triad = (m.ground - star, None) if kind == "degree2" else (None, star)
+    else:
+        z = find_nontrivial_tight_set(m, BasisPair(inst.x.first, inst.x.second))
 
-    z = find_nontrivial_tight_set(m, BasisPair(inst.x.first, inst.x.second))
     if z is not None:
         restrict_last = last is not None and last in z
         record = []
@@ -220,37 +266,27 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
              "child": [_pair_summary(c) for c in red.children]},
         )
         out_trace.append(node)
-        seqs = []
+        frames = []
         for child_struct, child in zip(record, red.children):
             child_last = last if (last is not None and last in child.matroid.ground) else None
             wrapper = TraceNode("child")
             node.children.append(wrapper)
-            seqs.append(_engine(child_struct, child, mode, child_last, cap, wrapper.children))
-        return red.lift(*seqs)
+            frames.append((child_struct, child, child_last, wrapper.children))
+        return red.lift, frames
 
     # a triad or triangle holding an element of F or the designated last
     # element cannot be reduced; the fast finders need an explicit matrix
     cover = m.ground - inst.forbidden - {last}
     fast = isinstance(m, Gf2Matroid)
-    triad = find_triad_fast(m, cover) if fast else find_triad(m, cover)
+    if triad is None:
+        triad = find_triad_fast(m, cover) if fast else find_triad(m, cover)
     if triad is not None:
         record = []
         red = reduce_triad(inst, triad, minor=_recording_factory(struct, record))
-        node = TraceNode("triad", dict(red.certificate.payload))
-        node.payload["child"] = _pair_summary(red.children[0])
-        out_trace.append(node)
-        steps = _engine(record[0], red.children[0], mode, last, cap, node.children)
-        return red.lift(steps)
+        return _one_child(red, record[0], last, out_trace)
 
     triangle = find_triangle_fast(m, cover) if fast else find_triangle(m, cover)
     if triangle is not None:
-        dual_m = m.dual()
-        dual_inst = Instance(
-            dual_m,
-            BasisPair(inst.x.first, inst.x.second, dual_m),
-            BasisPair(inst.y.first, inst.y.second, dual_m),
-            inst.forbidden,
-        )
         record = []
 
         def dual_factory(_m, contract=(), delete=()):
@@ -258,13 +294,8 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
             record.append(sub)
             return sub.matroid
 
-        red = reduce_triad(dual_inst, triangle, minor=dual_factory)
-        node = TraceNode("triad", dict(red.certificate.payload))
-        node.payload["dualized"] = True
-        node.payload["child"] = _pair_summary(red.children[0])
-        out_trace.append(node)
-        steps = _engine(record[0], red.children[0], mode, last, cap, node.children)
-        return red.lift(steps)
+        red = reduce_triad(_on(m.dual(), inst), triangle, minor=dual_factory)
+        return _one_child(red, record[0], last, out_trace, dualized=True)
 
     if isinstance(struct, SumNode) and not inst.forbidden and last is None:
         routed = _sum_route(struct, inst, mode, cap, out_trace)
@@ -281,6 +312,21 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
         f"irreducible instance on {len(m.ground)} elements {{{shown}}} "
         f"has no known structure and exceeds the search cap {cap}"
     )
+
+
+def _on(m: Matroid, inst: Instance) -> Instance:
+    """The instance's pairs and F, as pairs of ``m``."""
+    x, y = inst.x, inst.y
+    pairs = BasisPair(x.first, x.second, m), BasisPair(y.first, y.second, m)
+    return Instance(m, *pairs, inst.forbidden)
+
+
+def _one_child(red, child_struct, last, out_trace: list, **extra):
+    """Trace a one-child reduction and hand its child on as a frame."""
+    node = TraceNode(red.certificate.kind, {**red.certificate.payload, **extra})
+    node.payload["child"] = _pair_summary(red.children[0])
+    out_trace.append(node)
+    return red.lift, [(child_struct, red.children[0], last, node.children)]
 
 
 def _recording_factory(struct, record: list):
@@ -386,28 +432,15 @@ def _three_sum_route(struct: SumNode, inst: Instance, mode: str, cap: int, out_t
         node = TraceNode("three_sum", {"shared": struct.spec.shared})
         out_trace.append(node)
 
-        if mode == "white":
-
-            def recurse(contract_elt, x_sets, y_sets):
-                sub = structure_minor(circ, frozenset({contract_elt}), frozenset())
-                sub_m = sub.matroid
-                sub_inst = Instance(
-                    sub_m, _as_pair(sub_m, x_sets), _as_pair(sub_m, y_sets)
-                )
-                return ExchangeSequence(
-                    _engine(sub, sub_inst, "white", None, cap, node.children)
-                )
-
-            return list(three_sum_white(ctx, inst.x, inst.y, recurse))
-
-        def recurse_rev(contract_elt, x_sets):
+        def recurse(contract_elt, x_sets, y_sets=None):
+            # the engine on the contracted circ side; a reversal has no y
             sub = structure_minor(circ, frozenset({contract_elt}), frozenset())
-            sub_m = sub.matroid
-            pair = _as_pair(sub_m, x_sets)
-            sub_inst = Instance(sub_m, pair, pair.swapped())
-            return ExchangeSequence(
-                _engine(sub, sub_inst, "gabow", None, cap, node.children)
-            )
+            x_pair = _as_pair(sub.matroid, x_sets)
+            y_pair = x_pair.swapped() if y_sets is None else _as_pair(sub.matroid, y_sets)
+            sub_inst = Instance(sub.matroid, x_pair, y_pair)
+            return ExchangeSequence(_engine(sub, sub_inst, mode, None, cap, node.children))
 
-        return list(three_sum_gabow(ctx, inst.x, recurse_rev))
+        if mode == "white":
+            return list(three_sum_white(ctx, inst.x, inst.y, recurse))
+        return list(three_sum_gabow(ctx, inst.x, recurse))
     return None

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .matroid import Matroid, GraphicMatroid, Multigraph, GroundSetError
-from .exchange import BasisPair, ExchangeStep, ExchangeSequence, apply_step
+from .exchange import (
+    BasisPair, ExchangeStep, ExchangeSequence, SequenceValidationError, apply_step, check_reversal
+)
 from .union import matroid_union_partition, InfeasiblePartitionError
 from .graphic import solve_graphic_white, solve_graphic_gabow
 
@@ -467,10 +469,9 @@ def three_sum_gabow(ctx: ThreeSumContext, x: BasisPair, recurse: Callable):
     bridging = ExchangeStep(last.e, e_elt)
 
     steps = list(sub[:pos]) + list(seq_b.steps[:-1]) + [bridging] + list(sub[pos + 1 :])
-    final = _replay(ctx.total, x, steps)
-    if not (final.first == x.second and final.second == x.first):
-        raise AssertionError("the 3-sum reversal does not end on the swapped pair")
-    r = ctx.total.full_rank
-    if len(steps) != r:
-        raise AssertionError(f"reversal length {len(steps)} != rank {r}")
+    _replay(ctx.total, x, steps)
+    try:
+        check_reversal(x, steps)
+    except SequenceValidationError as err:
+        raise AssertionError(f"the 3-sum sequence is not a reversal: {err}") from None
     return ExchangeSequence(steps)

@@ -272,6 +272,34 @@ class TestCliRoundTrips:
         code, out, _ = self.run(capsys, "verify", str(path), str(seq))
         assert code == 1 and "step 0" in out
 
+    def test_verify_names_elements_by_label(self, tmp_path, capsys):
+        # K4 with letter labels, so element ids (0-5) and labels differ
+        inst = {
+            "matroid": {"kind": "graph",
+                        "text": "a 1 2\nb 2 3\nc 3 4\nd 1 3\ne 1 4\nf 2 4"},
+            "mode": "gabow", "x1": ["a", "b", "c"], "x2": ["d", "e", "f"], "last": "a",
+        }
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(inst))
+        code, out, _ = self.run(capsys, "solve", str(path), "--json")
+        steps = json.loads(out)["steps"]
+        assert code == 0 and len(steps) == 3 and "a" in steps[-1].values()
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(steps))
+        other = next(lab for lab in "bcdef" if lab not in steps[-1].values())
+        code, out, _ = self.run(capsys, "verify", str(path), str(seq), "--last", other)
+        assert code == 1
+        assert out.strip() == f"fail at step 2: the last step does not use the designated element {other}"
+        e, f = steps[0]["e"], steps[0]["f"]
+        seq.write_text(json.dumps([{"e": f, "f": e}] + steps[1:]))
+        code, out, _ = self.run(capsys, "verify", str(path), str(seq))
+        assert code == 1 and out.strip() == f"fail at step 0: invalid exchange ({f}, {e})"
+        inst.update(mode="white", y1=["a", "e", "c"], y2=["d", "b", "f"], forbidden=["b"])
+        path.write_text(json.dumps(inst))
+        seq.write_text(json.dumps([{"e": "b", "f": "e"}]))
+        code, out, _ = self.run(capsys, "verify", str(path), str(seq))
+        assert code == 1 and out.strip() == "fail at step 0: forbidden element b used"
+
     def test_malformed_graph_line_exit_four(self, tmp_path, capsys):
         inst = {
             "matroid": {"kind": "graph", "text": "a 1 2\nnot a valid edge line\n"},

@@ -1,5 +1,8 @@
 import ast
+import inspect
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,7 +42,7 @@ from baseswap.structure import (
     SumNode,
 )
 from baseswap.union import matroid_union_partition
-from baseswap.gen import random_exchange_walk, random_bispanning_graph
+from baseswap.gen import random_exchange_walk, random_bispanning_graph, random_forbidden_set
 
 from conftest import K4_EDGES, brute_sum_rank_fn, definitional_matroid, subsets
 
@@ -295,10 +298,18 @@ class TestTraceReplay:
     def test_reduction_trace_replays(self, dt):
         m, x = dt
         y = BasisPair(frozenset({1, 2}), frozenset({0, 3}), m)
-        report = solve_white(m, x, y)
-        inst = Instance(m, x, y)
-        for node in report.trace.children:
-            self._replay(inst, node)
+        # a bispanning graph: the graph rule's tight splits and triads replay
+        rng = random.Random(12)
+        g, gx = random_bispanning_graph(12, rng)
+        gm = GraphicMatroid(g)
+        gy = random_exchange_walk(gm, gx, 12, rng)
+        for m, x, y in ((m, x, y), (gm, gx, gy)):
+            report = solve_white(m, x, y)
+            inst = Instance(m, x, y)
+            for node in report.trace.children:
+                self._replay(inst, node)
+        kinds = {n.kind for n in report.trace.flatten()}
+        assert {"tight_split", "triad"} <= kinds
 
     def test_deterministic_traces(self, k4):
         m, x, y = k4
@@ -339,6 +350,21 @@ class TestMoreStructure:
         assert final.first == cy.first
         gab = solve_gabow(leaf, cx)
         assert gab.length == 3
+
+    def test_cographic_leaf_solves_as_its_graph(self):
+        # a disjoint covering pair of M* is a pair of spanning trees of the
+        # graph, and the engine solves it as the graphic leaf
+        rng = random.Random(4)
+        g, x = random_bispanning_graph(12, rng)
+        y = random_exchange_walk(GraphicMatroid(g), x, 12, rng)
+        f = random_forbidden_set(x, y, g, rng)
+        h = max(x.union)
+        white, gabow = [], []
+        for leaf in (graphic_leaf(g), cographic_leaf(g)):
+            white.append(solve_white(leaf, x, y, forbidden=f).sequence)
+            gabow.append(solve_gabow(leaf, x, last=h).sequence)
+        assert white[0] == white[1] and white[0].length > 0
+        assert gabow[0] == gabow[1] and h in gabow[0].steps[-1]
 
 
 def remark_tree_json():
@@ -472,3 +498,33 @@ def test_forbidden_set_on_gf2_instances():
             assert report.length <= 2 * r * r and report.width <= 4 * (r - 1)
             solved += 1
     assert solved == 25
+
+
+@pytest.mark.parametrize("mode", ["white", "gabow"])
+def test_deep_graph_solve_needs_no_deep_python_stack(mode):
+    # a graph solve reduces one vertex per level; the engine keeps those
+    # levels on its own stack, so rank 299 solves with little Python stack
+    from baseswap.cli import _gen_bispanning
+    from baseswap.io import parse_instance
+
+    inst = parse_instance(_gen_bispanning(300, random.Random(0), mode))
+    m = inst["structure"].matroid
+    x = BasisPair(inst["x1"], inst["x2"], m)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 120)
+    try:
+        if mode == "gabow":
+            report = solve_gabow(inst["structure"], x, last=inst["last"])
+        else:
+            y = BasisPair(inst["y1"], inst["y2"], m)
+            report = solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
+        kinds = Counter(c.kind for c in report.certificates)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.rank == 299
+    assert set(kinds) <= {"tight_split", "triad"}
+    # one reduction per level down to rank 2, unless a white child is solved
+    # already
+    assert 0 < sum(kinds.values()) <= 297
+    if mode == "gabow":
+        assert sum(kinds.values()) == 297
