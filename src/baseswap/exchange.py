@@ -3,9 +3,11 @@
 A symmetric exchange (e, f) on a pair (first, second) moves e from the first
 basis to the second and f the other way; it is valid when both resulting sets
 are bases.  Sequences carry length (step count) and width (maximum number of
-occurrences of any single element).  The BFS oracle searches the exchange
-graph of a small matroid exhaustively and certifies optimal distances and
-unreachability.
+occurrences of any single element).  The replay (``apply_and_validate``)
+pivots one tableau per basis on matroids with an explicit binary
+representation, and asks ``is_valid_exchange``, its rank-based reference,
+on any other.  The BFS oracle searches the exchange graph of a small
+matroid exhaustively and certifies optimal distances and unreachability.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .matroid import Matroid, _as_frozen
+from .matroid import Gf2Matroid, GraphicMatroid, GroundSetError, Matroid, _as_frozen
 
 
 class ExchangeStep(NamedTuple):
@@ -122,13 +124,19 @@ class ForbiddenElementError(SequenceValidationError):
         super().__init__(index, "forbidden element {element} used", element=element)
 
 
-def is_valid_exchange(pair: BasisPair, step: ExchangeStep) -> bool:
-    """True when the step applies to the pair and both results are bases."""
+def _applies(pair: BasisPair, step) -> bool:
+    """The step moves an element of the first basis only and one of the
+    second basis only."""
     e, f = step
-    if e not in pair.first - pair.second:
+    return e in pair.first and e not in pair.second and f in pair.second and f not in pair.first
+
+
+def is_valid_exchange(pair: BasisPair, step: ExchangeStep) -> bool:
+    """True when the step applies to the pair and both results are bases,
+    by two rank queries."""
+    if not _applies(pair, step):
         return False
-    if f not in pair.second - pair.first:
-        return False
+    e, f = step
     m = pair.matroid
     return m.is_basis(pair.first - {e} | {f}) and m.is_basis(pair.second - {f} | {e})
 
@@ -139,14 +147,38 @@ def apply_step(pair: BasisPair, step: ExchangeStep) -> BasisPair:
 
 
 def apply_and_validate(pair: BasisPair, seq, forbidden=()) -> BasisPair:
-    """Apply steps in order, checking validity and F-avoidance at each one."""
+    """Apply steps in order, checking validity and F-avoidance at each one.
+
+    On a GF(2) or graphic matroid, a step (e, f) is valid when e lies on
+    the circuit of f in the first basis and f on the circuit of e in the
+    second, read from one tableau per basis that each step pivots.  On any
+    other matroid, and from a start that is not a pair of bases,
+    ``is_valid_exchange`` asks the rank oracle at every step."""
     avoid = _as_frozen(forbidden)
+    m = pair.matroid
+    tableaux = None
+    if isinstance(m, (Gf2Matroid, GraphicMatroid)):
+        try:
+            tableaux = m.tableau(pair.first), m.tableau(pair.second)
+        except GroundSetError:
+            pass
     current = pair
     for k, step in enumerate(seq):
         step = ExchangeStep(*step)
-        if step.e in avoid or step.f in avoid:
-            raise ForbiddenElementError(k, step.e if step.e in avoid else step.f)
-        if not is_valid_exchange(current, step):
+        e, f = step
+        if e in avoid or f in avoid:
+            raise ForbiddenElementError(k, e if e in avoid else f)
+        if tableaux is None:
+            valid = is_valid_exchange(current, step)
+        else:
+            first, second = tableaux
+            valid = (
+                _applies(current, step) and first.exchangeable(e, f) and second.exchangeable(f, e)
+            )
+            if valid:
+                first.pivot(e, f)
+                second.pivot(f, e)
+        if not valid:
             raise SequenceValidationError(k, "invalid exchange {step}", step=step)
         current = apply_step(current, step)
     return current

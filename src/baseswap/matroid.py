@@ -7,6 +7,12 @@ minor views of any other matroid; binary 1-/2-/3-sums are GF(2) matrices
 built in ``structure``.  Instances are immutable after construction and all
 queries are read-only, so values can be shared freely between threads; rank
 caches fill idempotently.
+
+A ``Tableau`` holds the fundamental circuits of one basis of a binary
+matroid as bitmasks and answers "is B - b + f a basis?" with one bit; an
+exchange is one XOR pass over it.  The sequence replay and the solver's
+fix-ups and searches read tableaux; ``Matroid.is_basis`` is their rank
+reference.
 """
 
 from __future__ import annotations
@@ -110,16 +116,27 @@ class Matroid:
         A given ``basis`` that is not a basis raises GroundSetError.
         """
         if basis is None:
-            b: set = set()
-            for e in sorted(self.ground):
-                if self.rank(b | {e}) > len(b):
-                    b.add(e)
-            b = frozenset(b)
+            b = self.greedy_basis()
         else:
             b = _as_frozen(basis)
             if not self.is_basis(b):
                 raise GroundSetError("fundamental_circuits requires a basis")
         return b, {e: self.circuit_in(b, e) for e in sorted(self.ground - b)}
+
+    def greedy_basis(self) -> frozenset:
+        """The basis taking each element in increasing order when it is
+        independent of the ones taken before it."""
+        b: set = set()
+        for e in sorted(self.ground):
+            if self.rank(b | {e}) > len(b):
+                b.add(e)
+        return frozenset(b)
+
+    def tableau(self, basis=None) -> "Tableau":
+        """The ``Tableau`` of ``basis`` (default: the greedy basis), from its
+        fundamental circuits; a non-basis raises GroundSetError."""
+        b, circuits = self.fundamental_circuits(basis)
+        return Tableau.of_circuits(b, {e: _encode(c) for e, c in circuits.items()})
 
     # -- views -------------------------------------------------------------
 
@@ -174,17 +191,9 @@ class Gf2Matroid(Matroid):
         return cls(cols)
 
     def dual(self) -> "Gf2Matroid":
-        """Explicit dual [A^T | I]: with B the greedy basis, row i stands for
-        the i-th non-basis element e, whose column is the unit vector e_i, and
-        a basis element's column holds the rows of the circuits C(e) it lies
-        on."""
-        basis, circuits = self.fundamental_circuits()
-        cols = {b: 0 for b in basis}
-        for i, (e, circuit) in enumerate(sorted(circuits.items())):
-            cols[e] = 1 << i
-            for b in circuit - {e}:
-                cols[b] |= 1 << i
-        return Gf2Matroid(cols)
+        """Explicit dual: the transposed tableau of the greedy basis
+        (``Tableau.dual_columns``)."""
+        return Gf2Matroid(self.tableau().dual_columns())
 
     def _minor(self, c: frozenset, d: frozenset) -> "Gf2Matroid":
         """Explicit minor: each contracted column in turn is added to every
@@ -203,15 +212,15 @@ class Gf2Matroid(Matroid):
 
         Returns (pivots, masks): the elements whose columns are independent
         of the ones before them, and for every other element a bitmask over
-        positions in ``order`` marking its circuit with the earlier pivots.
-        Each reduced column carries the mask of the columns it sums.
+        element ids marking its circuit with the earlier pivots.  Each
+        reduced column carries the mask of the columns it sums.
         """
         cols = self.columns
         reduced = []  # (column, its lowest set bit, mask of the columns summed)
         pivots = []
         masks = {}
-        for i, e in enumerate(order):
-            vec, support = cols[e], 1 << i
+        for e in order:
+            vec, support = cols[e], 1 << e
             for rvec, low, rsupport in reduced:
                 if vec & low:
                     vec ^= rvec
@@ -233,11 +242,11 @@ class Gf2Matroid(Matroid):
     def circuit_in(self, independent, e: int):
         s = _as_frozen(independent)
         self._check_ground(s | {e})
-        order = sorted(s) + [e]
-        mask = self._eliminate(order)[1].get(e)
-        return None if mask is None else _decode(order, mask)
+        mask = self._eliminate(sorted(s) + [e])[1].get(e)
+        return None if mask is None else _decode(mask)
 
-    def fundamental_circuits(self, basis=None) -> tuple:
+    def _circuit_masks(self, basis) -> tuple:
+        """(B, {e: C(e) as a mask}) from one elimination."""
         if basis is None:
             order = sorted(self.ground)
         else:
@@ -248,18 +257,123 @@ class Gf2Matroid(Matroid):
         if basis is not None and set(pivots) != b:
             # a dependent B is padded out by pivots from outside it
             raise GroundSetError("fundamental_circuits requires a basis")
-        return frozenset(pivots), {e: _decode(order, mask) for e, mask in masks.items()}
+        return frozenset(pivots), masks
+
+    def fundamental_circuits(self, basis=None) -> tuple:
+        b, masks = self._circuit_masks(basis)
+        return b, {e: _decode(mask) for e, mask in masks.items()}
+
+    def tableau(self, basis=None) -> "Tableau":
+        return Tableau.of_circuits(*self._circuit_masks(basis))
 
 
-def _decode(order, mask: int) -> frozenset:
-    """The elements at the set bits of ``mask``, a bitmask over positions in
-    ``order``."""
+def _encode(elements) -> int:
+    """The bitmask over element ids of a set of elements."""
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
+
+
+def _bits(mask: int) -> list:
+    """The elements at the set bits of ``mask``, in increasing order."""
+    digits = bin(mask)[:1:-1]  # bit 0 first
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(order[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _decode(mask: int) -> frozenset:
+    return frozenset(_bits(mask))
+
+
+class Tableau:
+    """Standard form of a matroid with respect to a basis B, as bitmasks over
+    element ids.  ``circuits[e]``, for e outside B, marks the fundamental
+    circuit C(B, e), the unique circuit in B + e; ``cocircuits[b]``, for b
+    in B, marks the fundamental cocircuit C*(B, b), the elements whose
+    circuit holds b.  Each contains its own element; one is the other
+    transposed.
+
+    B - b + f is a basis exactly when b lies on C(B, f) (``exchangeable``),
+    which holds in every matroid.  The updates need a binary matroid: there
+    the exchange to B - b + f (``pivot``) sets C(B, e) ^= C(B, f) for each
+    e on C*(B, b), and C*(B, x) ^= C*(B, b) for each x on C(B, f), and
+    moves C(B, f) to b and C*(B, b) to f (Oxley, *Matroid Theory*, 2nd ed.
+    2011, on standard representations and pivoting).  A minor along two
+    elements and the split along a tight set act on the masks alone.  They
+    may leave bits set at elements they remove from the ground set: every
+    reader skips bits of elements that have no mask of their own.  Updates
+    change the tableau in place; ``copy`` keeps one.
+    """
+
+    __slots__ = ("circuits", "cocircuits")
+
+    def __init__(self, circuits: dict, cocircuits: dict):
+        self.circuits = circuits
+        self.cocircuits = cocircuits
+
+    @classmethod
+    def of_circuits(cls, basis, circuits: dict) -> "Tableau":
+        """From the circuit masks of the elements outside ``basis``."""
+        cocircuits = {x: 1 << x for x in basis}
+        for e, c in circuits.items():
+            bit = 1 << e
+            for x in _bits(c ^ bit):
+                cocircuits[x] |= bit
+        return cls(circuits, cocircuits)
+
+    def copy(self) -> "Tableau":
+        return Tableau(dict(self.circuits), dict(self.cocircuits))
+
+    def exchangeable(self, b: int, f: int) -> bool:
+        """Whether B - b + f is a basis, for b in B and f outside it."""
+        return self.circuits[f] >> b & 1 == 1
+
+    def pivot(self, b: int, f: int) -> None:
+        """Move to the basis B - b + f (``exchangeable(b, f)`` must hold)."""
+        circuits, cocircuits = self.circuits, self.cocircuits
+        cf = circuits.pop(f)
+        cob = cocircuits.pop(b)
+        for e in _bits(cob):
+            if e in circuits:
+                circuits[e] ^= cf
+        for x in _bits(cf):
+            if x in cocircuits:
+                cocircuits[x] ^= cob
+        circuits[b] = cf
+        cocircuits[f] = cob
+
+    def minor(self, contract: int, delete: int) -> None:
+        """Move to B - {contract, delete} in M / contract \\ delete, where
+        exactly one of the two lies in B: a ``delete`` in B is first pivoted
+        out for ``contract``; then both leave the tableau."""
+        if delete not in self.circuits:
+            self.pivot(delete, contract)
+        del self.circuits[delete]
+        del self.cocircuits[contract]
+
+    def split(self, z: frozenset) -> "Tableau":
+        """Keep B ∩ z in M | z and return the tableau of B - z in M / z, for
+        a set z that holds the circuit of each of its elements outside B (a
+        tight set does, for every basis whose complement is a basis)."""
+        parts = []
+        for masks in (self.circuits, self.cocircuits):
+            parts.append({e: masks.pop(e) for e in [e for e in masks if e not in z]})
+        return Tableau(*parts)
+
+    def dual_columns(self) -> dict:
+        """Columns of a GF(2) matrix of the dual matroid (the tableau
+        transposed), with one row per element outside B: such an element's
+        column is its unit vector, and the column of b in B is C*(B, b)
+        without b."""
+        rows = _encode(self.circuits)
+        cols = {e: 1 << e for e in self.circuits}
+        cols.update((b, c & rows) for b, c in self.cocircuits.items())
+        return cols
 
 
 class Multigraph:
@@ -388,6 +502,66 @@ class GraphicMatroid(Matroid):
             node, via = prev[node]
             circuit.add(via)
         return frozenset(circuit)
+
+    def fundamental_circuits(self, basis=None) -> tuple:
+        tab = self.tableau(basis)
+        return frozenset(tab.cocircuits), {e: _decode(c) for e, c in tab.circuits.items()}
+
+    def tableau(self, basis=None) -> "Tableau":
+        """From one rooted spanning forest of B, as bitmasks.  Each vertex
+        keeps the tree edges on its path to the root.  The climbs from the
+        two ends of an edge e outside B meet where those paths join, so C(e)
+        is e plus the XOR of the two paths.  Each edge outside B is also
+        XORed into both of its ends; XORed up a subtree, these leave the
+        edges with exactly one end in it, which with the tree edge b above
+        the subtree make C*(b)."""
+        edges = self.graph.edges
+        b = self.greedy_basis() if basis is None else _as_frozen(basis)
+        if not b <= self.ground:
+            raise GroundSetError(f"elements {sorted(b - self.ground)} not in ground set")
+        adj: dict = {}
+        for x in b:
+            u, v = edges[x]
+            adj.setdefault(u, []).append((v, x))
+            adj.setdefault(v, []).append((u, x))
+        path: dict = {}  # vertex -> mask of the tree edges up to its root
+        root_of: dict = {}
+        below = []  # (vertex, its parent, the tree edge between), parents first
+        for root in adj:
+            if root in path:
+                continue
+            path[root] = 0
+            root_of[root] = root
+            stack = [(root, None)]
+            while stack:
+                node, via = stack.pop()
+                for nxt, x in adj[node]:
+                    if x == via:
+                        continue
+                    if nxt in path:  # a second way into nxt: B holds a cycle
+                        raise GroundSetError("fundamental_circuits requires a basis")
+                    path[nxt] = path[node] | 1 << x
+                    root_of[nxt] = root
+                    below.append((nxt, node, x))
+                    stack.append((nxt, x))
+        circuits = {}
+        ends = dict.fromkeys(path, 0)  # vertex -> XOR of the edges outside B at it
+        for e in sorted(self.ground - b):
+            u, v = edges[e]
+            bit = 1 << e
+            if u != v:
+                if u not in root_of or root_of[u] != root_of.get(v):
+                    # e joins two trees of B, so B does not span
+                    raise GroundSetError("fundamental_circuits requires a basis")
+                ends[u] ^= bit
+                ends[v] ^= bit
+                bit |= path[u] ^ path[v]
+            circuits[e] = bit
+        cocircuits = {}
+        for node, parent, x in reversed(below):
+            cocircuits[x] = ends[node] | 1 << x
+            ends[parent] ^= ends[node]
+        return Tableau(circuits, cocircuits)
 
     def _minor(self, c: frozenset, d: frozenset) -> "GraphicMatroid":
         """Explicit minor: the graph with d deleted and c contracted; an

@@ -7,8 +7,12 @@ cographic leaf picks its tight set or triad at a low-degree vertex
 2-/3-sum machinery of the structure, or to the exhaustive search fallback
 for small ground sets (which solves R10 and F7).  Reductions run on an
 explicit stack; only the sum routes, which call the engine once per side,
-add Python stack depth.  Reductions are recorded as certificates so a solve
-can be replayed; the report carries the width/length guarantees for the mode.
+add Python stack depth.  On a GF(2) or graph frame the strips are followed
+by one tableau per basis of the two pairs; the searches and fix-ups read
+them, and each reduction hands its children tableaux derived from them, so
+they are built once per solve.  Reductions are recorded as certificates so
+a solve can be replayed; the report carries the width/length guarantees for
+the mode.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen
+from .matroid import Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen
 from .exchange import (
     BasisPair,
     ExchangeSequence,
@@ -194,10 +198,11 @@ class _Lift(NamedTuple):
 
 def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
     """Solve an instance on an explicit stack of frames (structure,
-    instance, last, trace list), so a chain of reductions adds no Python
-    stack depth.  A reduction pushes its lift and then its children; once
-    they are solved, their sequences are the top ``arity`` of ``solved``."""
-    stack: list = [(struct, inst, last, out_trace)]
+    instance, last, trace list, tableaux or None), so a chain of reductions
+    adds no Python stack depth.  A reduction pushes its lift and then its
+    children; once they are solved, their sequences are the top ``arity`` of
+    ``solved``."""
+    stack: list = [(struct, inst, last, out_trace, None)]
     solved: list = []
     while stack:
         item = stack.pop()
@@ -216,7 +221,7 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
     return steps
 
 
-def _reduce(struct, inst: Instance, last, out_trace: list, mode: str, cap: int):
+def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, cap: int):
     """One step on a frame: its list of steps, or (lift, child frames)."""
     m = inst.matroid
     if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
@@ -234,31 +239,40 @@ def _reduce(struct, inst: Instance, last, out_trace: list, mode: str, cap: int):
         out_trace.append(TraceNode("rank_le2"))
         return list(solve_rank_le2(inst, h=last))
 
+    graph = struct.graph if isinstance(struct, Leaf) else None
+    if graph is not None and struct.tag == "cographic":
+        # the pair is disjoint and covering here, so a cographic pair is
+        # also a pair of spanning trees, and the graph is solved as a
+        # graphic leaf
+        struct = graphic_leaf(graph)
+        m = struct.matroid
+        inst = _on(m, inst)
+    if tableaux is None and isinstance(m, (Gf2Matroid, GraphicMatroid)):
+        built: dict = {}  # equal bases share a tableau
+        tableaux = tuple(
+            built[b] if b in built else built.setdefault(b, m.tableau(b))
+            for b in (inst.x.first, inst.x.second, inst.y.first, inst.y.second)
+        )
+
     triad = None
-    if isinstance(struct, Leaf) and struct.graph is not None:
-        # a graph reduces at a low-degree vertex.  The pair is disjoint and
-        # covering here, so a cographic pair is also a pair of spanning
-        # trees, and the graph is solved as a graphic leaf
-        graph = struct.graph
-        if struct.tag == "cographic":
-            struct = graphic_leaf(graph)
-            m = struct.matroid
-            inst = _on(m, inst)
-        # minors never widen F's vertex span: only a solve's first graph
-        # frame can fail this
+    if graph is not None:
+        # a graph reduces at a low-degree vertex.  Minors never widen F's
+        # vertex span: only a solve's first graph frame can fail this
         if len(vertex_span(graph, inst.forbidden)) > 3:
             raise GroundSetError("forbidden edges span more than three vertices")
         u, kind = pick_reduction_vertex(graph, inst.forbidden, last)
         star = graph.incident(u)
         z, triad = (m.ground - star, None) if kind == "degree2" else (None, star)
     else:
-        z = find_nontrivial_tight_set(m, BasisPair(inst.x.first, inst.x.second))
+        pair = BasisPair(inst.x.first, inst.x.second)
+        z = find_nontrivial_tight_set(m, pair, tableaux and tableaux[:2])
 
     if z is not None:
         restrict_last = last is not None and last in z
         record = []
         red = split_on_tight_set(
-            inst, z, minor=_recording_factory(struct, record), restrict_last=restrict_last
+            inst, z, minor=_recording_factory(struct, record), restrict_last=restrict_last,
+            tableaux=tableaux,
         )
         node = TraceNode(
             "tight_split",
@@ -267,11 +281,12 @@ def _reduce(struct, inst: Instance, last, out_trace: list, mode: str, cap: int):
         )
         out_trace.append(node)
         frames = []
-        for child_struct, child in zip(record, red.children):
+        child_tableaux = red.tableaux or [None, None]
+        for child_struct, child, tabs in zip(record, red.children, child_tableaux):
             child_last = last if (last is not None and last in child.matroid.ground) else None
             wrapper = TraceNode("child")
             node.children.append(wrapper)
-            frames.append((child_struct, child, child_last, wrapper.children))
+            frames.append((child_struct, child, child_last, wrapper.children, tabs))
         return red.lift, frames
 
     # a triad or triangle holding an element of F or the designated last
@@ -279,28 +294,31 @@ def _reduce(struct, inst: Instance, last, out_trace: list, mode: str, cap: int):
     cover = m.ground - inst.forbidden - {last}
     fast = isinstance(m, Gf2Matroid)
     if triad is None:
-        triad = find_triad_fast(m, cover) if fast else find_triad(m, cover)
+        triad = find_triad_fast(m, cover, tableaux[0]) if fast else find_triad(m, cover)
     if triad is not None:
         record = []
-        red = reduce_triad(inst, triad, minor=_recording_factory(struct, record))
+        red = reduce_triad(inst, triad, minor=_recording_factory(struct, record), tableaux=tableaux)
         return _one_child(red, record[0], last, out_trace)
 
     triangle = find_triangle_fast(m, cover) if fast else find_triangle(m, cover)
     if triangle is not None:
         record = []
-
-        def dual_factory(_m, contract=(), delete=()):
-            sub = structure_minor(struct, contract=_as_frozen(delete), delete=_as_frozen(contract))
-            record.append(sub)
-            return sub.matroid
-
-        red = reduce_triad(_on(m.dual(), inst), triangle, minor=dual_factory)
+        red = reduce_triad(
+            inst, triangle, minor=_recording_factory(struct, record), tableaux=tableaux, dual=True
+        )
         return _one_child(red, record[0], last, out_trace, dualized=True)
 
-    if isinstance(struct, SumNode) and not inst.forbidden and last is None:
-        routed = _sum_route(struct, inst, mode, cap, out_trace)
-        if routed is not None:
-            return routed
+    if isinstance(struct, SumNode):
+        if not inst.forbidden and last is None:
+            routed = _sum_route(struct, inst, mode, cap, out_trace)
+            if routed is not None:
+                return routed
+        elif len(m.ground) > cap:
+            raise UnsupportedStructureError(
+                f"irreducible {struct.spec.arity}-sum on {len(m.ground)} elements: the "
+                "2-/3-sum routes take no forbidden set or designated last element, and "
+                f"the instance exceeds the search cap {cap}"
+            )
 
     if len(m.ground) <= cap:
         out_trace.append(TraceNode("bfs", {"cap": cap}))
@@ -326,7 +344,8 @@ def _one_child(red, child_struct, last, out_trace: list, **extra):
     node = TraceNode(red.certificate.kind, {**red.certificate.payload, **extra})
     node.payload["child"] = _pair_summary(red.children[0])
     out_trace.append(node)
-    return red.lift, [(child_struct, red.children[0], last, node.children)]
+    child_tableaux = red.tableaux[0] if red.tableaux else None
+    return red.lift, [(child_struct, red.children[0], last, node.children, child_tableaux)]
 
 
 def _recording_factory(struct, record: list):

@@ -5,6 +5,13 @@ Each reduction shrinks an instance and provides a lift that maps a solved
 sequence of the child instance back to the parent, preserving F-avoidance
 and, where stated, the element used in the last step.  Certificates record
 what was applied so a solve can be replayed deterministically.
+
+The tight-set split and the triad reduction take, optionally, the tableaux
+of the instance's bases (``Tableau``), a 4-tuple aligned with (x.first,
+x.second, y.first, y.second) in which equal bases share one tableau.  The
+fix-up checks then read bits, and the reduction hands the tableaux on to
+its children, updated in place.  Without them the same questions go to the
+rank oracle.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .matroid import Matroid, GroundSetError, _as_frozen
-from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible
+from .matroid import Matroid, GroundSetError, Tableau, _as_frozen, _bits
+from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible, is_valid_exchange
 
 
 class ReductionError(Exception):
@@ -62,12 +69,14 @@ class Reduction:
     """One applied reduction: child instances, certificate, and a lifter.
 
     ``lift`` takes one solved sequence per child (in order) and returns the
-    list of parent steps.
+    list of parent steps.  ``tableaux`` holds, per child, the tableaux of
+    its bases when the parent's were given.
     """
 
     children: list
     certificate: ReductionCertificate
     lift: Callable
+    tableaux: Optional[list] = None
 
 
 def default_minor(m: Matroid, contract=(), delete=()) -> Matroid:
@@ -118,22 +127,25 @@ def contract_common(inst: Instance, minor=default_minor) -> Optional[Reduction]:
 # -- tight sets --------------------------------------------------------------
 
 
-def find_nontrivial_tight_set(m: Matroid, x: BasisPair):
+def find_nontrivial_tight_set(m: Matroid, x: BasisPair, tableaux=None):
     """Some nonempty proper Z with |Z| = 2 r(Z), or None.
 
     Requires the ground set to be partitioned by the pair.  Tight sets are
     exactly the sets closed under the arcs y -> C(y) - y, C(y) the fundamental
     circuit of y in the other basis, so minimal ones are the sink strongly
     connected components of that digraph; ties break to the lexicographically
-    smallest element set.
+    smallest element set.  The arcs are read from ``tableaux``, those of
+    x.first and x.second, when given, else from the matroid's fundamental
+    circuits.
     """
     ground = m.ground
     if x.first & x.second or x.first | x.second != ground:
         raise GroundSetError("tight-set search needs a disjoint covering pair")
     adj = {}
-    for basis in (x.first, x.second):
-        for y, circuit in m.fundamental_circuits(basis)[1].items():
-            adj[y] = sorted(circuit - {y})
+    for tab in tableaux or (m.tableau(x.first), m.tableau(x.second)):
+        basis = tab.cocircuits
+        for y, circuit in tab.circuits.items():
+            adj[y] = [b for b in _bits(circuit) if b in basis]
     sinks = _sink_components(adj)
     proper = [scc for scc in sinks if len(scc) < len(ground)]
     if not proper:
@@ -195,7 +207,7 @@ def _sink_components(adj: dict) -> list:
 
 
 def split_on_tight_set(
-    inst: Instance, z, minor=default_minor, restrict_last: bool = False
+    inst: Instance, z, minor=default_minor, restrict_last: bool = False, tableaux=None
 ) -> Reduction:
     """Split into the restriction to Z and the contraction of Z.
 
@@ -203,6 +215,7 @@ def split_on_tight_set(
     restriction part runs first, so a designated last-step element of the
     contraction part stays last.  ``restrict_last`` flips the order, which is
     equally valid and keeps a last-step element inside Z last instead.
+    Given tableaux, they are split in place between the two sides.
     """
     z = _as_frozen(z)
     m = inst.matroid
@@ -225,13 +238,20 @@ def split_on_tight_set(
         inst.forbidden - z,
     )
     cert = ReductionCertificate("tight_split", {"z": z, "restrict_last": restrict_last})
+    child_tableaux = None
+    if tableaux is not None:
+        rest: dict = {}  # id of a tableau -> its part outside z
+        for tab in tableaux:
+            if id(tab) not in rest:
+                rest[id(tab)] = tab.split(z)
+        child_tableaux = [tableaux, tuple(rest[id(tab)] for tab in tableaux)]
 
     def lift(seq_z, seq_rest):
         if restrict_last:
             return list(seq_rest) + list(seq_z)
         return list(seq_z) + list(seq_rest)
 
-    return Reduction([child_z, child_rest], cert, lift)
+    return Reduction([child_z, child_rest], cert, lift, child_tableaux)
 
 
 # -- triads ------------------------------------------------------------------
@@ -257,47 +277,54 @@ def find_triangle(m: Matroid, cover=None):
     return find_triad(m.dual(), cover)
 
 
-def make_consistent_on_triad(inst: Instance, triad):
+def make_consistent_on_triad(inst: Instance, triad, tableaux=None):
     """Fix-up exchanges making both pairs split the triad the same way.
 
     Returns (step_x, step_y, fixed_instance); each step is None when the
     corresponding pair needs no change.  At most one exchange per pair is
     needed; among valid consistent combinations the one with fewest steps
-    wins, then the lexicographically smallest.
+    wins, then the lexicographically smallest.  A step's validity is read
+    from ``tableaux`` when given, else from the rank oracle.
     """
-    t = tuple(sorted(_as_frozen(triad)))
+    tset = _as_frozen(triad)
+    t = tuple(sorted(tset))
     m = inst.matroid
 
-    def candidates(pair: BasisPair):
-        inside = pair.first & set(t)
+    def valid(pair: BasisPair, tabs, step) -> bool:
+        if step is None:
+            return True
+        if tabs is None:
+            return is_valid_exchange(BasisPair(pair.first, pair.second, m), step)
+        e, f = step
+        return tabs[0].exchangeable(e, f) and tabs[1].exchangeable(f, e)
+
+    def candidates(pair: BasisPair, tabs):
+        """(step, triad elements of the first basis after it) per valid
+        consistent split of the pair: one lone triad element on one side."""
+        inside = pair.first & tset
+        if len(inside) not in (1, 2):
+            raise ReductionError("triad must meet both bases")
         out = []
         for lone in t:
-            rest = frozenset(x for x in t if x != lone)
-            if len(inside) == 2:
-                cand = BasisPair(
-                    (pair.first - set(t)) | rest, (pair.second - set(t)) | {lone}, m
-                )
-            elif len(inside) == 1:
-                cand = BasisPair(
-                    (pair.first - set(t)) | {lone}, (pair.second - set(t)) | rest, m
-                )
-            else:
-                raise ReductionError("triad must meet both bases")
-            moved_out = pair.first - cand.first
-            moved_in = cand.first - pair.first
-            if moved_out:
-                step = ExchangeStep(min(moved_out), min(moved_in))
-            else:
-                step = None
-            if m.is_basis(cand.first) and m.is_basis(cand.second):
-                out.append((step, cand))
+            first_t = tset - {lone} if len(inside) == 2 else frozenset({lone})
+            step = None
+            if first_t != inside:
+                step = ExchangeStep(min(inside - first_t), min(first_t - inside))
+            if valid(pair, tabs, step):
+                out.append((step, first_t))
         return out
 
+    def fixed_pair(pair: BasisPair, first_t) -> BasisPair:
+        second_t = tset - first_t
+        if pair.first & tset == first_t and pair.second & tset == second_t:
+            return BasisPair(pair.first, pair.second, m)
+        return BasisPair((pair.first - tset) | first_t, (pair.second - tset) | second_t, m)
+
+    tabs_x, tabs_y = (None, None) if tableaux is None else (tableaux[:2], tableaux[2:])
     best = None
-    for step_x, cand_x in candidates(inst.x):
-        for step_y, cand_y in candidates(inst.y):
-            cx = cand_x.first & set(t)
-            if cx not in (cand_y.first & set(t), cand_y.second & set(t)):
+    for step_x, cx in candidates(inst.x, tabs_x):
+        for step_y, cy in candidates(inst.y, tabs_y):
+            if cx != cy and cx != tset - cy:
                 continue
             cost = (step_x is not None) + (step_y is not None)
             key = (
@@ -306,15 +333,18 @@ def make_consistent_on_triad(inst: Instance, triad):
                 tuple(step_y) if step_y else (),
             )
             if best is None or key < best[0]:
-                best = (key, step_x, step_y, cand_x, cand_y)
+                best = (key, step_x, step_y, cx, cy)
     if best is None:
         raise AssertionError("no consistent triad split exists; this cannot happen")
-    _, step_x, step_y, cand_x, cand_y = best
+    _, step_x, step_y, cx, cy = best
+    cand_x, cand_y = fixed_pair(inst.x, cx), fixed_pair(inst.y, cy)
     fixed = Instance(m, cand_x, cand_y, inst.forbidden)
     return step_x, step_y, fixed
 
 
-def reduce_triad(inst: Instance, triad, minor=default_minor) -> Reduction:
+def reduce_triad(
+    inst: Instance, triad, minor=default_minor, tableaux=None, dual: bool = False
+) -> Reduction:
     """Shrink along a triad: contract one of its first-basis elements and
     delete the second-basis one.
 
@@ -324,11 +354,21 @@ def reduce_triad(inst: Instance, triad, minor=default_minor) -> Reduction:
     two steps, chosen by testing which intermediate pair consists of bases.
     Width is preserved on surviving elements and length grows by at most the
     number of t1 usages.
+
+    With ``dual``, ``triad`` is a triangle of M, a triad of M*, and the
+    child lives on (M* / t2 \\ t3)* = M / t3 \\ t2.  The pairs must be
+    disjoint and covering: then a pair of bases of M is also one of M*, and
+    an exchange is valid in both or in neither, so the fix-ups and the lift
+    ask M itself.  Given tableaux, the fix-ups pivot copies of them, and
+    they become the child's in place.
     """
     t = _as_frozen(triad)
     if inst.forbidden & t:
         raise ReductionError("forbidden set must avoid the triad")
-    step_x, step_y, fixed = make_consistent_on_triad(inst, t)
+    m = inst.matroid
+    if dual and (inst.x.first & inst.x.second or inst.x.union != m.ground):
+        raise ReductionError("a triangle reduction needs a disjoint covering pair")
+    step_x, step_y, fixed = make_consistent_on_triad(inst, t, tableaux)
 
     swapped = len(fixed.x.first & t) == 1
     if swapped:
@@ -345,13 +385,25 @@ def reduce_triad(inst: Instance, triad, minor=default_minor) -> Reduction:
     else:
         raise ReductionError("pairs are not consistent on the triad")
 
-    child_m = minor(inst.matroid, frozenset({t2}), frozenset({t3}))
+    contract, delete = (t3, t2) if dual else (t2, t3)
+    child_m = minor(m, frozenset({contract}), frozenset({delete}))
     child = Instance(
         child_m,
         BasisPair(work.x.first - {t2}, work.x.second - {t3}, child_m),
         BasisPair(y_child.first, y_child.second, child_m),
         work.forbidden,
     )
+    child_tableaux = None
+    if tableaux is not None:
+        x1, x2, y1, y2 = tableaux
+        if step_x:
+            x1, x2 = _exchanged(x1, x2, step_x)
+        if step_y:
+            y1, y2 = _exchanged(y1, y2, step_y)
+        fixed_tableaux = (x2, x1, y2, y1) if swapped else (x1, x2, y1, y2)
+        for tab in {id(tab): tab for tab in fixed_tableaux}.values():
+            tab.minor(contract, delete)
+        child_tableaux = [fixed_tableaux]
     cert = ReductionCertificate(
         "triad",
         {
@@ -405,7 +457,17 @@ def reduce_triad(inst: Instance, triad, minor=default_minor) -> Reduction:
         suffix = [step_y.reversed()] if step_y else []
         return prefix + out + suffix
 
-    return Reduction([child], cert, lift)
+    return Reduction([child], cert, lift, child_tableaux)
+
+
+def _exchanged(first: Tableau, second: Tableau, step) -> tuple:
+    """Tableaux of a pair after ``step``: pivoted copies, since the other
+    pair may share a basis with this one."""
+    e, f = step
+    first, second = first.copy(), second.copy()
+    first.pivot(e, f)
+    second.pivot(f, e)
+    return first, second
 
 
 # -- rank at most two ---------------------------------------------------------

@@ -8,9 +8,17 @@ are checked against an implementation-independent path.
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
-from baseswap.matroid import GroundSetError, Matroid, Multigraph, graphic_matroid
-from baseswap.exchange import BasisPair
+from baseswap.matroid import Gf2Matroid, GroundSetError, Matroid, Multigraph, graphic_matroid
+from baseswap.exchange import (
+    BasisPair,
+    ExchangeStep,
+    ForbiddenElementError,
+    SequenceValidationError,
+    apply_step,
+    is_valid_exchange,
+)
 from baseswap.special import K5_EDGES
 from baseswap.structure import Leaf
 
@@ -35,6 +43,48 @@ def dt():
     m = graphic_matroid(DT_EDGES)
     x = BasisPair(frozenset({0, 2}), frozenset({1, 3}), m)
     return m, x
+
+
+_vertices = st.one_of(st.integers(0, 4), st.sampled_from(["a", "b", "c", "0"]))
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 12 edges on up to 9 vertices of mixed types: loops, parallel
+    edges and several components are common."""
+    ids = draw(st.lists(st.integers(0, 20), unique=True, max_size=12))
+    return Multigraph({e: (draw(_vertices), draw(_vertices)) for e in ids})
+
+
+@st.composite
+def gf2_matrices(draw):
+    """Four-bit columns over up to nine elements: zero columns (loops) and
+    repeated columns (parallel pairs) are common."""
+    return Gf2Matroid(draw(st.dictionaries(st.integers(0, 12), st.integers(0, 15), max_size=9)))
+
+
+def random_basis(m, rng) -> frozenset:
+    """The greedy basis for an order drawn from ``rng``."""
+    basis: set = set()
+    for e in rng.sample(sorted(m.ground), len(m.ground)):
+        if m.rank(basis | {e}) > len(basis):
+            basis.add(e)
+    return frozenset(basis)
+
+
+def reference_replay(pair, seq, forbidden=()):
+    """``apply_and_validate`` by its rank-based reference: one
+    ``is_valid_exchange`` per step."""
+    avoid = frozenset(forbidden)
+    current = pair
+    for k, step in enumerate(seq):
+        step = ExchangeStep(*step)
+        if step.e in avoid or step.f in avoid:
+            raise ForbiddenElementError(k, step.e if step.e in avoid else step.f)
+        if not is_valid_exchange(current, step):
+            raise SequenceValidationError(k, "invalid exchange {step}", step=step)
+        current = apply_step(current, step)
+    return current
 
 
 def subsets(elems, max_size=None):
@@ -300,3 +350,18 @@ class EvenCycleMatroid(Matroid):
 def r10_even_cycle_backend():
     """R10 as the even-cycle matroid of K5, an independent representation."""
     return EvenCycleMatroid(Multigraph(dict(enumerate(K5_EDGES))))
+
+
+def r10_two_sum_tree():
+    """Tree JSON of R10 2-summed with a second copy of R10: 18 elements, rank
+    9, with no tight set, triad or triangle, so only the 2-sum route reduces
+    it."""
+    from baseswap.io import R10_LABELS
+
+    return {
+        "nodes": [
+            {"id": side, "tag": "r10", "labels": ["t"] + [f"{side}{l}" for l in R10_LABELS[1:]]}
+            for side in ("p", "q")
+        ],
+        "sums": [{"a": "p", "b": "q", "arity": 2, "shared": ["t"]}],
+    }

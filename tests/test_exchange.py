@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baseswap.exchange import (
     BasisPair,
@@ -11,15 +12,16 @@ from baseswap.exchange import (
     SequenceValidationError,
     UNREACHABLE,
     apply_and_validate,
+    apply_step,
     bfs_distances,
     bfs_oracle,
     compatible,
     is_valid_exchange,
 )
 from baseswap.io import sequence_to_text
-from baseswap.matroid import graphic_matroid
+from baseswap.matroid import GraphicMatroid, graphic_matroid
 
-from conftest import A, B, C, D, E, F
+from conftest import A, B, C, D, E, F, gf2_matrices, multigraphs, random_basis, reference_replay
 
 
 class TestValidity:
@@ -156,3 +158,49 @@ class TestBfsOracle:
         for first, d in dist.items():
             target = BasisPair(first, x.union - first, m)
             assert bfs_oracle(m, x, target).distance == d
+
+
+def _outcome(replay, pair, seq, forbidden):
+    """The final pair, or what the replay raised: type, index and culprit."""
+    try:
+        final = replay(pair, seq, forbidden)
+    except SequenceValidationError as err:
+        return type(err), err.index, err.step, err.element
+    return final.first, final.second
+
+
+class TestTableauReplay:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(gf2_matrices(), multigraphs().map(GraphicMatroid)),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_the_rank_reference(self, m, rng):
+        # mostly valid steps; some that apply to the pair but are invalid,
+        # some drawn from the whole ground set; and an F that some touch
+        pair = BasisPair(random_basis(m, rng), random_basis(m, rng), m)
+        ground = sorted(m.ground)
+        forbidden = frozenset(rng.sample(ground, min(len(ground), rng.randint(0, 2))))
+        seq, current = [], pair
+        for _ in range(rng.randint(0, 10)):
+            applying = [
+                ExchangeStep(e, f)
+                for e in sorted(current.first - current.second)
+                for f in sorted(current.second - current.first)
+            ]
+            valid = [s for s in applying if is_valid_exchange(current, s)]
+            invalid = [s for s in applying if s not in valid]
+            draw = rng.random()
+            if valid and draw < 0.7:
+                step = rng.choice(valid)
+            elif invalid and draw < 0.85:
+                step = rng.choice(invalid)
+            elif ground:
+                step = ExchangeStep(rng.choice(ground), rng.choice(ground))
+            else:
+                break
+            seq.append(step)
+            if is_valid_exchange(current, step):
+                current = apply_step(current, step)
+        got = _outcome(apply_and_validate, pair, seq, forbidden)
+        assert got == _outcome(reference_replay, pair, seq, forbidden)

@@ -26,6 +26,8 @@ from baseswap.io import (
 )
 from baseswap.exchange import ExchangeSequence
 
+from conftest import r10_two_sum_tree
+
 
 class TestGraphText:
     def test_round_trip_with_comments(self):
@@ -255,6 +257,25 @@ class TestCliRoundTrips:
         assert code == 1 and out.startswith("fail at step 3:")
         code, out, _ = self.run(capsys, "verify", str(inst), str(solved), "--last", "e7")
         assert code == 0 and out.strip() == "ok"
+
+    def test_sum_route_refusal_exits_3_naming_its_clause(self, tmp_path, capsys):
+        from baseswap.union import matroid_union_partition
+
+        tree = r10_two_sum_tree()
+        structure, labels = parse_tree(tree)
+        m = structure.matroid
+        x1, x2 = matroid_union_partition(m, m, m.ground)
+        inst = {
+            "matroid": {"kind": "tree", "tree": tree}, "mode": "gabow",
+            "x1": sorted(map(labels.label, x1)), "x2": sorted(map(labels.label, x2)),
+            "last": labels.label(min(x1)),
+        }
+        path = tmp_path / "r10r10.json"
+        path.write_text(json.dumps(inst))
+        code, _, err = self.run(capsys, "solve", str(path))
+        assert code == 3
+        assert "2-/3-sum routes take no forbidden set or designated last element" in err
+        assert "Traceback" not in err
 
     def test_verify_catches_forbidden_use(self, tmp_path, capsys):
         inst = {

@@ -12,7 +12,6 @@ from baseswap.matroid import (
     GroundSetError,
     Matroid,
     MinorMatroid,
-    Multigraph,
     SumSpec,
     graphic_matroid,
 )
@@ -27,6 +26,9 @@ from conftest import (
     brute_sum_rank_fn,
     DefinitionalSum,
     dfs_forest_rank,
+    gf2_matrices,
+    multigraphs,
+    random_basis,
     reference_contract_edges,
     subsets,
 )
@@ -81,18 +83,9 @@ class TestRank:
 
 # vertex names mix ints and strings; few of them, so loops and parallel edges
 # are common
-_vertices = st.one_of(st.integers(0, 4), st.sampled_from(["a", "b", "c", "0"]))
-
-
-@st.composite
-def _multigraphs(draw):
-    ids = draw(st.lists(st.integers(0, 20), unique=True, max_size=12))
-    return Multigraph({e: (draw(_vertices), draw(_vertices)) for e in ids})
-
-
 class TestContraction:
     @settings(max_examples=300, deadline=None)
-    @given(_multigraphs(), st.sets(st.integers(-2, 24), max_size=10))
+    @given(multigraphs(), st.sets(st.integers(-2, 24), max_size=10))
     def test_one_pass_matches_per_edge_reference(self, g, contracted):
         # contracted ids may be absent from the graph or loops by their turn
         got = g.contract_edges(contracted)
@@ -101,7 +94,7 @@ class TestContraction:
         assert g.contract_edges(frozenset(contracted)).edges == got.edges
 
     @settings(max_examples=300, deadline=None)
-    @given(_multigraphs(), st.data())
+    @given(multigraphs(), st.data())
     def test_forest_rank_matches_dfs_oracle(self, g, data):
         subset = data.draw(st.lists(st.sampled_from(sorted(g.edges)), unique=True)
                            if g.edges else st.just([]))
@@ -239,14 +232,12 @@ class TestGf2:
 
 @st.composite
 def _gf2_minor_cases(draw):
-    # four-bit columns over up to nine elements: zero columns (loops) and
-    # repeated columns (parallel pairs) are common
-    cols = draw(st.dictionaries(st.integers(0, 12), st.integers(0, 15), max_size=9))
-    ground = sorted(cols)
+    m = draw(gf2_matrices())
+    ground = sorted(m.ground)
     contract = draw(st.sets(st.sampled_from(ground))) if ground else set()
     rest = [e for e in ground if e not in contract]
     delete = draw(st.sets(st.sampled_from(rest))) if rest else set()
-    return Gf2Matroid(cols), frozenset(contract), frozenset(delete)
+    return m, frozenset(contract), frozenset(delete)
 
 
 class TestGf2Minor:
@@ -300,6 +291,123 @@ class TestGf2FundamentalCircuits:
                 m.fundamental_circuits(drawn)
             with pytest.raises(GroundSetError):
                 view.fundamental_circuits(drawn)
+
+
+def _drawn_near_basis(m, data) -> frozenset:
+    """A set of r - 1, r or r + 1 elements."""
+    if not m.ground:
+        return frozenset()
+    r = m.full_rank
+    size = data.draw(st.integers(max(r - 1, 0), min(r + 1, len(m.ground))))
+    elems = st.sampled_from(sorted(m.ground))
+    return frozenset(data.draw(st.sets(elems, min_size=size, max_size=size)))
+
+
+def _mask(elements) -> int:
+    return sum(1 << x for x in elements)
+
+
+class TestGraphFundamentalCircuits:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_one_forest_matches_generic(self, g, data):
+        # loops, parallel edges and several components: the generic method
+        # on a rank-only view of the same graph is the reference
+        m = GraphicMatroid(g)
+        view = MinorMatroid(m, frozenset(), frozenset())
+        assert m.fundamental_circuits() == view.fundamental_circuits()
+        drawn = _drawn_near_basis(m, data)
+        if m.is_basis(drawn):
+            got = m.fundamental_circuits(drawn)
+            assert got == view.fundamental_circuits(drawn)
+            assert got[0] == drawn
+        else:
+            with pytest.raises(GroundSetError):
+                m.fundamental_circuits(drawn)
+            with pytest.raises(GroundSetError):
+                view.fundamental_circuits(drawn)
+
+
+_binary_matroids = st.one_of(gf2_matrices(), multigraphs().map(GraphicMatroid))
+
+
+class TestTableau:
+    @settings(max_examples=300, deadline=None)
+    @given(_binary_matroids, st.randoms(use_true_random=False))
+    def test_pivots_match_a_fresh_build(self, m, rng):
+        basis = random_basis(m, rng)
+        tab = m.tableau(basis)
+        # the backend's own build against circuits from rank queries alone
+        generic = Matroid.tableau(MinorMatroid(m, frozenset(), frozenset()), basis)
+        assert (tab.circuits, tab.cocircuits) == (generic.circuits, generic.cocircuits)
+        for _ in range(rng.randint(0, 8)):
+            for f in tab.circuits:
+                for b in basis:
+                    assert tab.exchangeable(b, f) == m.is_basis(basis - {b} | {f})
+            options = sorted((b, f) for f in tab.circuits for b in basis if tab.exchangeable(b, f))
+            if not options:
+                break
+            b, f = rng.choice(options)
+            tab.pivot(b, f)
+            basis = basis - {b} | {f}
+            fresh = m.tableau(basis)
+            assert (tab.circuits, tab.cocircuits) == (fresh.circuits, fresh.cocircuits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_binary_matroids, st.randoms(use_true_random=False))
+    def test_minor_matches_a_fresh_build(self, m, rng):
+        # contract an element of B and delete one outside it, or delete an
+        # element of B on the circuit of the contracted one; bits at the two
+        # removed elements are not read
+        basis = random_basis(m, rng)
+        tab = m.tableau(basis)
+        options = [(c, d) for c in sorted(basis) for d in sorted(tab.circuits)]
+        options += [(c, d) for c in sorted(tab.circuits) for d in sorted(basis)
+                    if tab.exchangeable(d, c)]
+        if not options:
+            return
+        c, d = rng.choice(options)
+        tab.minor(c, d)
+        child = m.minor(contract={c}, delete={d})
+        fresh = child.tableau(basis - {c, d})
+        keep = _mask(child.ground)
+        assert {e: x & keep for e, x in tab.circuits.items()} == fresh.circuits
+        assert {b: x & keep for b, x in tab.cocircuits.items()} == fresh.cocircuits
+
+    def test_split_on_a_tight_set_matches_fresh_builds(self):
+        # E - delta(u) at a degree-2 vertex u of a bispanning graph is tight,
+        # and each tree of the pair holds one edge at u
+        from baseswap.gen import random_bispanning_graph
+
+        splits = 0
+        for seed in range(12):
+            g, pair = random_bispanning_graph(10, random.Random(seed))
+            low = sorted((v for v, d in g.degree().items() if d == 2), key=str)
+            if not low:
+                continue
+            m = GraphicMatroid(g)
+            z = m.ground - g.incident(low[0])
+            inside_m, outside_m = m.minor(delete=m.ground - z), m.minor(contract=z)
+            for basis in (pair.first, pair.second):
+                tab = m.tableau(basis)
+                outside = tab.split(z)
+                for part, child, child_basis in (
+                    (tab, inside_m, basis & z), (outside, outside_m, basis - z)
+                ):
+                    fresh = child.tableau(child_basis)
+                    keep = _mask(child.ground)
+                    assert {e: x & keep for e, x in part.circuits.items()} == fresh.circuits
+                    assert {b: x & keep for b, x in part.cocircuits.items()} == fresh.cocircuits
+                splits += 1
+        assert splits >= 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(gf2_matrices(), st.randoms(use_true_random=False))
+    def test_dual_columns_represent_the_dual(self, m, rng):
+        dual = Gf2Matroid(m.tableau(random_basis(m, rng)).dual_columns())
+        lazy = DualMatroid(m)
+        for s in subsets(m.ground, max_size=4):
+            assert dual.rank(s) == lazy.rank(s)
 
 
 def k3_matroid(first_id, vertex_base=0):

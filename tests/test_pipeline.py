@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from baseswap.exchange import BasisPair, ExchangeSequence, apply_and_validate, bfs_oracle
+from baseswap.exchange import (
+    BasisPair,
+    ExchangeSequence,
+    apply_and_validate,
+    bfs_oracle,
+    check_reversal,
+)
 from baseswap.matroid import (
     Gf2Matroid,
     GraphicMatroid,
@@ -44,7 +50,7 @@ from baseswap.structure import (
 from baseswap.union import matroid_union_partition
 from baseswap.gen import random_exchange_walk, random_bispanning_graph, random_forbidden_set
 
-from conftest import K4_EDGES, brute_sum_rank_fn, definitional_matroid, subsets
+from conftest import K4_EDGES, brute_sum_rank_fn, definitional_matroid, r10_two_sum_tree, subsets
 
 
 def remark_construction():
@@ -443,6 +449,60 @@ class TestTreeLoadedInstances:
         final = apply_and_validate(x, report.sequence)
         assert final.first == y.first
         assert solve_gabow(structure, x).length == m.full_rank == 7
+
+
+class TestSumRouteAndSearch:
+    @pytest.mark.parametrize("mode", ["white", "gabow"])
+    def test_r10_two_sum_solves_through_the_route(self, mode):
+        from baseswap.io import parse_tree
+
+        structure, _ = parse_tree(r10_two_sum_tree())
+        m = structure.matroid
+        assert len(m.ground) == 18 and m.full_rank == 9
+        x, view = partition_pair(structure)
+        if mode == "gabow":
+            y = x.swapped()
+            report = solve_gabow(structure, x)
+            check_reversal(x, report.sequence)
+        else:
+            walk = random_exchange_walk(view, x, 6, random.Random(5))
+            y = BasisPair(walk.first, walk.second, m)
+            report = solve_white(structure, x, y)
+        kinds = [n.kind for n in report.trace.flatten()]
+        assert kinds[1] == "two_sum" and kinds[2:] == ["bfs", "bfs"]
+        final = apply_and_validate(x, report.sequence)
+        assert (final.first, final.second) == (y.first, y.second)
+        assert report.length <= report.bound_length and report.width <= report.bound_width
+
+    def test_sum_route_refusal_names_its_clause(self):
+        # beyond the search cap, F or a designated last element leaves the
+        # 2-sum tree without a route; the error says why
+        from baseswap.io import parse_tree
+
+        structure, _ = parse_tree(r10_two_sum_tree())
+        m = structure.matroid
+        x, view = partition_pair(structure)
+        clause = "take no forbidden set or designated last element"
+        with pytest.raises(UnsupportedStructureError, match=clause):
+            solve_gabow(structure, x, last=min(x.first))
+        walk = random_exchange_walk(view, x, 3, random.Random(1))
+        y = BasisPair(walk.first, walk.second, m)
+        stay = min(x.first & y.first)
+        with pytest.raises(UnsupportedStructureError, match=clause):
+            solve_white(structure, x, y, forbidden={stay})
+
+    def test_r10_reversal_ends_on_each_element(self):
+        # R10 is irreducible and under the cap: the search appends a final
+        # step through the designated element to a monotone search
+        from baseswap.special import r10_matroid, r10_fixture_pair
+
+        m = r10_matroid()
+        x = r10_fixture_pair(m)
+        for last in sorted(m.ground):
+            report = solve_gabow(m, x, last=last)
+            assert report.length == 5 and last in report.sequence.steps[-1]
+            check_reversal(x, report.sequence, last)
+            assert [n.kind for n in report.trace.flatten()] == ["solve", "bfs"]
 
 
 def test_library_has_no_assert_statements():
