@@ -10,7 +10,8 @@ explicit stack; only the sum routes, which call the engine once per side,
 add Python stack depth.  On a GF(2) or graph frame the strips are followed
 by one tableau per basis of the two pairs; the searches and fix-ups read
 them, and each reduction hands its children tableaux derived from them, so
-they are built once per solve.  Reductions are recorded as certificates so
+they are built once per solve and once more where a cographic leaf is
+solved on its graph.  Reductions are recorded as certificates so
 a solve can be replayed; the report carries the width/length guarantees for
 the mode.
 """
@@ -35,6 +36,7 @@ from .exchange import (
 from .reductions import (
     Instance,
     IncompatiblePairsError,
+    PairTableaux,
     ReductionError,
     delete_uncovered,
     contract_common,
@@ -243,16 +245,14 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
     if graph is not None and struct.tag == "cographic":
         # the pair is disjoint and covering here, so a cographic pair is
         # also a pair of spanning trees, and the graph is solved as a
-        # graphic leaf
+        # graphic leaf.  Tableaux handed down from a sum are those of the
+        # dual matroid, so the graph builds its own
         struct = graphic_leaf(graph)
         m = struct.matroid
         inst = _on(m, inst)
+        tableaux = None
     if tableaux is None and isinstance(m, (Gf2Matroid, GraphicMatroid)):
-        built: dict = {}  # equal bases share a tableau
-        tableaux = tuple(
-            built[b] if b in built else built.setdefault(b, m.tableau(b))
-            for b in (inst.x.first, inst.x.second, inst.y.first, inst.y.second)
-        )
+        tableaux = PairTableaux.of(inst)
 
     triad = None
     if graph is not None:
@@ -265,7 +265,7 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         z, triad = (m.ground - star, None) if kind == "degree2" else (None, star)
     else:
         pair = BasisPair(inst.x.first, inst.x.second)
-        z = find_nontrivial_tight_set(m, pair, tableaux and tableaux[:2])
+        z = find_nontrivial_tight_set(m, pair, tableaux and tableaux.x)
 
     if z is not None:
         restrict_last = last is not None and last in z
@@ -294,7 +294,7 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
     cover = m.ground - inst.forbidden - {last}
     fast = isinstance(m, Gf2Matroid)
     if triad is None:
-        triad = find_triad_fast(m, cover, tableaux[0]) if fast else find_triad(m, cover)
+        triad = find_triad_fast(m, cover, tableaux.x[0]) if fast else find_triad(m, cover)
     if triad is not None:
         record = []
         red = reduce_triad(inst, triad, minor=_recording_factory(struct, record), tableaux=tableaux)

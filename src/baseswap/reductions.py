@@ -7,11 +7,9 @@ and, where stated, the element used in the last step.  Certificates record
 what was applied so a solve can be replayed deterministically.
 
 The tight-set split and the triad reduction take, optionally, the tableaux
-of the instance's bases (``Tableau``), a 4-tuple aligned with (x.first,
-x.second, y.first, y.second) in which equal bases share one tableau.  The
-fix-up checks then read bits, and the reduction hands the tableaux on to
-its children, updated in place.  Without them the same questions go to the
-rank oracle.
+of the instance's bases (``PairTableaux``).  The fix-up checks then read
+bits, and the reduction hands the tableaux on to its children, updated in
+place.  Without them the same questions go to the rank oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .matroid import Matroid, GroundSetError, Tableau, _as_frozen, _bits
+from .matroid import Matroid, GroundSetError, _as_frozen, _bits
 from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible, is_valid_exchange
 
 
@@ -58,6 +56,68 @@ class Instance:
         return self.matroid.full_rank
 
 
+class PairTableaux:
+    """The tableaux of an instance's four bases: ``x`` holds those of
+    x.first and x.second, ``y`` those of y.first and y.second.  Equal bases
+    share one tableau, so each update is made once per distinct basis.  The
+    updates follow the reductions: ``split`` along a tight set, ``fixed``
+    for the triad fix-ups and ``minor`` for the triad's child."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: tuple, y: tuple):
+        self.x = x
+        self.y = y
+
+    @classmethod
+    def of(cls, inst: Instance) -> "PairTableaux":
+        built: dict = {}
+
+        def tab(basis):
+            if basis not in built:
+                built[basis] = inst.matroid.tableau(basis)
+            return built[basis]
+
+        return cls(
+            (tab(inst.x.first), tab(inst.x.second)), (tab(inst.y.first), tab(inst.y.second))
+        )
+
+    def _distinct(self):
+        return {id(tab): tab for tab in self.x + self.y}.values()
+
+    def split(self, z: frozenset) -> "PairTableaux":
+        """Keep the tableaux of the bases' parts inside the tight set z, in
+        M | z, and return those of the parts outside it, in M / z."""
+        rest = {id(tab): tab.split(z) for tab in self._distinct()}
+        return PairTableaux(
+            tuple(rest[id(tab)] for tab in self.x), tuple(rest[id(tab)] for tab in self.y)
+        )
+
+    def fixed(self, step_x, step_y, swapped: bool) -> "PairTableaux":
+        """The tableaux after the fix-up steps (None for no step), and with
+        each pair's two bases trading places when ``swapped``.  A step
+        pivots copies, since the other pair may share a basis."""
+
+        def exchanged(pair, step):
+            if step is None:
+                return pair
+            e, f = step
+            first, second = pair[0].copy(), pair[1].copy()
+            first.pivot(e, f)
+            second.pivot(f, e)
+            return first, second
+
+        x, y = exchanged(self.x, step_x), exchanged(self.y, step_y)
+        if swapped:
+            x, y = x[::-1], y[::-1]
+        return PairTableaux(x, y)
+
+    def minor(self, contract: int, delete: int) -> None:
+        """Move every tableau to M / contract \\ delete (``Tableau.minor``)."""
+        for tab in self._distinct():
+            tab.minor(contract, delete)
+
+
 @dataclass(frozen=True)
 class ReductionCertificate:
     kind: str
@@ -69,8 +129,8 @@ class Reduction:
     """One applied reduction: child instances, certificate, and a lifter.
 
     ``lift`` takes one solved sequence per child (in order) and returns the
-    list of parent steps.  ``tableaux`` holds, per child, the tableaux of
-    its bases when the parent's were given.
+    list of parent steps.  ``tableaux`` holds, per child, the
+    ``PairTableaux`` of its bases when the parent's were given.
     """
 
     children: list
@@ -238,13 +298,7 @@ def split_on_tight_set(
         inst.forbidden - z,
     )
     cert = ReductionCertificate("tight_split", {"z": z, "restrict_last": restrict_last})
-    child_tableaux = None
-    if tableaux is not None:
-        rest: dict = {}  # id of a tableau -> its part outside z
-        for tab in tableaux:
-            if id(tab) not in rest:
-                rest[id(tab)] = tab.split(z)
-        child_tableaux = [tableaux, tuple(rest[id(tab)] for tab in tableaux)]
+    child_tableaux = None if tableaux is None else [tableaux, tableaux.split(z)]
 
     def lift(seq_z, seq_rest):
         if restrict_last:
@@ -320,7 +374,7 @@ def make_consistent_on_triad(inst: Instance, triad, tableaux=None):
             return BasisPair(pair.first, pair.second, m)
         return BasisPair((pair.first - tset) | first_t, (pair.second - tset) | second_t, m)
 
-    tabs_x, tabs_y = (None, None) if tableaux is None else (tableaux[:2], tableaux[2:])
+    tabs_x, tabs_y = (None, None) if tableaux is None else (tableaux.x, tableaux.y)
     best = None
     for step_x, cx in candidates(inst.x, tabs_x):
         for step_y, cy in candidates(inst.y, tabs_y):
@@ -395,14 +449,8 @@ def reduce_triad(
     )
     child_tableaux = None
     if tableaux is not None:
-        x1, x2, y1, y2 = tableaux
-        if step_x:
-            x1, x2 = _exchanged(x1, x2, step_x)
-        if step_y:
-            y1, y2 = _exchanged(y1, y2, step_y)
-        fixed_tableaux = (x2, x1, y2, y1) if swapped else (x1, x2, y1, y2)
-        for tab in {id(tab): tab for tab in fixed_tableaux}.values():
-            tab.minor(contract, delete)
+        fixed_tableaux = tableaux.fixed(step_x, step_y, swapped)
+        fixed_tableaux.minor(contract, delete)
         child_tableaux = [fixed_tableaux]
     cert = ReductionCertificate(
         "triad",
@@ -458,16 +506,6 @@ def reduce_triad(
         return prefix + out + suffix
 
     return Reduction([child], cert, lift, child_tableaux)
-
-
-def _exchanged(first: Tableau, second: Tableau, step) -> tuple:
-    """Tableaux of a pair after ``step``: pivoted copies, since the other
-    pair may share a basis with this one."""
-    e, f = step
-    first, second = first.copy(), second.copy()
-    first.pivot(e, f)
-    second.pivot(f, e)
-    return first, second
 
 
 # -- rank at most two ---------------------------------------------------------

@@ -244,7 +244,7 @@ def find_triangle_fast(m: Gf2Matroid, cover=None):
 
 def find_triad_fast(m: Gf2Matroid, cover=None, tableau=None):
     """Lexicographically first 3-element cocircuit inside ``cover``: a
-    triangle of the dual, whose matrix is ``tableau`` (of any basis of m)
-    transposed, or ``m.dual()`` without one."""
-    dual = m.dual() if tableau is None else Gf2Matroid(tableau.dual_columns())
+    triangle of the dual, whose matrix is ``tableau`` (of any basis of m,
+    default the greedy one) transposed."""
+    dual = Gf2Matroid((tableau or m.tableau()).dual_columns())
     return find_triangle_fast(dual, cover)

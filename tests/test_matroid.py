@@ -81,8 +81,6 @@ class TestRank:
             assert m.rank(s) == dfs_forest_rank(edges, s)
 
 
-# vertex names mix ints and strings; few of them, so loops and parallel edges
-# are common
 class TestContraction:
     @settings(max_examples=300, deadline=None)
     @given(multigraphs(), st.sets(st.integers(-2, 24), max_size=10))

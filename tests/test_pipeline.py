@@ -372,6 +372,24 @@ class TestMoreStructure:
         assert white[0] == white[1] and white[0].length > 0
         assert gabow[0] == gabow[1] and h in gabow[0].steps[-1]
 
+    def test_cographic_leaf_in_a_one_sum(self):
+        # a tight split of the sum hands its cographic side tableaux of
+        # M*(G); the graph that side is solved on needs its own, of M(G)
+        for seed in range(40):
+            rng = random.Random(seed)
+            g1, _ = random_bispanning_graph(rng.randint(4, 8), rng)
+            g2, _ = random_bispanning_graph(rng.randint(3, 6), rng)
+            g2 = Multigraph({e + 1000: uv for e, uv in g2.edges.items()})
+            sides = [cographic_leaf(g1), graphic_leaf(g2)]
+            rng.shuffle(sides)
+            node = compose_structures(*sides, SumSpec(1))
+            x, view = partition_pair(node)
+            walk = random_exchange_walk(view, x, 12, rng)
+            y = BasisPair(walk.first, walk.second, node.matroid)
+            final = apply_and_validate(x, solve_white(node, x, y).sequence)
+            assert (final.first, final.second) == (y.first, y.second)
+            check_reversal(x, solve_gabow(node, x).sequence)
+
 
 def remark_tree_json():
     """The same construction expressed as a decomposition-tree file."""

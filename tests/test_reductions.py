@@ -10,9 +10,10 @@ from baseswap.exchange import (
     apply_and_validate,
     is_valid_exchange,
 )
-from baseswap.matroid import GroundSetError, graphic_matroid
+from baseswap.matroid import GraphicMatroid, GroundSetError, graphic_matroid
 from baseswap.reductions import (
     Instance,
+    PairTableaux,
     ReductionError,
     contract_common,
     delete_uncovered,
@@ -253,6 +254,43 @@ class TestTriads:
         inst = Instance(m, x, y, forbidden=frozenset({A}))
         with pytest.raises(ReductionError):
             reduce_triad(inst, frozenset({A, D, E}))
+
+
+class TestPairTableaux:
+    """The tableaux a reduction hands its children equal fresh builds on the
+    children's bases; bits at removed elements are not read."""
+
+    @staticmethod
+    def assert_fresh(tabs, child):
+        fresh = PairTableaux.of(child)
+        keep = sum(1 << e for e in child.matroid.ground)
+        for got, want in zip(tabs.x + tabs.y, fresh.x + fresh.y):
+            assert {e: c & keep for e, c in got.circuits.items()} == want.circuits
+            assert {b: c & keep for b, c in got.cocircuits.items()} == want.cocircuits
+
+    def test_reductions_hand_on_fresh_tableaux(self):
+        # short walks leave y sharing bases with x; both fix-ups, and a pair
+        # swap, must occur among the triad reductions
+        seen = set()
+        for seed in range(150):
+            rng = random.Random(seed)
+            g, x = random_bispanning_graph(rng.randint(4, 9), rng)
+            m = GraphicMatroid(g)
+            x = random_exchange_walk(m, x, rng.randint(0, 4), rng)
+            y = random_exchange_walk(m, x, rng.randint(0, 4), rng)
+            inst = Instance(m, x, y)
+            for t, dual in ((find_triad(m), False), (find_triangle(m), True)):
+                if t is not None:
+                    red = reduce_triad(inst, t, tableaux=PairTableaux.of(inst), dual=dual)
+                    self.assert_fresh(red.tableaux[0], red.children[0])
+                    payload = red.certificate.payload
+                    seen |= {k for k in ("fix_x", "fix_y", "swapped") if payload[k]}
+            z = find_nontrivial_tight_set(m, x)
+            if z is not None:
+                red = split_on_tight_set(inst, z, tableaux=PairTableaux.of(inst))
+                for tabs, child in zip(red.tableaux, red.children):
+                    self.assert_fresh(tabs, child)
+        assert seen == {"fix_x", "fix_y", "swapped"}
 
 
 class TestRankLeTwo:
