@@ -33,20 +33,36 @@ def pick_reduction_vertex(graph: Multigraph, forbidden=(), last=None):
     """A degree-2 vertex, else a degree-3 vertex clear of F and the h edge.
 
     Assumes a covered bispanning graph with no common edges, where the degree
-    count sum d(v) = 2|E| <= 4(|V|-1) guarantees existence.
+    count sum d(v) = 2|E| <= 4(|V|-1) guarantees existence.  Degrees come
+    from the graph's incidence index; of several candidates the first in
+    ``sorted(vertices, key=str)`` order wins (``_first_by_name``).
     """
     deg = graph.degree()
-    order = sorted(deg, key=str)
-    for v in order:
-        if deg[v] == 2:
-            return v, "degree2"
+    two = [v for v, d in deg.items() if d == 2]
+    if two:
+        return _first_by_name(graph, two), "degree2"
     blocked = set(vertex_span(graph, _as_frozen(forbidden)))
     if last is not None:
         blocked |= set(graph.edges[last])
-    for v in order:
-        if deg[v] == 3 and v not in blocked:
-            return v, "degree3"
+    three = [v for v, d in deg.items() if d == 3 and v not in blocked]
+    if three:
+        return _first_by_name(graph, three), "degree3"
     raise AssertionError("no low-degree vertex available; this cannot happen")
+
+
+def _first_by_name(graph: Multigraph, candidates: list):
+    """The candidate that comes first when the vertices, listed in the order
+    the edges first reach them, are sorted by ``str``: the least name, and
+    among vertices with equal names (1 and "1") the first one reached."""
+    names = [str(v) for v in candidates]
+    least = min(names)
+    ties = [v for v, name in zip(candidates, names) if name == least]
+    if len(ties) == 1:
+        return ties[0]
+    for uv in graph.edges.values():
+        for w in uv:
+            if w in ties:
+                return w
 
 
 def solve_graphic_white(graph: Multigraph, x: BasisPair, y: BasisPair, forbidden=()):

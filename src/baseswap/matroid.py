@@ -6,7 +6,7 @@ minors (both) are explicit matroids of the same backend, and lazy dual and
 minor views of any other matroid; binary 1-/2-/3-sums are GF(2) matrices
 built in ``structure``.  Instances are immutable after construction and all
 queries are read-only, so values can be shared freely between threads; rank
-caches fill idempotently.
+caches and a graph's incidence index fill idempotently.
 
 A ``Tableau`` holds the fundamental circuits of one basis of a binary
 matroid as bitmasks and answers "is B - b + f a basis?" with one bit; an
@@ -381,10 +381,34 @@ class Multigraph:
 
     Vertices are arbitrary hashables.  Instances are treated as immutable;
     contraction and deletion return fresh graphs.
+
+    The incidence index maps each vertex to the ids of its edges, one id per
+    end, so a loop is listed twice.  ``incident`` and ``degree`` build it on
+    first use.  A minor of an indexed graph copies the parent's two dicts
+    and edits only the vertices it touches; one that drops more edges than
+    it keeps is built from scratch instead, and indexes itself when asked.
     """
 
     def __init__(self, edges: dict):
         self.edges = dict(edges)
+        self._ends = None  # the incidence index, once built
+
+    @classmethod
+    def _of(cls, edges: dict, ends=None) -> "Multigraph":
+        """A graph that takes ``edges`` (and the index ``ends``) as they are."""
+        graph = cls.__new__(cls)
+        graph.edges = edges
+        graph._ends = ends
+        return graph
+
+    def _index(self) -> dict:
+        if self._ends is None:
+            ends: dict = {}
+            for e, (u, v) in self.edges.items():
+                ends.setdefault(u, []).append(e)
+                ends.setdefault(v, []).append(e)
+            self._ends = {v: tuple(ids) for v, ids in ends.items()}
+        return self._ends
 
     def vertices(self) -> set:
         verts = set()
@@ -394,14 +418,11 @@ class Multigraph:
         return verts
 
     def degree(self) -> dict:
-        deg: dict = {}
-        for u, v in self.edges.values():
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        return deg
+        """{vertex: number of edge ends at it} for every vertex with an edge."""
+        return {v: len(ids) for v, ids in self._index().items()}
 
     def incident(self, vertex) -> frozenset:
-        return frozenset(e for e, (u, v) in self.edges.items() if vertex in (u, v))
+        return frozenset(self._index().get(vertex, ()))
 
     def restrict(self, edge_ids) -> "Multigraph":
         keep = _as_frozen(edge_ids)
@@ -409,7 +430,22 @@ class Multigraph:
 
     def delete_edges(self, edge_ids) -> "Multigraph":
         drop = _as_frozen(edge_ids)
-        return Multigraph({e: uv for e, uv in self.edges.items() if e not in drop})
+        edges, ends = self.edges, self._ends
+        if ends is None or 2 * len(drop) > len(edges):
+            return Multigraph._of({e: uv for e, uv in edges.items() if e not in drop})
+        kept, index = dict(edges), dict(ends)
+        touched = set()
+        for e in drop:
+            uv = kept.pop(e, None)
+            if uv is not None:
+                touched.update(uv)
+        for w in touched:
+            ids = tuple(x for x in index[w] if x not in drop)
+            if ids:
+                index[w] = ids
+            else:
+                del index[w]
+        return Multigraph._of(kept, index)
 
     def contract_edges(self, edge_ids) -> "Multigraph":
         """Contract the given edges in one union-find pass.
@@ -420,27 +456,60 @@ class Multigraph:
         the edges one at a time gives, so vertex names do not depend on how
         the contraction is carried out.  An edge that is a loop by its turn
         is deleted, ids not in the graph are ignored, and surviving edges
-        keep their order.
+        keep their order.  On an indexed graph only the edges at merged
+        vertices are renamed.
         """
         drop = _as_frozen(edge_ids)
-        edges = self.edges
+        edges, ends = self.edges, self._ends
         parent: dict = {}  # non-root vertex -> a vertex closer to its root
+        for e in sorted(drop):
+            uv = edges.get(e)
+            if uv is None:
+                continue
+            u, v = uv
+            while u in parent:
+                up = parent[u]
+                parent[u] = u = parent.get(up, up)  # to the grandparent
+            while v in parent:
+                vp = parent[v]
+                parent[v] = v = parent.get(vp, vp)
+            if u != v:
+                parent[v] = u
+        if ends is None or 2 * len(drop) > len(edges):
+            kept = {}
+            for e, (a, b) in edges.items():
+                if e not in drop:
+                    while a in parent:
+                        a = parent[a]
+                    while b in parent:
+                        b = parent[b]
+                    kept[e] = (a, b)
+            return Multigraph._of(kept)
 
         def root(x):
             while x in parent:
-                up = parent[x]
-                parent[x] = x = parent.get(up, up)  # to the grandparent
+                x = parent[x]
             return x
 
-        for e in sorted(drop):
-            if e in edges:
-                u, v = edges[e]
-                u, v = root(u), root(v)
-                if u != v:
-                    parent[v] = u
-        return Multigraph(
-            {e: (root(a), root(b)) for e, (a, b) in edges.items() if e not in drop}
-        )
+        kept, index = dict(edges), dict(ends)
+        groups: dict = {}  # root -> the ends of contracted edges that merge into it
+        for e in drop:
+            uv = kept.pop(e, None)
+            if uv is not None:
+                for w in uv:
+                    groups.setdefault(root(w), set()).add(w)
+        for r, members in groups.items():
+            ids = []
+            for w in members:
+                ids += [x for x in index.pop(w) if x not in drop]
+                if w != r:
+                    for x in ends[w]:
+                        if x not in drop:
+                            a, b = kept[x]
+                            kept[x] = (root(a), root(b))
+            if ids:
+                index[r] = tuple(ids)
+        return Multigraph._of(kept, index)
 
     def forest_rank(self, edge_ids) -> int:
         """Rank of an edge subset: vertices touched minus components."""

@@ -11,7 +11,8 @@ add Python stack depth.  On a GF(2) or graph frame the strips are followed
 by one tableau per basis of the two pairs; the searches and fix-ups read
 them, and each reduction hands its children tableaux derived from them, so
 they are built once per solve and once more where a cographic leaf is
-solved on its graph.  Reductions are recorded as certificates so
+solved on its graph.  A frame's rank is the size of a basis of its pair, so
+no frame asks the rank of its whole ground set.  Reductions are recorded as certificates so
 a solve can be replayed; the report carries the width/length guarantees for
 the mode.
 """
@@ -237,7 +238,7 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         if red is not None:
             return _one_child(red, record[0], last, out_trace)
 
-    if m.full_rank <= 2:
+    if len(inst.x.first) <= 2:  # the rank, read from a basis
         out_trace.append(TraceNode("rank_le2"))
         return list(solve_rank_le2(inst, h=last))
 

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .matroid import Matroid, GroundSetError, _as_frozen, _bits
+from .matroid import Matroid, GroundSetError, _as_frozen, _bits, _encode
 from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible, is_valid_exchange
 
 
@@ -50,10 +50,6 @@ class Instance:
         eligible = (self.x.first & self.y.first) | (self.x.second & self.y.second)
         if not self.forbidden <= eligible:
             raise ReductionError("forbidden set must stay inside matching intersections")
-
-    @property
-    def rank(self) -> int:
-        return self.matroid.full_rank
 
 
 class PairTableaux:
@@ -275,13 +271,15 @@ def split_on_tight_set(
     restriction part runs first, so a designated last-step element of the
     contraction part stays last.  ``restrict_last`` flips the order, which is
     equally valid and keeps a last-step element inside Z last instead.
-    Given tableaux, they are split in place between the two sides.
+    Given tableaux, they answer whether Z is tight (``_tight_in_tableaux``)
+    and are split in place between the two sides; without them the rank
+    oracle answers.
     """
     z = _as_frozen(z)
     m = inst.matroid
     if not z or z >= m.ground:
         raise ReductionError("tight set must be nonempty and proper")
-    if len(z) != 2 * m.rank(z):
+    if not (_tight_in_tableaux(inst.x, tableaux.x, z) if tableaux else len(z) == 2 * m.rank(z)):
         raise ReductionError("set is not tight")
     m_z = minor(m, frozenset(), m.ground - z)
     m_rest = minor(m, z, frozenset())
@@ -306,6 +304,23 @@ def split_on_tight_set(
         return list(seq_z) + list(seq_rest)
 
     return Reduction([child_z, child_rest], cert, lift, child_tableaux)
+
+
+def _tight_in_tableaux(x: BasisPair, tabs, z: frozenset) -> bool:
+    """|Z| = 2 r(Z), read from the tableaux of x's bases: each basis B meets
+    Z in |Z|/2 elements and spans Z with them, that is, no element of Z - B
+    has a circuit that leaves Z (no C*(B, b) of a b outside Z meets Z).  The
+    mask of Z holds only elements of the ground set, so stale bits are
+    skipped.  The test is exact when x partitions the ground set, as after
+    the strips; for any other pair it may only wrongly say no."""
+    zmask = _encode(z)
+    for basis, tab in zip((x.first, x.second), tabs):
+        if 2 * len(basis & z) != len(z):
+            return False
+        cocircuits = tab.cocircuits
+        if any(cocircuits[b] & zmask for b in basis - z):
+            return False
+    return True
 
 
 # -- triads ------------------------------------------------------------------
@@ -405,7 +420,10 @@ def reduce_triad(
     Applies the consistency fix-ups first; the child instance lives on
     M / t2 \\ t3.  The lift re-inflates every intermediate pair (t2 joins the
     side holding t1, t3 the other side) and replaces each step using t1 by
-    two steps, chosen by testing which intermediate pair consists of bases.
+    two steps, chosen by testing which intermediate pair consists of bases:
+    the first option by one rank query, since one of its sets is a child
+    basis plus the contracted element, the second by two.  The parent's rank
+    is read from the child's pair, never from a query of its ground set.
     Width is preserved on surviving elements and length grows by at most the
     number of t1 usages.
 
@@ -467,8 +485,15 @@ def reduce_triad(
     parent_m = inst.matroid
 
     def lift(seq):
-        def both_bases(first, second):
-            return parent_m.is_basis(first) and parent_m.is_basis(second)
+        r = len(child.x.first) + 1  # the parent's rank
+
+        def basis(s):
+            return parent_m.rank(s) == r
+
+        def option_a(first, second):
+            # the member holding the contracted element is a basis of the
+            # child plus that element, so it is a basis; ask the other one
+            return basis(second if contract in first else first)
 
         out = []
         # the child's current pair, updated in place step by step
@@ -481,17 +506,17 @@ def reduce_triad(
                 out.append(step)
             elif e == t1:
                 # completed pair (cur1 + t2, cur2 + t3); two-step options
-                if both_bases(cur1 | {t3}, cur2 | {t2}):
+                if option_a(cur1 | {t3}, cur2 | {t2}):
                     out += (ExchangeStep(t2, t3), ExchangeStep(t1, f))
-                elif both_bases((cur1 - {t1}) | {t2, t3}, cur2 | {t1}):
+                elif basis((cur1 - {t1}) | {t2, t3}) and basis(cur2 | {t1}):
                     out += (ExchangeStep(t1, t3), ExchangeStep(t2, f))
                 else:
                     raise AssertionError("no feasible two-step replacement; this cannot happen")
             else:
                 # f == t1, completed pair (cur1 + t3, cur2 + t2)
-                if both_bases(cur1 | {t2}, cur2 | {t3}):
+                if option_a(cur1 | {t2}, cur2 | {t3}):
                     out += (ExchangeStep(t3, t2), ExchangeStep(e, t1))
-                elif both_bases(cur1 | {t1}, (cur2 - {t1}) | {t2, t3}):
+                elif basis(cur1 | {t1}) and basis((cur2 - {t1}) | {t2, t3}):
                     out += (ExchangeStep(t3, t1), ExchangeStep(e, t2))
                 else:
                     raise AssertionError("no feasible two-step replacement; this cannot happen")
@@ -518,7 +543,8 @@ def solve_rank_le2(inst: Instance, h=None) -> ExchangeSequence:
     uses it; a same-pair instance yields the empty sequence regardless.
     """
     m = inst.matroid
-    if m.full_rank > 2:
+    r = len(inst.x.first)
+    if r > 2:
         raise ReductionError("exhaustive base case only applies to rank <= 2")
     if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
         return ExchangeSequence()
@@ -534,9 +560,7 @@ def solve_rank_le2(inst: Instance, h=None) -> ExchangeSequence:
             for f in sorted(pair.second - pair.first):
                 if f in avoid or f in used:
                     continue
-                if m.is_basis(pair.first - {e} | {f}) and m.is_basis(
-                    pair.second - {f} | {e}
-                ):
+                if m.rank(pair.first - {e} | {f}) == r and m.rank(pair.second - {f} | {e}) == r:
                     yield ExchangeStep(e, f)
 
     def search(pair, used, trail):

@@ -117,7 +117,7 @@ def as_structure(source) -> "Leaf | SumNode":
     if isinstance(source, (Leaf, SumNode)):
         return source
     if isinstance(source, GraphicMatroid):
-        return graphic_leaf(source.graph)
+        return Leaf("graphic", source, source.graph)
     if isinstance(source, Gf2Matroid):
         return gf2_leaf(source)
     if isinstance(source, Matroid):

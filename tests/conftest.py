@@ -159,6 +159,36 @@ def reference_contract_edges(graph, edge_ids):
     return Multigraph(edges)
 
 
+def reference_degree(edges) -> dict:
+    """Edge ends per vertex, counted from the edge dict (a loop twice), with
+    the vertices in the order the edges first reach them."""
+    deg: dict = {}
+    for u, v in edges.values():
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    return deg
+
+
+def reference_pick_reduction_vertex(graph, forbidden=(), last=None):
+    """``graphic.pick_reduction_vertex`` by the scan it replaced: degrees
+    from the edge dict, vertices sorted by ``str`` (stable, so equal names
+    keep the order the edges reach them), the first of degree 2, else the
+    first of degree 3 that no forbidden edge and not the ``last`` edge
+    touches."""
+    deg = reference_degree(graph.edges)
+    order = sorted(deg, key=str)
+    for v in order:
+        if deg[v] == 2:
+            return v, "degree2"
+    blocked = {w for e in forbidden for w in graph.edges[e]}
+    if last is not None:
+        blocked |= set(graph.edges[last])
+    for v in order:
+        if deg[v] == 3 and v not in blocked:
+            return v, "degree3"
+    raise AssertionError("no low-degree vertex available; this cannot happen")
+
+
 def cycle_space_masks(m):
     """All cycles of a binary matroid as bitmasks, from its circuits."""
     elems = sorted(m.ground)

@@ -12,9 +12,11 @@ from baseswap.matroid import (
     GroundSetError,
     Matroid,
     MinorMatroid,
+    Multigraph,
     SumSpec,
     graphic_matroid,
 )
+from baseswap.graphic import pick_reduction_vertex
 from baseswap.structure import compose_sum
 
 from conftest import (
@@ -30,6 +32,8 @@ from conftest import (
     multigraphs,
     random_basis,
     reference_contract_edges,
+    reference_degree,
+    reference_pick_reduction_vertex,
     subsets,
 )
 
@@ -98,6 +102,59 @@ class TestContraction:
                            if g.edges else st.just([]))
         assert g.forest_rank(subset) == dfs_forest_rank(g.edges, subset)
         assert g.forest_rank(g.edges) == dfs_forest_rank(g.edges, g.edges)
+
+
+class TestIncidenceIndex:
+    """A minor of an indexed graph edits a copy of its parent's index; it
+    must read exactly as the same graph built from scratch."""
+
+    @staticmethod
+    def assert_reads_as(got, want: dict, data):
+        assert list(got.edges.items()) == list(want.items())
+        deg = reference_degree(want)
+        assert got.degree() == deg
+        for v in list(deg) + ["absent"]:
+            assert got.incident(v) == frozenset(e for e, uv in want.items() if v in uv)
+        ids = sorted(want)
+        forbidden = data.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()))
+        last = data.draw(st.none() | st.sampled_from(ids)) if ids else None
+        picks = []
+        for pick in (pick_reduction_vertex, reference_pick_reduction_vertex):
+            try:
+                picks.append(pick(got, forbidden, last))
+            except AssertionError:
+                picks.append("none")
+        assert picks[0] == picks[1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        multigraphs(),
+        st.lists(st.tuples(st.booleans(), st.sets(st.integers(-2, 24), max_size=6)), max_size=4),
+        st.data(),
+    )
+    def test_minor_chain_matches_fresh_graphs(self, g, chain, data):
+        # ids may be absent, loops or parallel; small sets take the indexed
+        # path and large ones the rebuild, in any order along the chain
+        self.assert_reads_as(g, g.edges, data)  # builds the index
+        want = dict(g.edges)
+        for contract, ids in chain:
+            if contract:
+                g = g.contract_edges(ids)
+                want = reference_contract_edges(Multigraph(want), ids).edges
+            else:
+                g = g.delete_edges(ids)
+                want = {e: uv for e, uv in want.items() if e not in ids}
+            self.assert_reads_as(g, want, data)
+
+    def test_equal_names_pick_the_first_vertex_reached(self):
+        # 0 and "0" sort alike; the sorted scan takes the one the edges reach
+        # first, though the contraction moved "0" behind 0 in the index
+        g = Multigraph({0: ("0", "a"), 1: ("0", "b"), 2: (0, "a"), 3: (0, "b"), 4: ("0", "c")})
+        g.degree()
+        h = g.contract_edges({4})
+        order = list(h.degree())
+        assert order.index(0) < order.index("0")
+        assert pick_reduction_vertex(h) == reference_pick_reduction_vertex(h) == ("0", "degree2")
 
 
 class TestBasis:

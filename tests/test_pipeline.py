@@ -606,3 +606,43 @@ def test_deep_graph_solve_needs_no_deep_python_stack(mode):
     assert 0 < sum(kinds.values()) <= 297
     if mode == "gabow":
         assert sum(kinds.values()) == 297
+
+
+@pytest.mark.parametrize("mode", ["white", "gabow"])
+def test_graph_solve_rank_query_budget(mode, monkeypatch):
+    # past the root's entry checks a graph solve reads ranks from its pairs
+    # and tableaux: the only rank queries left are the lift's basis checks
+    # and the rank <= 2 leaves' steps, none on more than r elements
+    import baseswap.pipeline as pipeline
+    from baseswap.cli import _gen_bispanning
+    from baseswap.io import parse_instance
+    from baseswap.matroid import Matroid
+
+    inst = parse_instance(_gen_bispanning(40, random.Random(0), mode))
+    m = inst["structure"].matroid
+    x = BasisPair(inst["x1"], inst["x2"], m)
+    queries = []  # (query size, whether it is the matroid's whole ground set)
+    engine, rank = pipeline._engine, Matroid.rank
+
+    def counted_engine(*args):
+        queries.append(None)  # entry checks are over
+        return engine(*args)
+
+    def counted_rank(self, subset):
+        if queries and isinstance(self, GraphicMatroid):
+            s = frozenset(subset)
+            queries.append((len(s), s == self.ground))
+        return rank(self, subset)
+
+    monkeypatch.setattr(pipeline, "_engine", counted_engine)
+    monkeypatch.setattr(Matroid, "rank", counted_rank)
+    if mode == "gabow":
+        report = solve_gabow(inst["structure"], x, last=inst["last"])
+    else:
+        y = BasisPair(inst["y1"], inst["y2"], m)
+        report = solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
+    sizes = [q for q in queries if q is not None]
+    assert report.rank == 39 and len(m.ground) == 78
+    assert sizes, "the lift asks the rank oracle"
+    assert max(size for size, _ in sizes) <= report.rank
+    assert sum(whole for _, whole in sizes) <= 1

@@ -10,7 +10,7 @@ from baseswap.exchange import (
     apply_and_validate,
     is_valid_exchange,
 )
-from baseswap.matroid import GraphicMatroid, GroundSetError, graphic_matroid
+from baseswap.matroid import Gf2Matroid, GraphicMatroid, GroundSetError, graphic_matroid
 from baseswap.reductions import (
     Instance,
     PairTableaux,
@@ -152,8 +152,71 @@ class TestTightSets:
 
     def test_not_tight_rejected(self, k4):
         m, x, y = k4
-        with pytest.raises(ReductionError):
-            split_on_tight_set(Instance(m, x, y), frozenset({A, B}))
+        inst = Instance(m, x, y)
+        for tabs in (None, PairTableaux.of(inst)):
+            # {A, B} meets X1 in two elements; {A, D} meets each basis once,
+            # but D's circuit in X1 leaves it
+            for z in ({A, B}, {A, D}):
+                with pytest.raises(ReductionError, match="set is not tight"):
+                    split_on_tight_set(inst, frozenset(z), tableaux=tabs)
+
+    @staticmethod
+    def partitioned_instances():
+        """(matroid, pair partitioning its ground set): bispanning graphs,
+        and the GF(2) matrices [I | A] for an invertible A; each pair is
+        moved by a short random walk."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            if seed % 2:
+                m, x = random_bispanning_graph(rng.randint(3, 7), rng)
+                m = GraphicMatroid(m)
+            else:
+                r = rng.randint(2, 5)
+                a = [1 << b for b in range(r)]
+                for _ in range(3 * r):  # column additions keep A invertible
+                    i, j = rng.sample(range(r), 2)
+                    a[i] ^= a[j]
+                cols = {b: 1 << b for b in range(r)}
+                cols.update({r + b: a[b] for b in range(r)})
+                m = Gf2Matroid(cols)
+                x = BasisPair(frozenset(range(r)), frozenset(range(r, 2 * r)), m)
+            yield m, random_exchange_walk(m, x, rng.randint(0, 4), rng)
+
+    def test_tableau_verdict_matches_rank(self):
+        # every tight set of a partitioned ground set, drawn sets, and drawn
+        # sets that meet each basis in the same number of elements; the
+        # tableaux carry stale bits at ids outside the ground set, which
+        # must be skipped
+        stale = 1 << 60 | 1 << 61
+        rng = random.Random(7)
+        verdicts = set()
+        for m, x in self.partitioned_instances():
+            assert m.is_basis(x.first) and m.is_basis(x.second)
+            inst = Instance(m, x, x)
+            ground = sorted(m.ground)
+            r = len(x.first)
+            drawn = set()
+            for _ in range(30):
+                drawn.add(frozenset(rng.sample(ground, rng.randint(1, len(ground) - 1))))
+                k = rng.randint(1, r - 1)
+                drawn.add(frozenset(rng.sample(sorted(x.first), k) + rng.sample(sorted(x.second), k)))
+            for z in set(brute_tight_sets(m)) | drawn:
+                tabs = PairTableaux.of(inst)
+                for tab in tabs.x:
+                    for masks in (tab.circuits, tab.cocircuits):
+                        masks.update((e, c | stale) for e, c in masks.items())
+                tight = len(z) == 2 * m.rank(z)
+                try:
+                    split_on_tight_set(inst, z, tableaux=tabs)
+                    verdict = True
+                except ReductionError as err:
+                    assert str(err) == "set is not tight"
+                    verdict = False
+                assert verdict == tight
+                verdicts.add((tight, 2 * len(x.first & z) == len(z)))
+        # tight sets, sets failing the count, and balanced sets that x.first
+        # does not span all occur
+        assert verdicts == {(True, True), (False, False), (False, True)}
 
 
 class TestTriads:
