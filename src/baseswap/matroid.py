@@ -17,6 +17,7 @@ reference.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 
@@ -34,6 +35,15 @@ class CompositionError(MatroidError):
 
 def _as_frozen(subset) -> frozenset:
     return subset if isinstance(subset, frozenset) else frozenset(subset)
+
+
+class _Forgetful(dict):
+    """A rank cache that stores nothing (``Matroid.uncached``)."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value) -> None:
+        pass
 
 
 class Matroid:
@@ -63,6 +73,14 @@ class Matroid:
             cached = self._rank(s)
             self._rank_cache[s] = cached
         return cached
+
+    def uncached(self) -> "Matroid":
+        """This matroid as a rank oracle that keeps no answers, for queries
+        that seldom repeat: a shallow copy with a cache that stores
+        nothing."""
+        view = copy.copy(self)
+        view._rank_cache = _Forgetful()
+        return view
 
     @property
     def full_rank(self) -> int:
@@ -161,6 +179,12 @@ class Matroid:
 
     def contract(self, subset) -> "Matroid":
         return self.minor(contract=subset)
+
+    def parallel_pair(self, a: int, b: int) -> "Matroid":
+        """The rank-1 matroid on {a, b} with neither a loop, which a minor
+        of this one is known to be; a GF(2) matrix unless the backend builds
+        one of its own kind."""
+        return Gf2Matroid({a: 1, b: 1})
 
 
 class Gf2Matroid(Matroid):
@@ -356,13 +380,18 @@ class Tableau:
         del self.circuits[delete]
         del self.cocircuits[contract]
 
-    def split(self, z: frozenset) -> "Tableau":
+    def split(self, z: frozenset, outside=None) -> "Tableau":
         """Keep B ∩ z in M | z and return the tableau of B - z in M / z, for
         a set z that holds the circuit of each of its elements outside B (a
-        tight set does, for every basis whose complement is a basis)."""
+        tight set does, for every basis whose complement is a basis).  Given
+        ``outside``, the ground set minus z, only its masks are visited."""
         parts = []
         for masks in (self.circuits, self.cocircuits):
-            parts.append({e: masks.pop(e) for e in [e for e in masks if e not in z]})
+            if outside is None:
+                moved = [e for e in masks if e not in z]
+            else:
+                moved = [e for e in outside if e in masks]
+            parts.append({e: masks.pop(e) for e in moved})
         return Tableau(*parts)
 
     def dual_columns(self) -> dict:
@@ -631,6 +660,12 @@ class GraphicMatroid(Matroid):
             cocircuits[x] = ends[node] | 1 << x
             ends[parent] ^= ends[node]
         return Tableau(circuits, cocircuits)
+
+    def parallel_pair(self, a: int, b: int) -> "GraphicMatroid":
+        """Two edges between the ends of a (never a loop here), so that a
+        graph frame stays a graph."""
+        ends = self.graph.edges[a]
+        return GraphicMatroid(Multigraph._of({a: ends, b: ends}))
 
     def _minor(self, c: frozenset, d: frozenset) -> "GraphicMatroid":
         """Explicit minor: the graph with d deleted and c contracted; an

@@ -19,8 +19,9 @@ the mode.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .matroid import Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen
 from .exchange import (
@@ -192,40 +193,126 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
 # -- the engine ----------------------------------------------------------------
 
 
-class _Lift(NamedTuple):
-    """A reduction whose ``arity`` children are being solved."""
-
-    lift: Callable
-    arity: int
-
-
 def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
     """Solve an instance on an explicit stack of frames (structure,
     instance, last, trace list, tableaux or None), so a chain of reductions
-    adds no Python stack depth.  A reduction pushes its lift and then its
-    children; once they are solved, their sequences are the top ``arity`` of
-    ``solved``."""
-    stack: list = [(struct, inst, last, out_trace, None)]
-    solved: list = []
+    adds no Python stack depth.  Each frame becomes a node of the reduction
+    tree: a leaf's list of steps, or a ``_Node`` holding its reduction's lift
+    data and its child nodes in the order the parent runs them.  Once every
+    frame is done, ``_lift_forward`` emits the sequence in one pass."""
+    root: list = [None]
+    stack: list = [((struct, inst, last, out_trace, None), root, 0)]
     while stack:
-        item = stack.pop()
-        if isinstance(item, _Lift):
-            k = len(solved) - item.arity
-            solved[k:] = [item.lift(*solved[k:])]
-            continue
-        out = _reduce(*item, mode, cap)
+        frame, slots, i = stack.pop()
+        out = _reduce(*frame, mode, cap)
         if isinstance(out, tuple):
-            lift, children = out
-            stack.append(_Lift(lift, len(children)))
-            stack.extend(reversed(children))
+            red, frames = out
+            kids = [None] * len(frames)
+            slots[i] = _Node(red.triad, kids)
+            for k in reversed(range(len(frames))):
+                stack.append((frames[k], kids, red.order.index(k)))
         else:
-            solved.append(out)
-    (steps,) = solved
-    return steps
+            slots[i] = out
+    return _lift_forward(root[0], inst.x)
+
+
+class _Node(NamedTuple):
+    """A reduction in the tree: its ``TriadLift`` (None for a strip or a
+    tight split) and its children's nodes, in the order the parent runs
+    them."""
+
+    triad: object
+    children: list
+
+
+def _lift_forward(root, x: BasisPair) -> list:
+    """The steps of the reduction tree ``root`` from the pair ``x``, in one
+    walk on an explicit stack.
+
+    Steps travel in the root's orientation; a node's ``parity`` says whether
+    its pairs are swapped against the root's.  A step of a leaf, or of a
+    triad's fix-ups or replacements, goes to the nearest enclosing triad
+    whose t1 it uses, found by bisecting that element's list of the depths
+    of the enclosing triads with it as t1.  That triad replaces it by two
+    steps, read off the child's current pair: the pair so far restricted to
+    the child's ground set, since every step emitted so far moved the child
+    or its descendants.  A step that reaches no triad is emitted and moves
+    the pair.  So each step is examined once, plus once per replacement."""
+    out = []
+    first, second = set(x.first), set(x.second)
+    chain = []  # the enclosing triads, outermost first: (lift, child parity)
+    levels: dict = {}  # t1 -> depths in ``chain`` of the triads with it as t1
+    work = [(_NODE, root, 0)]
+    while work:
+        item = work.pop()
+        tag = item[0]
+        if tag is _STEP:
+            _, a, b, depth = item
+            k = _nearest_triad(levels, a, b, depth)
+            if k < 0:
+                out.append(ExchangeStep(a, b))
+                first.discard(a)
+                first.add(b)
+                second.discard(b)
+                second.add(a)
+                continue
+            lift, parity = chain[k]
+            ground = lift.ground
+            if parity:
+                s1, s2 = lift.replace(b, a, second & ground, first & ground)
+                work += ((_STEP, s2.f, s2.e, k), (_STEP, s1.f, s1.e, k))
+            else:
+                s1, s2 = lift.replace(a, b, first & ground, second & ground)
+                work += ((_STEP, s2.e, s2.f, k), (_STEP, s1.e, s1.f, k))
+        elif tag is _NODE:
+            _, node, parity = item
+            depth = len(chain)
+            if not isinstance(node, _Node):  # a leaf's steps, in its orientation
+                if parity:
+                    work += ((_STEP, f, e, depth) for e, f in reversed(node))
+                else:
+                    work += ((_STEP, e, f, depth) for e, f in reversed(node))
+            elif node.triad is None:
+                work += ((_NODE, child, parity) for child in reversed(node.children))
+            else:
+                lift = node.triad
+                chain.append((lift, parity ^ lift.swapped))
+                levels.setdefault(lift.t1, []).append(depth)
+                (child,) = node.children
+                if lift.suffix:
+                    work.append((_STEP, *_oriented(lift.suffix, parity), depth))
+                work += ((_EXIT,), (_NODE, child, parity ^ lift.swapped))
+                if lift.prefix:
+                    work.append((_STEP, *_oriented(lift.prefix, parity), depth))
+        else:  # leaving the innermost triad
+            lift, _ = chain.pop()
+            levels[lift.t1].pop()
+    return out
+
+
+_STEP, _NODE, _EXIT = "step", "node", "exit"
+
+
+def _nearest_triad(levels: dict, a, b, depth: int) -> int:
+    """The depth of the innermost triad above ``depth`` whose t1 is a or
+    b, or -1: the forward pass examines each step through this once."""
+    k = -1
+    for elt in (a, b):
+        found = levels.get(elt)
+        if found:
+            at = bisect_left(found, depth)
+            if at and found[at - 1] > k:
+                k = found[at - 1]
+    return k
+
+
+def _oriented(step, parity) -> tuple:
+    e, f = step
+    return (f, e) if parity else (e, f)
 
 
 def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, cap: int):
-    """One step on a frame: its list of steps, or (lift, child frames)."""
+    """One step on a frame: its list of steps, or (reduction, child frames)."""
     m = inst.matroid
     if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
         out_trace.append(TraceNode("identity"))
@@ -288,7 +375,7 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
             wrapper = TraceNode("child")
             node.children.append(wrapper)
             frames.append((child_struct, child, child_last, wrapper.children, tabs))
-        return red.lift, frames
+        return red, frames
 
     # a triad or triangle holding an element of F or the designated last
     # element cannot be reduced; the fast finders need an explicit matrix
@@ -346,12 +433,16 @@ def _one_child(red, child_struct, last, out_trace: list, **extra):
     node.payload["child"] = _pair_summary(red.children[0])
     out_trace.append(node)
     child_tableaux = red.tableaux[0] if red.tableaux else None
-    return red.lift, [(child_struct, red.children[0], last, node.children, child_tableaux)]
+    return red, [(child_struct, red.children[0], last, node.children, child_tableaux)]
 
 
 def _recording_factory(struct, record: list):
-    def factory(_m, contract=(), delete=()):
-        sub = structure_minor(struct, contract, delete)
+    def factory(m, contract=(), delete=(), parallel=None):
+        if parallel is None:
+            sub = structure_minor(struct, contract, delete)
+        else:
+            # a parallel pair of the frame's backend: a graph stays a graph
+            sub = as_structure(m.parallel_pair(*parallel))
         record.append(sub)
         return sub.matroid
 

@@ -1,10 +1,15 @@
 """Instance reductions: uncovered elements, common elements, tight sets,
 size-three cocircuits, and the rank-two base case.
 
-Each reduction shrinks an instance and provides a lift that maps a solved
-sequence of the child instance back to the parent, preserving F-avoidance
-and, where stated, the element used in the last step.  Certificates record
-what was applied so a solve can be replayed deterministically.
+Each reduction shrinks an instance and records its lift as data: the order
+in which the parent runs its children's sequences, and for a triad the
+elements, fix-up steps and rank oracle that replace each child step using
+t1 (``TriadLift``).  ``Reduction.lift`` maps solved child sequences back to
+the parent one level at a time, preserving F-avoidance and, where stated,
+the element used in the last step; the engine (``pipeline``) instead lifts
+the whole reduction tree in one forward pass with the same replacement.
+Certificates record what was applied so a solve can be replayed
+deterministically.
 
 The tight-set split and the triad reduction take, optionally, the tableaux
 of the instance's bases (``PairTableaux``).  The fix-up checks then read
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .matroid import Matroid, GroundSetError, _as_frozen, _bits, _encode
 from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible, is_valid_exchange
@@ -81,10 +86,11 @@ class PairTableaux:
     def _distinct(self):
         return {id(tab): tab for tab in self.x + self.y}.values()
 
-    def split(self, z: frozenset) -> "PairTableaux":
+    def split(self, z: frozenset, outside: frozenset) -> "PairTableaux":
         """Keep the tableaux of the bases' parts inside the tight set z, in
-        M | z, and return those of the parts outside it, in M / z."""
-        rest = {id(tab): tab.split(z) for tab in self._distinct()}
+        M | z, and return those of the parts outside it, in M / z; only the
+        masks of ``outside``, the ground set minus z, move."""
+        rest = {id(tab): tab.split(z, outside) for tab in self._distinct()}
         return PairTableaux(
             tuple(rest[id(tab)] for tab in self.x), tuple(rest[id(tab)] for tab in self.y)
         )
@@ -120,22 +126,113 @@ class ReductionCertificate:
     payload: dict = field(default_factory=dict)
 
 
+class TriadLift:
+    """A triad reduction's lift as data.  The child lives on M / t2 \\ t3
+    (or M / t3 \\ t2 for a triangle, ``contract`` names which), in the
+    orientation of the fixed pairs, swapped when ``swapped``.  The parent
+    runs ``prefix`` (the x fix-up, or None), then the child's steps with each
+    one using t1 replaced by two (``replace``), then ``suffix`` (the reversed
+    y fix-up, or None).  Only the parent's rank oracle ``rank``, its rank
+    ``r`` and the child's ground set ``ground`` are kept, not the child.
+    The oracle keeps no answers (``Matroid.uncached``): the lifts of a whole
+    reduction tree run together, and their sets seldom repeat."""
+
+    __slots__ = ("t1", "t2", "t3", "contract", "swapped", "prefix", "suffix", "rank", "r", "ground")
+
+    def __init__(self, t1, t2, t3, contract, swapped, prefix, suffix, rank, r, ground):
+        self.t1, self.t2, self.t3 = t1, t2, t3
+        self.contract = contract
+        self.swapped = swapped
+        self.prefix = prefix
+        self.suffix = suffix
+        self.rank = rank
+        self.r = r
+        self.ground = ground
+
+    def _basis(self, s) -> bool:
+        return self.rank(s) == self.r
+
+    def _option_a(self, first, second) -> bool:
+        # the member holding the contracted element is a basis of the child
+        # plus that element, so it is a basis; ask the other one
+        return self._basis(second if self.contract in first else first)
+
+    def replace(self, e, f, first, second) -> tuple:
+        """The two parent steps for a child step (e, f) that uses t1, given
+        the child's pair (first, second) before it; steps and pair are in
+        the child's orientation.  The completed pair adds t2 to the side
+        holding t1 and t3 to the other; the first option asks one rank query,
+        the second two."""
+        t1, t2, t3 = self.t1, self.t2, self.t3
+        if e == t1:
+            # completed pair (first + t2, second + t3)
+            if self._option_a(first | {t3}, second | {t2}):
+                return ExchangeStep(t2, t3), ExchangeStep(t1, f)
+            if self._basis((first - {t1}) | {t2, t3}) and self._basis(second | {t1}):
+                return ExchangeStep(t1, t3), ExchangeStep(t2, f)
+        else:
+            # f == t1, completed pair (first + t3, second + t2)
+            if self._option_a(first | {t2}, second | {t3}):
+                return ExchangeStep(t3, t2), ExchangeStep(e, t1)
+            if self._basis(first | {t1}) and self._basis((second - {t1}) | {t2, t3}):
+                return ExchangeStep(t3, t1), ExchangeStep(e, t2)
+        raise AssertionError("no feasible two-step replacement; this cannot happen")
+
+    def lift(self, seq, start: BasisPair) -> list:
+        """The parent's steps for the child's sequence ``seq`` from the
+        child's start pair ``start``."""
+        t1 = self.t1
+        out = []
+        # the child's current pair, updated in place step by step
+        cur1, cur2 = set(start.first), set(start.second)
+        for step in seq:
+            e, f = step
+            if t1 != e and t1 != f:
+                out.append(ExchangeStep(e, f))
+            else:
+                out += self.replace(e, f, cur1, cur2)
+            cur1.discard(e)
+            cur1.add(f)
+            cur2.discard(f)
+            cur2.add(e)
+        if self.swapped:
+            out = [s.reversed() for s in out]
+        prefix = [self.prefix] if self.prefix else []
+        suffix = [self.suffix] if self.suffix else []
+        return prefix + out + suffix
+
+
 @dataclass
 class Reduction:
-    """One applied reduction: child instances, certificate, and a lifter.
+    """One applied reduction: child instances, certificate, and its lift as
+    data.
 
-    ``lift`` takes one solved sequence per child (in order) and returns the
-    list of parent steps.  ``tableaux`` holds, per child, the
-    ``PairTableaux`` of its bases when the parent's were given.
+    The parent runs its children's sequences in ``order`` (child indices),
+    each through ``triad`` for a triad reduction.  ``lift`` takes one solved
+    sequence per child (in child order) and returns the list of parent steps.
+    ``tableaux`` holds, per child, the ``PairTableaux`` of its bases when the
+    parent's were given.
     """
 
     children: list
     certificate: ReductionCertificate
-    lift: Callable
+    order: tuple = (0,)
+    triad: Optional[TriadLift] = None
     tableaux: Optional[list] = None
 
+    def lift(self, *seqs) -> list:
+        if self.triad is not None:
+            (seq,) = seqs
+            return self.triad.lift(seq, self.children[0].x)
+        return [step for i in self.order for step in seqs[i]]
 
-def default_minor(m: Matroid, contract=(), delete=()) -> Matroid:
+
+def default_minor(m: Matroid, contract=(), delete=(), parallel=None) -> Matroid:
+    """M / contract \\ delete.  ``parallel``, when given, names the two
+    elements of a minor known to be a parallel pair (rank 1, neither a
+    loop), which is then built directly (``Matroid.parallel_pair``)."""
+    if parallel is not None:
+        return m.parallel_pair(*parallel)
     return m.minor(contract=contract, delete=delete)
 
 
@@ -159,7 +256,7 @@ def delete_uncovered(inst: Instance, minor=default_minor) -> Optional[Reduction]
         inst.forbidden,
     )
     cert = ReductionCertificate("delete_uncovered", {"removed": removed})
-    return Reduction([child], cert, lambda seq: list(seq))
+    return Reduction([child], cert)
 
 
 def contract_common(inst: Instance, minor=default_minor) -> Optional[Reduction]:
@@ -177,7 +274,7 @@ def contract_common(inst: Instance, minor=default_minor) -> Optional[Reduction]:
         inst.forbidden - common,
     )
     cert = ReductionCertificate("contract_common", {"contracted": common})
-    return Reduction([child], cert, lambda seq: list(seq))
+    return Reduction([child], cert)
 
 
 # -- tight sets --------------------------------------------------------------
@@ -273,16 +370,25 @@ def split_on_tight_set(
     equally valid and keeps a last-step element inside Z last instead.
     Given tableaux, they answer whether Z is tight (``_tight_in_tableaux``)
     and are split in place between the two sides; without them the rank
-    oracle answers.
+    oracle answers.  With two elements outside Z (E - delta(u) at a degree-2
+    vertex u of a graph) M / Z has rank |E - Z| / 2 = 1 and each basis keeps
+    one of the two, so it is a parallel pair and is built as one, without
+    contracting Z.
     """
     z = _as_frozen(z)
     m = inst.matroid
     if not z or z >= m.ground:
         raise ReductionError("tight set must be nonempty and proper")
-    if not (_tight_in_tableaux(inst.x, tableaux.x, z) if tableaux else len(z) == 2 * m.rank(z)):
+    outside = m.ground - z
+    if not (
+        _tight_in_tableaux(inst.x, tableaux.x, z, outside) if tableaux else len(z) == 2 * m.rank(z)
+    ):
         raise ReductionError("set is not tight")
-    m_z = minor(m, frozenset(), m.ground - z)
-    m_rest = minor(m, z, frozenset())
+    m_z = minor(m, frozenset(), outside)
+    if len(outside) == 2:
+        m_rest = minor(m, z, frozenset(), parallel=tuple(sorted(outside)))
+    else:
+        m_rest = minor(m, z, frozenset())
     child_z = Instance(
         m_z,
         BasisPair(inst.x.first & z, inst.x.second & z, m_z),
@@ -296,27 +402,34 @@ def split_on_tight_set(
         inst.forbidden - z,
     )
     cert = ReductionCertificate("tight_split", {"z": z, "restrict_last": restrict_last})
-    child_tableaux = None if tableaux is None else [tableaux, tableaux.split(z)]
-
-    def lift(seq_z, seq_rest):
-        if restrict_last:
-            return list(seq_rest) + list(seq_z)
-        return list(seq_z) + list(seq_rest)
-
-    return Reduction([child_z, child_rest], cert, lift, child_tableaux)
+    child_tableaux = None if tableaux is None else [tableaux, tableaux.split(z, outside)]
+    order = (1, 0) if restrict_last else (0, 1)
+    return Reduction([child_z, child_rest], cert, order, tableaux=child_tableaux)
 
 
-def _tight_in_tableaux(x: BasisPair, tabs, z: frozenset) -> bool:
+def _tight_in_tableaux(x: BasisPair, tabs, z: frozenset, outside: frozenset) -> bool:
     """|Z| = 2 r(Z), read from the tableaux of x's bases: each basis B meets
     Z in |Z|/2 elements and spans Z with them, that is, no element of Z - B
     has a circuit that leaves Z (no C*(B, b) of a b outside Z meets Z).  The
-    mask of Z holds only elements of the ground set, so stale bits are
-    skipped.  The test is exact when x partitions the ground set, as after
-    the strips; for any other pair it may only wrongly say no."""
-    zmask = _encode(z)
-    for basis, tab in zip((x.first, x.second), tabs):
+    cocircuits are masked with the smaller of Z and ``outside`` (the ground
+    set minus Z).  The mask of Z holds only elements of the ground set, so
+    stale bits are skipped; a bit that a cocircuit holds beyond the mask of
+    ``outside`` is in Z exactly when it has a circuit of its own.  The test
+    is exact when x partitions the ground set, as after the strips; for any
+    other pair it may only wrongly say no."""
+    for basis in (x.first, x.second):
         if 2 * len(basis & z) != len(z):
             return False
+    if len(outside) < len(z):
+        keep = ~_encode(outside)
+        for basis, tab in zip((x.first, x.second), tabs):
+            circuits, cocircuits = tab.circuits, tab.cocircuits
+            for b in basis & outside:
+                if any(y in circuits for y in _bits(cocircuits[b] & keep)):
+                    return False
+        return True
+    zmask = _encode(z)
+    for basis, tab in zip((x.first, x.second), tabs):
         cocircuits = tab.cocircuits
         if any(cocircuits[b] & zmask for b in basis - z):
             return False
@@ -418,14 +531,14 @@ def reduce_triad(
     delete the second-basis one.
 
     Applies the consistency fix-ups first; the child instance lives on
-    M / t2 \\ t3.  The lift re-inflates every intermediate pair (t2 joins the
-    side holding t1, t3 the other side) and replaces each step using t1 by
-    two steps, chosen by testing which intermediate pair consists of bases:
-    the first option by one rank query, since one of its sets is a child
-    basis plus the contracted element, the second by two.  The parent's rank
-    is read from the child's pair, never from a query of its ground set.
-    Width is preserved on surviving elements and length grows by at most the
-    number of t1 usages.
+    M / t2 \\ t3.  The lift (``TriadLift``) re-inflates every intermediate
+    pair (t2 joins the side holding t1, t3 the other side) and replaces each
+    step using t1 by two steps, chosen by testing which intermediate pair
+    consists of bases: the first option by one rank query, since one of its
+    sets is a child basis plus the contracted element, the second by two.
+    The parent's rank is read from the child's pair, never from a query of
+    its ground set.  Width is preserved on surviving elements and length
+    grows by at most the number of t1 usages.
 
     With ``dual``, ``triad`` is a triangle of M, a triad of M*, and the
     child lives on (M* / t2 \\ t3)* = M / t3 \\ t2.  The pairs must be
@@ -482,55 +595,11 @@ def reduce_triad(
             "fix_y": tuple(step_y) if step_y else None,
         },
     )
-    parent_m = inst.matroid
-
-    def lift(seq):
-        r = len(child.x.first) + 1  # the parent's rank
-
-        def basis(s):
-            return parent_m.rank(s) == r
-
-        def option_a(first, second):
-            # the member holding the contracted element is a basis of the
-            # child plus that element, so it is a basis; ask the other one
-            return basis(second if contract in first else first)
-
-        out = []
-        # the child's current pair, updated in place step by step
-        cur1, cur2 = set(child.x.first), set(child.x.second)
-        for step in seq:
-            if not isinstance(step, ExchangeStep):
-                step = ExchangeStep(*step)
-            e, f = step
-            if t1 != e and t1 != f:
-                out.append(step)
-            elif e == t1:
-                # completed pair (cur1 + t2, cur2 + t3); two-step options
-                if option_a(cur1 | {t3}, cur2 | {t2}):
-                    out += (ExchangeStep(t2, t3), ExchangeStep(t1, f))
-                elif basis((cur1 - {t1}) | {t2, t3}) and basis(cur2 | {t1}):
-                    out += (ExchangeStep(t1, t3), ExchangeStep(t2, f))
-                else:
-                    raise AssertionError("no feasible two-step replacement; this cannot happen")
-            else:
-                # f == t1, completed pair (cur1 + t3, cur2 + t2)
-                if option_a(cur1 | {t2}, cur2 | {t3}):
-                    out += (ExchangeStep(t3, t2), ExchangeStep(e, t1))
-                elif basis(cur1 | {t1}) and basis((cur2 - {t1}) | {t2, t3}):
-                    out += (ExchangeStep(t3, t1), ExchangeStep(e, t2))
-                else:
-                    raise AssertionError("no feasible two-step replacement; this cannot happen")
-            cur1.discard(e)
-            cur1.add(f)
-            cur2.discard(f)
-            cur2.add(e)
-        if swapped:
-            out = [s.reversed() for s in out]
-        prefix = [step_x] if step_x else []
-        suffix = [step_y.reversed()] if step_y else []
-        return prefix + out + suffix
-
-    return Reduction([child], cert, lift, child_tableaux)
+    lift = TriadLift(
+        t1, t2, t3, contract, swapped, step_x, step_y.reversed() if step_y else None,
+        m.uncached().rank, len(child.x.first) + 1, child_m.ground,
+    )
+    return Reduction([child], cert, triad=lift, tableaux=child_tableaux)
 
 
 # -- rank at most two ---------------------------------------------------------

@@ -181,13 +181,58 @@ GOLDEN_SEQUENCES = {
 }
 
 
-@pytest.mark.parametrize("n, seed, mode", sorted(GOLDEN_SEQUENCES))
-def test_golden_sequences(n, seed, mode, tmp_path, capsys):
+# the same digest for `gen tree-composed --n 40` at one seed per shape
+# (graphic-graphic, graphic-R10 and graphic-F7 2-sums, the wheel-octahedron
+# 3-sum) and for `gen r10`, recorded before the engine lifted the whole
+# reduction tree in one forward pass: these solve on GF(2) frames
+GOLDEN_BEYOND_GRAPHS = {
+    ("tree-composed", 10, "white"): "c08c4d00cf98b4822a043b235f232603bb108ead7c677f8f13410e7662051902",
+    ("tree-composed", 10, "gabow"): "f4e4cb4feb51ab160d82eec620cb547abd04c1139c7b6271a8c62abc7554d397",
+    ("tree-composed", 22, "white"): "d6e389cdeb268223ec3ef5990e86c920c64626fbc0fbe2c18bde438ff4392730",
+    ("tree-composed", 22, "gabow"): "7ed0f645f862a3f399f5ed23b19b747a356f4104e6df396673e5fb1078e61822",
+    ("tree-composed", 23, "white"): "d1446932c5336e0eb6a30caddaaa9d840811310fe41c3ebcad5dc7c7ba770945",
+    ("tree-composed", 23, "gabow"): "e8fe6af3fcbce3cb289623d6624fa776f85b5ac1a1b7a6f56c71ee875344a6c5",
+    ("tree-composed", 17, "white"): "f5ecab7f4b3b3326d13752b032c9d0e0e752efa006026a6c9805ddf937da574b",
+    ("tree-composed", 17, "gabow"): "d47d44de7c2b7afaf888bc88311773faf762d6ad475df9690bbba9a6bc60ed8a",
+    ("r10", 0, "white"): "d4731b12e975c30a64da673789e19cc25711ddf9870bb3140a33d1539a37054f",
+    ("r10", 0, "gabow"): "788bba2efe42d1826699d97d0a8453ab413ccff1356ff215fad5b17944503089",
+}
+
+
+def _solve_digest(gen_args, tmp_path, capsys) -> str:
     inst = tmp_path / "inst.json"
-    assert main(["gen", "bispanning", "--n", str(n), "--seed", str(seed),
-                 "--mode", mode, "-o", str(inst)]) == 0
+    assert main(["gen", *gen_args, "-o", str(inst)]) == 0
     capsys.readouterr()
     assert main(["solve", str(inst), "--json"]) == 0
     steps = json.loads(capsys.readouterr().out)["steps"]
-    digest = hashlib.sha256(json.dumps(steps).encode()).hexdigest()
-    assert digest == GOLDEN_SEQUENCES[(n, seed, mode)]
+    return hashlib.sha256(json.dumps(steps).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, seed, mode", sorted(GOLDEN_SEQUENCES))
+def test_golden_sequences(n, seed, mode, tmp_path, capsys):
+    args = ["bispanning", "--n", str(n), "--seed", str(seed), "--mode", mode]
+    assert _solve_digest(args, tmp_path, capsys) == GOLDEN_SEQUENCES[(n, seed, mode)]
+
+
+@pytest.mark.parametrize("kind, seed, mode", sorted(GOLDEN_BEYOND_GRAPHS))
+def test_golden_sequences_beyond_graphs(kind, seed, mode, tmp_path, capsys):
+    args = [kind, "--seed", str(seed), "--mode", mode]
+    if kind == "tree-composed":
+        args += ["--n", "40"]
+    digest = _solve_digest(args, tmp_path, capsys)
+    assert digest == GOLDEN_BEYOND_GRAPHS[(kind, seed, mode)]
+
+
+def test_golden_trees_cover_every_shape():
+    # the seeds above draw each of the four tree-composed shapes once
+    from baseswap.cli import _gen_tree
+
+    shapes = set()
+    for seed in {seed for kind, seed, _ in GOLDEN_BEYOND_GRAPHS if kind == "tree-composed"}:
+        tree = _gen_tree(40, random.Random(seed), "gabow")["matroid"]["tree"]
+        tags = sorted(node["tag"] for node in tree["nodes"])
+        shapes.add((tuple(tags), tree["sums"][0]["arity"]))
+    assert shapes == {
+        (("graphic", "graphic"), 2), (("graphic", "r10"), 2), (("f7", "graphic"), 2),
+        (("graphic", "graphic"), 3),
+    }

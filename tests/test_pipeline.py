@@ -646,3 +646,39 @@ def test_graph_solve_rank_query_budget(mode, monkeypatch):
     assert sizes, "the lift asks the rank oracle"
     assert max(size for size, _ in sizes) <= report.rank
     assert sum(whole for _, whole in sizes) <= 1
+
+
+@pytest.mark.parametrize("mode", ["white", "gabow"])
+def test_graph_solve_lift_work_budget(mode, monkeypatch):
+    # the engine lifts the whole reduction tree in one forward pass: each
+    # step is examined once on its way out, and once more for each triad
+    # that replaces it, instead of once per level of every triad above it
+    import baseswap.pipeline as pipeline
+    from baseswap.cli import _gen_bispanning
+    from baseswap.io import parse_instance
+    from baseswap.reductions import TriadLift
+
+    inst = parse_instance(_gen_bispanning(80, random.Random(0), mode))
+    m = inst["structure"].matroid
+    x = BasisPair(inst["x1"], inst["x2"], m)
+    examined, replaced = [0], [0]
+    nearest, replace = pipeline._nearest_triad, TriadLift.replace
+
+    def counted_nearest(*args):
+        examined[0] += 1
+        return nearest(*args)
+
+    def counted_replace(self, *args):
+        replaced[0] += 1
+        return replace(self, *args)
+
+    monkeypatch.setattr(pipeline, "_nearest_triad", counted_nearest)
+    monkeypatch.setattr(TriadLift, "replace", counted_replace)
+    if mode == "gabow":
+        report = solve_gabow(inst["structure"], x, last=inst["last"])
+    else:
+        y = BasisPair(inst["y1"], inst["y2"], m)
+        report = solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
+    triads = sum(c.kind == "triad" for c in report.certificates)
+    assert report.rank == 79 and triads > 0 and replaced[0] > 0
+    assert report.length <= examined[0] <= report.length + replaced[0] + triads

@@ -26,6 +26,7 @@ from baseswap.reductions import (
     split_on_tight_set,
 )
 from baseswap.gen import random_bispanning_graph, random_exchange_walk
+from baseswap.structure import graphic_leaf
 
 from conftest import A, B, C, D, E, F, K4_EDGES, brute_tight_sets, subsets
 
@@ -183,13 +184,15 @@ class TestTightSets:
             yield m, random_exchange_walk(m, x, rng.randint(0, 4), rng)
 
     def test_tableau_verdict_matches_rank(self):
-        # every tight set of a partitioned ground set, drawn sets, and drawn
-        # sets that meet each basis in the same number of elements; the
-        # tableaux carry stale bits at ids outside the ground set, which
-        # must be skipped
+        # every tight set of a partitioned ground set, drawn sets, drawn
+        # sets that meet each basis in the same number of elements, and
+        # drawn sets with two elements outside; the tableaux carry stale
+        # bits at ids outside the ground set, which must be skipped.  The
+        # split without tableaux asks the rank oracle
         stale = 1 << 60 | 1 << 61
         rng = random.Random(7)
         verdicts = set()
+        two_outside = set()
         for m, x in self.partitioned_instances():
             assert m.is_basis(x.first) and m.is_basis(x.second)
             inst = Instance(m, x, x)
@@ -200,23 +203,69 @@ class TestTightSets:
                 drawn.add(frozenset(rng.sample(ground, rng.randint(1, len(ground) - 1))))
                 k = rng.randint(1, r - 1)
                 drawn.add(frozenset(rng.sample(sorted(x.first), k) + rng.sample(sorted(x.second), k)))
+                drawn.add(m.ground - {rng.choice(sorted(x.first)), rng.choice(sorted(x.second))})
             for z in set(brute_tight_sets(m)) | drawn:
                 tabs = PairTableaux.of(inst)
                 for tab in tabs.x:
                     for masks in (tab.circuits, tab.cocircuits):
                         masks.update((e, c | stale) for e, c in masks.items())
                 tight = len(z) == 2 * m.rank(z)
-                try:
-                    split_on_tight_set(inst, z, tableaux=tabs)
-                    verdict = True
-                except ReductionError as err:
-                    assert str(err) == "set is not tight"
-                    verdict = False
-                assert verdict == tight
+                for given in (tabs, None):
+                    try:
+                        split_on_tight_set(inst, z, tableaux=given)
+                        verdict = True
+                    except ReductionError as err:
+                        assert str(err) == "set is not tight"
+                        verdict = False
+                    assert verdict == tight
                 verdicts.add((tight, 2 * len(x.first & z) == len(z)))
+                if len(m.ground - z) == 2:
+                    two_outside.add(tight)
         # tight sets, sets failing the count, and balanced sets that x.first
-        # does not span all occur
+        # does not span all occur, and so do sets with two elements outside
+        # that are tight and that are not
         assert verdicts == {(True, True), (False, False), (False, True)}
+        assert two_outside == {True, False}
+
+    @staticmethod
+    def two_outside_splits():
+        """(instance, z) with exactly two elements outside the tight set z:
+        E - delta(u) at each degree-2 vertex u of bispanning graphs, on the
+        graph and on its GF(2) incidence matrix, with pairs moved by short
+        random walks."""
+        for seed in range(30):
+            rng = random.Random(seed)
+            g, pair = random_bispanning_graph(rng.randint(3, 9), rng)
+            for m in (GraphicMatroid(g), graphic_leaf(g).gf2):
+                x = random_exchange_walk(m, BasisPair(pair.first, pair.second, m), rng.randint(0, 4), rng)
+                y = random_exchange_walk(m, x, rng.randint(0, 4), rng)
+                for u, d in g.degree().items():
+                    if d == 2:
+                        yield Instance(m, x, y), m.ground - g.incident(u)
+
+    def test_two_outside_split_builds_the_contraction(self):
+        # the rest side is built as a parallel pair, not contracted; it must
+        # be M / Z all the same, of the frame's own backend, with fresh
+        # tableaux
+        backends = set()
+        for inst, z in self.two_outside_splits():
+            m = inst.matroid
+            want = m.minor(contract=z)
+            for tabs in (None, PairTableaux.of(inst)):
+                red = split_on_tight_set(inst, z, tableaux=tabs)
+                rest = red.children[1]
+                assert type(rest.matroid) is type(m)
+                assert rest.matroid.ground == want.ground and len(want.ground) == 2
+                for s in subsets(sorted(want.ground)):
+                    assert rest.matroid.rank(s) == want.rank(s)
+                for got, pair in ((rest.x, inst.x), (rest.y, inst.y)):
+                    assert (got.first, got.second) == (pair.first - z, pair.second - z)
+                Instance(want, rest.x, rest.y).validate()
+                if tabs is not None:
+                    for child_tabs, child in zip(red.tableaux, red.children):
+                        TestPairTableaux.assert_fresh(child_tabs, child)
+            backends.add(type(m))
+        assert backends == {GraphicMatroid, Gf2Matroid}
 
 
 class TestTriads:
@@ -335,6 +384,7 @@ class TestPairTableaux:
         # short walks leave y sharing bases with x; both fix-ups, and a pair
         # swap, must occur among the triad reductions
         seen = set()
+        two_outside = 0
         for seed in range(150):
             rng = random.Random(seed)
             g, x = random_bispanning_graph(rng.randint(4, 9), rng)
@@ -348,12 +398,18 @@ class TestPairTableaux:
                     self.assert_fresh(red.tableaux[0], red.children[0])
                     payload = red.certificate.payload
                     seen |= {k for k in ("fix_x", "fix_y", "swapped") if payload[k]}
-            z = find_nontrivial_tight_set(m, x)
-            if z is not None:
-                red = split_on_tight_set(inst, z, tableaux=PairTableaux.of(inst))
-                for tabs, child in zip(red.tableaux, red.children):
-                    self.assert_fresh(tabs, child)
+            # the minimal tight set, and E - delta(u) at each degree-2 vertex
+            # u, whose rest side is a parallel pair
+            tight = [find_nontrivial_tight_set(m, x)]
+            tight += [m.ground - g.incident(u) for u, d in g.degree().items() if d == 2]
+            for z in tight:
+                if z is not None:
+                    red = split_on_tight_set(inst, z, tableaux=PairTableaux.of(inst))
+                    for tabs, child in zip(red.tableaux, red.children):
+                        self.assert_fresh(tabs, child)
+                    two_outside += len(m.ground - z) == 2
         assert seen == {"fix_x", "fix_y", "swapped"}
+        assert two_outside > 100
 
 
 class TestRankLeTwo:
