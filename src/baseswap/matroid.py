@@ -380,18 +380,14 @@ class Tableau:
         del self.circuits[delete]
         del self.cocircuits[contract]
 
-    def split(self, z: frozenset, outside=None) -> "Tableau":
-        """Keep B ∩ z in M | z and return the tableau of B - z in M / z, for
-        a set z that holds the circuit of each of its elements outside B (a
-        tight set does, for every basis whose complement is a basis).  Given
-        ``outside``, the ground set minus z, only its masks are visited."""
+    def split(self, outside) -> "Tableau":
+        """Keep B ∩ z in M | z and return the tableau of B - z in M / z,
+        where z is the ground set minus ``outside`` and holds the circuit of
+        each of its elements outside B (a tight set does, for every basis
+        whose complement is a basis).  Only the masks of ``outside`` move."""
         parts = []
         for masks in (self.circuits, self.cocircuits):
-            if outside is None:
-                moved = [e for e in masks if e not in z]
-            else:
-                moved = [e for e in outside if e in masks]
-            parts.append({e: masks.pop(e) for e in moved})
+            parts.append({e: masks.pop(e) for e in [e for e in outside if e in masks]})
         return Tableau(*parts)
 
     def dual_columns(self) -> dict:

@@ -12,9 +12,14 @@ by one tableau per basis of the two pairs; the searches and fix-ups read
 them, and each reduction hands its children tableaux derived from them, so
 they are built once per solve and once more where a cographic leaf is
 solved on its graph.  A frame's rank is the size of a basis of its pair, so
-no frame asks the rank of its whole ground set.  Reductions are recorded as certificates so
-a solve can be replayed; the report carries the width/length guarantees for
-the mode.
+no frame asks the rank of its whole ground set.
+
+The frames build a tree of reductions, each with its lift as data, and one
+forward pass over the tree emits the sequence (``_lift_forward``): a step
+is examined once on its way out and once per triad that replaces it,
+rather than once per level above it.  Reductions are recorded as
+certificates so a solve can be replayed; the report carries the
+width/length guarantees for the mode.
 """
 
 from __future__ import annotations
@@ -225,6 +230,9 @@ class _Node(NamedTuple):
     children: list
 
 
+_STEP, _NODE, _EXIT = "step", "node", "exit"  # the forward pass's work items
+
+
 def _lift_forward(root, x: BasisPair) -> list:
     """The steps of the reduction tree ``root`` from the pair ``x``, in one
     walk on an explicit stack.
@@ -234,10 +242,11 @@ def _lift_forward(root, x: BasisPair) -> list:
     triad's fix-ups or replacements, goes to the nearest enclosing triad
     whose t1 it uses, found by bisecting that element's list of the depths
     of the enclosing triads with it as t1.  That triad replaces it by two
-    steps, read off the child's current pair: the pair so far restricted to
-    the child's ground set, since every step emitted so far moved the child
-    or its descendants.  A step that reaches no triad is emitted and moves
-    the pair.  So each step is examined once, plus once per replacement."""
+    steps, read off the child's current pair: the pair reached so far,
+    restricted to the child's ground set, since only the child's own steps
+    (lifted) have moved elements of that set.  A step that reaches no triad
+    is emitted and moves the pair.  So each step is examined once, plus once
+    per replacement."""
     out = []
     first, second = set(x.first), set(x.second)
     chain = []  # the enclosing triads, outermost first: (lift, child parity)
@@ -288,9 +297,6 @@ def _lift_forward(root, x: BasisPair) -> list:
             lift, _ = chain.pop()
             levels[lift.t1].pop()
     return out
-
-
-_STEP, _NODE, _EXIT = "step", "node", "exit"
 
 
 def _nearest_triad(levels: dict, a, b, depth: int) -> int:

@@ -86,11 +86,11 @@ class PairTableaux:
     def _distinct(self):
         return {id(tab): tab for tab in self.x + self.y}.values()
 
-    def split(self, z: frozenset, outside: frozenset) -> "PairTableaux":
-        """Keep the tableaux of the bases' parts inside the tight set z, in
-        M | z, and return those of the parts outside it, in M / z; only the
-        masks of ``outside``, the ground set minus z, move."""
-        rest = {id(tab): tab.split(z, outside) for tab in self._distinct()}
+    def split(self, outside: frozenset) -> "PairTableaux":
+        """Keep the tableaux of the bases' parts inside the tight set z, the
+        ground set minus ``outside``, in M | z, and return those of the parts
+        outside it, in M / z (``Tableau.split``)."""
+        rest = {id(tab): tab.split(outside) for tab in self._distinct()}
         return PairTableaux(
             tuple(rest[id(tab)] for tab in self.x), tuple(rest[id(tab)] for tab in self.y)
         )
@@ -402,7 +402,7 @@ def split_on_tight_set(
         inst.forbidden - z,
     )
     cert = ReductionCertificate("tight_split", {"z": z, "restrict_last": restrict_last})
-    child_tableaux = None if tableaux is None else [tableaux, tableaux.split(z, outside)]
+    child_tableaux = None if tableaux is None else [tableaux, tableaux.split(outside)]
     order = (1, 0) if restrict_last else (0, 1)
     return Reduction([child_z, child_rest], cert, order, tableaux=child_tableaux)
 

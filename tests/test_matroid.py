@@ -445,7 +445,7 @@ class TestTableau:
             inside_m, outside_m = m.minor(delete=m.ground - z), m.minor(contract=z)
             for basis in (pair.first, pair.second):
                 tab = m.tableau(basis)
-                outside = tab.split(z)
+                outside = tab.split(m.ground - z)
                 for part, child, child_basis in (
                     (tab, inside_m, basis & z), (outside, outside_m, basis - z)
                 ):
