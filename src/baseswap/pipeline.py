@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .matroid import Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen
 from .exchange import (
@@ -45,6 +45,7 @@ from .reductions import (
     IncompatiblePairsError,
     PairTableaux,
     ReductionError,
+    TriadLift,
     delete_uncovered,
     contract_common,
     find_nontrivial_tight_set,
@@ -222,11 +223,11 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
 
 
 class _Node(NamedTuple):
-    """A reduction in the tree: its ``TriadLift`` (None for a strip or a
+    """A reduction in the tree: its triad's lift (None for a strip or a
     tight split) and its children's nodes, in the order the parent runs
     them."""
 
-    triad: object
+    triad: Optional[TriadLift]
     children: list
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .matroid import Matroid, GroundSetError, _as_frozen, _bits, _encode
 from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible, is_valid_exchange
@@ -126,6 +126,7 @@ class ReductionCertificate:
     payload: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True, slots=True)
 class TriadLift:
     """A triad reduction's lift as data.  The child lives on M / t2 \\ t3
     (or M / t3 \\ t2 for a triangle, ``contract`` names which), in the
@@ -137,17 +138,16 @@ class TriadLift:
     The oracle keeps no answers (``Matroid.uncached``): the lifts of a whole
     reduction tree run together, and their sets seldom repeat."""
 
-    __slots__ = ("t1", "t2", "t3", "contract", "swapped", "prefix", "suffix", "rank", "r", "ground")
-
-    def __init__(self, t1, t2, t3, contract, swapped, prefix, suffix, rank, r, ground):
-        self.t1, self.t2, self.t3 = t1, t2, t3
-        self.contract = contract
-        self.swapped = swapped
-        self.prefix = prefix
-        self.suffix = suffix
-        self.rank = rank
-        self.r = r
-        self.ground = ground
+    t1: int
+    t2: int
+    t3: int
+    contract: int
+    swapped: bool
+    prefix: Optional[ExchangeStep]
+    suffix: Optional[ExchangeStep]
+    rank: Callable
+    r: int
+    ground: frozenset
 
     def _basis(self, s) -> bool:
         return self.rank(s) == self.r
