@@ -385,10 +385,14 @@ class Tableau:
         where z is the ground set minus ``outside`` and holds the circuit of
         each of its elements outside B (a tight set does, for every basis
         whose complement is a basis).  Only the masks of ``outside`` move."""
-        parts = []
-        for masks in (self.circuits, self.cocircuits):
-            parts.append({e: masks.pop(e) for e in [e for e in outside if e in masks]})
-        return Tableau(*parts)
+        circuits, cocircuits = self.circuits, self.cocircuits
+        rest = Tableau({}, {})
+        for e in outside:
+            if e in circuits:
+                rest.circuits[e] = circuits.pop(e)
+            else:
+                rest.cocircuits[e] = cocircuits.pop(e)
+        return rest
 
     def dual_columns(self) -> dict:
         """Columns of a GF(2) matrix of the dual matroid (the tableau
