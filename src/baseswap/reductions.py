@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .matroid import Matroid, GroundSetError, _as_frozen, _bits, _encode
+from .matroid import Matroid, GroundSetError, _as_frozen, _bits, _decode, _encode
 from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible, is_valid_exchange
 
 
@@ -287,76 +287,48 @@ def find_nontrivial_tight_set(m: Matroid, x: BasisPair, tableaux=None):
     exactly the sets closed under the arcs y -> C(y) - y, C(y) the fundamental
     circuit of y in the other basis, so minimal ones are the sink strongly
     connected components of that digraph; ties break to the lexicographically
-    smallest element set.  The arcs are read from ``tableaux``, those of
-    x.first and x.second, when given, else from the matroid's fundamental
-    circuits.
+    smallest element set, the sink whose least element is smallest.  The arcs
+    out of y are the circuit mask of y, and those into b the cocircuit mask
+    of b, read from ``tableaux``, those of x.first and x.second, when given,
+    else from the matroid's fundamental circuits.  Each mask is ANDed with
+    the ground set, so stale bits are skipped.
+
+    For each v in increasing order, v's component is a sink exactly when
+    everything v reaches also reaches v; when it is not, neither is that of
+    anything that reaches v.  The digraph is strongly connected, the usual
+    case, when the first v reaches and is reached by the whole ground set.
     """
     ground = m.ground
     if x.first & x.second or x.first | x.second != ground:
         raise GroundSetError("tight-set search needs a disjoint covering pair")
-    adj = {}
+    out: dict = {}  # y -> y and the heads of its arcs
+    into: dict = {}  # b -> b and the tails of its arcs
     for tab in tableaux or (m.tableau(x.first), m.tableau(x.second)):
-        basis = tab.cocircuits
-        for y, circuit in tab.circuits.items():
-            adj[y] = [b for b in _bits(circuit) if b in basis]
-    sinks = _sink_components(adj)
-    proper = [scc for scc in sinks if len(scc) < len(ground)]
-    if not proper:
-        return None
-    return min(proper, key=lambda s: tuple(sorted(s)))
-
-
-def _sink_components(adj: dict) -> list:
-    """Sink SCCs of a digraph, via iterative Tarjan."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components = []
-    counter = itertools.count()
-    comp_of: dict = {}
-
-    for root in sorted(adj):
-        if root in index:
+        out.update(tab.circuits)
+        into.update(tab.cocircuits)
+    full = _encode(ground)
+    not_sinks = 0
+    for v in sorted(ground):
+        if not_sinks >> v & 1:
             continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    comp_of[w] = len(components)
-                    if w == node:
-                        break
-                components.append(frozenset(comp))
-    sinks = []
-    for ci, comp in enumerate(components):
-        if all(comp_of[t] == ci for v in comp for t in adj[v]):
-            sinks.append(comp)
-    return sinks
+        reach = _closure(out, v, full)
+        reached_by = _closure(into, v, full)
+        if not reach & ~reached_by:
+            return None if reach == full else _decode(reach)
+        not_sinks |= reached_by
+
+
+def _closure(arcs: dict, v: int, full: int) -> int:
+    """The mask of the elements reachable from v along ``arcs``, each
+    element's mask of itself and its arc heads, within ``full``."""
+    seen = frontier = 1 << v
+    while frontier:
+        new = 0
+        for e in _bits(frontier):
+            new |= arcs[e]
+        frontier = new & full & ~seen
+        seen |= frontier
+    return seen
 
 
 def split_on_tight_set(

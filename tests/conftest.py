@@ -119,6 +119,81 @@ def brute_tight_sets(m):
     return out
 
 
+def reference_sinks(m, x, tableaux=None) -> list:
+    """The sink components of the digraph y -> C(y) - y of a disjoint
+    covering pair, decoded into adjacency lists (the circuit masks of the
+    tableaux, or of the pair's bases, keeping only bits of the other basis)
+    and found by Tarjan."""
+    adj = {}
+    for tab in tableaux or (m.tableau(x.first), m.tableau(x.second)):
+        basis = tab.cocircuits
+        for y, circuit in tab.circuits.items():
+            adj[y] = [b for b in range(circuit.bit_length()) if circuit >> b & 1 and b in basis]
+    return reference_sink_components(adj)
+
+
+def reference_tight_set(m, x, tableaux=None):
+    """``find_nontrivial_tight_set`` by the search it replaced: the
+    lexicographically smallest proper sink of ``reference_sinks``, or None."""
+    proper = [scc for scc in reference_sinks(m, x, tableaux) if len(scc) < len(m.ground)]
+    if not proper:
+        return None
+    return min(proper, key=lambda s: tuple(sorted(s)))
+
+
+def reference_sink_components(adj: dict) -> list:
+    """Sink strongly connected components of a digraph, via iterative Tarjan."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    components = []
+    counter = itertools.count()
+    comp_of: dict = {}
+
+    for root in sorted(adj):
+        if root in index:
+            continue
+        work = [(root, iter(adj[root]))]
+        index[root] = low[root] = next(counter)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = next(counter)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(adj[nxt])))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    comp_of[w] = len(components)
+                    if w == node:
+                        break
+                components.append(frozenset(comp))
+    sinks = []
+    for ci, comp in enumerate(components):
+        if all(comp_of[t] == ci for v in comp for t in adj[v]):
+            sinks.append(comp)
+    return sinks
+
+
 def dfs_forest_rank(edges, subset):
     """Graphic rank by DFS component counting; independent of union-find."""
     adj = {}

@@ -223,6 +223,51 @@ def test_golden_sequences_beyond_graphs(kind, seed, mode, tmp_path, capsys):
     assert digest == GOLDEN_BEYOND_GRAPHS[(kind, seed, mode)]
 
 
+# sha256 of the step lists of solves whose frames are minors of a sum node,
+# recorded before those minors stopped composing the tree at every level:
+# the 40 one-sum solves of ``test_cographic_leaf_in_a_one_sum`` (a side
+# empties and the sum collapses onto the other side), the remark tree of
+# ``remark_tree_json`` in both modes, and ``gen tree-composed --n 40 --seed
+# 1``, a graphic-R10 2-sum whose minors break the sum preconditions and fall
+# back to GF(2) leaves
+GOLDEN_SUM_MINORS = {
+    ("one-sum", "both"): "ea8763ce3a222034b8cf0ac0c4eeb092c09162b75b5b461443b4469b06fcdb3a",
+    ("remark", "white"): "73179ca00a1a0f57716e1e95eca8e4c38baba9431571e57ab4f0d5b587520172",
+    ("remark", "gabow"): "4262446f1f70a662f36d48eb5acae3b3432d8ca026e1593a0236a4fbc9dae211",
+    ("tree-composed", "white"): "c710ce8b4b073e853cb46ce4d7eaa75f8a97001cf71c6337a33324f10daea1f7",
+    ("tree-composed", "gabow"): "4878073eb5f10724da6c25956fb8226df641f1908080fc5bf1e557c45c98e182",
+}
+
+
+def _steps_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case, mode", sorted(GOLDEN_SUM_MINORS))
+def test_golden_sum_minors(case, mode, tmp_path, capsys):
+    from test_pipeline import one_sum_solves, partition_pair, remark_tree_json
+
+    if case == "one-sum":
+        digest = _steps_digest(
+            [[list(map(list, white.steps)), list(map(list, gabow.steps))]
+             for _, _, white, gabow in one_sum_solves()]
+        )
+    elif case == "remark":
+        from baseswap.io import parse_tree
+        from baseswap.pipeline import solve_gabow, solve_white
+
+        structure, labels = parse_tree(remark_tree_json())
+        x, view = partition_pair(structure)
+        walk = random_exchange_walk(view, x, 8, random.Random(17))
+        y = BasisPair(walk.first, walk.second, structure.matroid)
+        report = solve_white(structure, x, y) if mode == "white" else solve_gabow(structure, x)
+        digest = _steps_digest(report.sequence.to_json_obj(labels.label))
+    else:
+        args = ["tree-composed", "--n", "40", "--seed", "1", "--mode", mode]
+        digest = _solve_digest(args, tmp_path, capsys)
+    assert digest == GOLDEN_SUM_MINORS[(case, mode)]
+
+
 def test_golden_trees_cover_every_shape():
     # the seeds above draw each of the four tree-composed shapes once
     from baseswap.cli import _gen_tree

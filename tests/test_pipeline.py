@@ -375,20 +375,28 @@ class TestMoreStructure:
     def test_cographic_leaf_in_a_one_sum(self):
         # a tight split of the sum hands its cographic side tableaux of
         # M*(G); the graph that side is solved on needs its own, of M(G)
-        for seed in range(40):
-            rng = random.Random(seed)
-            g1, _ = random_bispanning_graph(rng.randint(4, 8), rng)
-            g2, _ = random_bispanning_graph(rng.randint(3, 6), rng)
-            g2 = Multigraph({e + 1000: uv for e, uv in g2.edges.items()})
-            sides = [cographic_leaf(g1), graphic_leaf(g2)]
-            rng.shuffle(sides)
-            node = compose_structures(*sides, SumSpec(1))
-            x, view = partition_pair(node)
-            walk = random_exchange_walk(view, x, 12, rng)
-            y = BasisPair(walk.first, walk.second, node.matroid)
-            final = apply_and_validate(x, solve_white(node, x, y).sequence)
+        for x, y, white, gabow in one_sum_solves():
+            final = apply_and_validate(x, white)
             assert (final.first, final.second) == (y.first, y.second)
-            check_reversal(x, solve_gabow(node, x).sequence)
+            check_reversal(x, gabow)
+
+
+def one_sum_solves():
+    """40 white and gabow solves of a cographic and a graphic leaf in a
+    1-sum, as (x, y, white sequence, gabow sequence).  The minors empty one
+    side at some level, and the sum then collapses onto the other."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        g1, _ = random_bispanning_graph(rng.randint(4, 8), rng)
+        g2, _ = random_bispanning_graph(rng.randint(3, 6), rng)
+        g2 = Multigraph({e + 1000: uv for e, uv in g2.edges.items()})
+        sides = [cographic_leaf(g1), graphic_leaf(g2)]
+        rng.shuffle(sides)
+        node = compose_structures(*sides, SumSpec(1))
+        x, view = partition_pair(node)
+        walk = random_exchange_walk(view, x, 12, rng)
+        y = BasisPair(walk.first, walk.second, node.matroid)
+        yield x, y, solve_white(node, x, y).sequence, solve_gabow(node, x).sequence
 
 
 def remark_tree_json():

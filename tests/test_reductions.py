@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,9 +27,11 @@ from baseswap.reductions import (
     split_on_tight_set,
 )
 from baseswap.gen import random_bispanning_graph, random_exchange_walk
-from baseswap.structure import graphic_leaf
+from baseswap.structure import gf2_view, graphic_leaf
 
-from conftest import A, B, C, D, E, F, K4_EDGES, brute_tight_sets, subsets
+from conftest import (
+    A, B, C, D, E, F, K4_EDGES, brute_tight_sets, reference_sinks, reference_tight_set, subsets,
+)
 
 
 def reversal_instance(m, pair):
@@ -126,6 +129,64 @@ class TestTightSets:
         else:
             assert len(found) == 2 * m.rank(found)
             assert found in brute
+
+    @staticmethod
+    def covering_pairs(seed):
+        """Two disjoint covering pairs for one seed, each moved by a short
+        random walk: a GF(2) matrix [I | A] on scattered element ids, with A
+        block upper triangular over random invertible blocks, so that its
+        digraph often has several components and sinks; and the GF(2)
+        encoding of a bispanning graph."""
+        rng = random.Random(seed)
+        r = rng.randint(2, 9)
+        cuts = sorted(rng.sample(range(1, r), rng.randint(0, min(3, r - 1))))
+        a = [1 << b for b in range(r)]
+        for lo, hi in zip([0] + cuts, cuts + [r]):
+            for _ in range(3 * (hi - lo)):  # column additions inside a block
+                if hi - lo > 1:
+                    i, j = rng.sample(range(lo, hi), 2)
+                    a[i] ^= a[j]
+            for col in range(lo, hi):  # rows above the block couple it to earlier ones
+                a[col] ^= rng.getrandbits(lo) if rng.random() < 0.5 else 0
+        ids = rng.sample(range(40), 2 * r)
+        cols = {ids[b]: 1 << b for b in range(r)}
+        cols.update({ids[r + b]: a[b] for b in range(r)})
+        m = Gf2Matroid(cols)
+        x = BasisPair(frozenset(ids[:r]), frozenset(ids[r:]), m)
+        yield m, random_exchange_walk(m, x, rng.randint(0, 4), rng)
+        g, pair = random_bispanning_graph(rng.randint(3, 8), rng)
+        view = gf2_view(graphic_leaf(g))
+        yield view, random_exchange_walk(view, BasisPair(pair.first, pair.second, view),
+                                         rng.randint(0, 6), rng)
+
+    @staticmethod
+    def stale_tableaux(m, x):
+        """The pair's tableaux with bits set at ids outside the ground set."""
+        tabs = PairTableaux.of(Instance(m, x, x)).x
+        for tab in tabs:
+            for masks in (tab.circuits, tab.cocircuits):
+                masks.update((e, c | 1 << 60 | 1 << 41) for e, c in masks.items())
+        return tabs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_mask_search_matches_reference(self, seed):
+        for m, x in self.covering_pairs(seed):
+            want = reference_tight_set(m, x)
+            assert find_nontrivial_tight_set(m, x) == want
+            assert find_nontrivial_tight_set(m, x, self.stale_tableaux(m, x)) == want
+
+    def test_mask_search_cases(self):
+        # the digraph is strongly connected, has one proper sink, or has
+        # several; the search returns the reference set in each case
+        shapes = Counter()
+        for seed in range(80):
+            for m, x in self.covering_pairs(seed):
+                sinks = reference_sinks(m, x)
+                shapes[min(len(sinks), 2) if len(sinks[0]) < len(m.ground) else 0] += 1
+                want = reference_tight_set(m, x)
+                assert find_nontrivial_tight_set(m, x, self.stale_tableaux(m, x)) == want
+        assert min(shapes[k] for k in (0, 1, 2)) >= 5, shapes
 
     def test_split_on_dt(self, dt):
         m, x = dt
