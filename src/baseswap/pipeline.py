@@ -28,7 +28,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .matroid import Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen
+from .matroid import (
+    CompositionError, Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen,
+)
 from .exchange import (
     BasisPair,
     ExchangeSequence,
@@ -69,8 +71,10 @@ from .structure import (
     Leaf,
     SumNode,
     as_structure,
+    compose_structures,
     find_triad_fast,
     find_triangle_fast,
+    gf2_leaf,
     graphic_leaf,
     structure_minor,
 )
@@ -403,8 +407,11 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         )
         return _one_child(red, record[0], last, out_trace, dualized=True)
 
+    routable = not inst.forbidden and last is None
+    if isinstance(struct, _Pending) and (routable or len(m.ground) > cap):
+        struct = struct.tree()  # the route or the refusal reads the tree
     if isinstance(struct, SumNode):
-        if not inst.forbidden and last is None:
+        if routable:
             routed = _sum_route(struct, inst, mode, cap, out_trace)
             if routed is not None:
                 return routed
@@ -446,7 +453,7 @@ def _one_child(red, child_struct, last, out_trace: list, **extra):
 def _recording_factory(struct, record: list):
     def factory(m, contract=(), delete=(), parallel=None):
         if parallel is None:
-            sub = structure_minor(struct, contract, delete)
+            sub = _frame_minor(struct, m, _as_frozen(contract), _as_frozen(delete))
         else:
             # a parallel pair of the frame's backend: a graph stays a graph
             sub = as_structure(m.parallel_pair(*parallel))
@@ -454,6 +461,74 @@ def _recording_factory(struct, record: list):
         return sub.matroid
 
     return factory
+
+
+class _Pending(NamedTuple):
+    """A minor of a sum node whose tree is not built: the node, each level's
+    (contract, delete) in order, the elements they remove, and the minor's
+    matroid, the frame's GF(2) matrix minor.  The tree is built only where a
+    route or a refusal reads it."""
+
+    node: SumNode
+    minors: tuple
+    gone: frozenset
+    matroid: Gf2Matroid
+
+    def tree(self):
+        return _tree_minor(self.node, self.minors, self.gone)
+
+
+def _frame_minor(struct, m: Matroid, c: frozenset, d: frozenset):
+    """The structure of the frame minor m / c \\ d.  A leaf's minor is
+    pushed into the leaf; a sum node's is left pending, except that a 1-sum
+    whose side the minors empty becomes its other side at once, so a graph
+    side takes the graph route.  A minor never meets a sum's shared set,
+    which lies outside the node's ground set."""
+    if isinstance(struct, Leaf):
+        return structure_minor(struct, c, d)
+    node, minors, gone = (struct, (), frozenset()) if isinstance(struct, SumNode) else struct[:3]
+    minors += ((c, d),)
+    gone |= c | d
+    node = _collapse(node, gone)
+    if isinstance(node, Leaf):
+        return _tree_minor(node, minors, gone)
+    return _Pending(node, minors, gone, m.minor(contract=c, delete=d))
+
+
+def _collapse(node, gone: frozenset):
+    """The node with each 1-sum at its top whose side ``gone`` holds
+    replaced by its other side."""
+    while isinstance(node, SumNode) and node.spec.arity == 1:
+        if node.left.ground <= gone:
+            node = node.right
+        elif node.right.ground <= gone:
+            node = node.left
+        else:
+            break
+    return node
+
+
+def _tree_minor(struct, minors: tuple, gone: frozenset):
+    """``struct`` after each (contract, delete) of ``minors`` in order, as
+    ``structure_minor`` level by level would leave it, with each sum node
+    composed once.  The minors go into each leaf one level at a time, so
+    graph leaves keep the same vertex names.  A sum precondition that a
+    minor breaks stays broken under further minors, so one check gives the
+    same verdict; a node that fails it becomes a GF(2) leaf of its matroid's
+    minor."""
+    struct = _collapse(struct, gone)
+    ground = struct.ground
+    if isinstance(struct, Leaf):
+        for c, d in minors:
+            struct = structure_minor(struct, c & ground, d & ground)
+        return struct
+    left = _tree_minor(struct.left, minors, gone)
+    right = _tree_minor(struct.right, minors, gone)
+    try:
+        return compose_structures(left, right, struct.spec)
+    except CompositionError:
+        contract = frozenset().union(*(c for c, _ in minors)) & ground
+        return gf2_leaf(struct.matroid.minor(contract=contract, delete=(gone & ground) - contract))
 
 
 def _bfs_solve(m: Matroid, inst: Instance, mode: str, last, cap: int):
@@ -552,7 +627,7 @@ def _three_sum_route(struct: SumNode, inst: Instance, mode: str, cap: int, out_t
 
         def recurse(contract_elt, x_sets, y_sets=None):
             # the engine on the contracted circ side; a reversal has no y
-            sub = structure_minor(circ, frozenset({contract_elt}), frozenset())
+            sub = _frame_minor(circ, circ.matroid, frozenset({contract_elt}), frozenset())
             x_pair = _as_pair(sub.matroid, x_sets)
             y_pair = x_pair.swapped() if y_sets is None else _as_pair(sub.matroid, y_sets)
             sub_inst = Instance(sub.matroid, x_pair, y_pair)

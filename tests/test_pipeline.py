@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 import random
 import sys
 from collections import Counter
@@ -529,6 +530,53 @@ class TestSumRouteAndSearch:
             assert report.length == 5 and last in report.sequence.steps[-1]
             check_reversal(x, report.sequence, last)
             assert [n.kind for n in report.trace.flatten()] == ["solve", "bfs"]
+
+
+def test_sum_trees_are_composed_only_for_routes(monkeypatch, capsys):
+    # a minor of a sum-node frame is left pending; its tree is composed only
+    # where a route or a refusal reads it (``_Pending.tree``), once per sum
+    # node, and never once per level of the solve
+    import baseswap.pipeline as engine
+    import baseswap.structure as structure
+    from baseswap.cli import _pairs, main
+    from baseswap.io import parse_instance, parse_tree
+
+    calls = Counter()
+    original = structure.compose_structures
+
+    def counted(*args):
+        frame = sys._getframe(1)
+        while frame is not None and not (
+            frame.f_code.co_name == "tree" and frame.f_code.co_filename == engine.__file__
+        ):
+            frame = frame.f_back
+        calls["built" if frame is not None else "level"] += 1
+        return original(*args)
+
+    for module in (structure, engine):
+        monkeypatch.setattr(module, "compose_structures", counted, raising=False)
+
+    def solves(structure_, x, y):
+        yield solve_white(structure_, x, y)
+        yield solve_gabow(structure_, x)
+
+    remark, _ = parse_tree(remark_tree_json())
+    x, view = partition_pair(remark)
+    walk = random_exchange_walk(view, x, 8, random.Random(17))
+    cases = [("remark", remark, x, BasisPair(walk.first, walk.second, remark.matroid))]
+    # the wheel-octahedron 3-sum, and a graphic-R10 2-sum whose frame reaches
+    # the route after 12 levels of minors
+    for seed in (0, 1):
+        assert main(["gen", "tree-composed", "--n", "40", "--seed", str(seed)]) == 0
+        inst = parse_instance(json.loads(capsys.readouterr().out))
+        cases.append((seed, inst["structure"], *_pairs(inst)[1:]))
+    for name, struct, x, y in cases:
+        for report in solves(struct, x, y):
+            levels = len(report.trace.flatten())
+            assert levels > 20
+            assert calls["level"] == 0, (name, calls)
+            assert calls["built"] == (1 if name == 1 else 0), (name, calls)
+            calls.clear()
 
 
 def test_library_has_no_assert_statements():
