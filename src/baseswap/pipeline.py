@@ -12,7 +12,9 @@ by one tableau per basis of the two pairs; the searches and fix-ups read
 them, and each reduction hands its children tableaux derived from them, so
 they are built once per solve and once more where a cographic leaf is
 solved on its graph.  A frame's rank is the size of a basis of its pair, so
-no frame asks the rank of its whole ground set.
+no frame asks the rank of its whole ground set.  A minor of a sum node is a
+GF(2) matrix minor whose tree is built only where a sum route or its
+refusal reads it.
 
 The frames build a tree of reductions, each with its lift as data, and one
 forward pass over the tree emits the sequence (``_lift_forward``): a step
@@ -28,9 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .matroid import (
-    CompositionError, Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen,
-)
+from .matroid import Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen
 from .exchange import (
     BasisPair,
     ExchangeSequence,
@@ -71,12 +71,12 @@ from .structure import (
     Leaf,
     SumNode,
     as_structure,
-    compose_structures,
+    collapse_one_sums,
     find_triad_fast,
     find_triangle_fast,
-    gf2_leaf,
     graphic_leaf,
     structure_minor,
+    structure_minors,
 )
 
 
@@ -126,8 +126,8 @@ class SolveReport:
 _REDUCTION_KINDS = {"delete_uncovered", "contract_common", "tight_split", "triad"}
 
 
-def _bounds(mode: str, rank: int, graphic_run: bool):
-    c = 1 if graphic_run else 2
+def _bounds(mode: str, rank: int, struct):
+    c = 1 if isinstance(struct, Leaf) and struct.tag in ("graphic", "cographic") else 2
     if mode == "gabow":
         length = rank
     else:
@@ -167,8 +167,7 @@ def solve_white(source, x, y, forbidden=(), bfs_cap: int = 16) -> SolveReport:
     final = apply_and_validate(x, seq, inst.forbidden)
     if not (final.first == y.first and final.second == y.second):
         raise AssertionError("the sequence does not end on the target pair")
-    graphic_run = isinstance(struct, Leaf) and struct.tag in ("graphic", "cographic")
-    bl, bw = _bounds("white", m.full_rank, graphic_run)
+    bl, bw = _bounds("white", m.full_rank, struct)
     if not (seq.length <= bl and seq.width <= bw):
         raise AssertionError("solver exceeded its bounds")
     return SolveReport(seq, m.full_rank, "white", bl, bw, trace)
@@ -195,8 +194,7 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
     except SequenceValidationError as err:
         raise AssertionError(f"the sequence is not a reversal: {err}") from None
     r = m.full_rank
-    graphic_run = isinstance(struct, Leaf) and struct.tag in ("graphic", "cographic")
-    bl, bw = _bounds("gabow", r, graphic_run)
+    bl, bw = _bounds("gabow", r, struct)
     return SolveReport(seq, r, "gabow", bl, bw, trace)
 
 
@@ -409,7 +407,7 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
 
     routable = not inst.forbidden and last is None
     if isinstance(struct, _Pending) and (routable or len(m.ground) > cap):
-        struct = struct.tree()  # the route or the refusal reads the tree
+        struct = structure_minors(*struct[:3])  # the route or the refusal reads the tree
     if isinstance(struct, SumNode):
         if routable:
             routed = _sum_route(struct, inst, mode, cap, out_trace)
@@ -465,70 +463,28 @@ def _recording_factory(struct, record: list):
 
 class _Pending(NamedTuple):
     """A minor of a sum node whose tree is not built: the node, each level's
-    (contract, delete) in order, the elements they remove, and the minor's
-    matroid, the frame's GF(2) matrix minor.  The tree is built only where a
-    route or a refusal reads it."""
+    (contract, delete) in order, the elements they remove, and the frame's
+    GF(2) matrix minor.  ``structure_minors`` builds the tree where read."""
 
     node: SumNode
     minors: tuple
     gone: frozenset
     matroid: Gf2Matroid
 
-    def tree(self):
-        return _tree_minor(self.node, self.minors, self.gone)
-
 
 def _frame_minor(struct, m: Matroid, c: frozenset, d: frozenset):
     """The structure of the frame minor m / c \\ d.  A leaf's minor is
     pushed into the leaf; a sum node's is left pending, except that a 1-sum
     whose side the minors empty becomes its other side at once, so a graph
-    side takes the graph route.  A minor never meets a sum's shared set,
-    which lies outside the node's ground set."""
+    side takes the graph route."""
     if isinstance(struct, Leaf):
         return structure_minor(struct, c, d)
     node, minors, gone = (struct, (), frozenset()) if isinstance(struct, SumNode) else struct[:3]
-    minors += ((c, d),)
-    gone |= c | d
-    node = _collapse(node, gone)
+    minors, gone = minors + ((c, d),), gone | c | d
+    node = collapse_one_sums(node, gone)
     if isinstance(node, Leaf):
-        return _tree_minor(node, minors, gone)
+        return structure_minors(node, minors, gone)
     return _Pending(node, minors, gone, m.minor(contract=c, delete=d))
-
-
-def _collapse(node, gone: frozenset):
-    """The node with each 1-sum at its top whose side ``gone`` holds
-    replaced by its other side."""
-    while isinstance(node, SumNode) and node.spec.arity == 1:
-        if node.left.ground <= gone:
-            node = node.right
-        elif node.right.ground <= gone:
-            node = node.left
-        else:
-            break
-    return node
-
-
-def _tree_minor(struct, minors: tuple, gone: frozenset):
-    """``struct`` after each (contract, delete) of ``minors`` in order, as
-    ``structure_minor`` level by level would leave it, with each sum node
-    composed once.  The minors go into each leaf one level at a time, so
-    graph leaves keep the same vertex names.  A sum precondition that a
-    minor breaks stays broken under further minors, so one check gives the
-    same verdict; a node that fails it becomes a GF(2) leaf of its matroid's
-    minor."""
-    struct = _collapse(struct, gone)
-    ground = struct.ground
-    if isinstance(struct, Leaf):
-        for c, d in minors:
-            struct = structure_minor(struct, c & ground, d & ground)
-        return struct
-    left = _tree_minor(struct.left, minors, gone)
-    right = _tree_minor(struct.right, minors, gone)
-    try:
-        return compose_structures(left, right, struct.spec)
-    except CompositionError:
-        contract = frozenset().union(*(c for c, _ in minors)) & ground
-        return gf2_leaf(struct.matroid.minor(contract=contract, delete=(gone & ground) - contract))
 
 
 def _bfs_solve(m: Matroid, inst: Instance, mode: str, last, cap: int):
@@ -601,27 +557,13 @@ def _three_sum_route(struct: SumNode, inst: Instance, mode: str, cap: int, out_t
     for bullet, circ in ((struct.right, struct.left), (struct.left, struct.right)):
         if not (isinstance(bullet, Leaf) and bullet.tag == "graphic" and bullet.graph):
             continue
-        graph = bullet.graph
-        deg = graph.degree()
-        if any(d != 4 for d in deg.values()):
-            continue
-        seen = set()
-        simple = True
-        for e, (u, v) in graph.edges.items():
-            key = (min(u, v, key=str), max(u, v, key=str))
-            if u == v or key in seen:
-                simple = False
-                break
-            seen.add(key)
-        if not simple:
+        # the bullet must be a simple 4-regular graph
+        ends = [frozenset(uv) for uv in bullet.graph.edges.values()]
+        degrees = set(bullet.graph.degree().values())
+        if degrees - {4} or len(set(ends)) < len(ends) or any(len(uv) < 2 for uv in ends):
             continue
 
-        ctx = ThreeSumContext(
-            total=struct.matroid,
-            circ=circ.matroid,
-            bullet=bullet.matroid,
-            shared=struct.spec.shared,
-        )
+        ctx = ThreeSumContext(struct.matroid, circ.matroid, bullet.matroid, struct.spec.shared)
         node = TraceNode("three_sum", {"shared": struct.spec.shared})
         out_trace.append(node)
 

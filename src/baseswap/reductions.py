@@ -72,16 +72,10 @@ class PairTableaux:
 
     @classmethod
     def of(cls, inst: Instance) -> "PairTableaux":
-        built: dict = {}
-
-        def tab(basis):
-            if basis not in built:
-                built[basis] = inst.matroid.tableau(basis)
-            return built[basis]
-
-        return cls(
-            (tab(inst.x.first), tab(inst.x.second)), (tab(inst.y.first), tab(inst.y.second))
-        )
+        bases = (inst.x.first, inst.x.second, inst.y.first, inst.y.second)
+        built = {basis: inst.matroid.tableau(basis) for basis in dict.fromkeys(bases)}
+        tabs = tuple(built[basis] for basis in bases)
+        return cls(tabs[:2], tabs[2:])
 
     def _distinct(self):
         return {id(tab): tab for tab in self.x + self.y}.values()
@@ -181,25 +175,17 @@ class TriadLift:
     def lift(self, seq, start: BasisPair) -> list:
         """The parent's steps for the child's sequence ``seq`` from the
         child's start pair ``start``."""
-        t1 = self.t1
         out = []
-        # the child's current pair, updated in place step by step
-        cur1, cur2 = set(start.first), set(start.second)
-        for step in seq:
-            e, f = step
-            if t1 != e and t1 != f:
-                out.append(ExchangeStep(e, f))
-            else:
-                out += self.replace(e, f, cur1, cur2)
+        cur1, cur2 = set(start.first), set(start.second)  # the child's pair, step by step
+        for e, f in seq:
+            out += self.replace(e, f, cur1, cur2) if self.t1 in (e, f) else [ExchangeStep(e, f)]
             cur1.discard(e)
             cur1.add(f)
             cur2.discard(f)
             cur2.add(e)
         if self.swapped:
             out = [s.reversed() for s in out]
-        prefix = [self.prefix] if self.prefix else []
-        suffix = [self.suffix] if self.suffix else []
-        return prefix + out + suffix
+        return [s for s in (self.prefix, *out, self.suffix) if s is not None]
 
 
 @dataclass
@@ -286,26 +272,21 @@ def find_nontrivial_tight_set(m: Matroid, x: BasisPair, tableaux=None):
     Requires the ground set to be partitioned by the pair.  Tight sets are
     exactly the sets closed under the arcs y -> C(y) - y, C(y) the fundamental
     circuit of y in the other basis, so minimal ones are the sink strongly
-    connected components of that digraph; ties break to the lexicographically
-    smallest element set, the sink whose least element is smallest.  The arcs
-    out of y are the circuit mask of y, and those into b the cocircuit mask
-    of b, read from ``tableaux``, those of x.first and x.second, when given,
-    else from the matroid's fundamental circuits.  Each mask is ANDed with
-    the ground set, so stale bits are skipped.
-
-    For each v in increasing order, v's component is a sink exactly when
-    everything v reaches also reaches v; when it is not, neither is that of
-    anything that reaches v.  The digraph is strongly connected, the usual
-    case, when the first v reaches and is reached by the whole ground set.
+    connected components of that digraph; ties break to the sink whose least
+    element is smallest.  The arcs out of y are y's circuit mask and those
+    into b are b's cocircuit mask, in ``tableaux`` (of x.first and x.second)
+    when given, else in the matroid's; the masks are ANDed with the ground
+    set, so stale bits are skipped.  Taking each v in increasing order, v's
+    component is a sink exactly when all that v reaches also reaches v; if
+    it is not, no element that reaches v is in a sink.  On a strongly
+    connected digraph, the usual case, the first v settles it.
     """
     ground = m.ground
     if x.first & x.second or x.first | x.second != ground:
         raise GroundSetError("tight-set search needs a disjoint covering pair")
-    out: dict = {}  # y -> y and the heads of its arcs
-    into: dict = {}  # b -> b and the tails of its arcs
-    for tab in tableaux or (m.tableau(x.first), m.tableau(x.second)):
-        out.update(tab.circuits)
-        into.update(tab.cocircuits)
+    tabs = tableaux or (m.tableau(x.first), m.tableau(x.second))
+    out = {**tabs[0].circuits, **tabs[1].circuits}  # y -> y and the heads of its arcs
+    into = {**tabs[0].cocircuits, **tabs[1].cocircuits}  # b -> b and the tails of its arcs
     full = _encode(ground)
     not_sinks = 0
     for v in sorted(ground):

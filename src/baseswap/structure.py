@@ -3,8 +3,10 @@
 A structure mirrors a user decomposition tree: leaves are graphic,
 cographic or GF(2) matroids (R10 and F7 included), or a matroid the caller
 passed in ("opaque"); internal nodes are binary sums.  Minors push into the
-owning leaves so graph realizations survive reduction; when a pushed minor
-breaks a sum precondition the node collapses to a GF(2) leaf.
+owning leaves so graph realizations survive reduction; a 1-sum whose side
+they empty becomes its other side, and when a pushed minor breaks a sum
+precondition the node collapses to a GF(2) leaf.  ``structure_minors``
+applies a list of minors in turn and composes each node once.
 
 Every node has an explicit GF(2) matrix (``gf2``): a leaf's own matrix,
 its graph's incidence matrix, the dual of that for a cographic leaf, or
@@ -12,7 +14,8 @@ its graph's incidence matrix, the dual of that for a cographic leaf, or
 of a sum node is the matrix glued from its children's along the shared set
 (``_glue``).  It answers every rank, basis and minor query on the node, and
 the tree is kept only for routing: graph solves on graphic bullets and the
-2-/3-sum merges.  The tests check it against the definitional rank of a
+2-/3-sum merges, so the engine builds a minor's tree only where a route
+reads it.  The tests check the matrix against the definitional rank of a
 binary sum.
 """
 
@@ -30,6 +33,7 @@ from .matroid import (
     Multigraph,
     SumSpec,
     CompositionError,
+    GroundSetError,
     validate_sum,
     _as_frozen,
 )
@@ -132,7 +136,7 @@ def structure_minor(struct, contract=(), delete=()):
     """Minor of a structure, pushing the operations into the owning leaves.
 
     Falls back to a GF(2) leaf holding the minor of the node's matroid when
-    the minor touches the shared set or a sum precondition stops holding.
+    a sum precondition stops holding.
     """
     c = _as_frozen(contract)
     d = _as_frozen(delete)
@@ -140,22 +144,46 @@ def structure_minor(struct, contract=(), delete=()):
         return struct
     if isinstance(struct, Leaf):
         return _leaf_minor(struct, c, d)
-    t = struct.spec.shared
-    if (c | d) & t:
-        return gf2_leaf(struct.matroid.minor(contract=c, delete=d))
-    left_ground = struct.left.ground
-    new_left = structure_minor(struct.left, c & left_ground, d & left_ground)
-    new_right = structure_minor(
-        struct.right, c - left_ground, d - left_ground
-    )
-    if len(new_left.ground - t) == 0 and struct.spec.arity == 1:
-        return new_right
-    if len(new_right.ground - t) == 0 and struct.spec.arity == 1:
-        return new_left
+    if not c | d <= struct.ground:
+        raise GroundSetError("minor sets must lie in the ground set")
+    return structure_minors(struct, ((c, d),), c | d)
+
+
+def structure_minors(struct, minors: tuple, gone: frozenset):
+    """``struct`` after each (contract, delete) of ``minors`` in turn, where
+    ``gone`` is the union of them all: the same structure as one
+    ``structure_minor`` per pair, with each sum node composed once.  Each
+    leaf takes the pairs one at a time, so a graph leaf names its vertices
+    the same way.  A sum precondition that a minor breaks stays broken under
+    further minors, so one check gives the same verdict."""
+    if not gone & struct.ground:
+        return struct
+    struct = collapse_one_sums(struct, gone)
+    ground = struct.ground
+    if isinstance(struct, Leaf):
+        for c, d in minors:
+            if (c | d) & ground:
+                struct = _leaf_minor(struct, c & ground, d & ground)
+        return struct
+    sides = (structure_minors(side, minors, gone) for side in (struct.left, struct.right))
     try:
-        return compose_structures(new_left, new_right, struct.spec)
+        return compose_structures(*sides, struct.spec)
     except CompositionError:
-        return gf2_leaf(struct.matroid.minor(contract=c, delete=d))
+        contract = frozenset().union(*(c for c, _ in minors)) & ground
+        return gf2_leaf(struct.matroid.minor(contract=contract, delete=(gone & ground) - contract))
+
+
+def collapse_one_sums(struct, gone: frozenset):
+    """``struct`` with each 1-sum at its top whose side ``gone`` covers
+    replaced by its other side."""
+    while isinstance(struct, SumNode) and struct.spec.arity == 1:
+        if struct.left.ground <= gone:
+            struct = struct.right
+        elif struct.right.ground <= gone:
+            struct = struct.left
+        else:
+            break
+    return struct
 
 
 def _leaf_minor(leaf: Leaf, c: frozenset, d: frozenset) -> Leaf:

@@ -534,27 +534,30 @@ class TestSumRouteAndSearch:
 
 def test_sum_trees_are_composed_only_for_routes(monkeypatch, capsys):
     # a minor of a sum-node frame is left pending; its tree is composed only
-    # where a route or a refusal reads it (``_Pending.tree``), once per sum
-    # node, and never once per level of the solve
+    # where a route or a refusal reads it (the engine's ``structure_minors``),
+    # once per sum node, and never once per level of the solve
     import baseswap.pipeline as engine
     import baseswap.structure as structure
     from baseswap.cli import _pairs, main
     from baseswap.io import parse_instance, parse_tree
 
     calls = Counter()
-    original = structure.compose_structures
+    building = []
+    compose, build = structure.compose_structures, getattr(structure, "structure_minors", None)
 
-    def counted(*args):
-        frame = sys._getframe(1)
-        while frame is not None and not (
-            frame.f_code.co_name == "tree" and frame.f_code.co_filename == engine.__file__
-        ):
-            frame = frame.f_back
-        calls["built" if frame is not None else "level"] += 1
-        return original(*args)
+    def counted_compose(*args):
+        calls["built" if building else "level"] += 1
+        return compose(*args)
 
-    for module in (structure, engine):
-        monkeypatch.setattr(module, "compose_structures", counted, raising=False)
+    def counted_build(*args):
+        building.append(True)
+        try:
+            return build(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(structure, "compose_structures", counted_compose)
+    monkeypatch.setattr(engine, "structure_minors", counted_build, raising=False)
 
     def solves(structure_, x, y):
         yield solve_white(structure_, x, y)
