@@ -18,6 +18,7 @@ from baseswap.exchange import (
 from baseswap.matroid import (
     Gf2Matroid,
     GraphicMatroid,
+    GroundSetError,
     MinorMatroid,
     Multigraph,
     SumSpec,
@@ -45,6 +46,7 @@ from baseswap.structure import (
     gf2_view,
     graphic_leaf,
     structure_minor,
+    structure_minors,
     Leaf,
     SumNode,
 )
@@ -149,6 +151,55 @@ class TestStructure:
         lazy = MinorMatroid(node.matroid, frozenset({0}), frozenset({10}))
         for s in subsets(sub.ground):
             assert sub.matroid.rank(s) == lazy.rank(s)
+
+    def test_structure_minor_rejects_sets_outside_the_ground_set(self):
+        # the shared element and an unknown id both lie outside a sum node
+        left = graphic_leaf(Multigraph(dict(K4_EDGES)))
+        right = graphic_leaf(Multigraph({5: (11, 12), 6: (12, 13), 7: (13, 11)}))
+        node = compose_structures(left, right, SumSpec(2, frozenset({5})))
+        for outside in (5, 99):
+            with pytest.raises(GroundSetError):
+                structure_minor(node, contract=frozenset({outside}))
+
+    def test_structure_minors_match_one_minor_at_a_time(self):
+        # a list of minors gives the structure one ``structure_minor`` per
+        # minor gives: the same tree, leaf tags and graphs (vertex names
+        # included), and the same matroid where a node falls back to GF(2)
+        def shape(struct):
+            if isinstance(struct, SumNode):
+                return (struct.spec, shape(struct.left), shape(struct.right))
+            graph = struct.graph.edges if struct.graph is not None else None
+            return (struct.tag, struct.ground, graph)
+
+        seen = Counter()
+        for seed in range(30):
+            rng = random.Random(seed)
+            g1, _ = random_bispanning_graph(rng.randint(4, 7), rng)
+            g2, _ = random_bispanning_graph(rng.randint(3, 6), rng)
+            g2 = Multigraph({e + 1000: uv for e, uv in g2.edges.items()})
+            sides = [cographic_leaf(g1), graphic_leaf(g2)]
+            rng.shuffle(sides)
+            node = (remark_construction(), compose_structures(*sides, SumSpec(1)))[seed % 2]
+            one_at_a_time, minors, gone = node, (), frozenset()
+            while len(node.ground - gone) > 6:
+                # a 1-sum loses its left side first, so that the side empties
+                pool = (node.left.ground - gone if seed % 2 else ()) or node.ground - gone
+                drop = rng.sample(sorted(pool), min(len(pool), rng.randint(1, 3)))
+                cut = rng.randint(0, len(drop))
+                c, d = frozenset(drop[:cut]), frozenset(drop[cut:])
+                one_at_a_time = structure_minor(one_at_a_time, c, d)
+                minors, gone = minors + ((c, d),), gone | c | d
+                at_once = structure_minors(node, minors, gone)
+                assert shape(at_once) == shape(one_at_a_time) or (
+                    at_once.tag == one_at_a_time.tag == "gf2"
+                )
+                rest = sorted(at_once.ground)
+                for _ in range(4):
+                    s = rng.sample(rest, rng.randint(0, len(rest)))
+                    assert at_once.matroid.rank(s) == one_at_a_time.matroid.rank(s)
+                seen[type(at_once).__name__ + getattr(at_once, "tag", "")] += 1
+        # sum nodes, GF(2) fallbacks and the sides of collapsed 1-sums occur
+        assert {"SumNode", "Leafgf2", "Leafgraphic", "Leafcographic"} <= set(seen), seen
 
     def test_cographic_leaf_minor_swaps_operations(self):
         leaf = cographic_leaf(Multigraph(dict(K4_EDGES)))
