@@ -34,17 +34,19 @@ def pick_reduction_vertex(graph: Multigraph, forbidden=(), last=None):
 
     Assumes a covered bispanning graph with no common edges, where the degree
     count sum d(v) = 2|E| <= 4(|V|-1) guarantees existence.  Degrees come
-    from the graph's incidence index; of several candidates the first in
-    ``sorted(vertices, key=str)`` order wins (``_first_by_name``).
+    from one scan of the incidence index; of several candidates the first
+    in ``sorted(vertices, key=str)`` order wins (``_first_by_name``).
     """
-    deg = graph.degree()
-    two = [v for v, d in deg.items() if d == 2]
+    two, three = [], []
+    for v, ids in graph.incidence().items():
+        if len(ids) in (2, 3):
+            (two if len(ids) == 2 else three).append(v)
     if two:
         return _first_by_name(graph, two), "degree2"
     blocked = set(vertex_span(graph, _as_frozen(forbidden)))
     if last is not None:
         blocked |= set(graph.edges[last])
-    three = [v for v, d in deg.items() if d == 3 and v not in blocked]
+    three = [v for v in three if v not in blocked]
     if three:
         return _first_by_name(graph, three), "degree3"
     raise AssertionError("no low-degree vertex available; this cannot happen")

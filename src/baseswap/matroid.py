@@ -191,8 +191,8 @@ class Gf2Matroid(Matroid):
     """Matroid of a 0/1 matrix over GF(2), one column per element.
 
     Columns are stored as integer bitmasks over the row index.  One bitset
-    Gaussian elimination (``_eliminate``) answers rank queries, which are
-    memoized, and circuit queries.
+    Gaussian elimination, its pivots keyed by their lowest set bit
+    (``_eliminate``), answers memoized rank queries and circuit queries.
     """
 
     def __init__(self, columns: dict):
@@ -236,28 +236,30 @@ class Gf2Matroid(Matroid):
 
         Returns (pivots, masks): the elements whose columns are independent
         of the ones before them, and for every other element a bitmask over
-        element ids marking its circuit with the earlier pivots.  Each
-        reduced column carries the mask of the columns it sums.
+        element ids marking its circuit with the earlier pivots.  A column
+        takes the reduced column at its lowest set bit, with the mask of the
+        columns that one sums, until none sits there or it is zero.
         """
         cols = self.columns
-        reduced = []  # (column, its lowest set bit, mask of the columns summed)
+        reduced = {}  # lowest set bit -> (column, mask of the columns summed)
         pivots = []
         masks = {}
         for e in order:
             vec, support = cols[e], 1 << e
-            for rvec, low, rsupport in reduced:
-                if vec & low:
-                    vec ^= rvec
-                    support ^= rsupport
-            if vec:
-                reduced.append((vec, vec & -vec, support))
-                pivots.append(e)
+            while vec:
+                hit = reduced.get(vec & -vec)
+                if hit is None:
+                    reduced[vec & -vec] = vec, support
+                    pivots.append(e)
+                    break
+                vec ^= hit[0]
+                support ^= hit[1]
             else:
                 masks[e] = support
         return pivots, masks
 
     def _rank(self, subset: frozenset) -> int:
-        return len(self._eliminate(sorted(subset))[0])
+        return len(self._eliminate(subset)[0])
 
     def _check_ground(self, elements) -> None:
         if not elements <= self.ground:
@@ -411,9 +413,9 @@ class Multigraph:
     Vertices are arbitrary hashables.  Instances are treated as immutable;
     contraction and deletion return fresh graphs.
 
-    The incidence index maps each vertex to the ids of its edges, one id per
-    end, so a loop is listed twice.  ``incident`` and ``degree`` build it on
-    first use.  A minor of an indexed graph copies the parent's two dicts
+    The incidence index (``incidence``) maps each vertex to the ids of its
+    edges, one id per end, so a loop is listed twice; it is built on first
+    use.  A minor of an indexed graph copies the parent's two dicts
     and edits only the vertices it touches; one that drops more edges than
     it keeps is built from scratch instead, and indexes itself when asked.
     """
@@ -430,7 +432,8 @@ class Multigraph:
         graph._ends = ends
         return graph
 
-    def _index(self) -> dict:
+    def incidence(self) -> dict:
+        """{vertex: ids of its edges}; callers must not change it."""
         if self._ends is None:
             ends: dict = {}
             for e, (u, v) in self.edges.items():
@@ -448,10 +451,10 @@ class Multigraph:
 
     def degree(self) -> dict:
         """{vertex: number of edge ends at it} for every vertex with an edge."""
-        return {v: len(ids) for v, ids in self._index().items()}
+        return {v: len(ids) for v, ids in self.incidence().items()}
 
     def incident(self, vertex) -> frozenset:
-        return frozenset(self._index().get(vertex, ()))
+        return frozenset(self.incidence().get(vertex, ()))
 
     def restrict(self, edge_ids) -> "Multigraph":
         keep = _as_frozen(edge_ids)

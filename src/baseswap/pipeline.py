@@ -245,11 +245,11 @@ def _lift_forward(root, x: BasisPair) -> list:
     triad's fix-ups or replacements, goes to the nearest enclosing triad
     whose t1 it uses, found by bisecting that element's list of the depths
     of the enclosing triads with it as t1.  That triad replaces it by two
-    steps, read off the child's current pair: the pair reached so far,
-    restricted to the child's ground set, since only the child's own steps
-    (lifted) have moved elements of that set.  A step that reaches no triad
-    is emitted and moves the pair.  So each step is examined once, plus once
-    per replacement."""
+    steps with one rank query, read off the child's current pair: the pair
+    reached so far, restricted to the child's ground set (only the side the
+    query reads), since only the child's own steps (lifted) have moved
+    elements of that set.  A step that reaches no triad is emitted and moves
+    the pair.  So each step is examined once, plus once per replacement."""
     out = []
     first, second = set(x.first), set(x.second)
     chain = []  # the enclosing triads, outermost first: (lift, child parity)
@@ -269,13 +269,11 @@ def _lift_forward(root, x: BasisPair) -> list:
                 second.add(a)
                 continue
             lift, parity = chain[k]
-            ground = lift.ground
             if parity:
-                s1, s2 = lift.replace(b, a, second & ground, first & ground)
-                work += ((_STEP, s2.f, s2.e, k), (_STEP, s1.f, s1.e, k))
+                s1, s2 = lift.replace(b, a, second, first)
             else:
-                s1, s2 = lift.replace(a, b, first & ground, second & ground)
-                work += ((_STEP, s2.e, s2.f, k), (_STEP, s1.e, s1.f, k))
+                s1, s2 = lift.replace(a, b, first, second)
+            work += ((_STEP, *_oriented(s2, parity), k), (_STEP, *_oriented(s1, parity), k))
         elif tag is _NODE:
             _, node, parity = item
             depth = len(chain)

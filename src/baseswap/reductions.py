@@ -123,7 +123,7 @@ class ReductionCertificate:
 @dataclass(frozen=True, slots=True)
 class TriadLift:
     """A triad reduction's lift as data.  The child lives on M / t2 \\ t3
-    (or M / t3 \\ t2 for a triangle, ``contract`` names which), in the
+    (or M / t3 \\ t2 for a triangle, ``delete`` names which), in the
     orientation of the fixed pairs, swapped when ``swapped``.  The parent
     runs ``prefix`` (the x fix-up, or None), then the child's steps with each
     one using t1 replaced by two (``replace``), then ``suffix`` (the reversed
@@ -135,7 +135,7 @@ class TriadLift:
     t1: int
     t2: int
     t3: int
-    contract: int
+    delete: int
     swapped: bool
     prefix: Optional[ExchangeStep]
     suffix: Optional[ExchangeStep]
@@ -143,34 +143,29 @@ class TriadLift:
     r: int
     ground: frozenset
 
-    def _basis(self, s) -> bool:
-        return self.rank(s) == self.r
-
-    def _option_a(self, first, second) -> bool:
-        # the member holding the contracted element is a basis of the child
-        # plus that element, so it is a basis; ask the other one
-        return self._basis(second if self.contract in first else first)
-
     def replace(self, e, f, first, second) -> tuple:
         """The two parent steps for a child step (e, f) that uses t1, given
-        the child's pair (first, second) before it; steps and pair are in
-        the child's orientation.  The completed pair adds t2 to the side
-        holding t1 and t3 to the other; the first option asks one rank query,
-        the second two."""
-        t1, t2, t3 = self.t1, self.t2, self.t3
+        the child's pair (first, second) before it, or any pair that agrees
+        with it on the child's ground set; steps and pair are in the child's
+        orientation.  For e = t1 (f = t1 is symmetric) the completed pair is
+        (P1, P2) = (first + t2, second + t3).  Option A runs (t2, t3), then
+        (t1, f): of its middle pair, the member holding the contracted
+        element is a child basis plus that element, so the one holding
+        ``delete`` is the one query.  Option B runs (t1, t3), then (t2, f).
+        T = {t1, t2, t3} is a cocircuit (of M*, for a triangle, where the
+        disjoint covering pairs make the same exchanges valid), and a circuit
+        never meets a cocircuit in exactly one element (Oxley, *Matroid
+        Theory*, 2nd ed., Prop. 2.1.11).  So if option A fails, t2 is off
+        C(P1, t3), which then holds t1; and C(P2, t1) lies in P2 + t1, which
+        misses t2, so it holds t3: option B is valid.  The closing replay
+        checks every step."""
+        t1, t2, t3, delete = self.t1, self.t2, self.t3, self.delete
+        side = first if (e == t1) == (delete == t3) else second
+        # a moves against t3 first, then b takes t1's place in (e, f)
+        a, b = (t2, t1) if self.rank(side & self.ground | {delete}) == self.r else (t1, t2)
         if e == t1:
-            # completed pair (first + t2, second + t3)
-            if self._option_a(first | {t3}, second | {t2}):
-                return ExchangeStep(t2, t3), ExchangeStep(t1, f)
-            if self._basis((first - {t1}) | {t2, t3}) and self._basis(second | {t1}):
-                return ExchangeStep(t1, t3), ExchangeStep(t2, f)
-        else:
-            # f == t1, completed pair (first + t3, second + t2)
-            if self._option_a(first | {t2}, second | {t3}):
-                return ExchangeStep(t3, t2), ExchangeStep(e, t1)
-            if self._basis(first | {t1}) and self._basis((second - {t1}) | {t2, t3}):
-                return ExchangeStep(t3, t1), ExchangeStep(e, t2)
-        raise AssertionError("no feasible two-step replacement; this cannot happen")
+            return ExchangeStep(a, t3), ExchangeStep(b, f)
+        return ExchangeStep(t3, a), ExchangeStep(e, b)
 
     def lift(self, seq, start: BasisPair) -> list:
         """The parent's steps for the child's sequence ``seq`` from the
@@ -486,12 +481,12 @@ def reduce_triad(
     Applies the consistency fix-ups first; the child instance lives on
     M / t2 \\ t3.  The lift (``TriadLift``) re-inflates every intermediate
     pair (t2 joins the side holding t1, t3 the other side) and replaces each
-    step using t1 by two steps, chosen by testing which intermediate pair
-    consists of bases: the first option by one rank query, since one of its
-    sets is a child basis plus the contracted element, the second by two.
-    The parent's rank is read from the child's pair, never from a query of
-    its ground set.  Width is preserved on surviving elements and length
-    grows by at most the number of t1 usages.
+    step using t1 by two steps: the first option when one rank query finds
+    its middle pair to consist of bases, else the second, whose pair then
+    does, as a circuit and a cocircuit never share exactly one element
+    (``TriadLift.replace``).  The parent's rank is read from the child's
+    pair, never from a query of its ground set.  Width is preserved on
+    surviving elements and length grows by at most the number of t1 usages.
 
     With ``dual``, ``triad`` is a triangle of M, a triad of M*, and the
     child lives on (M* / t2 \\ t3)* = M / t3 \\ t2.  The pairs must be
@@ -549,7 +544,7 @@ def reduce_triad(
         },
     )
     lift = TriadLift(
-        t1, t2, t3, contract, swapped, step_x, step_y.reversed() if step_y else None,
+        t1, t2, t3, delete, swapped, step_x, step_y.reversed() if step_y else None,
         m.uncached().rank, len(child.x.first) + 1, child_m.ground,
     )
     return Reduction([child], cert, triad=lift, tableaux=child_tableaux)

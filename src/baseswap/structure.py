@@ -142,10 +142,11 @@ def structure_minor(struct, contract=(), delete=()):
     d = _as_frozen(delete)
     if not c and not d:
         return struct
+    # checked here, since a graph ignores ids it does not hold
+    if c & d or not c | d <= struct.ground:
+        raise GroundSetError("minor sets must be disjoint and lie in the ground set")
     if isinstance(struct, Leaf):
         return _leaf_minor(struct, c, d)
-    if not c | d <= struct.ground:
-        raise GroundSetError("minor sets must lie in the ground set")
     return structure_minors(struct, ((c, d),), c | d)
 
 

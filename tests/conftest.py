@@ -87,6 +87,69 @@ def reference_replay(pair, seq, forbidden=()):
     return current
 
 
+def reference_replace(lift, e, f, first, second):
+    """``TriadLift.replace`` by the two-option choice it replaced, on the
+    child's pair (``first`` and ``second`` cut to ``lift.ground``): option A
+    when its middle pair consists of bases, asking only the member holding
+    the deleted element (the other is a child basis plus the contracted
+    one), else option B when both of its members are bases.  Returns (the
+    two steps, whether option A held, whether option B's two checks held);
+    the choice raised when neither held."""
+    t1, t2, t3, delete = lift.t1, lift.t2, lift.t3, lift.delete
+    first, second = set(first) & lift.ground, set(second) & lift.ground
+
+    def basis(s) -> bool:
+        return lift.rank(s) == lift.r
+
+    if e == t1:
+        mid = (first | {t3}, second | {t2})
+        option_b = basis((first - {t1}) | {t2, t3}) and basis(second | {t1})
+        steps = ((t2, t3), (t1, f)), ((t1, t3), (t2, f))
+    else:
+        mid = (first | {t2}, second | {t3})
+        option_b = basis(first | {t1}) and basis((second - {t1}) | {t2, t3})
+        steps = ((t3, t2), (e, t1)), ((t3, t1), (e, t2))
+    option_a = basis(mid[0] if delete in mid[0] else mid[1])
+    return steps[0] if option_a else steps[1], option_a, option_b
+
+
+def checked_replace(replace, options):
+    """A stand-in for ``TriadLift.replace`` that calls ``replace`` and
+    requires its steps to equal ``reference_replace``'s, with option A or
+    option B's two checks holding; ``options`` counts whether option A held."""
+
+    def checked(lift, e, f, first, second):
+        got = replace(lift, e, f, first, second)
+        want, option_a, option_b = reference_replace(lift, e, f, first, second)
+        assert tuple(map(tuple, got)) == want
+        assert option_a or option_b
+        options[option_a] += 1
+        return got
+
+    return checked
+
+
+def reference_eliminate(m, order) -> tuple:
+    """``Gf2Matroid._eliminate`` by the elimination it replaced: each column
+    is reduced against every earlier reduced column in insertion order,
+    testing that column's lowest set bit."""
+    reduced = []  # (column, its lowest set bit, mask of the columns summed)
+    pivots = []
+    masks = {}
+    for e in order:
+        vec, support = m.columns[e], 1 << e
+        for rvec, low, rsupport in reduced:
+            if vec & low:
+                vec ^= rvec
+                support ^= rsupport
+        if vec:
+            reduced.append((vec, vec & -vec, support))
+            pivots.append(e)
+        else:
+            masks[e] = support
+    return pivots, masks
+
+
 def subsets(elems, max_size=None):
     elems = sorted(elems)
     top = len(elems) if max_size is None else max_size

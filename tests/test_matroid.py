@@ -33,6 +33,7 @@ from conftest import (
     random_basis,
     reference_contract_edges,
     reference_degree,
+    reference_eliminate,
     reference_pick_reduction_vertex,
     subsets,
 )
@@ -272,6 +273,18 @@ class TestGf2:
         assert m.full_rank == 2
         assert m.rank({7, 9}) == 2
         assert not m.is_independent({7, 8, 9})
+
+    @settings(max_examples=400, deadline=None)
+    @given(gf2_matrices(), st.data())
+    def test_lowest_bit_elimination_matches_insertion_order(self, m, data):
+        # loops (zero columns) and parallel pairs (repeated columns) are
+        # common; the pivots and the circuit masks do not depend on how the
+        # columns are reduced, and the rank not on their order
+        ground = sorted(m.ground)
+        order = data.draw(st.permutations(ground))[: data.draw(st.integers(0, len(ground)))]
+        assert m._eliminate(order) == reference_eliminate(m, order)
+        rank = len(reference_eliminate(m, sorted(order))[0])
+        assert m._rank(order) == m._rank(frozenset(order)) == rank
 
     def test_circuit_in_matches_generic(self):
         rng = random.Random(4)

@@ -53,7 +53,14 @@ from baseswap.structure import (
 from baseswap.union import matroid_union_partition
 from baseswap.gen import random_exchange_walk, random_bispanning_graph, random_forbidden_set
 
-from conftest import K4_EDGES, brute_sum_rank_fn, definitional_matroid, r10_two_sum_tree, subsets
+from conftest import (
+    K4_EDGES,
+    brute_sum_rank_fn,
+    definitional_matroid,
+    checked_replace,
+    r10_two_sum_tree,
+    subsets,
+)
 
 
 def remark_construction():
@@ -113,6 +120,17 @@ class TestStructure:
         oracle = brute_sum_rank_fn(left.matroid, right.matroid, frozenset({5}))
         for s in subsets(node.ground):
             assert view.rank(s) == oracle(s)
+
+    @pytest.mark.parametrize("make_leaf", [graphic_leaf, cographic_leaf])
+    def test_leaf_minor_checks_its_sets(self, make_leaf):
+        # a graph ignores ids it does not hold, so a cographic leaf's minor
+        # checks its sets as a graphic leaf's matroid does
+        leaf = make_leaf(Multigraph(dict(K4_EDGES)))
+        for c, d in (({99}, ()), ((), {99}), ({0}, {0})):
+            with pytest.raises(GroundSetError):
+                structure_minor(leaf, c, d)
+        minor = structure_minor(leaf, {0}, {1})
+        assert (minor.tag, minor.ground) == (leaf.tag, leaf.ground - {0, 1})
 
     def test_two_sum_with_a_callers_matroid_part(self):
         # a lazy dual is neither GF(2) nor graphic, so its leaf's matrix is
@@ -792,3 +810,95 @@ def test_graph_solve_lift_work_budget(mode, monkeypatch):
     triads = sum(c.kind == "triad" for c in report.certificates)
     assert report.rank == 79 and triads > 0 and replaced[0] > 0
     assert report.length <= examined[0] <= report.length + replaced[0] + triads
+
+
+def lift_solves():
+    """Solves whose triad lifts replace steps, each as a thunk: `gen
+    bispanning --n 40` in both modes, on its graph and on its GF(2)
+    incidence matrix; the remark tree in both modes; and `gen tree-composed
+    --n 40` at seeds 10, 22 and 23 in both modes."""
+    from baseswap.cli import _gen_bispanning, _gen_tree
+    from baseswap.io import parse_instance, parse_tree
+
+    def solve(inst):
+        m = inst["structure"].matroid
+        x = BasisPair(inst["x1"], inst["x2"], m)
+        if inst["mode"] == "gabow":
+            return solve_gabow(inst["structure"], x, last=inst["last"])
+        y = BasisPair(inst["y1"], inst["y2"], m)
+        return solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
+
+    def remark(mode):
+        structure, _ = parse_tree(remark_tree_json())
+        x, view = partition_pair(structure)
+        if mode == "gabow":
+            return solve_gabow(structure, x)
+        walk = random_exchange_walk(view, x, 8, random.Random(17))
+        return solve_white(structure, x, BasisPair(walk.first, walk.second, structure.matroid))
+
+    objs = []
+    for mode in ("white", "gabow"):
+        graph = _gen_bispanning(40, random.Random(0), mode)
+        objs += [graph, incidence_encoding(graph)]
+        objs += [_gen_tree(40, random.Random(seed), mode) for seed in (10, 22, 23)]
+    return [lambda obj=obj: solve(parse_instance(obj)) for obj in objs] + [
+        lambda mode=mode: remark(mode) for mode in ("white", "gabow")
+    ]
+
+
+def test_lift_choice_matches_the_two_option_reference(monkeypatch):
+    # the one-query choice picks what the two-option search picked, and
+    # option B's checks hold whenever option A fails (a circuit never meets
+    # the cocircuit T in exactly one element)
+    from baseswap.reductions import TriadLift
+
+    options = Counter()
+    monkeypatch.setattr(TriadLift, "replace", checked_replace(TriadLift.replace, options))
+    for solve in lift_solves():
+        solve()
+    assert options[True] > 0 and options[False] > 0, options
+
+
+@pytest.mark.parametrize("case", ["remark", "bispanning"])
+def test_lift_asks_one_rank_query_per_replaced_step(case, monkeypatch):
+    # every rank query the forward pass makes is the one query of a
+    # replacement
+    import baseswap.pipeline as pipeline
+    from baseswap.cli import _gen_bispanning
+    from baseswap.io import parse_instance, parse_tree
+    from baseswap.matroid import Matroid
+    from baseswap.reductions import TriadLift
+
+    counts, lifting = Counter(), [False]
+    lift_forward, rank, replace = pipeline._lift_forward, Matroid.rank, TriadLift.replace
+
+    def counted_lift_forward(*args):
+        lifting[0] = True
+        try:
+            return lift_forward(*args)
+        finally:
+            lifting[0] = False
+
+    def counted_rank(self, subset):
+        counts["rank"] += lifting[0]
+        return rank(self, subset)
+
+    def counted_replace(self, *args):
+        counts["replace"] += 1
+        return replace(self, *args)
+
+    monkeypatch.setattr(pipeline, "_lift_forward", counted_lift_forward)
+    monkeypatch.setattr(Matroid, "rank", counted_rank)
+    monkeypatch.setattr(TriadLift, "replace", counted_replace)
+    if case == "remark":
+        structure, _ = parse_tree(remark_tree_json())
+        x, view = partition_pair(structure)
+        walk = random_exchange_walk(view, x, 8, random.Random(17))
+        solve_white(structure, x, BasisPair(walk.first, walk.second, structure.matroid))
+    else:
+        inst = parse_instance(_gen_bispanning(40, random.Random(0), "white"))
+        m = inst["structure"].matroid
+        x, y = BasisPair(inst["x1"], inst["x2"], m), BasisPair(inst["y1"], inst["y2"], m)
+        solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
+    assert counts["replace"] > 0
+    assert counts["rank"] == counts["replace"]

@@ -30,7 +30,8 @@ from baseswap.gen import random_bispanning_graph, random_exchange_walk
 from baseswap.structure import gf2_view, graphic_leaf
 
 from conftest import (
-    A, B, C, D, E, F, K4_EDGES, brute_tight_sets, reference_sinks, reference_tight_set, subsets,
+    A, B, C, D, E, F, K4_EDGES, brute_tight_sets, checked_replace, reference_sinks,
+    reference_tight_set, subsets,
 )
 
 
@@ -421,6 +422,26 @@ class TestTriads:
         assert len(lifted) == len(seq) + uses
         final = apply_and_validate(x, ExchangeSequence(lifted))
         assert final.first == x.second
+
+    def test_triangle_lift_matches_the_reference_choice(self, monkeypatch):
+        # a triangle reduction (a triad of M*) between any two partitions of
+        # K4 into two paths, along each of its four triangles: every
+        # replacement equals the two-option reference's
+        from baseswap.reductions import TriadLift
+
+        m = graphic_matroid(K4_EDGES)
+        triples = [frozenset(t) for t in itertools.combinations(sorted(m.ground), 3)]
+        paths = [t for t in triples if m.is_basis(t) and m.is_basis(m.ground - t)]
+        triangles = [t for t in triples if m.rank(t) == 2]
+        options = Counter()
+        monkeypatch.setattr(TriadLift, "replace", checked_replace(TriadLift.replace, options))
+        for px, py, triangle in itertools.product(paths, paths, triangles):
+            x, y = BasisPair(px, m.ground - px, m), BasisPair(py, m.ground - py, m)
+            red = reduce_triad(Instance(m, x, y), triangle, dual=True)
+            lifted = red.lift(solve_rank_le2(red.children[0]))
+            final = apply_and_validate(x, ExchangeSequence(lifted))
+            assert (final.first, final.second) == (y.first, y.second)
+        assert options[True] > 0 and options[False] > 0, options
 
     def test_forbidden_must_avoid_triad(self, k4):
         m, x, y = k4
