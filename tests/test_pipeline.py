@@ -812,15 +812,16 @@ def test_graph_solve_lift_work_budget(mode, monkeypatch):
     assert report.length <= examined[0] <= report.length + replaced[0] + triads
 
 
-def lift_solves():
-    """Solves whose triad lifts replace steps, each as a thunk: `gen
-    bispanning --n 40` in both modes, on its graph and on its GF(2)
-    incidence matrix; the remark tree in both modes; and `gen tree-composed
-    --n 40` at seeds 10, 22 and 23 in both modes."""
+def lift_solves() -> dict:
+    """Solves whose triad lifts replace steps, as thunks by name: `gen
+    bispanning --n 40` on its graph and on its GF(2) incidence matrix, the
+    remark tree, and `gen tree-composed --n 40` at seeds 10, 22 and 23, each
+    in both modes."""
     from baseswap.cli import _gen_bispanning, _gen_tree
     from baseswap.io import parse_instance, parse_tree
 
-    def solve(inst):
+    def solve(obj):
+        inst = parse_instance(obj)
         m = inst["structure"].matroid
         x = BasisPair(inst["x1"], inst["x2"], m)
         if inst["mode"] == "gabow":
@@ -836,14 +837,14 @@ def lift_solves():
         walk = random_exchange_walk(view, x, 8, random.Random(17))
         return solve_white(structure, x, BasisPair(walk.first, walk.second, structure.matroid))
 
-    objs = []
+    solves = {}
     for mode in ("white", "gabow"):
         graph = _gen_bispanning(40, random.Random(0), mode)
-        objs += [graph, incidence_encoding(graph)]
-        objs += [_gen_tree(40, random.Random(seed), mode) for seed in (10, 22, 23)]
-    return [lambda obj=obj: solve(parse_instance(obj)) for obj in objs] + [
-        lambda mode=mode: remark(mode) for mode in ("white", "gabow")
-    ]
+        objs = {"bispanning": graph, "bispanning-gf2": incidence_encoding(graph)}
+        objs.update({f"tree-{seed}": _gen_tree(40, random.Random(seed), mode) for seed in (10, 22, 23)})
+        solves.update({f"{name}/{mode}": lambda obj=obj: solve(obj) for name, obj in objs.items()})
+        solves[f"remark/{mode}"] = lambda mode=mode: remark(mode)
+    return solves
 
 
 def test_lift_choice_matches_the_two_option_reference(monkeypatch):
@@ -854,18 +855,16 @@ def test_lift_choice_matches_the_two_option_reference(monkeypatch):
 
     options = Counter()
     monkeypatch.setattr(TriadLift, "replace", checked_replace(TriadLift.replace, options))
-    for solve in lift_solves():
+    for solve in lift_solves().values():
         solve()
     assert options[True] > 0 and options[False] > 0, options
 
 
-@pytest.mark.parametrize("case", ["remark", "bispanning"])
+@pytest.mark.parametrize("case", ["remark/white", "bispanning/white"])
 def test_lift_asks_one_rank_query_per_replaced_step(case, monkeypatch):
     # every rank query the forward pass makes is the one query of a
     # replacement
     import baseswap.pipeline as pipeline
-    from baseswap.cli import _gen_bispanning
-    from baseswap.io import parse_instance, parse_tree
     from baseswap.matroid import Matroid
     from baseswap.reductions import TriadLift
 
@@ -890,15 +889,6 @@ def test_lift_asks_one_rank_query_per_replaced_step(case, monkeypatch):
     monkeypatch.setattr(pipeline, "_lift_forward", counted_lift_forward)
     monkeypatch.setattr(Matroid, "rank", counted_rank)
     monkeypatch.setattr(TriadLift, "replace", counted_replace)
-    if case == "remark":
-        structure, _ = parse_tree(remark_tree_json())
-        x, view = partition_pair(structure)
-        walk = random_exchange_walk(view, x, 8, random.Random(17))
-        solve_white(structure, x, BasisPair(walk.first, walk.second, structure.matroid))
-    else:
-        inst = parse_instance(_gen_bispanning(40, random.Random(0), "white"))
-        m = inst["structure"].matroid
-        x, y = BasisPair(inst["x1"], inst["x2"], m), BasisPair(inst["y1"], inst["y2"], m)
-        solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
+    lift_solves()[case]()
     assert counts["replace"] > 0
     assert counts["rank"] == counts["replace"]
