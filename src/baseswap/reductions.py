@@ -162,7 +162,7 @@ class TriadLift:
         t1, t2, t3, delete = self.t1, self.t2, self.t3, self.delete
         side = first if (e == t1) == (delete == t3) else second
         # a moves against t3 first, then b takes t1's place in (e, f)
-        a, b = (t2, t1) if self.rank(side & self.ground | {delete}) == self.r else (t1, t2)
+        a, b = (t2, t1) if self.rank((side & self.ground) | {delete}) == self.r else (t1, t2)
         if e == t1:
             return ExchangeStep(a, t3), ExchangeStep(b, f)
         return ExchangeStep(t3, a), ExchangeStep(e, b)
