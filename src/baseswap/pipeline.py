@@ -7,14 +7,17 @@ cographic leaf picks its tight set or triad at a low-degree vertex
 2-/3-sum machinery of the structure, or to the exhaustive search fallback
 for small ground sets (which solves R10 and F7).  Reductions run on an
 explicit stack; only the sum routes, which call the engine once per side,
-add Python stack depth.  On a GF(2) or graph frame the strips are followed
-by one tableau per basis of the two pairs; the searches and fix-ups read
-them, and each reduction hands its children tableaux derived from them, so
-they are built once per solve and once more where a cographic leaf is
-solved on its graph.  A frame's rank is the size of a basis of its pair, so
-no frame asks the rank of its whole ground set.  A minor of a sum node is a
-GF(2) matrix minor whose tree is built only where a sum route or its
-refusal reads it.
+add Python stack depth.  Every frame the engine searches is a graph or a
+GF(2) matrix: a cographic leaf is solved on its graph, and a caller's
+matroid as the GF(2) matrix of its fundamental circuits, while the entry
+checks and the closing replay run on the caller's matroid.  The strips are
+followed by one tableau per basis of the two pairs; the searches and fix-ups
+read them, and each reduction hands its children tableaux derived from
+them, so they are built once per solve and once more where a leaf is
+swapped.  A frame's rank is the size of a basis of its pair, so no frame
+asks the rank of its whole ground set.  A minor of a sum node is a GF(2)
+matrix minor whose tree is built only where a sum route or its refusal
+reads it.
 
 The frames build a tree of reductions, each with its lift as data, and one
 forward pass over the tree emits the sequence (``_lift_forward``): a step
@@ -30,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .matroid import Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen
+from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen
 from .exchange import (
     BasisPair,
     ExchangeSequence,
@@ -72,8 +75,7 @@ from .structure import (
     SumNode,
     as_structure,
     collapse_one_sums,
-    find_triad_fast,
-    find_triangle_fast,
+    gf2_leaf,
     graphic_leaf,
     structure_minor,
     structure_minors,
@@ -136,15 +138,6 @@ def _bounds(mode: str, rank: int, struct):
     return length, width
 
 
-def _pair_summary(inst: Instance) -> dict:
-    return {
-        "ground": frozenset(inst.matroid.ground),
-        "x": (inst.x.first, inst.x.second),
-        "y": (inst.y.first, inst.y.second),
-        "forbidden": inst.forbidden,
-    }
-
-
 def _as_pair(m: Matroid, pair) -> BasisPair:
     if isinstance(pair, BasisPair):
         return BasisPair(pair.first, pair.second, m)
@@ -164,7 +157,7 @@ def solve_white(source, x, y, forbidden=(), bfs_cap: int = 16) -> SolveReport:
     trace = TraceNode("solve", {"mode": "white"})
     steps = _engine(struct, inst, "white", None, bfs_cap, trace.children)
     seq = ExchangeSequence(steps)
-    final = apply_and_validate(x, seq, inst.forbidden)
+    final = _replayed(x, seq, inst.forbidden)
     if not (final.first == y.first and final.second == y.second):
         raise AssertionError("the sequence does not end on the target pair")
     bl, bw = _bounds("white", m.full_rank, struct)
@@ -188,7 +181,7 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
     trace = TraceNode("solve", {"mode": "gabow"})
     steps = _engine(struct, inst, "gabow", last, bfs_cap, trace.children)
     seq = ExchangeSequence(steps)
-    apply_and_validate(x, seq)
+    _replayed(x, seq)
     try:
         check_reversal(x, seq, last)
     except SequenceValidationError as err:
@@ -196,6 +189,15 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
     r = m.full_rank
     bl, bw = _bounds("gabow", r, struct)
     return SolveReport(seq, r, "gabow", bl, bw, trace)
+
+
+def _replayed(x: BasisPair, seq: ExchangeSequence, forbidden=frozenset()) -> BasisPair:
+    """The closing replay on the caller's matroid: the pair ``seq`` reaches
+    from ``x``.  A step it rejects is a failed internal check."""
+    try:
+        return apply_and_validate(x, seq, forbidden)
+    except SequenceValidationError as err:
+        raise AssertionError(f"the closing replay failed: {err}") from None
 
 
 # -- the engine ----------------------------------------------------------------
@@ -336,18 +338,18 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         out_trace.append(TraceNode("rank_le2"))
         return list(solve_rank_le2(inst, h=last))
 
-    graph = struct.graph if isinstance(struct, Leaf) else None
-    if graph is not None and struct.tag == "cographic":
+    if isinstance(struct, Leaf) and struct.tag in ("cographic", "opaque"):
         # the pair is disjoint and covering here, so a cographic pair is
         # also a pair of spanning trees, and the graph is solved as a
-        # graphic leaf.  Tableaux handed down from a sum are those of the
-        # dual matroid, so the graph builds its own
-        struct = graphic_leaf(graph)
+        # graphic leaf; a caller's matroid is solved as the GF(2) matrix of
+        # its fundamental circuits.  Tableaux handed down from a sum are
+        # those of a cographic leaf's dual, so the new frame builds its own
+        struct = graphic_leaf(struct.graph) if struct.tag == "cographic" else gf2_leaf(struct.gf2)
         m = struct.matroid
-        inst = _on(m, inst)
+        inst = Instance(m, _as_pair(m, inst.x), _as_pair(m, inst.y), inst.forbidden)
         tableaux = None
-    if tableaux is None and isinstance(m, (Gf2Matroid, GraphicMatroid)):
-        tableaux = PairTableaux.of(inst)
+    tableaux = tableaux or PairTableaux.of(inst)
+    graph = struct.graph if isinstance(struct, Leaf) else None
 
     triad = None
     if graph is not None:
@@ -359,8 +361,7 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         star = graph.incident(u)
         z, triad = (m.ground - star, None) if kind == "degree2" else (None, star)
     else:
-        pair = BasisPair(inst.x.first, inst.x.second)
-        z = find_nontrivial_tight_set(m, pair, tableaux and tableaux.x)
+        z = find_nontrivial_tight_set(m, inst.x, tableaux.x)
 
     if z is not None:
         restrict_last = last is not None and last in z
@@ -369,15 +370,10 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
             inst, z, minor=_recording_factory(struct, record), restrict_last=restrict_last,
             tableaux=tableaux,
         )
-        node = TraceNode(
-            "tight_split",
-            {"z": z, "restrict_last": restrict_last,
-             "child": [_pair_summary(c) for c in red.children]},
-        )
+        node = TraceNode(red.certificate.kind, dict(red.certificate.payload))
         out_trace.append(node)
         frames = []
-        child_tableaux = red.tableaux or [None, None]
-        for child_struct, child, tabs in zip(record, red.children, child_tableaux):
+        for child_struct, child, tabs in zip(record, red.children, red.tableaux):
             child_last = last if (last is not None and last in child.matroid.ground) else None
             wrapper = TraceNode("child")
             node.children.append(wrapper)
@@ -385,17 +381,16 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         return red, frames
 
     # a triad or triangle holding an element of F or the designated last
-    # element cannot be reduced; the fast finders need an explicit matrix
+    # element cannot be reduced; a frame without a graph is a GF(2) matrix
     cover = m.ground - inst.forbidden - {last}
-    fast = isinstance(m, Gf2Matroid)
     if triad is None:
-        triad = find_triad_fast(m, cover, tableaux.x[0]) if fast else find_triad(m, cover)
+        triad = find_triad(m, cover, tableaux.x[0])
     if triad is not None:
         record = []
         red = reduce_triad(inst, triad, minor=_recording_factory(struct, record), tableaux=tableaux)
         return _one_child(red, record[0], last, out_trace)
 
-    triangle = find_triangle_fast(m, cover) if fast else find_triangle(m, cover)
+    triangle = find_triangle(m, cover)
     if triangle is not None:
         record = []
         red = reduce_triad(
@@ -430,17 +425,9 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
     )
 
 
-def _on(m: Matroid, inst: Instance) -> Instance:
-    """The instance's pairs and F, as pairs of ``m``."""
-    x, y = inst.x, inst.y
-    pairs = BasisPair(x.first, x.second, m), BasisPair(y.first, y.second, m)
-    return Instance(m, *pairs, inst.forbidden)
-
-
 def _one_child(red, child_struct, last, out_trace: list, **extra):
     """Trace a one-child reduction and hand its child on as a frame."""
     node = TraceNode(red.certificate.kind, {**red.certificate.payload, **extra})
-    node.payload["child"] = _pair_summary(red.children[0])
     out_trace.append(node)
     child_tableaux = red.tableaux[0] if red.tableaux else None
     return red, [(child_struct, red.children[0], last, node.children, child_tableaux)]

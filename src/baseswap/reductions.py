@@ -11,20 +11,22 @@ the whole reduction tree in one forward pass with the same replacement.
 Certificates record what was applied so a solve can be replayed
 deterministically.
 
-The tight-set split and the triad reduction take, optionally, the tableaux
-of the instance's bases (``PairTableaux``).  The fix-up checks then read
-bits, and the reduction hands the tableaux on to its children, updated in
-place.  Without them the same questions go to the rank oracle.
+The tight-set split and the triad reduction read the tableaux of the
+instance's bases (``PairTableaux``), built when not given: tightness and the
+fix-up checks are bits, and the reduction hands the tableaux on to its
+children, updated in place.  The triad and triangle searches read a GF(2)
+matrix: the frame's own, or a tableau's transpose for the dual.  The
+updates need a binary matroid, and the engine solves every frame as a graph
+or a GF(2) matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .matroid import Matroid, GroundSetError, _as_frozen, _bits, _decode, _encode
-from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible, is_valid_exchange
+from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen, _bits, _decode, _encode
+from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible
 
 
 class ReductionError(Exception):
@@ -191,8 +193,8 @@ class Reduction:
     The parent runs its children's sequences in ``order`` (child indices),
     each through ``triad`` for a triad reduction.  ``lift`` takes one solved
     sequence per child (in child order) and returns the list of parent steps.
-    ``tableaux`` holds, per child, the ``PairTableaux`` of its bases when the
-    parent's were given.
+    ``tableaux`` holds, per child, the ``PairTableaux`` of its bases (None
+    for the strips).
     """
 
     children: list
@@ -316,21 +318,20 @@ def split_on_tight_set(
     restriction part runs first, so a designated last-step element of the
     contraction part stays last.  ``restrict_last`` flips the order, which is
     equally valid and keeps a last-step element inside Z last instead.
-    Given tableaux, they answer whether Z is tight (``_tight_in_tableaux``)
-    and are split in place between the two sides; without them the rank
-    oracle answers.  With two elements outside Z (E - delta(u) at a degree-2
-    vertex u of a graph) M / Z has rank |E - Z| / 2 = 1 and each basis keeps
-    one of the two, so it is a parallel pair and is built as one, without
-    contracting Z.
+    The tableaux (built when not given) answer whether Z is tight
+    (``_tight_in_tableaux``) and are split in place between the two sides.
+    With two elements outside Z (E - delta(u) at a degree-2 vertex u of a
+    graph) M / Z has rank |E - Z| / 2 = 1 and each basis keeps one of the
+    two, so it is a parallel pair and is built as one, without contracting
+    Z.
     """
     z = _as_frozen(z)
     m = inst.matroid
     if not z or z >= m.ground:
         raise ReductionError("tight set must be nonempty and proper")
     outside = m.ground - z
-    if not (
-        _tight_in_tableaux(inst.x, tableaux.x, z, outside) if tableaux else len(z) == 2 * m.rank(z)
-    ):
+    tableaux = tableaux or PairTableaux.of(inst)
+    if not _tight_in_tableaux(inst.x, tableaux.x, z, outside):
         raise ReductionError("set is not tight")
     m_z = minor(m, frozenset(), outside)
     if len(outside) == 2:
@@ -350,9 +351,10 @@ def split_on_tight_set(
         inst.forbidden - z,
     )
     cert = ReductionCertificate("tight_split", {"z": z, "restrict_last": restrict_last})
-    child_tableaux = None if tableaux is None else [tableaux, tableaux.split(outside)]
     order = (1, 0) if restrict_last else (0, 1)
-    return Reduction([child_z, child_rest], cert, order, tableaux=child_tableaux)
+    return Reduction(
+        [child_z, child_rest], cert, order, tableaux=[tableaux, tableaux.split(outside)]
+    )
 
 
 def _tight_in_tableaux(x: BasisPair, tabs, z: frozenset, outside: frozenset) -> bool:
@@ -387,24 +389,40 @@ def _tight_in_tableaux(x: BasisPair, tabs, z: frozenset, outside: frozenset) -> 
 # -- triads ------------------------------------------------------------------
 
 
-def find_triad(m: Matroid, cover=None):
-    """Lexicographically first cocircuit of size three inside ``cover``."""
-    elems = sorted(m.ground if cover is None else _as_frozen(cover))
-    r = m.full_rank
-    ground = m.ground
-    for combo in itertools.combinations(elems, 3):
-        t = frozenset(combo)
-        rest = ground - t
-        if m.rank(rest) != r - 1:
+def find_triad(m: Matroid, cover=None, tableau=None):
+    """Lexicographically first cocircuit of size three inside ``cover``
+    (default: all): a triangle of the dual, whose matrix is ``tableau`` (of
+    any basis of m, default the greedy one) transposed."""
+    cols = (tableau or m.tableau()).dual_columns()
+    return _first_triangle(cols, m.ground if cover is None else m.ground.intersection(cover))
+
+
+def find_triangle(m: Gf2Matroid, cover=None):
+    """Lexicographically first circuit of size three inside ``cover``
+    (default: all): three nonzero, distinct columns that sum to zero."""
+    return _first_triangle(m.columns, m.ground if cover is None else m.ground.intersection(cover))
+
+
+def _first_triangle(cols: dict, cover) -> Optional[frozenset]:
+    """The first triple x < y < z of ``cover`` whose columns are nonzero,
+    distinct and sum to zero.  Triples are walked in order, so the first one
+    found is the first of all."""
+    elems = sorted(cover)
+    by_col: dict = {}
+    for e in elems:
+        by_col.setdefault(cols[e], []).append(e)
+    for i, x in enumerate(elems):
+        cx = cols[x]
+        if not cx:
             continue
-        if all(m.rank(rest | {x}) == r for x in combo):
-            return t
+        for y in elems[i + 1 :]:
+            cy = cols[y]
+            if not cy or cy == cx:
+                continue
+            for z in by_col.get(cx ^ cy, ()):
+                if z > y:
+                    return frozenset({x, y, z})
     return None
-
-
-def find_triangle(m: Matroid, cover=None):
-    """Lexicographically first circuit of size three inside ``cover``."""
-    return find_triad(m.dual(), cover)
 
 
 def make_consistent_on_triad(inst: Instance, triad, tableaux=None):
@@ -414,19 +432,12 @@ def make_consistent_on_triad(inst: Instance, triad, tableaux=None):
     corresponding pair needs no change.  At most one exchange per pair is
     needed; among valid consistent combinations the one with fewest steps
     wins, then the lexicographically smallest.  A step's validity is read
-    from ``tableaux`` when given, else from the rank oracle.
+    from ``tableaux``, built when not given.
     """
     tset = _as_frozen(triad)
     t = tuple(sorted(tset))
     m = inst.matroid
-
-    def valid(pair: BasisPair, tabs, step) -> bool:
-        if step is None:
-            return True
-        if tabs is None:
-            return is_valid_exchange(BasisPair(pair.first, pair.second, m), step)
-        e, f = step
-        return tabs[0].exchangeable(e, f) and tabs[1].exchangeable(f, e)
+    tableaux = tableaux or PairTableaux.of(inst)
 
     def candidates(pair: BasisPair, tabs):
         """(step, triad elements of the first basis after it) per valid
@@ -440,8 +451,9 @@ def make_consistent_on_triad(inst: Instance, triad, tableaux=None):
             step = None
             if first_t != inside:
                 step = ExchangeStep(min(inside - first_t), min(first_t - inside))
-            if valid(pair, tabs, step):
-                out.append((step, first_t))
+                if not (tabs[0].exchangeable(*step) and tabs[1].exchangeable(step.f, step.e)):
+                    continue
+            out.append((step, first_t))
         return out
 
     def fixed_pair(pair: BasisPair, first_t) -> BasisPair:
@@ -450,10 +462,9 @@ def make_consistent_on_triad(inst: Instance, triad, tableaux=None):
             return BasisPair(pair.first, pair.second, m)
         return BasisPair((pair.first - tset) | first_t, (pair.second - tset) | second_t, m)
 
-    tabs_x, tabs_y = (None, None) if tableaux is None else (tableaux.x, tableaux.y)
     best = None
-    for step_x, cx in candidates(inst.x, tabs_x):
-        for step_y, cy in candidates(inst.y, tabs_y):
+    for step_x, cx in candidates(inst.x, tableaux.x):
+        for step_y, cy in candidates(inst.y, tableaux.y):
             if cx != cy and cx != tset - cy:
                 continue
             cost = (step_x is not None) + (step_y is not None)
@@ -492,8 +503,8 @@ def reduce_triad(
     child lives on (M* / t2 \\ t3)* = M / t3 \\ t2.  The pairs must be
     disjoint and covering: then a pair of bases of M is also one of M*, and
     an exchange is valid in both or in neither, so the fix-ups and the lift
-    ask M itself.  Given tableaux, the fix-ups pivot copies of them, and
-    they become the child's in place.
+    ask M itself.  The fix-ups pivot copies of the tableaux (built when not
+    given), and they become the child's in place.
     """
     t = _as_frozen(triad)
     if inst.forbidden & t:
@@ -501,6 +512,7 @@ def reduce_triad(
     m = inst.matroid
     if dual and (inst.x.first & inst.x.second or inst.x.union != m.ground):
         raise ReductionError("a triangle reduction needs a disjoint covering pair")
+    tableaux = tableaux or PairTableaux.of(inst)
     step_x, step_y, fixed = make_consistent_on_triad(inst, t, tableaux)
 
     swapped = len(fixed.x.first & t) == 1
@@ -526,11 +538,8 @@ def reduce_triad(
         BasisPair(y_child.first, y_child.second, child_m),
         work.forbidden,
     )
-    child_tableaux = None
-    if tableaux is not None:
-        fixed_tableaux = tableaux.fixed(step_x, step_y, swapped)
-        fixed_tableaux.minor(contract, delete)
-        child_tableaux = [fixed_tableaux]
+    child_tableaux = tableaux.fixed(step_x, step_y, swapped)
+    child_tableaux.minor(contract, delete)
     cert = ReductionCertificate(
         "triad",
         {
@@ -547,7 +556,7 @@ def reduce_triad(
         t1, t2, t3, delete, swapped, step_x, step_y.reversed() if step_y else None,
         m.uncached().rank, len(child.x.first) + 1, child_m.ground,
     )
-    return Reduction([child], cert, triad=lift, tableaux=child_tableaux)
+    return Reduction([child], cert, triad=lift, tableaux=[child_tableaux])
 
 
 # -- rank at most two ---------------------------------------------------------

@@ -10,7 +10,8 @@ applies a list of minors in turn and composes each node once.
 
 Every node has an explicit GF(2) matrix (``gf2``): a leaf's own matrix,
 its graph's incidence matrix, the dual of that for a cographic leaf, or
-[I | A] from the fundamental circuits of a caller's matroid.  The matroid
+[I | A] from the fundamental circuits of a caller's matroid, which the
+engine solves in its place, so such a matroid must be binary.  The matroid
 of a sum node is the matrix glued from its children's along the shared set
 (``_glue``).  It answers every rank, basis and minor query on the node, and
 the tree is kept only for routing: graph solves on graphic bullets and the
@@ -244,36 +245,3 @@ def gf2_view(struct) -> Gf2Matroid:
     """Explicit GF(2) matroid equal to the structure's matroid."""
     return struct.gf2
 
-
-# -- fast searches on a GF(2) view --------------------------------------------
-
-
-def find_triangle_fast(m: Gf2Matroid, cover=None):
-    """Lexicographically first triangle (three nonzero, distinct columns
-    that sum to zero) inside ``cover`` (default: all).  Triples x < y < z
-    are walked in order, so the first one found is the first of all."""
-    cols = m.columns
-    elems = sorted(m.ground if cover is None else m.ground & cover)
-    by_col: dict = {}
-    for e in elems:
-        by_col.setdefault(cols[e], []).append(e)
-    for i, x in enumerate(elems):
-        cx = cols[x]
-        if not cx:
-            continue
-        for y in elems[i + 1 :]:
-            cy = cols[y]
-            if not cy or cy == cx:
-                continue
-            for z in by_col.get(cx ^ cy, ()):
-                if z > y:
-                    return frozenset({x, y, z})
-    return None
-
-
-def find_triad_fast(m: Gf2Matroid, cover=None, tableau=None):
-    """Lexicographically first 3-element cocircuit inside ``cover``: a
-    triangle of the dual, whose matrix is ``tableau`` (of any basis of m,
-    default the greedy one) transposed."""
-    dual = Gf2Matroid((tableau or m.tableau()).dual_columns())
-    return find_triangle_fast(dual, cover)

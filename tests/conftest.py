@@ -129,6 +129,20 @@ def checked_replace(replace, options):
     return checked
 
 
+def reference_find_triad(m, cover=None):
+    """``reductions.find_triad`` by the rank search it replaced: the
+    lexicographically first 3-element set T inside ``cover`` with r(E - T)
+    = r - 1 and r(E - T + t) = r for each t in T.  On ``m.dual()`` it finds
+    the first triangle."""
+    elems = sorted(m.ground if cover is None else frozenset(cover))
+    r = m.full_rank
+    for combo in itertools.combinations(elems, 3):
+        rest = m.ground - set(combo)
+        if m.rank(rest) == r - 1 and all(m.rank(rest | {t}) == r for t in combo):
+            return frozenset(combo)
+    return None
+
+
 def reference_eliminate(m, order) -> tuple:
     """``Gf2Matroid._eliminate`` by the elimination it replaced: each column
     is reduced against every earlier reduced column in insertion order,

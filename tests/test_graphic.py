@@ -17,7 +17,7 @@ from baseswap.graphic import (
     solve_graphic_white,
     vertex_span,
 )
-from baseswap.matroid import GraphicMatroid, GroundSetError, Multigraph
+from baseswap.matroid import DualMatroid, GraphicMatroid, GroundSetError, Multigraph
 from baseswap.reductions import IncompatiblePairsError
 
 from conftest import A, B, C, D, E, F, DT_EDGES
@@ -266,6 +266,37 @@ def test_golden_sum_minors(case, mode, tmp_path, capsys):
         args = ["tree-composed", "--n", "40", "--seed", "1", "--mode", mode]
         digest = _solve_digest(args, tmp_path, capsys)
     assert digest == GOLDEN_SUM_MINORS[(case, mode)]
+
+
+# sha256 of the step lists of the solves of a caller's own matroid, the lazy
+# dual ``DualMatroid(GraphicMatroid(g))`` of ``random_bispanning_graph(16)``
+# at seeds 0-11: white to the end of a 16-step walk, and gabow ending on the
+# largest element of the first basis.  Recorded while such a matroid was
+# still searched through its rank oracle, before it was solved as the GF(2)
+# matrix of its fundamental circuits
+GOLDEN_CALLER_MATROID = {
+    "white": "0038351524cc871f1bfd6ef6551aff214ed55d9bf076c14f5e7104b77e6da2aa",
+    "gabow": "9db7f8ae15e5299bde3d8b8801a78488e4907fceb699c7bf64f9328617df81b6",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_CALLER_MATROID))
+def test_golden_caller_matroid(mode):
+    from baseswap.pipeline import solve_gabow, solve_white
+
+    steps = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        g, x = random_bispanning_graph(16, rng)
+        m = DualMatroid(GraphicMatroid(g))
+        x = BasisPair(x.first, x.second, m)
+        y = random_exchange_walk(m, x, 16, rng)
+        if mode == "white":
+            report = solve_white(m, x, y)
+        else:
+            report = solve_gabow(m, x, last=max(x.first))
+        steps.append(list(map(list, report.sequence.steps)))
+    assert _steps_digest(steps) == GOLDEN_CALLER_MATROID[mode]
 
 
 def test_golden_trees_cover_every_shape():

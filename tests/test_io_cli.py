@@ -383,6 +383,29 @@ class TestCliRoundTrips:
         assert "Traceback" not in err
         assert err.startswith("error:") and "exceeded its bounds" in err
 
+    @pytest.mark.parametrize("mode", ["white", "gabow"])
+    def test_failed_closing_replay_exits_one_without_traceback(
+        self, mode, tmp_path, capsys, monkeypatch
+    ):
+        # a forward lift that reverses its first step: the closing replay
+        # rejects the sequence, which is a failed internal check
+        from baseswap import pipeline
+        from baseswap.exchange import ExchangeStep
+
+        lift = pipeline._lift_forward
+
+        def flipped(root, x):
+            (e, f), *rest = lift(root, x)
+            return [ExchangeStep(f, e), *rest]
+
+        monkeypatch.setattr(pipeline, "_lift_forward", flipped)
+        inst = tmp_path / "i.json"
+        self.run(capsys, "gen", "bispanning", "--n", "6", "--seed", "1",
+                 "--mode", mode, "-o", str(inst))
+        code, out, err = self.run(capsys, "solve", str(inst))
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal check failed") and "step 0" in err
+
 
 _K4_TEXT = "a 1 2\nb 2 3\nc 3 4\nd 1 3\ne 1 4\nf 2 4"
 

@@ -19,6 +19,7 @@ from baseswap.matroid import (
     Gf2Matroid,
     GraphicMatroid,
     GroundSetError,
+    Matroid,
     MinorMatroid,
     Multigraph,
     SumSpec,
@@ -34,6 +35,8 @@ from baseswap.pipeline import (
 from baseswap.reductions import (
     contract_common,
     delete_uncovered,
+    find_triad,
+    find_triangle,
     reduce_triad,
     split_on_tight_set,
 )
@@ -41,8 +44,6 @@ from baseswap.structure import (
     as_structure,
     compose_structures,
     cographic_leaf,
-    find_triad_fast,
-    find_triangle_fast,
     gf2_view,
     graphic_leaf,
     structure_minor,
@@ -55,6 +56,8 @@ from baseswap.gen import random_exchange_walk, random_bispanning_graph, random_f
 
 from conftest import (
     K4_EDGES,
+    brute_circuits,
+    brute_cocircuits,
     brute_sum_rank_fn,
     definitional_matroid,
     checked_replace,
@@ -227,18 +230,19 @@ class TestStructure:
         for s in subsets(sub.ground):
             assert sub.matroid.rank(s) == lazy.rank(s)
 
-    def test_fast_finders_match_generic(self):
-        from baseswap.reductions import find_triad, find_triangle
+    def test_finders_match_brute_force(self):
+        # the first 3-element circuit and cocircuit of K4's GF(2) view, among
+        # all of them by enumeration; R10 has neither
+        from baseswap.special import r10_matroid
 
         m = graphic_matroid(dict(K4_EDGES))
         view = gf2_view(graphic_leaf(m.graph))
-        assert find_triangle_fast(view) == find_triangle(m)
-        assert find_triad_fast(view) == find_triad(m)
-        from baseswap.special import r10_matroid
-
+        for finder, brute in ((find_triangle, brute_circuits), (find_triad, brute_cocircuits)):
+            want = min((c for c in brute(m) if len(c) == 3), key=sorted)
+            assert finder(view) == want
         r10 = r10_matroid()
-        assert find_triangle_fast(r10) is None
-        assert find_triad_fast(r10) is None
+        assert find_triangle(r10) is None
+        assert find_triad(r10) is None
 
 
 class TestSolveEndToEnd:
@@ -288,6 +292,24 @@ class TestSolveEndToEnd:
         with pytest.raises(UnsupportedStructureError):
             solve_white(wrapped, x, x.swapped(), bfs_cap=8)
 
+    def test_non_binary_callers_matroid_is_refused(self):
+        # a caller's matroid is solved as the GF(2) matrix of its fundamental
+        # circuits; U(3,6) is not binary, and its matrix holds 3, 4 and 5 as
+        # one column, so the second basis of x is no basis there
+        class U36(Matroid):
+            def __init__(self):
+                super().__init__(frozenset(range(6)))
+
+            def _rank(self, subset):
+                return min(len(subset), 3)
+
+        m = U36()
+        x = BasisPair(frozenset({0, 1, 2}), frozenset({3, 4, 5}), m)
+        y = BasisPair(frozenset({0, 1, 3}), frozenset({2, 4, 5}), m)
+        for solve in (lambda: solve_white(m, x, y), lambda: solve_gabow(m, x)):
+            with pytest.raises(GroundSetError):
+                solve()
+
     def test_remark_construction_white_and_gabow(self):
         node = remark_construction()
         m = node.matroid
@@ -334,7 +356,9 @@ class TestSolveEndToEnd:
 
 class TestTraceReplay:
     def _replay(self, inst, node):
-        """Re-apply a recorded reduction and check the child instances."""
+        """Re-apply a recorded reduction: it must record the same
+        certificate, and each recorded subtree must replay from the child
+        the reduction makes."""
         if node.kind == "delete_uncovered":
             red = delete_uncovered(inst)
         elif node.kind == "contract_common":
@@ -356,20 +380,16 @@ class TestTraceReplay:
             red = reduce_triad(source, node.payload["triad"])
         else:
             return  # terminal node
-        recorded = node.payload["child"]
-        recorded = recorded if isinstance(recorded, list) else [recorded]
-        assert len(recorded) == len(red.children)
-        for summary, child in zip(recorded, red.children):
-            assert summary["ground"] == child.matroid.ground
-            assert summary["x"] == (child.x.first, child.x.second)
-            assert summary["y"] == (child.y.first, child.y.second)
+        recorded = {k: v for k, v in node.payload.items() if k != "dualized"}
+        assert red.certificate.payload == recorded
         if node.kind == "tight_split":
-            for wrapper, child in zip(node.children, red.children):
-                for sub in wrapper.children:
-                    self._replay(child, sub)
+            subtrees = [wrapper.children for wrapper in node.children]
         else:
-            for sub in node.children:
-                self._replay(red.children[0], sub)
+            subtrees = [node.children]
+        assert len(subtrees) == len(red.children)
+        for subs, child in zip(subtrees, red.children):
+            for sub in subs:
+                self._replay(child, sub)
 
     def test_reduction_trace_replays(self, dt):
         m, x = dt

@@ -30,8 +30,8 @@ from baseswap.gen import random_bispanning_graph, random_exchange_walk
 from baseswap.structure import gf2_view, graphic_leaf
 
 from conftest import (
-    A, B, C, D, E, F, K4_EDGES, brute_tight_sets, checked_replace, reference_sinks,
-    reference_tight_set, subsets,
+    A, B, C, D, E, F, K4_EDGES, brute_tight_sets, checked_replace, random_basis,
+    reference_find_triad, reference_sinks, reference_tight_set, subsets,
 )
 
 
@@ -250,7 +250,7 @@ class TestTightSets:
         # sets that meet each basis in the same number of elements, and
         # drawn sets with two elements outside; the tableaux carry stale
         # bits at ids outside the ground set, which must be skipped.  The
-        # split without tableaux asks the rank oracle
+        # split without tableaux builds fresh ones
         stale = 1 << 60 | 1 << 61
         rng = random.Random(7)
         verdicts = set()
@@ -333,7 +333,7 @@ class TestTightSets:
 class TestTriads:
     def test_k4_triangle_and_triads(self, k4):
         m, _, _ = k4
-        assert find_triangle(m) == {A, B, D}
+        assert find_triangle(graphic_leaf(m.graph).gf2) == {A, B, D}
         found = find_triad(m)
         assert found == {A, B, F}  # delta(vertex 2), lexicographically first
         # delta(vertex 1) = {a, d, e} is also a triad
@@ -350,6 +350,34 @@ class TestTriads:
         m = r10_matroid()
         assert find_triad(m) is None
         assert find_triangle(m) is None
+
+    def test_finders_match_the_rank_reference(self):
+        # K4, R10, and drawn bispanning graphs with their GF(2) incidence
+        # matrices, each under drawn covers; find_triad reads the tableau of
+        # the greedy basis and of a drawn one
+        from baseswap.special import r10_matroid
+
+        rng = random.Random(11)
+        k4, r10 = graphic_matroid(K4_EDGES), r10_matroid()
+        cases = [(k4, graphic_leaf(k4.graph).gf2), (r10, r10)]
+        for _ in range(24):
+            g, _ = random_bispanning_graph(rng.randint(3, 7), rng)
+            cases.append((GraphicMatroid(g), graphic_leaf(g).gf2))
+        found = Counter()
+        for m, gf2 in cases:
+            for view in dict.fromkeys((m, gf2)):
+                ground = sorted(view.ground)
+                covers = [None] + [
+                    frozenset(rng.sample(ground, rng.randint(3, len(ground)))) for _ in range(3)
+                ]
+                for cover in covers:
+                    triad = reference_find_triad(view, cover)
+                    for tableau in (None, view.tableau(random_basis(view, rng))):
+                        assert find_triad(view, cover, tableau) == triad
+                    triangle = reference_find_triad(view.dual(), cover)
+                    assert find_triangle(gf2, cover) == triangle
+                    found[triad is not None, triangle is not None] += 1
+        assert len(found) == 4, found
 
     def test_consistent_pairs_no_fix(self, k4):
         m, x, _ = k4
@@ -474,7 +502,7 @@ class TestPairTableaux:
             x = random_exchange_walk(m, x, rng.randint(0, 4), rng)
             y = random_exchange_walk(m, x, rng.randint(0, 4), rng)
             inst = Instance(m, x, y)
-            for t, dual in ((find_triad(m), False), (find_triangle(m), True)):
+            for t, dual in ((find_triad(m), False), (find_triangle(graphic_leaf(g).gf2), True)):
                 if t is not None:
                     red = reduce_triad(inst, t, tableaux=PairTableaux.of(inst), dual=dual)
                     self.assert_fresh(red.tableaux[0], red.children[0])
