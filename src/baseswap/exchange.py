@@ -4,10 +4,12 @@ A symmetric exchange (e, f) on a pair (first, second) moves e from the first
 basis to the second and f the other way; it is valid when both resulting sets
 are bases.  Sequences carry length (step count) and width (maximum number of
 occurrences of any single element).  The replay (``apply_and_validate``)
-pivots one tableau per basis on matroids with an explicit binary
-representation, and asks ``is_valid_exchange``, its rank-based reference,
-on any other.  The BFS oracle searches the exchange graph of a small
-matroid exhaustively and certifies optimal distances and unreachability.
+carries the pair as one tableau per basis on GF(2) and graphic matroids:
+each step is read off and pivots them, and the final pair is built once
+from their keys.  On any other matroid it asks ``is_valid_exchange``, its
+rank-based reference, and builds the pair at every step.  The BFS oracle
+searches the exchange graph of a small matroid exhaustively and certifies
+optimal distances and unreachability.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .matroid import Gf2Matroid, GraphicMatroid, GroundSetError, Matroid, _as_frozen
+from .matroid import Gf2Matroid, GraphicMatroid, GroundSetError, Matroid, Tableau, _as_frozen
 
 
 class ExchangeStep(NamedTuple):
@@ -149,39 +151,52 @@ def apply_step(pair: BasisPair, step: ExchangeStep) -> BasisPair:
 def apply_and_validate(pair: BasisPair, seq, forbidden=()) -> BasisPair:
     """Apply steps in order, checking validity and F-avoidance at each one.
 
-    On a GF(2) or graphic matroid, a step (e, f) is valid when e lies on
-    the circuit of f in the first basis and f on the circuit of e in the
-    second, read from one tableau per basis that each step pivots.  On any
-    other matroid, and from a start that is not a pair of bases,
-    ``is_valid_exchange`` asks the rank oracle at every step."""
+    On a GF(2) or graphic matroid, one tableau per basis carries the pair:
+    a step (e, f) is valid when e lies in the first basis and on the
+    circuit of f in it, and f in the second basis and on the circuit of e
+    in it (so each lies in one basis only); each step pivots both tableaux,
+    and the final pair is read from their keys.  On any other matroid, and
+    from a start that is not a pair of bases, ``is_valid_exchange`` asks
+    the rank oracle at every step."""
     avoid = _as_frozen(forbidden)
     m = pair.matroid
-    tableaux = None
     if isinstance(m, (Gf2Matroid, GraphicMatroid)):
         try:
             tableaux = m.tableau(pair.first), m.tableau(pair.second)
         except GroundSetError:
             pass
+        else:
+            return _tableau_replay(m, *tableaux, seq, avoid)
     current = pair
     for k, step in enumerate(seq):
         step = ExchangeStep(*step)
         e, f = step
         if e in avoid or f in avoid:
             raise ForbiddenElementError(k, e if e in avoid else f)
-        if tableaux is None:
-            valid = is_valid_exchange(current, step)
-        else:
-            first, second = tableaux
-            valid = (
-                _applies(current, step) and first.exchangeable(e, f) and second.exchangeable(f, e)
-            )
-            if valid:
-                first.pivot(e, f)
-                second.pivot(f, e)
-        if not valid:
+        if not is_valid_exchange(current, step):
             raise SequenceValidationError(k, "invalid exchange {step}", step=step)
         current = apply_step(current, step)
     return current
+
+
+def _tableau_replay(m: Matroid, first: Tableau, second: Tableau, seq, avoid) -> BasisPair:
+    """``apply_and_validate`` on the tableaux of a pair of bases of ``m``,
+    pivoted in place."""
+    for k, (e, f) in enumerate(seq):
+        if e in avoid or f in avoid:
+            raise ForbiddenElementError(k, e if e in avoid else f)
+        # only the elements outside a basis have circuits: one in both
+        # bases has none, read as 0
+        if not (
+            e in first.cocircuits
+            and f in second.cocircuits
+            and first.circuits.get(f, 0) >> e & 1
+            and second.circuits.get(e, 0) >> f & 1
+        ):
+            raise SequenceValidationError(k, "invalid exchange {step}", step=ExchangeStep(e, f))
+        first.pivot(e, f)
+        second.pivot(f, e)
+    return BasisPair(frozenset(first.cocircuits), frozenset(second.cocircuits), m)
 
 
 def check_reversal(x: BasisPair, seq, last=None) -> None:
@@ -272,34 +287,10 @@ def bfs_oracle(
     return BfsResult(len(steps), ExchangeSequence(steps))
 
 
-def bfs_distances(m: Matroid, x: BasisPair, forbidden=(), monotone_to=None, cap: int = 16):
-    """Distances from ``x`` to every reachable pair, keyed by first basis.
-
-    Used by exhaustive sweeps over small matroids.  ``monotone_to`` restricts
-    steps monotonically toward the given first-basis target.
-    """
-    if len(m.ground) > cap:
-        raise CapacityError(f"|E| = {len(m.ground)} exceeds the BFS cap {cap}")
-    avoid = _as_frozen(forbidden)
-    common = x.common
-    live = tuple(sorted(x.union - common))
-    start = frozenset(x.first - common)
-    target = None if monotone_to is None else frozenset(monotone_to) - common
-
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for na, _ in _exchanges(m, common, live, a, avoid, target, dist):
-            dist[na] = dist[a] + 1
-            queue.append(na)
-    return {common | a: d for a, d in dist.items()}
-
-
 def _exchanges(m: Matroid, common, live, a, avoid, toward, seen):
     """Unseen states one valid exchange from the state ``a`` (the first basis
-    minus ``common``), each with its step, in the order both searches
-    explore them.  With ``toward`` set, only steps moving both bases toward
+    minus ``common``), each with its step, in the order the search explores
+    them.  With ``toward`` set, only steps moving both bases toward
     that first basis are taken.  ``seen`` is read as the caller fills it."""
     others = [z for z in live if z not in a]
     rest = frozenset(live)

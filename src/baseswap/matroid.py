@@ -17,7 +17,6 @@ reference.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 
@@ -35,15 +34,6 @@ class CompositionError(MatroidError):
 
 def _as_frozen(subset) -> frozenset:
     return subset if isinstance(subset, frozenset) else frozenset(subset)
-
-
-class _Forgetful(dict):
-    """A rank cache that stores nothing (``Matroid.uncached``)."""
-
-    __slots__ = ()
-
-    def __setitem__(self, key, value) -> None:
-        pass
 
 
 class Matroid:
@@ -73,14 +63,6 @@ class Matroid:
             cached = self._rank(s)
             self._rank_cache[s] = cached
         return cached
-
-    def uncached(self) -> "Matroid":
-        """This matroid as a rank oracle that keeps no answers, for queries
-        that seldom repeat: a shallow copy with a cache that stores
-        nothing."""
-        view = copy.copy(self)
-        view._rank_cache = _Forgetful()
-        return view
 
     @property
     def full_rank(self) -> int:
@@ -260,6 +242,26 @@ class Gf2Matroid(Matroid):
 
     def _rank(self, subset: frozenset) -> int:
         return len(self._eliminate(subset)[0])
+
+    def _independent(self, elements) -> bool:
+        """Whether ``elements``, ids of the ground set, are independent: the
+        lowest-bit reduction of ``_eliminate`` without the circuit masks,
+        stopping at the first column that reduces to zero.  Nothing is
+        cached or checked."""
+        cols = self.columns
+        reduced = {}  # lowest set bit -> reduced column
+        for e in elements:
+            vec = cols[e]
+            while vec:
+                low = vec & -vec
+                hit = reduced.get(low)
+                if hit is None:
+                    reduced[low] = vec
+                    break
+                vec ^= hit
+            else:
+                return False
+        return True
 
     def _check_ground(self, elements) -> None:
         if not elements <= self.ground:
@@ -572,6 +574,25 @@ class GraphicMatroid(Matroid):
 
     def _rank(self, subset: frozenset) -> int:
         return self.graph.forest_rank(subset)
+
+    def _independent(self, elements) -> bool:
+        """Whether the edges ``elements``, ids of the ground set, form a
+        forest: ``forest_rank``'s union-find, stopping at the first edge
+        that closes a cycle.  Nothing is cached or checked."""
+        edges = self.graph.edges
+        parent: dict = {}  # non-root vertex -> a vertex closer to its root
+        for e in elements:
+            u, v = edges[e]
+            while u in parent:
+                up = parent[u]
+                parent[u] = u = parent.get(up, up)  # to the grandparent
+            while v in parent:
+                vp = parent[v]
+                parent[v] = v = parent.get(vp, vp)
+            if u == v:
+                return False
+            parent[u] = v
+        return True
 
     def circuit_in(self, independent, e: int):
         if e not in self.ground:

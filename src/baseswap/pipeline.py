@@ -10,12 +10,15 @@ explicit stack; only the sum routes, which call the engine once per side,
 add Python stack depth.  Every frame the engine searches is a graph or a
 GF(2) matrix: a cographic leaf is solved on its graph, and a caller's
 matroid as the GF(2) matrix of its fundamental circuits, while the entry
-checks and the closing replay run on the caller's matroid.  The strips are
-followed by one tableau per basis of the two pairs; the searches and fix-ups
-read them, and each reduction hands its children tableaux derived from
-them, so they are built once per solve and once more where a leaf is
-swapped.  A frame's rank is the size of a basis of its pair, so no frame
-asks the rank of its whole ground set.  A minor of a sum node is a GF(2)
+checks and the closing replay run on the caller's matroid.  The strips run
+on the frames that are handed no tableaux, the root of each engine call and
+the strips' own children: a tight split or a triad leaves disjoint pairs
+that cover their ground sets.  They are followed by one tableau per basis
+of the two pairs; the searches and fix-ups read them, and each reduction
+hands its children tableaux derived from them, so they are built once per
+engine call and once more where a leaf is swapped.  A frame's rank is the
+size of a basis of its pair, so no frame asks the rank of its whole ground
+set.  A minor of a sum node is a GF(2)
 matrix minor whose tree is built only where a sum route or its refusal
 reads it.
 
@@ -247,11 +250,12 @@ def _lift_forward(root, x: BasisPair) -> list:
     triad's fix-ups or replacements, goes to the nearest enclosing triad
     whose t1 it uses, found by bisecting that element's list of the depths
     of the enclosing triads with it as t1.  That triad replaces it by two
-    steps with one rank query, read off the child's current pair: the pair
-    reached so far, restricted to the child's ground set (only the side the
-    query reads), since only the child's own steps (lifted) have moved
-    elements of that set.  A step that reaches no triad is emitted and moves
-    the pair.  So each step is examined once, plus once per replacement."""
+    steps with one independence test, read off the child's current pair:
+    the pair reached so far, restricted to the child's ground set (only the
+    side the query reads), since only the child's own steps (lifted) have
+    moved elements of that set.  A step that reaches no triad is emitted and
+    moves the pair.  So each step is examined once, plus once per
+    replacement."""
     out = []
     first, second = set(x.first), set(x.second)
     chain = []  # the enclosing triads, outermost first: (lift, child parity)
@@ -327,12 +331,15 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         out_trace.append(TraceNode("identity"))
         return []
 
-    # strip uncovered and common elements
-    for fn in (delete_uncovered, contract_common):
-        record: list = []
-        red = fn(inst, minor=_recording_factory(struct, record))
-        if red is not None:
-            return _one_child(red, record[0], last, out_trace)
+    if tableaux is None:
+        # strip uncovered and common elements.  A frame handed tableaux is
+        # a child of a tight split or a triad, whose pairs are disjoint and
+        # cover its ground set already
+        for fn in (delete_uncovered, contract_common):
+            record: list = []
+            red = fn(inst, minor=_recording_factory(struct, record))
+            if red is not None:
+                return _one_child(red, record[0], last, out_trace)
 
     if len(inst.x.first) <= 2:  # the rank, read from a basis
         out_trace.append(TraceNode("rank_le2"))
@@ -347,7 +354,13 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         struct = graphic_leaf(struct.graph) if struct.tag == "cographic" else gf2_leaf(struct.gf2)
         m = struct.matroid
         inst = Instance(m, _as_pair(m, inst.x), _as_pair(m, inst.y), inst.forbidden)
-        tableaux = None
+        try:
+            tableaux = PairTableaux.of(inst)
+        except GroundSetError:  # only a matrix can lose a basis of the pair
+            raise GroundSetError(
+                "the caller's matroid is not binary: its [I | A] image over GF(2) "
+                "loses a basis of the pair"
+            ) from None
     tableaux = tableaux or PairTableaux.of(inst)
     graph = struct.graph if isinstance(struct, Leaf) else None
 
@@ -380,23 +393,22 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
             frames.append((child_struct, child, child_last, wrapper.children, tabs))
         return red, frames
 
-    # a triad or triangle holding an element of F or the designated last
-    # element cannot be reduced; a frame without a graph is a GF(2) matrix
-    cover = m.ground - inst.forbidden - {last}
+    dual = False
     if triad is None:
+        # a frame without a graph is a GF(2) matrix.  A triad or triangle
+        # holding an element of F or the designated last element cannot be
+        # reduced
+        cover = m.ground - inst.forbidden - {last}
         triad = find_triad(m, cover, tableaux.x[0])
+        if triad is None:
+            triad, dual = find_triangle(m, cover), True
     if triad is not None:
         record = []
-        red = reduce_triad(inst, triad, minor=_recording_factory(struct, record), tableaux=tableaux)
-        return _one_child(red, record[0], last, out_trace)
-
-    triangle = find_triangle(m, cover)
-    if triangle is not None:
-        record = []
         red = reduce_triad(
-            inst, triangle, minor=_recording_factory(struct, record), tableaux=tableaux, dual=True
+            inst, triad, minor=_recording_factory(struct, record), tableaux=tableaux, dual=dual
         )
-        return _one_child(red, record[0], last, out_trace, dualized=True)
+        extra = {"dualized": True} if dual else {}
+        return _one_child(red, record[0], last, out_trace, **extra)
 
     routable = not inst.forbidden and last is None
     if isinstance(struct, _Pending) and (routable or len(m.ground) > cap):

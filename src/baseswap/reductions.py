@@ -3,7 +3,7 @@ size-three cocircuits, and the rank-two base case.
 
 Each reduction shrinks an instance and records its lift as data: the order
 in which the parent runs its children's sequences, and for a triad the
-elements, fix-up steps and rank oracle that replace each child step using
+elements, fix-up steps and frame matroid that replace each child step using
 t1 (``TriadLift``).  ``Reduction.lift`` maps solved child sequences back to
 the parent one level at a time, preserving F-avoidance and, where stated,
 the element used in the last step; the engine (``pipeline``) instead lifts
@@ -23,7 +23,7 @@ or a GF(2) matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen, _bits, _decode, _encode
 from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible
@@ -94,18 +94,21 @@ class PairTableaux:
     def fixed(self, step_x, step_y, swapped: bool) -> "PairTableaux":
         """The tableaux after the fix-up steps (None for no step), and with
         each pair's two bases trading places when ``swapped``.  A step
-        pivots copies, since the other pair may share a basis."""
+        pivots its pair's tableaux in place, except one the other pair
+        shares (y = x swapped for a reversal, or an equal basis), which it
+        pivots a copy of."""
 
-        def exchanged(pair, step):
+        def exchanged(pair, other, step):
             if step is None:
                 return pair
             e, f = step
-            first, second = pair[0].copy(), pair[1].copy()
+            first, second = (tab.copy() if tab in other else tab for tab in pair)
             first.pivot(e, f)
             second.pivot(f, e)
             return first, second
 
-        x, y = exchanged(self.x, step_x), exchanged(self.y, step_y)
+        x = exchanged(self.x, self.y, step_x)
+        y = exchanged(self.y, x, step_y)
         if swapped:
             x, y = x[::-1], y[::-1]
         return PairTableaux(x, y)
@@ -129,10 +132,12 @@ class TriadLift:
     orientation of the fixed pairs, swapped when ``swapped``.  The parent
     runs ``prefix`` (the x fix-up, or None), then the child's steps with each
     one using t1 replaced by two (``replace``), then ``suffix`` (the reversed
-    y fix-up, or None).  Only the parent's rank oracle ``rank``, its rank
-    ``r`` and the child's ground set ``ground`` are kept, not the child.
-    The oracle keeps no answers (``Matroid.uncached``): the lifts of a whole
-    reduction tree run together, and their sets seldom repeat."""
+    y fix-up, or None).  Only the parent's frame ``matroid``, a graph or a
+    GF(2) matrix, and the child's ground set ``ground`` are kept, not the
+    child.  Each replacement asks the frame one independence test
+    (``_independent``), which stops at the first dependency and caches
+    nothing: the lifts of a whole reduction tree run together, and their
+    sets seldom repeat."""
 
     t1: int
     t2: int
@@ -141,30 +146,32 @@ class TriadLift:
     swapped: bool
     prefix: Optional[ExchangeStep]
     suffix: Optional[ExchangeStep]
-    rank: Callable
-    r: int
+    matroid: Matroid
     ground: frozenset
 
     def replace(self, e, f, first, second) -> tuple:
         """The two parent steps for a child step (e, f) that uses t1, given
-        the child's pair (first, second) before it, or any pair that agrees
-        with it on the child's ground set; steps and pair are in the child's
-        orientation.  For e = t1 (f = t1 is symmetric) the completed pair is
-        (P1, P2) = (first + t2, second + t3).  Option A runs (t2, t3), then
-        (t1, f): of its middle pair, the member holding the contracted
-        element is a child basis plus that element, so the one holding
-        ``delete`` is the one query.  Option B runs (t1, t3), then (t2, f).
+        the child's pair (first, second) before it, or any pair of sets that
+        agrees with it on the child's ground set; steps and pair are in the
+        child's orientation.  For e = t1 (f = t1 is symmetric) the completed
+        pair is (P1, P2) = (first + t2, second + t3).  Option A runs
+        (t2, t3), then (t1, f): of its middle pair, the member holding the
+        contracted element is a child basis plus that element, so the one
+        holding ``delete`` is the one query.  Option B runs (t1, t3), then (t2, f).
         T = {t1, t2, t3} is a cocircuit (of M*, for a triangle, where the
         disjoint covering pairs make the same exchanges valid), and a circuit
         never meets a cocircuit in exactly one element (Oxley, *Matroid
         Theory*, 2nd ed., Prop. 2.1.11).  So if option A fails, t2 is off
         C(P1, t3), which then holds t1; and C(P2, t1) lies in P2 + t1, which
-        misses t2, so it holds t3: option B is valid.  The closing replay
+        misses t2, so it holds t3: option B is valid.  The query, the side
+        cut to the child's ground set plus ``delete``, has r elements, so it
+        is a basis exactly when it is independent.  The closing replay
         checks every step."""
         t1, t2, t3, delete = self.t1, self.t2, self.t3, self.delete
-        side = first if (e == t1) == (delete == t3) else second
+        query = (first if (e == t1) == (delete == t3) else second) & self.ground
+        query.add(delete)
         # a moves against t3 first, then b takes t1's place in (e, f)
-        a, b = (t2, t1) if self.rank((side & self.ground) | {delete}) == self.r else (t1, t2)
+        a, b = (t2, t1) if self.matroid._independent(query) else (t1, t2)
         if e == t1:
             return ExchangeStep(a, t3), ExchangeStep(b, f)
         return ExchangeStep(t3, a), ExchangeStep(e, b)
@@ -492,8 +499,8 @@ def reduce_triad(
     Applies the consistency fix-ups first; the child instance lives on
     M / t2 \\ t3.  The lift (``TriadLift``) re-inflates every intermediate
     pair (t2 joins the side holding t1, t3 the other side) and replaces each
-    step using t1 by two steps: the first option when one rank query finds
-    its middle pair to consist of bases, else the second, whose pair then
+    step using t1 by two steps: the first option when one independence test
+    finds its middle pair to consist of bases, else the second, whose pair then
     does, as a circuit and a cocircuit never share exactly one element
     (``TriadLift.replace``).  The parent's rank is read from the child's
     pair, never from a query of its ground set.  Width is preserved on
@@ -503,8 +510,9 @@ def reduce_triad(
     child lives on (M* / t2 \\ t3)* = M / t3 \\ t2.  The pairs must be
     disjoint and covering: then a pair of bases of M is also one of M*, and
     an exchange is valid in both or in neither, so the fix-ups and the lift
-    ask M itself.  The fix-ups pivot copies of the tableaux (built when not
-    given), and they become the child's in place.
+    ask M itself.  The fix-ups pivot the tableaux (built when not given) in
+    place, copying only one the other pair shares (``PairTableaux.fixed``),
+    and they become the child's.
     """
     t = _as_frozen(triad)
     if inst.forbidden & t:
@@ -554,7 +562,7 @@ def reduce_triad(
     )
     lift = TriadLift(
         t1, t2, t3, delete, swapped, step_x, step_y.reversed() if step_y else None,
-        m.uncached().rank, len(child.x.first) + 1, child_m.ground,
+        m, child_m.ground,
     )
     return Reduction([child], cert, triad=lift, tableaux=[child_tableaux])
 

@@ -6,6 +6,7 @@ are checked against an implementation-independent path.
 """
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
@@ -87,6 +88,25 @@ def reference_replay(pair, seq, forbidden=()):
     return current
 
 
+def bfs_distances(m, x) -> dict:
+    """Exchange distances from the pair ``x`` to every pair it reaches,
+    keyed by first basis: a breadth-first search over the steps that
+    ``is_valid_exchange`` accepts."""
+    dist = {x.first: 0}
+    queue = deque([x])
+    while queue:
+        pair = queue.popleft()
+        for e in sorted(pair.first - pair.second):
+            for f in sorted(pair.second - pair.first):
+                step = ExchangeStep(e, f)
+                if is_valid_exchange(pair, step):
+                    nxt = apply_step(pair, step)
+                    if nxt.first not in dist:
+                        dist[nxt.first] = dist[pair.first] + 1
+                        queue.append(nxt)
+    return dist
+
+
 def reference_replace(lift, e, f, first, second):
     """``TriadLift.replace`` by the two-option choice it replaced, on the
     child's pair (``first`` and ``second`` cut to ``lift.ground``): option A
@@ -94,12 +114,15 @@ def reference_replace(lift, e, f, first, second):
     the deleted element (the other is a child basis plus the contracted
     one), else option B when both of its members are bases.  Returns (the
     two steps, whether option A held, whether option B's two checks held);
-    the choice raised when neither held."""
+    the choice raised when neither held.  A set is a basis when the
+    frame's cached rank oracle gives it the frame's rank r, one more than
+    the size of a child basis."""
     t1, t2, t3, delete = lift.t1, lift.t2, lift.t3, lift.delete
     first, second = set(first) & lift.ground, set(second) & lift.ground
+    r = len(first) + 1
 
     def basis(s) -> bool:
-        return lift.rank(s) == lift.r
+        return lift.matroid.rank(s) == r
 
     if e == t1:
         mid = (first | {t3}, second | {t2})

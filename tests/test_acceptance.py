@@ -12,7 +12,6 @@ import time
 from baseswap.exchange import (
     BasisPair,
     apply_and_validate,
-    bfs_distances,
     bfs_oracle,
     compatible,
     UNREACHABLE,
@@ -33,7 +32,7 @@ from baseswap.structure import compose_structures, compose_sum, gf2_view, graphi
 from baseswap.sums import SparsityError, four_regular_triangle_partition
 from baseswap.union import matroid_union_partition
 
-from conftest import K4_EDGES, DT_EDGES, brute_circuits, brute_cocircuits, subsets
+from conftest import K4_EDGES, DT_EDGES, bfs_distances, brute_circuits, brute_cocircuits, subsets
 from test_pipeline import remark_construction, partition_pair
 
 

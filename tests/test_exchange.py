@@ -13,15 +13,26 @@ from baseswap.exchange import (
     UNREACHABLE,
     apply_and_validate,
     apply_step,
-    bfs_distances,
     bfs_oracle,
     compatible,
     is_valid_exchange,
 )
 from baseswap.io import sequence_to_text
-from baseswap.matroid import GraphicMatroid, graphic_matroid
+from baseswap.matroid import DualMatroid, GraphicMatroid, graphic_matroid
 
-from conftest import A, B, C, D, E, F, gf2_matrices, multigraphs, random_basis, reference_replay
+from conftest import (
+    A,
+    B,
+    C,
+    D,
+    E,
+    F,
+    bfs_distances,
+    gf2_matrices,
+    multigraphs,
+    random_basis,
+    reference_replay,
+)
 
 
 class TestValidity:
@@ -204,3 +215,49 @@ class TestTableauReplay:
                 current = apply_step(current, step)
         got = _outcome(apply_and_validate, pair, seq, forbidden)
         assert got == _outcome(reference_replay, pair, seq, forbidden)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(gf2_matrices(), multigraphs().map(GraphicMatroid)),
+        st.randoms(use_true_random=False),
+    )
+    def test_mutated_walks_fail_as_on_the_rank_path(self, m, rng):
+        # a walk of valid steps and its mutations: a step dropped, two steps
+        # swapped, a step reversed, a step using an element outside the
+        # ground set, and an F holding an element of a step.  The tableau
+        # replay agrees with the rank path (on the matroid behind two lazy
+        # duals) on the error class, index and step, or on the final pair
+        pair = BasisPair(random_basis(m, rng), random_basis(m, rng), m)
+        seq, current = [], pair
+        for _ in range(rng.randint(1, 8)):
+            applying = [
+                ExchangeStep(e, f)
+                for e in sorted(current.first - current.second)
+                for f in sorted(current.second - current.first)
+            ]
+            valid = [s for s in applying if is_valid_exchange(current, s)]
+            if not valid:
+                break
+            seq.append(rng.choice(valid))
+            current = apply_step(current, seq[-1])
+        if not seq:
+            return
+        k, j = rng.randrange(len(seq)), rng.randrange(len(seq))
+        e, f = seq[k]
+        swapped = list(seq)
+        swapped[k], swapped[j] = swapped[j], swapped[k]
+        outside = max(m.ground) + 1
+        stray = ExchangeStep(outside, f) if rng.random() < 0.5 else ExchangeStep(e, outside)
+        mutations = {
+            "valid": (seq, ()),
+            "drop": (seq[:k] + seq[k + 1 :], ()),
+            "swap": (swapped, ()),
+            "reverse": (seq[:k] + [seq[k].reversed()] + seq[k + 1 :], ()),
+            "outside": (seq[:k] + [stray] + seq[k + 1 :], ()),
+            "into F": (seq, {rng.choice(seq[k])}),
+        }
+        rank_path = BasisPair(pair.first, pair.second, DualMatroid(DualMatroid(m)))
+        for name, (steps, forbidden) in mutations.items():
+            got = _outcome(apply_and_validate, pair, steps, forbidden)
+            assert got == _outcome(apply_and_validate, rank_path, steps, forbidden), name
+        assert _outcome(apply_and_validate, pair, seq, ()) == (current.first, current.second)

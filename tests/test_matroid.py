@@ -308,6 +308,17 @@ def _gf2_minor_cases(draw):
     return m, frozenset(contract), frozenset(delete)
 
 
+class TestIndependenceTest:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(gf2_matrices(), multigraphs().map(GraphicMatroid)), st.data())
+    def test_matches_the_rank(self, m, data):
+        # the early-exit test of a drawn subset, in a drawn order, agrees
+        # with the rank oracle: loops and parallel pairs are common
+        ground = sorted(m.ground)
+        subset = data.draw(st.permutations(ground))[: data.draw(st.integers(0, len(ground)))]
+        assert m._independent(subset) == (m.rank(subset) == len(subset))
+
+
 class TestGf2Minor:
     @settings(max_examples=300, deadline=None)
     @given(_gf2_minor_cases())

@@ -307,7 +307,7 @@ class TestSolveEndToEnd:
         x = BasisPair(frozenset({0, 1, 2}), frozenset({3, 4, 5}), m)
         y = BasisPair(frozenset({0, 1, 3}), frozenset({2, 4, 5}), m)
         for solve in (lambda: solve_white(m, x, y), lambda: solve_gabow(m, x)):
-            with pytest.raises(GroundSetError):
+            with pytest.raises(GroundSetError, match="the caller's matroid is not binary"):
                 solve()
 
     def test_remark_construction_white_and_gabow(self):
@@ -882,10 +882,11 @@ def test_lift_choice_matches_the_two_option_reference(monkeypatch):
 
 @pytest.mark.parametrize("case", ["remark/white", "bispanning/white"])
 def test_lift_asks_one_rank_query_per_replaced_step(case, monkeypatch):
-    # every rank query the forward pass makes is the one query of a
-    # replacement
+    # every query the forward pass makes is the one independence test of a
+    # replacement, asked of the frame's graph or GF(2) matrix; the rank
+    # oracle is not asked at all
     import baseswap.pipeline as pipeline
-    from baseswap.matroid import Matroid
+    from baseswap.matroid import Gf2Matroid, Matroid
     from baseswap.reductions import TriadLift
 
     counts, lifting = Counter(), [False]
@@ -906,9 +907,102 @@ def test_lift_asks_one_rank_query_per_replaced_step(case, monkeypatch):
         counts["replace"] += 1
         return replace(self, *args)
 
+    def counted(independent):
+        def counted_independent(self, elements):
+            counts["independent"] += lifting[0]
+            return independent(self, elements)
+
+        return counted_independent
+
     monkeypatch.setattr(pipeline, "_lift_forward", counted_lift_forward)
     monkeypatch.setattr(Matroid, "rank", counted_rank)
     monkeypatch.setattr(TriadLift, "replace", counted_replace)
+    for cls in (GraphicMatroid, Gf2Matroid):
+        monkeypatch.setattr(cls, "_independent", counted(cls._independent))
     lift_solves()[case]()
     assert counts["replace"] > 0
-    assert counts["rank"] == counts["replace"]
+    assert counts["independent"] == counts["replace"]
+    assert counts["rank"] == 0
+
+
+def strip_solves() -> dict:
+    """``lift_solves()``, the R10 2-sum tree and R10 itself in both modes,
+    and ``one_sum_solves()``, as thunks by name."""
+    from baseswap.io import parse_tree
+    from baseswap.special import r10_fixture_pair, r10_matroid
+
+    def r10_tree(mode):
+        structure, _ = parse_tree(r10_two_sum_tree())
+        x, view = partition_pair(structure)
+        if mode == "gabow":
+            return solve_gabow(structure, x)
+        walk = random_exchange_walk(view, x, 6, random.Random(5))
+        return solve_white(structure, x, BasisPair(walk.first, walk.second, structure.matroid))
+
+    def r10(mode):
+        m = r10_matroid()
+        x = r10_fixture_pair(m)
+        if mode == "gabow":
+            return solve_gabow(m, x)
+        walk = random_exchange_walk(m, x, 4, random.Random(3))
+        return solve_white(m, x, walk)
+
+    solves = lift_solves()
+    for mode in ("white", "gabow"):
+        solves[f"r10-two-sum/{mode}"] = lambda mode=mode: r10_tree(mode)
+        solves[f"r10/{mode}"] = lambda mode=mode: r10(mode)
+    solves["one-sum"] = lambda: list(one_sum_solves())
+    return solves
+
+
+def test_frames_handed_tableaux_have_nothing_to_strip(monkeypatch):
+    # the children of a tight split or a triad, the frames handed tableaux,
+    # have disjoint pairs that cover their ground sets: neither strip
+    # applies to them
+    import baseswap.pipeline as pipeline
+    from baseswap.reductions import contract_common, delete_uncovered
+
+    reduce, results = pipeline._reduce, Counter()
+
+    def recording(struct, inst, last, out_trace, tableaux, *rest):
+        if tableaux is not None:
+            strips = (delete_uncovered(inst), contract_common(inst))
+            results[strips == (None, None)] += 1
+        return reduce(struct, inst, last, out_trace, tableaux, *rest)
+
+    monkeypatch.setattr(pipeline, "_reduce", recording)
+    for solve in strip_solves().values():
+        solve()
+    assert results[True] > 0 and results[False] == 0, results
+
+
+@pytest.mark.parametrize("case", ["bispanning/white", "bispanning/gabow", "remark/white", "one-sum"])
+def test_strips_run_only_on_frames_without_tableaux(case, monkeypatch):
+    # the strips run once per engine call and once more per strip: on the
+    # frames that carry no handed-down tableaux, and on no other
+    import baseswap.pipeline as pipeline
+
+    reduce, strips = pipeline._reduce, {}
+    frames, calls = Counter(), Counter()
+
+    def counted_reduce(struct, inst, last, out_trace, tableaux, *rest):
+        frames[tableaux is None] += 1
+        handed[0] = tableaux is not None
+        return reduce(struct, inst, last, out_trace, tableaux, *rest)
+
+    def counted(name):
+        def strip(*args, **kwargs):
+            calls[handed[0]] += 1
+            return strips[name](*args, **kwargs)
+
+        return strip
+
+    handed = [False]
+    monkeypatch.setattr(pipeline, "_reduce", counted_reduce)
+    for name in ("delete_uncovered", "contract_common"):
+        strips[name] = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, counted(name))
+    strip_solves()[case]()
+    assert frames[False] > 0 and calls[False] > 0
+    assert calls[True] == 0
+    assert calls[False] <= 2 * frames[True]

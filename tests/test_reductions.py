@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from baseswap.exchange import (
     BasisPair,
     ExchangeSequence,
+    ExchangeStep,
     apply_and_validate,
+    apply_step,
     is_valid_exchange,
 )
 from baseswap.matroid import Gf2Matroid, GraphicMatroid, GroundSetError, graphic_matroid
@@ -520,6 +522,44 @@ class TestPairTableaux:
                     two_outside += len(m.ground - z) == 2
         assert seen == {"fix_x", "fix_y", "swapped"}
         assert two_outside > 100
+
+
+    def test_fixed_leaves_a_shared_tableau_untouched(self):
+        # a reversal's y is x swapped, so each tableau serves both pairs: a
+        # fix-up of one pair pivots copies and leaves the other pair's as
+        # they were; when both pairs step, each ends on its own bases
+        m = graphic_matroid(K4_EDGES)
+        x = BasisPair(frozenset({A, B, C}), frozenset({D, E, F}), m)
+        y = x.swapped()
+
+        def state(tabs):
+            return [(dict(t.circuits), dict(t.cocircuits)) for t in tabs.x + tabs.y]
+
+        def fresh(pair):
+            return state(PairTableaux.of(Instance(m, pair, pair)))[:2]
+
+        def stepped(pair, step):
+            return apply_step(pair, step) if step else pair
+
+        steps = [
+            ExchangeStep(e, f)
+            for e in sorted(x.first)
+            for f in sorted(x.second)
+            if is_valid_exchange(x, ExchangeStep(e, f))
+        ]
+        back = [s.reversed() for s in steps]
+        cases = [(s, None) for s in steps] + [(None, s) for s in back] + list(zip(steps, back))
+        for step_x, step_y in cases:
+            tabs = PairTableaux.of(Instance(m, x, y))
+            assert tabs.y[0] is tabs.x[1] and tabs.y[1] is tabs.x[0]
+            before = state(tabs)
+            out = tabs.fixed(step_x, step_y, False)
+            assert state(out)[:2] == fresh(stepped(x, step_x))
+            assert state(out)[2:] == fresh(stepped(y, step_y))
+            if step_y is None:
+                assert out.y == tabs.y and state(tabs)[2:] == before[2:]
+            if step_x is None:
+                assert out.x == tabs.x and state(tabs)[:2] == before[:2]
 
 
 class TestRankLeTwo:

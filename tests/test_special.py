@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from baseswap.exchange import BasisPair, apply_and_validate, bfs_distances, bfs_oracle
+from baseswap.exchange import BasisPair, apply_and_validate, bfs_oracle
 from baseswap.pipeline import solve_white
 from baseswap.reductions import IncompatiblePairsError
 from baseswap.special import (
@@ -13,7 +13,7 @@ from baseswap.special import (
     r10_matroid,
 )
 
-from conftest import brute_circuits, r10_even_cycle_backend, subsets
+from conftest import bfs_distances, brute_circuits, r10_even_cycle_backend, subsets
 
 
 class TestR10Construction:
