@@ -759,8 +759,9 @@ def test_deep_graph_solve_needs_no_deep_python_stack(mode):
 @pytest.mark.parametrize("mode", ["white", "gabow"])
 def test_graph_solve_rank_query_budget(mode, monkeypatch):
     # past the root's entry checks a graph solve reads ranks from its pairs
-    # and tableaux: the only rank queries left are the lift's basis checks
-    # and the rank <= 2 leaves' steps, none on more than r elements
+    # and tableaux: the only rank queries left are the rank <= 2 leaves'
+    # steps (the lift asks independence tests), none on more than r
+    # elements
     import baseswap.pipeline as pipeline
     from baseswap.cli import _gen_bispanning
     from baseswap.io import parse_instance
@@ -791,7 +792,7 @@ def test_graph_solve_rank_query_budget(mode, monkeypatch):
         report = solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
     sizes = [q for q in queries if q is not None]
     assert report.rank == 39 and len(m.ground) == 78
-    assert sizes, "the lift asks the rank oracle"
+    assert sizes, "the rank <= 2 leaves ask the rank oracle"
     assert max(size for size, _ in sizes) <= report.rank
     assert sum(whole for _, whole in sizes) <= 1
 
