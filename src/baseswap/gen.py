@@ -124,49 +124,3 @@ def random_forbidden_set(x: BasisPair, y: BasisPair, graph: Multigraph, rng: ran
             if rng.random() < 0.5:
                 break
     return frozenset(chosen)
-
-
-def random_four_regular_with_triangle(n: int, rng: random.Random, max_tries: int = 5000):
-    """Random simple 4-regular graph on n >= 6 vertices containing a triangle.
-
-    Uses the pairing model with rejection; returns (Multigraph, triangle edge
-    ids as a tuple).  Raises RuntimeError when no graph shows up.
-    """
-    if n < 6:
-        raise ValueError("4-regular simple graphs need at least six vertices")
-    for _ in range(max_tries):
-        stubs = [v for v in range(1, n + 1) for _ in range(4)]
-        rng.shuffle(stubs)
-        pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
-        seen = set()
-        ok = True
-        for u, v in pairs:
-            if u == v or (min(u, v), max(u, v)) in seen:
-                ok = False
-                break
-            seen.add((min(u, v), max(u, v)))
-        if not ok:
-            continue
-        edges = {i: (min(u, v), max(u, v)) for i, (u, v) in enumerate(pairs)}
-        tri = _find_triangle_edges(edges)
-        if tri is not None:
-            return Multigraph(edges), tri
-    raise RuntimeError(f"no simple 4-regular graph with a triangle for n={n}")
-
-
-def _find_triangle_edges(edges: dict):
-    by_pair = {}
-    adj = {}
-    for e, (u, v) in edges.items():
-        by_pair[(u, v)] = e
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    for u in sorted(adj):
-        for v in sorted(adj[u]):
-            if v <= u:
-                continue
-            for w in sorted(adj[u] & adj[v]):
-                if w <= v:
-                    continue
-                return (by_pair[(v, w)], by_pair[(u, w)], by_pair[(u, v)])
-    return None

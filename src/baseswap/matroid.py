@@ -2,11 +2,13 @@
 
 Every matroid lives on a ground set of small nonnegative integers.  Concrete
 backends: binary matrices over GF(2) and multigraphs, whose duals (GF(2)) and
-minors (both) are explicit matroids of the same backend, and lazy dual and
-minor views of any other matroid; binary 1-/2-/3-sums are GF(2) matrices
-built in ``structure``.  Instances are immutable after construction and all
-queries are read-only, so values can be shared freely between threads; rank
-caches and a graph's incidence index fill idempotently.
+minors (both) are explicit matroids of the same backend, and a lazy dual
+view of any other matroid; binary 1-/2-/3-sums are GF(2) matrices built in
+``structure``.  Only the two explicit backends take minors: the solver
+swaps any other matroid for its GF(2) image before it reduces.  Instances
+are immutable after construction and all queries are read-only, so values
+can be shared freely between threads; rank caches and a graph's incidence
+index fill idempotently.
 
 A ``Tableau`` holds the fundamental circuits of one basis of a binary
 matroid as bitmasks and answers "is B - b + f a basis?" with one bit; an
@@ -39,9 +41,9 @@ def _as_frozen(subset) -> frozenset:
 class Matroid:
     """Abstract rank oracle over an integer ground set.
 
-    Subclasses implement ``_rank``.  All derived queries (independence, basis
-    tests, fundamental circuits, duals, minors) are provided here in terms of
-    rank.
+    Subclasses implement ``_rank``.  The derived queries (independence,
+    basis tests, fundamental circuits, duals) are provided here in terms of
+    rank; minors are left to the explicit backends (``_minor``).
     """
 
     def __init__(self, ground: frozenset):
@@ -155,9 +157,9 @@ class Matroid:
         return self._minor(c, d)
 
     def _minor(self, c: frozenset, d: frozenset) -> "Matroid":
-        """The minor for checked, disjoint sets, not both empty: a lazy view
-        unless the backend overrides this with an explicit one."""
-        return MinorMatroid(self, c, d)
+        """The minor for checked, disjoint sets, not both empty, which only
+        an explicit backend builds."""
+        raise NotImplementedError(f"{type(self).__name__} has no explicit minor")
 
     def contract(self, subset) -> "Matroid":
         return self.minor(contract=subset)
@@ -715,23 +717,6 @@ class DualMatroid(Matroid):
 
     def dual(self) -> Matroid:
         return self.base
-
-
-class MinorMatroid(Matroid):
-    """Lazy minor view: r(Z) = r_base(Z + contracted) - r_base(contracted)."""
-
-    def __init__(self, base: Matroid, contracted: frozenset, deleted: frozenset):
-        super().__init__(base.ground - contracted - deleted)
-        self.base = base
-        self.contracted = contracted
-        self.deleted = deleted
-        self._contract_rank = base.rank(contracted)
-
-    def _rank(self, subset: frozenset) -> int:
-        return self.base.rank(subset | self.contracted) - self._contract_rank
-
-    def _minor(self, c: frozenset, d: frozenset) -> Matroid:
-        return MinorMatroid(self.base, self.contracted | c, self.deleted | d)
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,20 @@ cographic leaf picks its tight set or triad at a low-degree vertex
 2-/3-sum machinery of the structure, or to the exhaustive search fallback
 for small ground sets (which solves R10 and F7).  Reductions run on an
 explicit stack; only the sum routes, which call the engine once per side,
-add Python stack depth.  Every frame the engine searches is a graph or a
-GF(2) matrix: a cographic leaf is solved on its graph, and a caller's
-matroid as the GF(2) matrix of its fundamental circuits, while the entry
-checks and the closing replay run on the caller's matroid.  The strips run
-on the frames that are handed no tableaux, the root of each engine call and
-the strips' own children: a tight split or a triad leaves disjoint pairs
-that cover their ground sets.  They are followed by one tableau per basis
-of the two pairs; the searches and fix-ups read them, and each reduction
-hands its children tableaux derived from them, so they are built once per
-engine call and once more where a leaf is swapped.  A frame's rank is the
-size of a basis of its pair, so no frame asks the rank of its whole ground
-set.  A minor of a sum node is a GF(2)
-matrix minor whose tree is built only where a sum route or its refusal
-reads it.
+add Python stack depth.  A caller's matroid reaches the engine as the
+GF(2) matrix of its fundamental circuits (``structure.as_structure``),
+while the entry checks and the closing replay run on the caller's matroid.
+The strips run on the frames that are handed no tableaux, the root of each
+engine call and the strips' own children: a tight split or a triad leaves
+disjoint pairs that cover their ground sets.  Past the strips a cographic
+leaf is solved on its graph, so every later frame is a graph or a GF(2)
+matrix.  Then comes one tableau per basis of the two pairs; the searches
+and fix-ups read them, and each reduction hands its children tableaux
+derived from them, so they are built once per engine call and once more
+where a cographic leaf is swapped.  A frame's rank is the size of a basis
+of its pair, so no frame asks the rank of its whole ground set.  A minor of
+a sum node is a GF(2) matrix minor whose tree is built only where a sum
+route or its refusal reads it.
 
 The frames build a tree of reductions, each with its lift as data, and one
 forward pass over the tree emits the sequence (``_lift_forward``): a step
@@ -78,7 +78,6 @@ from .structure import (
     SumNode,
     as_structure,
     collapse_one_sums,
-    gf2_leaf,
     graphic_leaf,
     structure_minor,
     structure_minors,
@@ -151,56 +150,56 @@ def _as_pair(m: Matroid, pair) -> BasisPair:
 def solve_white(source, x, y, forbidden=(), bfs_cap: int = 16) -> SolveReport:
     """Transform pair x into pair y; length <= c r^2, width <= 2c(r-1)
     with c = 1 for graphic or cographic inputs and c = 2 otherwise."""
-    struct = as_structure(source)
-    m = struct.matroid
-    x = _as_pair(m, x)
-    y = _as_pair(m, y)
-    inst = Instance(m, x, y, _as_frozen(forbidden))
-    inst.validate()
-    trace = TraceNode("solve", {"mode": "white"})
-    steps = _engine(struct, inst, "white", None, bfs_cap, trace.children)
-    seq = ExchangeSequence(steps)
-    final = _replayed(x, seq, inst.forbidden)
-    if not (final.first == y.first and final.second == y.second):
-        raise AssertionError("the sequence does not end on the target pair")
-    bl, bw = _bounds("white", m.full_rank, struct)
-    if not (seq.length <= bl and seq.width <= bw):
-        raise AssertionError("solver exceeded its bounds")
-    return SolveReport(seq, m.full_rank, "white", bl, bw, trace)
+    return _solve(source, "white", x, y, forbidden, None, bfs_cap)
 
 
 def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
     """Reverse a disjoint pair in exactly r strictly monotone exchanges."""
+    return _solve(source, "gabow", x, None, (), last, bfs_cap)
+
+
+def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
+    """The root of a solve in either mode.  The entry checks and the closing
+    replay run on the caller's matroid ``m``; the engine runs on the
+    structure's, which is the [I | A] image of a caller's matroid."""
     struct = as_structure(source)
-    m = struct.matroid
+    m = source if isinstance(source, Matroid) else struct.matroid
     x = _as_pair(m, x)
-    if x.first & x.second:
-        raise IncompatiblePairsError("reversal needs disjoint bases")
-    if last is not None and last not in x.union:
-        raise ReductionError("designated last element must lie in one of the bases")
-    y = x.swapped()
-    inst = Instance(m, x, y)
+    if mode == "gabow":
+        if x.first & x.second:
+            raise IncompatiblePairsError("reversal needs disjoint bases")
+        if last is not None and last not in x.union:
+            raise ReductionError("designated last element must lie in one of the bases")
+        y = x.swapped()
+    else:
+        y = _as_pair(m, y)
+    inst = Instance(m, x, y, _as_frozen(forbidden))
     inst.validate()
-    trace = TraceNode("solve", {"mode": "gabow"})
-    steps = _engine(struct, inst, "gabow", last, bfs_cap, trace.children)
-    seq = ExchangeSequence(steps)
-    _replayed(x, seq)
-    try:
-        check_reversal(x, seq, last)
-    except SequenceValidationError as err:
-        raise AssertionError(f"the sequence is not a reversal: {err}") from None
-    r = m.full_rank
-    bl, bw = _bounds("gabow", r, struct)
-    return SolveReport(seq, r, "gabow", bl, bw, trace)
-
-
-def _replayed(x: BasisPair, seq: ExchangeSequence, forbidden=frozenset()) -> BasisPair:
-    """The closing replay on the caller's matroid: the pair ``seq`` reaches
-    from ``x``.  A step it rejects is a failed internal check."""
-    try:
-        return apply_and_validate(x, seq, forbidden)
+    image = struct.matroid
+    if image is not m:
+        if not all(map(image.is_basis, (x.first, x.second, y.first, y.second))):
+            raise GroundSetError(
+                "the caller's matroid is not binary: its [I | A] image over GF(2) "
+                "loses a basis of the pair"
+            )
+        inst = Instance(image, _as_pair(image, x), _as_pair(image, y), inst.forbidden)
+    trace = TraceNode("solve", {"mode": mode})
+    seq = ExchangeSequence(_engine(struct, inst, mode, last, cap, trace.children))
+    try:  # the closing replay: a step it rejects is a failed internal check
+        final = apply_and_validate(x, seq, inst.forbidden)
     except SequenceValidationError as err:
         raise AssertionError(f"the closing replay failed: {err}") from None
+    if mode == "white" and not (final.first == y.first and final.second == y.second):
+        raise AssertionError("the sequence does not end on the target pair")
+    if mode == "gabow":
+        try:
+            check_reversal(x, seq, last)
+        except SequenceValidationError as err:
+            raise AssertionError(f"the sequence is not a reversal: {err}") from None
+    bl, bw = _bounds(mode, m.full_rank, struct)
+    if not (seq.length <= bl and seq.width <= bw):
+        raise AssertionError("solver exceeded its bounds")
+    return SolveReport(seq, m.full_rank, mode, bl, bw, trace)
 
 
 # -- the engine ----------------------------------------------------------------
@@ -341,26 +340,21 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
             if red is not None:
                 return _one_child(red, record[0], last, out_trace)
 
+    if isinstance(struct, Leaf) and struct.tag == "cographic":
+        # the pair is disjoint and covering here, so X1 - e + f is a basis
+        # of M* exactly when its complement X2 - f + e is a basis of M: the
+        # graph is solved as a graphic leaf on the same pairs, with the same
+        # steps.  Tableaux handed down from a sum are those of the dual, so
+        # the new frame builds its own
+        struct = graphic_leaf(struct.graph)
+        m = struct.matroid
+        inst = Instance(m, _as_pair(m, inst.x), _as_pair(m, inst.y), inst.forbidden)
+        tableaux = None
+
     if len(inst.x.first) <= 2:  # the rank, read from a basis
         out_trace.append(TraceNode("rank_le2"))
         return list(solve_rank_le2(inst, h=last))
 
-    if isinstance(struct, Leaf) and struct.tag in ("cographic", "opaque"):
-        # the pair is disjoint and covering here, so a cographic pair is
-        # also a pair of spanning trees, and the graph is solved as a
-        # graphic leaf; a caller's matroid is solved as the GF(2) matrix of
-        # its fundamental circuits.  Tableaux handed down from a sum are
-        # those of a cographic leaf's dual, so the new frame builds its own
-        struct = graphic_leaf(struct.graph) if struct.tag == "cographic" else gf2_leaf(struct.gf2)
-        m = struct.matroid
-        inst = Instance(m, _as_pair(m, inst.x), _as_pair(m, inst.y), inst.forbidden)
-        try:
-            tableaux = PairTableaux.of(inst)
-        except GroundSetError:  # only a matrix can lose a basis of the pair
-            raise GroundSetError(
-                "the caller's matroid is not binary: its [I | A] image over GF(2) "
-                "loses a basis of the pair"
-            ) from None
     tableaux = tableaux or PairTableaux.of(inst)
     graph = struct.graph if isinstance(struct, Leaf) else None
 

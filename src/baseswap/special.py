@@ -14,8 +14,6 @@ and uncovered elements; ``exchange.bfs_oracle`` certifies their distances.
 
 from __future__ import annotations
 
-import itertools
-
 from .matroid import Matroid, Gf2Matroid
 from .exchange import BasisPair
 
@@ -67,11 +65,3 @@ def fano_gf2() -> Gf2Matroid:
 
 
 f7_matroid = fano_gf2
-
-
-def f7_bases() -> list:
-    """The 28 three-element subsets of 0..6 that are not lines."""
-    lines = {frozenset(F7_ELEMENTS.index(c) for c in line) for line in F7_LINES}
-    return [
-        frozenset(c) for c in itertools.combinations(range(7), 3) if frozenset(c) not in lines
-    ]

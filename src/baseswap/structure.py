@@ -1,23 +1,23 @@
 """Structured matroids: leaf descriptions composed by 1-/2-/3-sums.
 
 A structure mirrors a user decomposition tree: leaves are graphic,
-cographic or GF(2) matroids (R10 and F7 included), or a matroid the caller
-passed in ("opaque"); internal nodes are binary sums.  Minors push into the
-owning leaves so graph realizations survive reduction; a 1-sum whose side
-they empty becomes its other side, and when a pushed minor breaks a sum
-precondition the node collapses to a GF(2) leaf.  ``structure_minors``
+cographic or GF(2) matroids (R10 and F7 included); internal nodes are
+binary sums.  A matroid the caller passes in becomes, at the root, the GF(2)
+leaf of its [I | A] image (``binary_image``), read off the fundamental
+circuits of one basis, so such a matroid must be binary.  Minors push into
+the owning leaves so graph realizations survive reduction; a 1-sum whose
+side they empty becomes its other side, and when a pushed minor breaks a
+sum precondition the node collapses to a GF(2) leaf.  ``structure_minors``
 applies a list of minors in turn and composes each node once.
 
-Every node has an explicit GF(2) matrix (``gf2``): a leaf's own matrix,
-its graph's incidence matrix, the dual of that for a cographic leaf, or
-[I | A] from the fundamental circuits of a caller's matroid, which the
-engine solves in its place, so such a matroid must be binary.  The matroid
-of a sum node is the matrix glued from its children's along the shared set
-(``_glue``).  It answers every rank, basis and minor query on the node, and
-the tree is kept only for routing: graph solves on graphic bullets and the
-2-/3-sum merges, so the engine builds a minor's tree only where a route
-reads it.  The tests check the matrix against the definitional rank of a
-binary sum.
+Every node has an explicit GF(2) matrix (``gf2``): a leaf's own matrix, its
+graph's incidence matrix, or the dual of that for a cographic leaf.  The
+matroid of a sum node is the matrix glued from its children's along the
+shared set (``_glue``).  It answers every rank, basis and minor query on
+the node, and the tree is kept only for routing: graph solves on graphic
+bullets and the 2-/3-sum merges, so the engine builds a minor's tree only
+where a route reads it.  The tests check the matrix against the
+definitional rank of a binary sum.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .matroid import (
 
 @dataclass
 class Leaf:
-    tag: str  # graphic | cographic | gf2 | opaque
+    tag: str  # graphic | cographic | gf2
     matroid: Matroid
     graph: Optional[Multigraph] = None
 
@@ -53,22 +53,13 @@ class Leaf:
     @cached_property
     def gf2(self) -> Gf2Matroid:
         """The leaf's matroid as an explicit GF(2) matrix."""
-        if isinstance(self.matroid, Gf2Matroid):
+        if self.graph is None:
             return self.matroid
-        if self.graph is not None:
-            # vertex-edge incidence columns; a loop is a zero column
-            row = {v: i for i, v in enumerate(sorted(self.graph.vertices(), key=str))}
-            cols = {e: (1 << row[u]) ^ (1 << row[v]) for e, (u, v) in self.graph.edges.items()}
-            incidence = Gf2Matroid(cols)
-            return incidence if self.tag == "graphic" else incidence.dual()
-        # a matroid the caller passed in: [I | A] from a basis B, with the
-        # row of b in B on the columns of b and of every e whose C(e) holds b
-        basis, circuits = self.matroid.fundamental_circuits()
-        row = {b: i for i, b in enumerate(sorted(basis))}
-        cols = {b: 1 << row[b] for b in basis}
-        for e, circuit in circuits.items():
-            cols[e] = sum(1 << row[b] for b in circuit - {e})
-        return Gf2Matroid(cols)
+        # vertex-edge incidence columns; a loop is a zero column
+        row = {v: i for i, v in enumerate(sorted(self.graph.vertices(), key=str))}
+        cols = {e: (1 << row[u]) ^ (1 << row[v]) for e, (u, v) in self.graph.edges.items()}
+        incidence = Gf2Matroid(cols)
+        return incidence if self.tag == "graphic" else incidence.dual()
 
 
 @dataclass
@@ -104,8 +95,16 @@ def gf2_leaf(matroid: Gf2Matroid) -> Leaf:
     return Leaf("gf2", matroid)
 
 
-def opaque_leaf(matroid: Matroid) -> Leaf:
-    return Leaf("opaque", matroid)
+def binary_image(m: Matroid) -> Gf2Matroid:
+    """[I | A] over GF(2) from the fundamental circuits of a basis B of m:
+    the row of b in B on the columns of b and of every e whose C(e) holds
+    b.  It equals m exactly when m is binary."""
+    basis, circuits = m.fundamental_circuits()
+    row = {b: i for i, b in enumerate(sorted(basis))}
+    cols = {b: 1 << row[b] for b in basis}
+    for e, circuit in circuits.items():
+        cols[e] = sum(1 << row[b] for b in circuit - {e})
+    return Gf2Matroid(cols)
 
 
 def compose_structures(left, right, spec: SumSpec) -> SumNode:
@@ -126,7 +125,8 @@ def as_structure(source) -> "Leaf | SumNode":
     if isinstance(source, Gf2Matroid):
         return gf2_leaf(source)
     if isinstance(source, Matroid):
-        return opaque_leaf(source)
+        # a caller's matroid: the engine solves its [I | A] image
+        return gf2_leaf(binary_image(source))
     raise TypeError(f"cannot interpret {source!r} as a matroid structure")
 
 

@@ -20,7 +20,7 @@ from baseswap.exchange import (
     apply_step,
     is_valid_exchange,
 )
-from baseswap.special import K5_EDGES
+from baseswap.special import F7_ELEMENTS, F7_LINES, K5_EDGES
 from baseswap.structure import Leaf
 
 # K4 fixture: a=12 b=23 c=34 d=13 e=14 f=24, ids 0..5 in that letter order
@@ -62,6 +62,79 @@ def gf2_matrices(draw):
     """Four-bit columns over up to nine elements: zero columns (loops) and
     repeated columns (parallel pairs) are common."""
     return Gf2Matroid(draw(st.dictionaries(st.integers(0, 12), st.integers(0, 15), max_size=9)))
+
+
+class MinorMatroid(Matroid):
+    """Lazy minor view: r(Z) = r_base(Z + contracted) - r_base(contracted),
+    the rank-path reference for the explicit minors."""
+
+    def __init__(self, base: Matroid, contracted: frozenset, deleted: frozenset):
+        super().__init__(base.ground - contracted - deleted)
+        self.base = base
+        self.contracted = contracted
+        self.deleted = deleted
+        self._contract_rank = base.rank(contracted)
+
+    def _rank(self, subset: frozenset) -> int:
+        return self.base.rank(subset | self.contracted) - self._contract_rank
+
+    def _minor(self, c: frozenset, d: frozenset) -> Matroid:
+        return MinorMatroid(self.base, self.contracted | c, self.deleted | d)
+
+
+def f7_bases() -> list:
+    """The 28 three-element subsets of F7's elements 0..6 that are not
+    lines, from the line list."""
+    lines = {frozenset(F7_ELEMENTS.index(c) for c in line) for line in F7_LINES}
+    return [
+        frozenset(c) for c in itertools.combinations(range(7), 3) if frozenset(c) not in lines
+    ]
+
+
+def random_four_regular_with_triangle(n: int, rng, max_tries: int = 5000):
+    """Random simple 4-regular graph on n >= 6 vertices containing a triangle.
+
+    Uses the pairing model with rejection; returns (Multigraph, triangle edge
+    ids as a tuple).  Raises RuntimeError when no graph shows up.
+    """
+    if n < 6:
+        raise ValueError("4-regular simple graphs need at least six vertices")
+    for _ in range(max_tries):
+        stubs = [v for v in range(1, n + 1) for _ in range(4)]
+        rng.shuffle(stubs)
+        pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
+        seen = set()
+        ok = True
+        for u, v in pairs:
+            if u == v or (min(u, v), max(u, v)) in seen:
+                ok = False
+                break
+            seen.add((min(u, v), max(u, v)))
+        if not ok:
+            continue
+        edges = {i: (min(u, v), max(u, v)) for i, (u, v) in enumerate(pairs)}
+        tri = _find_triangle_edges(edges)
+        if tri is not None:
+            return Multigraph(edges), tri
+    raise RuntimeError(f"no simple 4-regular graph with a triangle for n={n}")
+
+
+def _find_triangle_edges(edges: dict):
+    by_pair = {}
+    adj = {}
+    for e, (u, v) in edges.items():
+        by_pair[(u, v)] = e
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    for u in sorted(adj):
+        for v in sorted(adj[u]):
+            if v <= u:
+                continue
+            for w in sorted(adj[u] & adj[v]):
+                if w <= v:
+                    continue
+                return (by_pair[(v, w)], by_pair[(u, w)], by_pair[(u, v)])
+    return None
 
 
 def random_basis(m, rng) -> frozenset:

@@ -20,19 +20,28 @@ from baseswap.gen import (
     random_bispanning_graph,
     random_exchange_walk,
     random_forbidden_set,
-    random_four_regular_with_triangle,
 )
 from baseswap.graphic import solve_graphic_gabow, solve_graphic_white
 from baseswap.io import parse_instance
-from baseswap.matroid import GraphicMatroid, MinorMatroid, Multigraph, SumSpec, graphic_matroid
+from baseswap.matroid import GraphicMatroid, Multigraph, SumSpec, graphic_matroid
 from baseswap.pipeline import solve_white
 from baseswap.reductions import find_nontrivial_tight_set
-from baseswap.special import f7_bases, f7_matroid, fano_gf2, r10_fixture_pair, r10_matroid
+from baseswap.special import f7_matroid, fano_gf2, r10_fixture_pair, r10_matroid
 from baseswap.structure import compose_structures, compose_sum, gf2_view, graphic_leaf
 from baseswap.sums import SparsityError, four_regular_triangle_partition
 from baseswap.union import matroid_union_partition
 
-from conftest import K4_EDGES, DT_EDGES, bfs_distances, brute_circuits, brute_cocircuits, subsets
+from conftest import (
+    K4_EDGES,
+    DT_EDGES,
+    MinorMatroid,
+    bfs_distances,
+    brute_circuits,
+    brute_cocircuits,
+    f7_bases,
+    random_four_regular_with_triangle,
+    subsets,
+)
 from test_pipeline import remark_construction, partition_pair
 
 

@@ -11,7 +11,6 @@ from baseswap.matroid import (
     GraphicMatroid,
     GroundSetError,
     Matroid,
-    MinorMatroid,
     Multigraph,
     SumSpec,
     graphic_matroid,
@@ -27,6 +26,7 @@ from conftest import (
     brute_cocircuits,
     brute_sum_rank_fn,
     DefinitionalSum,
+    MinorMatroid,
     dfs_forest_rank,
     gf2_matrices,
     multigraphs,
@@ -258,6 +258,13 @@ class TestDualMinor:
                 assert lazy.ground == explicit.ground
                 for s in subsets(lazy.ground):
                     assert lazy.rank(s) == explicit.rank(s)
+
+    def test_lazy_view_has_no_minor(self, k4):
+        # only the explicit backends build minors; an empty one is the view
+        view = k4[0].dual()
+        assert view.minor() is view
+        with pytest.raises(NotImplementedError, match="DualMatroid"):
+            view.minor(contract={A}, delete={F})
 
     def test_dual_on_minor_views(self, dt):
         m, _ = dt

@@ -7,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baseswap.exchange import (
     BasisPair,
@@ -16,11 +17,11 @@ from baseswap.exchange import (
     check_reversal,
 )
 from baseswap.matroid import (
+    DualMatroid,
     Gf2Matroid,
     GraphicMatroid,
     GroundSetError,
     Matroid,
-    MinorMatroid,
     Multigraph,
     SumSpec,
     graphic_matroid,
@@ -56,11 +57,15 @@ from baseswap.gen import random_exchange_walk, random_bispanning_graph, random_f
 
 from conftest import (
     K4_EDGES,
+    MinorMatroid,
     brute_circuits,
     brute_cocircuits,
     brute_sum_rank_fn,
     definitional_matroid,
     checked_replace,
+    gf2_matrices,
+    multigraphs,
+    random_basis,
     r10_two_sum_tree,
     subsets,
 )
@@ -136,15 +141,15 @@ class TestStructure:
         assert (minor.tag, minor.ground) == (leaf.tag, leaf.ground - {0, 1})
 
     def test_two_sum_with_a_callers_matroid_part(self):
-        # a lazy dual is neither GF(2) nor graphic, so its leaf's matrix is
-        # [I | A] built from fundamental circuits
+        # a lazy dual is neither GF(2) nor graphic, so it becomes the GF(2)
+        # leaf of its [I | A] image, built from fundamental circuits
         left = graphic_matroid(dict(K4_EDGES)).dual()
         right = graphic_matroid(
             {5: (11, 12), 6: (12, 13), 7: (13, 14), 8: (11, 13), 9: (11, 14), 10: (12, 14)}
         )
         node = compose_structures(as_structure(left), graphic_leaf(right.graph),
                                   SumSpec(2, frozenset({5})))
-        assert node.left.tag == "opaque"
+        assert node.left.tag == "gf2"
         oracle = brute_sum_rank_fn(left, right, frozenset({5}))
         for s in subsets(node.ground):
             assert node.matroid.rank(s) == oracle(s)
@@ -225,7 +230,7 @@ class TestStructure:
     def test_cographic_leaf_minor_swaps_operations(self):
         leaf = cographic_leaf(Multigraph(dict(K4_EDGES)))
         sub = structure_minor(leaf, contract=frozenset({0}), delete=frozenset({5}))
-        lazy = leaf.matroid.minor(contract={0}, delete={5})
+        lazy = MinorMatroid(leaf.matroid, frozenset({0}), frozenset({5}))
         assert sub.tag == "cographic"
         for s in subsets(sub.ground):
             assert sub.matroid.rank(s) == lazy.rank(s)
@@ -281,34 +286,75 @@ class TestSolveEndToEnd:
         assert final.first == y.first
 
     def test_unsupported_structure_raises(self):
-        # R10 admits no reduction; as an anonymous matroid below the search
+        # R10 admits no reduction; as a plain GF(2) matrix above the search
         # cap it has no route left
         from baseswap.special import r10_matroid, r10_fixture_pair
-        from baseswap.structure import opaque_leaf
 
         m = r10_matroid()
         x = r10_fixture_pair(m)
-        wrapped = opaque_leaf(m)
         with pytest.raises(UnsupportedStructureError):
-            solve_white(wrapped, x, x.swapped(), bfs_cap=8)
+            solve_white(m, x, x.swapped(), bfs_cap=8)
 
     def test_non_binary_callers_matroid_is_refused(self):
         # a caller's matroid is solved as the GF(2) matrix of its fundamental
-        # circuits; U(3,6) is not binary, and its matrix holds 3, 4 and 5 as
-        # one column, so the second basis of x is no basis there
-        class U36(Matroid):
-            def __init__(self):
-                super().__init__(frozenset(range(6)))
+        # circuits.  U(3,6) is not binary, and its matrix holds 3, 4 and 5 as
+        # one column, so the second basis of x is no basis there.  U(2,4)
+        # with the pair ({0, 1}, {2, 3}) reaches rank <= 2 without a
+        # reduction, and its matrix holds 2 and 3 as one column; the image
+        # is taken at the root, so it is refused too
+        class Uniform(Matroid):
+            def __init__(self, r, n):
+                super().__init__(frozenset(range(n)))
+                self.r = r
 
             def _rank(self, subset):
-                return min(len(subset), 3)
+                return min(len(subset), self.r)
 
-        m = U36()
-        x = BasisPair(frozenset({0, 1, 2}), frozenset({3, 4, 5}), m)
-        y = BasisPair(frozenset({0, 1, 3}), frozenset({2, 4, 5}), m)
-        for solve in (lambda: solve_white(m, x, y), lambda: solve_gabow(m, x)):
-            with pytest.raises(GroundSetError, match="the caller's matroid is not binary"):
-                solve()
+        u36 = Uniform(3, 6)
+        x36 = BasisPair(frozenset({0, 1, 2}), frozenset({3, 4, 5}), u36)
+        y36 = BasisPair(frozenset({0, 1, 3}), frozenset({2, 4, 5}), u36)
+        u24 = Uniform(2, 4)
+        x24 = BasisPair(frozenset({0, 1}), frozenset({2, 3}), u24)
+        for m, x, y in ((u36, x36, y36), (u24, x24, x24.swapped())):
+            for solve in (lambda: solve_white(m, x, y), lambda: solve_gabow(m, x)):
+                with pytest.raises(GroundSetError, match="the caller's matroid is not binary"):
+                    solve()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(gf2_matrices(), multigraphs().map(lambda g: gf2_view(graphic_leaf(g)))),
+        st.randoms(use_true_random=False),
+    )
+    def test_callers_matroid_solves_as_its_matrix(self, m, rng):
+        # a caller's matroid is solved as its [I | A] image from the root,
+        # strips included: a lazy view of m gives m's own sequences (or
+        # refusals).  The white pair has uncovered and common elements and
+        # a drawn F; the reversal, on m with the common elements contracted,
+        # has uncovered elements and a drawn designated last element
+        def outcome(solve, m, *args):
+            try:
+                return solve(m, *args).sequence.steps
+            except (UnsupportedStructureError, GroundSetError) as err:
+                return type(err), str(err)
+
+        def same(solve, m, *args):
+            wrapped = DualMatroid(DualMatroid(m))
+            assert outcome(solve, wrapped, *args) == outcome(solve, m, *args)
+
+        first = random_basis(m, rng)
+        second: set = set()
+        for e in rng.sample(sorted(m.ground - first), len(m.ground - first)) + sorted(first):
+            if m.rank(second | {e}) > len(second):
+                second.add(e)
+        x = BasisPair(first, frozenset(second), m)
+        y = random_exchange_walk(m, x, rng.randint(1, 8), rng)
+        eligible = sorted((x.first & y.first) | (x.second & y.second))
+        same(solve_white, m, x, y, frozenset(e for e in eligible if rng.random() < 0.3))
+        common = x.common
+        m = m.minor(contract=common)
+        x = BasisPair(x.first - common, x.second - common, m)
+        last = rng.choice(sorted(x.union)) if x.union and rng.random() < 0.7 else None
+        same(solve_gabow, m, x, last)
 
     def test_remark_construction_white_and_gabow(self):
         node = remark_construction()
@@ -420,9 +466,7 @@ class TestTraceReplay:
         m = graphic_matroid({**left, **right})
         x = BasisPair(frozenset({0, 1, 2, 6, 7, 8}), frozenset({3, 4, 5, 9, 10, 11}), m)
         y = BasisPair(frozenset({0, 4, 2, 6, 7, 8}), frozenset({3, 1, 5, 9, 10, 11}), m)
-        from baseswap.structure import opaque_leaf
-
-        report = solve_white(opaque_leaf(m), x, y)
+        report = solve_white(gf2_view(graphic_leaf(m.graph)), x, y)
         kinds = {c.kind for c in report.certificates}
         assert "tight_split" in kinds
 

@@ -7,13 +7,12 @@ from baseswap.pipeline import solve_white
 from baseswap.reductions import IncompatiblePairsError
 from baseswap.special import (
     F7_LINES,
-    f7_bases,
     f7_matroid,
     r10_fixture_pair,
     r10_matroid,
 )
 
-from conftest import bfs_distances, brute_circuits, r10_even_cycle_backend, subsets
+from conftest import bfs_distances, brute_circuits, f7_bases, r10_even_cycle_backend, subsets
 
 
 class TestR10Construction:

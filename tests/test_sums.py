@@ -20,9 +20,9 @@ from baseswap.sums import (
     three_sum_white,
 )
 from baseswap.union import matroid_union_partition
-from baseswap.gen import random_exchange_walk, random_four_regular_with_triangle
+from baseswap.gen import random_exchange_walk
 
-from conftest import K4_EDGES
+from conftest import K4_EDGES, random_four_regular_with_triangle
 
 
 def two_k4_sum():
