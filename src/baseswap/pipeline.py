@@ -189,13 +189,13 @@ def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
         final = apply_and_validate(x, seq, inst.forbidden)
     except SequenceValidationError as err:
         raise AssertionError(f"the closing replay failed: {err}") from None
-    if mode == "white" and not (final.first == y.first and final.second == y.second):
-        raise AssertionError("the sequence does not end on the target pair")
     if mode == "gabow":
         try:
             check_reversal(x, seq, last)
         except SequenceValidationError as err:
             raise AssertionError(f"the sequence is not a reversal: {err}") from None
+    elif not (final.first == y.first and final.second == y.second):
+        raise AssertionError("the sequence does not end on the target pair")
     bl, bw = _bounds(mode, m.full_rank, struct)
     if not (seq.length <= bl and seq.width <= bw):
         raise AssertionError("solver exceeded its bounds")
