@@ -44,7 +44,7 @@ from .pipeline import (
     solve_gabow,
     solve_white,
 )
-from .reductions import IncompatiblePairsError, ReductionError
+from .reductions import IncompatiblePairsError, Instance, ReductionError
 from .special import r10_matroid, r10_fixture_pair
 from .structure import gf2_view
 from .union import matroid_union_partition, InfeasiblePartitionError
@@ -136,12 +136,15 @@ def _load_instance(args):
 
 
 def _pairs(inst):
+    """The matroid and the two pairs of an instance, checked to be
+    compatible pairs of bases (F is left to each command)."""
     m = inst["structure"].matroid
     x = BasisPair(inst["x1"], inst["x2"], m)
     if inst["mode"] == "gabow":
         y = x.swapped()
     else:
         y = BasisPair(inst["y1"], inst["y2"], m)
+    Instance(m, x, y).validate()
     return m, x, y
 
 

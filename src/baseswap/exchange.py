@@ -8,8 +8,9 @@ carries the pair as one tableau per basis on GF(2) and graphic matroids:
 each step is read off and pivots them, and the final pair is built once
 from their keys.  On any other matroid it asks ``is_valid_exchange``, its
 rank-based reference, and builds the pair at every step.  The BFS oracle
-searches the exchange graph of a small matroid exhaustively and certifies
-optimal distances and unreachability.
+searches the exchange graph of a small matroid exhaustively between two
+pairs of bases and certifies optimal distances and unreachability; the
+engine also solves its rank <= 2 frames with its monotone search.
 """
 
 from __future__ import annotations
@@ -79,13 +80,6 @@ class BasisPair:
     first: frozenset
     second: frozenset
     matroid: Optional[Matroid] = None
-
-    def validate(self) -> None:
-        if self.matroid is None:
-            raise ValueError("pair has no matroid attached")
-        for name, part in (("first", self.first), ("second", self.second)):
-            if not self.matroid.is_basis(part):
-                raise ValueError(f"{name} member is not a basis")
 
     def swapped(self) -> "BasisPair":
         return BasisPair(self.second, self.first, self.matroid)
@@ -255,6 +249,10 @@ def bfs_oracle(
     determined by the first.  With ``monotone`` only steps shrinking the
     symmetric difference to the target first basis are taken; such a search
     returns exactly |X1 - Y1| steps when it succeeds.
+
+    ``x`` and ``y`` must be pairs of bases of ``m``: every state's two sides
+    have as many elements as x's, so a step is valid when both are
+    independent, and the search never asks the rank of the whole ground set.
     """
     if len(m.ground) > cap:
         raise CapacityError(f"|E| = {len(m.ground)} exceeds the BFS cap {cap}")
@@ -303,5 +301,5 @@ def _exchanges(m: Matroid, common, live, a, avoid, toward, seen):
             na = a - {e} | {f}
             if na in seen:
                 continue
-            if m.is_basis(common | na) and m.is_basis(common | (rest - na)):
+            if m.is_independent(common | na) and m.is_independent(common | (rest - na)):
                 yield na, ExchangeStep(e, f)

@@ -254,13 +254,13 @@ def load_matroid_source(spec: dict, read_file=None):
             return read_file(spec["path"])
         raise ParseError(f"{kind} source needs '{field}' or 'path'")
 
-    if kind == "graph":
-        edges = parse_graph_text(text_of("text"))
-        labelmap = LabelMap.from_labels(edges)
-        graph = Multigraph({labelmap.id(lab): uv for lab, uv in edges.items()})
-        return graphic_leaf(graph), labelmap
-    if kind in ("gf2", "r10", "f7"):
-        node = {"tag": kind, "matrix": text_of("text")} if kind == "gf2" else {"tag": kind}
+    if kind in ("graph", "gf2", "r10", "f7"):
+        if kind == "graph":
+            node = {"tag": "graphic", "graph": text_of("text")}
+        elif kind == "gf2":
+            node = {"tag": kind, "matrix": text_of("text")}
+        else:
+            node = {"tag": kind}
         labels, build = _leaf_from_node(node)
         labelmap = LabelMap.from_labels(labels)
         return build(labelmap.id), labelmap

@@ -5,7 +5,9 @@ shrinks along triads (or triangles, through the dual); a graphic or
 cographic leaf picks its tight set or triad at a low-degree vertex
 (``graphic.pick_reduction_vertex``).  Irreducible instances go to the
 2-/3-sum machinery of the structure, or to the exhaustive search fallback
-for small ground sets (which solves R10 and F7).  Reductions run on an
+for small ground sets (which solves R10 and F7).  The same search, monotone,
+solves every frame of rank at most 2 whatever the cap: past the strips
+such a frame has at most four elements.  Reductions run on an
 explicit stack; only the sum routes, which call the engine once per side,
 add Python stack depth.  A caller's matroid reaches the engine as the
 GF(2) matrix of its fundamental circuits (``structure.as_structure``),
@@ -45,7 +47,6 @@ from .exchange import (
     apply_and_validate,
     bfs_oracle,
     check_reversal,
-    is_valid_exchange,
     UNREACHABLE,
 )
 from .reductions import (
@@ -60,7 +61,6 @@ from .reductions import (
     find_triad,
     find_triangle,
     reduce_triad,
-    solve_rank_le2,
     split_on_tight_set,
 )
 from .graphic import pick_reduction_vertex, vertex_span
@@ -352,8 +352,10 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         tableaux = None
 
     if len(inst.x.first) <= 2:  # the rank, read from a basis
+        # past the strips the pairs are disjoint and cover the frame, so it
+        # has at most four elements; the search cap never refuses it
         out_trace.append(TraceNode("rank_le2"))
-        return list(solve_rank_le2(inst, h=last))
+        return _bfs_solve(m, inst, True, last, len(m.ground))
 
     tableaux = tableaux or PairTableaux.of(inst)
     graph = struct.graph if isinstance(struct, Leaf) else None
@@ -421,7 +423,7 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
 
     if len(m.ground) <= cap:
         out_trace.append(TraceNode("bfs", {"cap": cap}))
-        return _bfs_solve(m, inst, mode, last, cap)
+        return _bfs_solve(m, inst, mode == "gabow", last, cap)
 
     sample = sorted(m.ground)
     shown = ", ".join(map(str, sample[:12])) + (", ..." if len(sample) > 12 else "")
@@ -478,12 +480,12 @@ def _frame_minor(struct, m: Matroid, c: frozenset, d: frozenset):
     return _Pending(node, minors, gone, m.minor(contract=c, delete=d))
 
 
-def _bfs_solve(m: Matroid, inst: Instance, mode: str, last, cap: int):
+def _bfs_solve(m: Matroid, inst: Instance, monotone: bool, last, cap: int):
+    """The exhaustive search on a frame of at most ``cap`` elements: its
+    steps, monotone when asked (a designated last element implies it)."""
     if last is not None:
         return _bfs_with_last(m, inst, last, cap)
-    result = bfs_oracle(
-        m, inst.x, inst.y, inst.forbidden, monotone=(mode == "gabow"), cap=cap
-    )
+    result = bfs_oracle(m, inst.x, inst.y, inst.forbidden, monotone=monotone, cap=cap)
     if result == UNREACHABLE:
         raise UnsupportedStructureError("exhaustive search found no sequence")
     return list(result.sequence)
@@ -491,25 +493,20 @@ def _bfs_solve(m: Matroid, inst: Instance, mode: str, last, cap: int):
 
 def _bfs_with_last(m: Matroid, inst: Instance, last, cap: int):
     """Monotone reversal finishing on a designated element: search to a
-    predecessor of the target and append the final step."""
+    predecessor of the target and append the final step.  A predecessor
+    takes e from y.second - y.first and f from y.first - y.second, so its
+    members have r elements each and the final step leads to y itself."""
     y = inst.y
-    finals = []
-    for e in sorted(y.second):
-        for f in sorted(y.first):
+    for e in sorted(y.second - y.first):
+        for f in sorted(y.first - y.second):
             if last not in (e, f):
                 continue
             prev = BasisPair(y.first - {f} | {e}, y.second - {e} | {f}, m)
-            step = ExchangeStep(e, f)
-            if (
-                m.is_basis(prev.first)
-                and m.is_basis(prev.second)
-                and is_valid_exchange(prev, step)
-            ):
-                finals.append((prev, step))
-    for prev, step in finals:
-        res = bfs_oracle(m, inst.x, prev, inst.forbidden, monotone=True, cap=cap)
-        if res != UNREACHABLE and res.distance == len(inst.x.first - y.first) - 1:
-            return list(res.sequence) + [step]
+            if not (m.is_independent(prev.first) and m.is_independent(prev.second)):
+                continue
+            res = bfs_oracle(m, inst.x, prev, inst.forbidden, monotone=True, cap=cap)
+            if res != UNREACHABLE and res.distance == len(inst.x.first - y.first) - 1:
+                return list(res.sequence) + [ExchangeStep(e, f)]
     raise UnsupportedStructureError("no monotone sequence ends on the designated element")
 
 
@@ -534,7 +531,7 @@ def _two_sum_route(struct: SumNode, inst: Instance, mode: str, cap: int, out_tra
         y_circ, y_bullet = split_two_sum_pair(circ.matroid, bullet.matroid, t, inst.y)
     except SumStructureError:
         return None
-    ctx = TwoSumContext(circ.matroid, bullet.matroid, t, x_circ, x_bullet, y_circ, y_bullet)
+    ctx = TwoSumContext(circ.matroid, bullet.matroid, t, y_circ, y_bullet)
     node = TraceNode("two_sum", {"t": t})
     out_trace.append(node)
     seqs = []

@@ -1,5 +1,6 @@
-"""Instance reductions: uncovered elements, common elements, tight sets,
-size-three cocircuits, and the rank-two base case.
+"""Instance reductions: uncovered elements, common elements, tight sets and
+size-three cocircuits.  The rank <= 2 frames they end on are solved by the
+exhaustive search of ``exchange.bfs_oracle`` (see ``pipeline``).
 
 Each reduction shrinks an instance and records its lift as data: the order
 in which the parent runs its children's sequences, and for a triad the
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen, _bits, _decode, _encode
-from .exchange import BasisPair, ExchangeStep, ExchangeSequence, compatible
+from .exchange import BasisPair, ExchangeStep, compatible
 
 
 class ReductionError(Exception):
@@ -565,56 +566,3 @@ def reduce_triad(
         m, child_m.ground,
     )
     return Reduction([child], cert, triad=lift, tableaux=[child_tableaux])
-
-
-# -- rank at most two ---------------------------------------------------------
-
-
-def solve_rank_le2(inst: Instance, h=None) -> ExchangeSequence:
-    """Exhaustive solve for rank <= 2: width 1, length <= rank.
-
-    When ``h`` is given (an uncontracted element outside F), the last step
-    uses it; a same-pair instance yields the empty sequence regardless.
-    """
-    m = inst.matroid
-    r = len(inst.x.first)
-    if r > 2:
-        raise ReductionError("exhaustive base case only applies to rank <= 2")
-    if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
-        return ExchangeSequence()
-
-    avoid = inst.forbidden
-    target = (inst.y.first, inst.y.second)
-    best = None
-
-    def steps_from(pair: BasisPair, used: frozenset):
-        for e in sorted(pair.first - pair.second):
-            if e in avoid or e in used:
-                continue
-            for f in sorted(pair.second - pair.first):
-                if f in avoid or f in used:
-                    continue
-                if m.rank(pair.first - {e} | {f}) == r and m.rank(pair.second - {f} | {e}) == r:
-                    yield ExchangeStep(e, f)
-
-    def search(pair, used, trail):
-        nonlocal best
-        if (pair.first, pair.second) == target:
-            if trail and h is not None and h not in trail[-1]:
-                return
-            key = (len(trail), tuple(trail))
-            if best is None or key < best[0]:
-                best = (key, list(trail))
-            return
-        if len(trail) >= 2:
-            return
-        for step in steps_from(pair, used):
-            nxt = BasisPair(
-                pair.first - {step.e} | {step.f}, pair.second - {step.f} | {step.e}, m
-            )
-            search(nxt, used | {step.e, step.f}, trail + [step])
-
-    search(BasisPair(inst.x.first, inst.x.second, m), frozenset(), [])
-    if best is None:
-        raise AssertionError("rank <= 2 instance without a short sequence; this cannot happen")
-    return ExchangeSequence(best[1])

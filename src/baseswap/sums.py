@@ -16,7 +16,8 @@ from typing import Callable
 
 from .matroid import Matroid, GraphicMatroid, Multigraph, GroundSetError
 from .exchange import (
-    BasisPair, ExchangeStep, ExchangeSequence, SequenceValidationError, apply_step, check_reversal
+    BasisPair, ExchangeStep, ExchangeSequence, SequenceValidationError, apply_and_validate,
+    check_reversal,
 )
 from .union import matroid_union_partition, InfeasiblePartitionError
 from .graphic import solve_graphic_white, solve_graphic_gabow
@@ -39,7 +40,8 @@ class SparsityError(Exception):
 
 @dataclass
 class TwoSumContext:
-    """Sub-instances of a 2-sum along t, per the basis description.
+    """A 2-sum along t and the target pair of each side, per the basis
+    description: the finished side's target supplies the substitute for t.
 
     Each side pair carries t in the member whose restriction is not already
     a basis of the deletion.
@@ -48,10 +50,8 @@ class TwoSumContext:
     circ: Matroid
     bullet: Matroid
     t: int
-    x_circ: BasisPair
-    x_bullet: BasisPair
-    y_circ: BasisPair = None
-    y_bullet: BasisPair = None
+    y_circ: BasisPair
+    y_bullet: BasisPair
 
 
 def split_two_sum_pair(circ: Matroid, bullet: Matroid, t: int, pair: BasisPair):
@@ -352,16 +352,6 @@ def four_regular_triangle_partition(graph: Multigraph, triangle_ordered):
     return frozenset(f1), frozenset(f2), e_edge
 
 
-def _replay(total: Matroid, start: BasisPair, steps) -> BasisPair:
-    """Apply steps on the composed matroid, checking every pair is a basis pair."""
-    cur = BasisPair(start.first, start.second, total)
-    for step in steps:
-        cur = apply_step(cur, ExchangeStep(*step))
-        if not (total.is_basis(cur.first) and total.is_basis(cur.second)):
-            raise AssertionError("intermediate pair is not a basis pair of the composition")
-    return cur
-
-
 def three_sum_white(ctx: ThreeSumContext, x: BasisPair, y: BasisPair, recurse: Callable):
     """Transform x into y on a 3-sum with a simple 4-regular graphic side.
 
@@ -420,7 +410,10 @@ def three_sum_white(ctx: ThreeSumContext, x: BasisPair, y: BasisPair, recurse: C
     seg3 = solve_graphic_white(ctx.bullet.graph, start3, end3, forbidden={cy.k})
 
     steps = list(seg1) + seg2 + list(seg3)
-    final = _replay(ctx.total, x, steps)
+    try:
+        final = apply_and_validate(BasisPair(x.first, x.second, ctx.total), steps)
+    except SequenceValidationError as err:
+        raise AssertionError(f"the 3-sum sequence is invalid: {err}") from None
     if not (final.first == y.first and final.second == y.second):
         raise AssertionError("the 3-sum sequence does not end on the target pair")
     return ExchangeSequence(steps)
@@ -469,9 +462,9 @@ def three_sum_gabow(ctx: ThreeSumContext, x: BasisPair, recurse: Callable):
     bridging = ExchangeStep(last.e, e_elt)
 
     steps = list(sub[:pos]) + list(seq_b.steps[:-1]) + [bridging] + list(sub[pos + 1 :])
-    _replay(ctx.total, x, steps)
     try:
+        apply_and_validate(BasisPair(x.first, x.second, ctx.total), steps)
         check_reversal(x, steps)
     except SequenceValidationError as err:
-        raise AssertionError(f"the 3-sum sequence is not a reversal: {err}") from None
+        raise AssertionError(f"the 3-sum sequence is not a valid reversal: {err}") from None
     return ExchangeSequence(steps)

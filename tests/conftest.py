@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from baseswap.matroid import Gf2Matroid, GroundSetError, Matroid, Multigraph, graphic_matroid
 from baseswap.exchange import (
     BasisPair,
+    ExchangeSequence,
     ExchangeStep,
     ForbiddenElementError,
     SequenceValidationError,
@@ -178,6 +179,54 @@ def bfs_distances(m, x) -> dict:
                         dist[nxt.first] = dist[pair.first] + 1
                         queue.append(nxt)
     return dist
+
+
+def reference_rank_le2(inst, h=None) -> ExchangeSequence:
+    """The rank <= 2 base case by the search the engine used before its
+    leaves went to ``bfs_oracle``: every sequence of at most two steps that
+    moves each element once and avoids F, the shortest and then
+    lexicographically first one kept; with ``h`` given, the last step must
+    use it (a same-pair instance yields the empty sequence regardless)."""
+    m = inst.matroid
+    r = len(inst.x.first)
+    if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
+        return ExchangeSequence()
+
+    avoid = inst.forbidden
+    target = (inst.y.first, inst.y.second)
+    best = None
+
+    def steps_from(pair: BasisPair, used: frozenset):
+        for e in sorted(pair.first - pair.second):
+            if e in avoid or e in used:
+                continue
+            for f in sorted(pair.second - pair.first):
+                if f in avoid or f in used:
+                    continue
+                if m.rank(pair.first - {e} | {f}) == r and m.rank(pair.second - {f} | {e}) == r:
+                    yield ExchangeStep(e, f)
+
+    def search(pair, used, trail):
+        nonlocal best
+        if (pair.first, pair.second) == target:
+            if trail and h is not None and h not in trail[-1]:
+                return
+            key = (len(trail), tuple(trail))
+            if best is None or key < best[0]:
+                best = (key, list(trail))
+            return
+        if len(trail) >= 2:
+            return
+        for step in steps_from(pair, used):
+            nxt = BasisPair(
+                pair.first - {step.e} | {step.f}, pair.second - {step.f} | {step.e}, m
+            )
+            search(nxt, used | {step.e, step.f}, trail + [step])
+
+    search(BasisPair(inst.x.first, inst.x.second, m), frozenset(), [])
+    if best is None:
+        raise AssertionError("rank <= 2 instance without a short sequence")
+    return ExchangeSequence(best[1])
 
 
 def reference_replace(lift, e, f, first, second):

@@ -193,6 +193,37 @@ class TestCliRoundTrips:
         code, out, _ = self.run(capsys, "distance", str(path), "--forbidden", "b,e")
         assert code == 0 and out.strip() == "unreachable"
 
+    def test_non_bases_exit_two_in_every_command(self, tmp_path, capsys):
+        # x1 = y1 = {a, b, d} is a triangle of K4: no command may take the
+        # pairs as given (the empty sequence "reaches" y from x)
+        inst = {
+            "matroid": {"kind": "graph",
+                        "text": "a 1 2\nb 2 3\nc 3 4\nd 1 3\ne 1 4\nf 2 4"},
+            "mode": "white",
+            "x1": ["a", "b", "d"], "x2": ["c", "e", "f"],
+            "y1": ["a", "b", "d"], "y2": ["c", "e", "f"],
+        }
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps(inst))
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        for args in (("solve",), ("distance",), ("verify", str(empty))):
+            code, out, err = self.run(capsys, args[0], str(path), *args[1:])
+            assert code == 2 and out == "" and "not a basis" in err, args
+
+    @pytest.mark.parametrize("mode", ["white", "gabow"])
+    def test_search_cap_zero_gives_the_same_steps(self, tmp_path, capsys, mode):
+        # the rank <= 2 leaves search their own four elements whatever the
+        # cap, so a graph solves without any search budget
+        inst = tmp_path / "g.json"
+        self.run(capsys, "gen", "bispanning", "--n", "12", "--seed", "1",
+                 "--mode", mode, "-o", str(inst))
+        code, out, _ = self.run(capsys, "solve", str(inst), "--json")
+        assert code == 0
+        code, capped, _ = self.run(capsys, "solve", str(inst), "--json", "--bfs-cap", "0")
+        assert code == 0
+        assert json.loads(capped)["steps"] == json.loads(out)["steps"]
+
     def test_solve_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -25,15 +25,15 @@ from baseswap.reductions import (
     find_triangle,
     make_consistent_on_triad,
     reduce_triad,
-    solve_rank_le2,
     split_on_tight_set,
 )
 from baseswap.gen import random_bispanning_graph, random_exchange_walk
+from baseswap.pipeline import UnsupportedStructureError, _bfs_solve
 from baseswap.structure import gf2_view, graphic_leaf
 
 from conftest import (
     A, B, C, D, E, F, K4_EDGES, brute_tight_sets, checked_replace, random_basis,
-    reference_find_triad, reference_sinks, reference_tight_set, subsets,
+    reference_find_triad, reference_rank_le2, reference_sinks, reference_tight_set, subsets,
 )
 
 
@@ -82,7 +82,7 @@ class TestContractCommon:
         child = red.children[0]
         assert child.matroid.full_rank == m.full_rank - 1
         child.validate()
-        sub = solve_rank_le2(child)
+        sub = reference_rank_le2(child)
         lifted = red.lift(sub)
         final = apply_and_validate(x, ExchangeSequence(lifted))
         assert final.first == y.first and final.second == y.second
@@ -198,7 +198,7 @@ class TestTightSets:
         red = split_on_tight_set(inst, frozenset({0, 1}))
         ranks = [c.matroid.full_rank for c in red.children]
         assert ranks == [1, 1]
-        seqs = [solve_rank_le2(c) for c in red.children]
+        seqs = [reference_rank_le2(c) for c in red.children]
         lifted = red.lift(*seqs)
         assert len(lifted) == sum(len(s) for s in seqs)
         final = apply_and_validate(x, ExchangeSequence(lifted))
@@ -210,7 +210,7 @@ class TestTightSets:
         inst = Instance(m, x, y)
         for restrict_last in (False, True):
             red = split_on_tight_set(inst, frozenset({0, 1}), restrict_last=restrict_last)
-            seqs = [solve_rank_le2(c) for c in red.children]
+            seqs = [reference_rank_le2(c) for c in red.children]
             lifted = red.lift(*seqs)
             final = apply_and_validate(x, ExchangeSequence(lifted))
             assert final.first == y.first
@@ -427,7 +427,7 @@ class TestTriads:
         red = reduce_triad(inst, frozenset({A, D, E}))
         child = red.children[0]
         child.validate()
-        sub = solve_rank_le2(child)
+        sub = reference_rank_le2(child)
         lifted = red.lift(sub)
         final = apply_and_validate(x, ExchangeSequence(lifted))
         assert final.first == y.first and final.second == y.second
@@ -468,7 +468,7 @@ class TestTriads:
         for px, py, triangle in itertools.product(paths, paths, triangles):
             x, y = BasisPair(px, m.ground - px, m), BasisPair(py, m.ground - py, m)
             red = reduce_triad(Instance(m, x, y), triangle, dual=True)
-            lifted = red.lift(solve_rank_le2(red.children[0]))
+            lifted = red.lift(reference_rank_le2(red.children[0]))
             final = apply_and_validate(x, ExchangeSequence(lifted))
             assert (final.first, final.second) == (y.first, y.second)
         assert options[True] > 0 and options[False] > 0, options
@@ -562,20 +562,83 @@ class TestPairTableaux:
                 assert out.x == tabs.x and state(tabs)[:2] == before[:2]
 
 
+def rank_le2_leaf(inst, h=None) -> ExchangeSequence:
+    """The engine's rank <= 2 leaf: the monotone search of ``bfs_oracle``,
+    capped at the frame's size, finishing on ``h`` when it is given."""
+    m = inst.matroid
+    return ExchangeSequence(_bfs_solve(m, inst, True, h, len(m.ground)))
+
+
+def rank_le2_frames(backend: str):
+    """Every rank-r matroid on 2r elements, r = 1 or 2, without loops: a
+    GF(2) matrix of r rows and nonzero columns, or a multigraph on r + 1
+    vertices without loops (the same matroids, edge uv as the column of
+    u + v with vertex 0 as zero)."""
+    for r in (1, 2):
+        for cols in itertools.product(range(1, 1 << r), repeat=2 * r):
+            if backend == "gf2":
+                m = Gf2Matroid(dict(enumerate(cols)))
+            else:
+                ends = {1: (0, 1), 2: (0, 2), 3: (1, 2)}
+                m = graphic_matroid({e: ends[c] for e, c in enumerate(cols)})
+            if m.full_rank == r:
+                yield m
+
+
+def rank_le2_cases(m):
+    """Every rank <= 2 frame instance of ``m``: each disjoint covering x and
+    y != x with each F inside the matching intersections, and each
+    reversal with each designated last element.  Yields (instance, h)."""
+    ground = m.ground
+    halves = [
+        frozenset(b) for b in itertools.combinations(sorted(ground), len(ground) // 2)
+        if m.is_basis(frozenset(b)) and m.is_basis(ground - frozenset(b))
+    ]
+    pairs = [BasisPair(b, ground - b, m) for b in halves]
+    for x, y in itertools.product(pairs, pairs):
+        if x == y:
+            continue
+        eligible = sorted((x.first & y.first) | (x.second & y.second))
+        for forbidden in subsets(eligible):
+            yield Instance(m, x, y, frozenset(forbidden)), None
+        if y.first == x.second:
+            for h in sorted(ground):
+                yield Instance(m, x, y), h
+
+
+def outcome(solve, inst, h):
+    try:
+        return tuple(solve(inst, h=h))
+    except (AssertionError, UnsupportedStructureError):
+        return None
+
+
 class TestRankLeTwo:
+    @pytest.mark.parametrize("backend", ["gf2", "graphic"])
+    def test_leaves_match_the_reference_exhaustively(self, backend):
+        # the engine's leaf search gives the old base case's sequence (the
+        # shortest, then lexicographically first, monotone one) on every
+        # rank <= 2 frame of the backend
+        cases = 0
+        for m in rank_le2_frames(backend):
+            for inst, h in rank_le2_cases(m):
+                assert outcome(rank_le2_leaf, inst, h) == outcome(reference_rank_le2, inst, h)
+                cases += 1
+        assert cases > 2000
+
     def test_rank_one_swap(self):
         m = graphic_matroid({0: (1, 2), 1: (1, 2)})
         x = BasisPair(frozenset({0}), frozenset({1}), m)
-        seq = solve_rank_le2(reversal_instance(m, x))
+        seq = rank_le2_leaf(reversal_instance(m, x))
         assert list(seq) == [(0, 1)]
 
     def test_same_pair_empty(self, dt):
         m, x = dt
-        assert solve_rank_le2(Instance(m, x, x)).length == 0
+        assert rank_le2_leaf(Instance(m, x, x)).length == 0
 
     def test_rank_two_reversal_monotone(self, dt):
         m, x = dt
-        seq = solve_rank_le2(reversal_instance(m, x))
+        seq = rank_le2_leaf(reversal_instance(m, x))
         assert seq.length == 2 and seq.width == 1
         final = apply_and_validate(x, seq)
         assert final.first == x.second
@@ -583,7 +646,7 @@ class TestRankLeTwo:
     def test_h_used_last(self, dt):
         m, x = dt
         for h in range(4):
-            seq = solve_rank_le2(reversal_instance(m, x), h=h)
+            seq = rank_le2_leaf(reversal_instance(m, x), h=h)
             assert h in seq.steps[-1]
 
     def test_f_avoiding(self):
@@ -591,10 +654,6 @@ class TestRankLeTwo:
         m = graphic_matroid(edges)
         x = BasisPair(frozenset({0, 2}), frozenset({1, 3}), m)
         y = BasisPair(frozenset({1, 2}), frozenset({0, 3}), m)
-        seq = solve_rank_le2(Instance(m, x, y, forbidden=frozenset({2, 3})))
+        seq = rank_le2_leaf(Instance(m, x, y, forbidden=frozenset({2, 3})))
         assert not (seq.uses(2) or seq.uses(3))
 
-    def test_rank_three_rejected(self, k4):
-        m, x, y = k4
-        with pytest.raises(ReductionError):
-            solve_rank_le2(Instance(m, x, y))

@@ -80,7 +80,7 @@ class TestTwoSumMerge:
         seq_c = bfs_oracle(left, xc, yc).sequence
         if seq_c.uses(5):
             pytest.skip("walk crossed the shared element")
-        ctx = TwoSumContext(left, right, 5, xc, xb, yc, xb)
+        ctx = TwoSumContext(left, right, 5, yc, xb)
         merged = merge_two_sum(seq_c, ExchangeSequence(), ctx)
         assert len(merged) == seq_c.length
         y_total = BasisPair(
@@ -98,7 +98,7 @@ class TestTwoSumMerge:
         seq_c = bfs_oracle(left, xc, xc.swapped(), monotone=True).sequence
         seq_b = bfs_oracle(right, xb, xb.swapped(), monotone=True).sequence
         assert seq_c.uses(5) and seq_b.uses(5)
-        ctx = TwoSumContext(left, right, 5, xc, xb, xc.swapped(), xb.swapped())
+        ctx = TwoSumContext(left, right, 5, xc.swapped(), xb.swapped())
         merged = merge_two_sum(seq_c, seq_b, ctx)
         assert len(merged) == seq_c.length + seq_b.length - 1
         final = apply_and_validate(x, ExchangeSequence(merged))
@@ -266,6 +266,22 @@ class TestThreeSumSolvers:
         assert seq.length <= 2 * r * r and seq.width <= 4 * (r - 1)
         lower = bfs_oracle(total, x, y).distance
         assert lower <= seq.length
+
+    def test_white_replay_rejects_a_step_that_does_not_apply(self):
+        # (f, e) with f in the second basis and e in the first leaves both
+        # bases as they are, so a replay that only checks the sets it builds
+        # would let the extra step through
+        node, total, view, x, ctx = self._instance()
+        y = random_exchange_walk(view, x, 6, random.Random(3))
+        y = BasisPair(y.first, y.second, total)
+        solve = self._recurse_white(node)
+
+        def recurse(contract_elt, x_sets, y_sets):
+            first, second = (s - ctx.shared for s in x_sets)
+            return [(min(second), min(first))] + list(solve(contract_elt, x_sets, y_sets))
+
+        with pytest.raises(AssertionError, match="invalid exchange"):
+            three_sum_white(ctx, x, y, recurse)
 
     def test_white_same_pair_empty(self):
         node, total, view, x, ctx = self._instance()
