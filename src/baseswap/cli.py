@@ -137,10 +137,13 @@ def _load_instance(args):
 
 def _pairs(inst):
     """The matroid and the two pairs of an instance, checked to be
-    compatible pairs of bases (F is left to each command)."""
+    compatible pairs of bases, disjoint for a reversal, as ``solve`` checks
+    them (F is left to each command)."""
     m = inst["structure"].matroid
     x = BasisPair(inst["x1"], inst["x2"], m)
     if inst["mode"] == "gabow":
+        if x.first & x.second:
+            raise IncompatiblePairsError("reversal needs disjoint bases")
         y = x.swapped()
     else:
         y = BasisPair(inst["y1"], inst["y2"], m)

@@ -10,7 +10,6 @@ followed by rows of 0/1 characters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .matroid import Multigraph, Gf2Matroid, SumSpec
 from .special import r10_matroid, fano_gf2, K5_EDGES, F7_ELEMENTS
@@ -26,10 +25,10 @@ class ParseError(Exception):
     pass
 
 
-@dataclass
 class LabelMap:
-    to_id: dict
-    to_label: dict
+    def __init__(self, to_id: dict, to_label: dict):
+        self.to_id = to_id
+        self.to_label = to_label
 
     @classmethod
     def from_labels(cls, labels) -> "LabelMap":

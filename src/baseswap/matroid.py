@@ -19,8 +19,6 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class MatroidError(Exception):
     """Base class for matroid domain errors."""
@@ -306,13 +304,14 @@ def _encode(elements) -> int:
 
 
 def _bits(mask: int) -> list:
-    """The elements at the set bits of ``mask``, in increasing order."""
-    digits = bin(mask)[:1:-1]  # bit 0 first
+    """The elements at the set bits of ``mask``, in increasing order; the
+    loop runs once per set bit, from the top."""
     out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -719,27 +718,40 @@ class DualMatroid(Matroid):
         return self.base
 
 
-@dataclass(frozen=True)
 class SumSpec:
-    """Arity and shared set of a binary matroid sum.
+    """Arity and shared set of a binary matroid sum; immutable, and equal
+    to another by both.
 
     arity 1: shared empty.  arity 2: one shared element, neither a loop nor
     a coloop on either side.  arity 3: shared set is a coindependent triangle
     of both parts.
     """
 
-    arity: int
-    shared: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
+    def __init__(self, arity: int, shared: frozenset = frozenset()):
         sizes = {1: 0, 2: 1, 3: 3}
-        if self.arity not in sizes:
-            raise CompositionError(f"unsupported sum arity {self.arity}")
-        if len(self.shared) != sizes[self.arity]:
+        if arity not in sizes:
+            raise CompositionError(f"unsupported sum arity {arity}")
+        if len(shared) != sizes[arity]:
             raise CompositionError(
-                f"{self.arity}-sum needs {sizes[self.arity]} shared elements, "
-                f"got {len(self.shared)}"
+                f"{arity}-sum needs {sizes[arity]} shared elements, got {len(shared)}"
             )
+        self.__dict__.update(arity=arity, shared=shared)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SumSpec is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not SumSpec:
+            return NotImplemented
+        return (self.arity, self.shared) == (other.arity, other.shared)
+
+    def __hash__(self):
+        return hash((self.arity, self.shared))
+
+    def __repr__(self):
+        return f"SumSpec(arity={self.arity!r}, shared={self.shared!r})"
 
 
 def validate_sum(m1: Matroid, m2: Matroid, spec: SumSpec) -> None:

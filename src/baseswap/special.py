@@ -15,7 +15,6 @@ and uncovered elements; ``exchange.bfs_oracle`` certifies their distances.
 from __future__ import annotations
 
 from .matroid import Matroid, Gf2Matroid
-from .exchange import BasisPair
 
 K5_EDGES = tuple(
     (u, v) for u in range(1, 6) for v in range(u + 1, 6)
@@ -36,8 +35,10 @@ def r10_matroid() -> Gf2Matroid:
     return Gf2Matroid(cols)
 
 
-def r10_fixture_pair(m: Matroid = None) -> BasisPair:
+def r10_fixture_pair(m: Matroid = None) -> "BasisPair":
     """Two complementary Hamiltonian 5-cycles of K5."""
+    from .exchange import BasisPair  # here, so a parse never loads exchange
+
     if m is None:
         m = r10_matroid()
     cycle = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]

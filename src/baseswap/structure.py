@@ -22,9 +22,7 @@ definitional rank of a binary sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .matroid import (
     Matroid,
@@ -40,11 +38,11 @@ from .matroid import (
 )
 
 
-@dataclass
 class Leaf:
-    tag: str  # graphic | cographic | gf2
-    matroid: Matroid
-    graph: Optional[Multigraph] = None
+    def __init__(self, tag: str, matroid: Matroid, graph: Multigraph | None = None):
+        self.tag = tag  # graphic | cographic | gf2
+        self.matroid = matroid
+        self.graph = graph
 
     @property
     def ground(self):
@@ -62,11 +60,11 @@ class Leaf:
         return incidence if self.tag == "graphic" else incidence.dual()
 
 
-@dataclass
 class SumNode:
-    spec: SumSpec
-    left: "Leaf | SumNode"
-    right: "Leaf | SumNode"
+    def __init__(self, spec: SumSpec, left: Leaf | SumNode, right: Leaf | SumNode):
+        self.spec = spec
+        self.left = left
+        self.right = right
 
     @cached_property
     def ground(self) -> frozenset:

@@ -309,6 +309,18 @@ def reference_eliminate(m, order) -> tuple:
     return pivots, masks
 
 
+def reference_bits(mask: int) -> list:
+    """``matroid._bits`` by the decode it replaced: the set bits read off
+    the ``bin()`` string, bit 0 first."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def subsets(elems, max_size=None):
     elems = sorted(elems)
     top = len(elems) if max_size is None else max_size

@@ -211,6 +211,23 @@ class TestCliRoundTrips:
             code, out, err = self.run(capsys, args[0], str(path), *args[1:])
             assert code == 2 and out == "" and "not a basis" in err, args
 
+    def test_reversal_of_meeting_bases_exits_two_in_every_command(self, tmp_path, capsys):
+        # K4 plus g parallel to a: {a, b, c} and {a, d, e} are bases that
+        # share a, so no reversal exists and every command refuses the pair
+        inst = {
+            "matroid": {"kind": "graph",
+                        "text": "a 1 2\nb 2 3\nc 3 4\nd 1 3\ne 1 4\nf 2 4\ng 1 2"},
+            "mode": "gabow",
+            "x1": ["a", "b", "c"], "x2": ["a", "d", "e"],
+        }
+        path = tmp_path / "meet.json"
+        path.write_text(json.dumps(inst))
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        for args in (("solve",), ("distance",), ("verify", str(empty))):
+            code, out, err = self.run(capsys, args[0], str(path), *args[1:])
+            assert code == 2 and out == "" and "reversal needs disjoint bases" in err, args
+
     @pytest.mark.parametrize("mode", ["white", "gabow"])
     def test_search_cap_zero_gives_the_same_steps(self, tmp_path, capsys, mode):
         # the rank <= 2 leaves search their own four elements whatever the

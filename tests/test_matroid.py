@@ -13,6 +13,7 @@ from baseswap.matroid import (
     Matroid,
     Multigraph,
     SumSpec,
+    _bits,
     graphic_matroid,
 )
 from baseswap.graphic import pick_reduction_vertex
@@ -34,6 +35,7 @@ from conftest import (
     reference_contract_edges,
     reference_degree,
     reference_eliminate,
+    reference_bits,
     reference_pick_reduction_vertex,
     subsets,
 )
@@ -417,6 +419,31 @@ class TestGraphFundamentalCircuits:
 _binary_matroids = st.one_of(gf2_matrices(), multigraphs().map(GraphicMatroid))
 
 
+@st.composite
+def masks(draw):
+    """Masks of up to 4,000 bits: a few bits set, all but a few set, or
+    every bit drawn."""
+    width = draw(st.integers(0, 4000))
+    full = (1 << width) - 1
+    few = sum(1 << i for i in draw(st.sets(st.integers(0, max(width - 1, 0)), max_size=40)))
+    kind = draw(st.sampled_from(["sparse", "dense", "uniform"]))
+    if kind == "uniform":
+        return draw(st.integers(0, full))
+    return few & full if kind == "sparse" else full & ~few
+
+
+class TestBits:
+    @settings(max_examples=300, deadline=None)
+    @given(masks())
+    def test_top_bit_decode_matches_the_reference(self, mask):
+        assert _bits(mask) == reference_bits(mask)
+
+    def test_edges(self):
+        assert _bits(0) == [] and _bits(1) == [0]
+        assert _bits((1 << 3999) | 1) == [0, 3999]
+        assert _bits((1 << 4000) - 1) == list(range(4000))
+
+
 class TestTableau:
     @settings(max_examples=300, deadline=None)
     @given(_binary_matroids, st.randoms(use_true_random=False))
@@ -509,6 +536,28 @@ def k4_matroid(ids, vertex_base=0):
     pairs = [(1, 2), (2, 3), (3, 4), (1, 3), (1, 4), (2, 4)]
     edges = {ids[i]: (vertex_base + u, vertex_base + v) for i, (u, v) in enumerate(pairs)}
     return graphic_matroid(edges)
+
+
+class TestSumSpec:
+    @pytest.mark.parametrize("arity, shared", [(0, ()), (4, ()), (1, {5}), (2, ()), (3, {1, 2})])
+    def test_bad_arity_or_shared_size_raises(self, arity, shared):
+        with pytest.raises(CompositionError):
+            SumSpec(arity, frozenset(shared))
+
+    def test_equal_specs_compare_and_hash_alike(self):
+        a, b = SumSpec(3, frozenset({1, 2, 3})), SumSpec(3, frozenset({3, 2, 1}))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert SumSpec(1) == SumSpec(1, frozenset())
+        assert a != SumSpec(3, frozenset({1, 2, 4})) and SumSpec(2, frozenset({5})) != (2, frozenset({5}))
+
+    def test_fields_cannot_be_assigned(self):
+        spec = SumSpec(2, frozenset({5}))
+        for name in ("arity", "shared", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 1)
+        with pytest.raises(AttributeError):
+            del spec.arity
+        assert (spec.arity, spec.shared) == (2, frozenset({5}))
 
 
 class TestComposeSum:
