@@ -13,6 +13,8 @@ the package, so a parse through ``baseswap.io`` loads only ``io``,
 ``matroid``, ``structure`` and ``special``.
 """
 
+from importlib import import_module as _import_module
+
 _HOMES = {
     "matroid": ("Matroid", "Gf2Matroid", "GraphicMatroid", "Multigraph", "SumSpec", "graphic_matroid"),
     "structure": ("compose_sum",),
@@ -33,9 +35,7 @@ __all__ = list(_HOME)
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value
     return value
 

@@ -15,6 +15,8 @@ matroid as bitmasks and answers "is B - b + f a basis?" with one bit; an
 exchange is one XOR pass over it.  The sequence replay and the solver's
 fix-ups and searches read tableaux; ``Matroid.is_basis`` is their rank
 reference.
+
+Every parse loads this module, so it imports no other.
 """
 
 from __future__ import annotations

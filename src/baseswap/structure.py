@@ -18,6 +18,9 @@ the node, and the tree is kept only for routing: graph solves on graphic
 bullets and the 2-/3-sum merges, so the engine builds a minor's tree only
 where a route reads it.  The tests check the matrix against the
 definitional rank of a binary sum.
+
+A parse builds structures, so ``Leaf`` and ``SumNode`` are plain classes
+and the module imports neither ``dataclasses`` nor ``typing``.
 """
 
 from __future__ import annotations
