@@ -44,7 +44,7 @@ from .pipeline import (
     solve_gabow,
     solve_white,
 )
-from .reductions import IncompatiblePairsError, Instance, ReductionError
+from .reductions import Instance, ReductionError
 from .special import r10_matroid, r10_fixture_pair
 from .structure import gf2_view
 from .union import matroid_union_partition, InfeasiblePartitionError
@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     except (ParseError, json.JSONDecodeError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (IncompatiblePairsError, ReductionError, MatroidError) as err:
+    except (ReductionError, MatroidError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except (UnsupportedStructureError, CapacityError) as err:
@@ -119,50 +119,39 @@ def _common_flags(cmd):
 
 
 def _load_instance(args):
+    """The parsed instance file, with the flags written over its fields first,
+    so the parser checks them as it checks the file."""
     path = Path(args.instance)
     obj = load_json(path.read_text(encoding="utf-8"))
-    inst = parse_instance(obj, read_file=lambda p: (path.parent / p).read_text(encoding="utf-8"))
-    if args.mode:
-        inst["mode"] = args.mode
-        if args.mode == "white" and ("y1" not in inst or "y2" not in inst):
-            raise ParseError("white mode needs y1 and y2")
-    labels = inst["labels"]
-    if args.forbidden is not None:
-        names = [s for s in args.forbidden.split(",") if s]
-        inst["forbidden"] = labels.ids(names)
-    if args.last is not None:
-        inst["last"] = labels.id(args.last)
-    return inst
+    if isinstance(obj, dict):  # anything else is refused by the parser
+        names = None if args.forbidden is None else [s for s in args.forbidden.split(",") if s]
+        flags = {"mode": args.mode, "forbidden": names, "last": args.last}
+        obj = {**obj, **{key: v for key, v in flags.items() if v is not None}}
+    return parse_instance(obj, read_file=lambda p: (path.parent / p).read_text(encoding="utf-8"))
 
 
-def _pairs(inst):
-    """The matroid and the two pairs of an instance, checked to be
-    compatible pairs of bases, disjoint for a reversal, as ``solve`` checks
-    them (F is left to each command)."""
-    m = inst["structure"].matroid
-    x = BasisPair(inst["x1"], inst["x2"], m)
-    if inst["mode"] == "gabow":
-        if x.first & x.second:
-            raise IncompatiblePairsError("reversal needs disjoint bases")
-        y = x.swapped()
-    else:
-        y = BasisPair(inst["y1"], inst["y2"], m)
-    Instance(m, x, y).validate()
-    return m, x, y
+def _pairs(inst) -> Instance:
+    """The instance of a parsed file, with its F and designated last element,
+    after the entry rules every command shares (``Instance.checked``)."""
+    y = (inst["y1"], inst["y2"]) if inst["mode"] == "white" else None
+    return Instance.checked(
+        inst["structure"].matroid, inst["mode"], (inst["x1"], inst["x2"]), y,
+        inst["forbidden"], inst["last"],
+    )
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args)
     labels = inst["labels"]
-    m, x, y = _pairs(inst)
+    checked = _pairs(inst)
+    m, x = checked.matroid, checked.x
     try:
         if inst["mode"] == "gabow":
-            report = solve_gabow(
-                inst["structure"], x, last=inst["last"], bfs_cap=args.bfs_cap
-            )
+            report = solve_gabow(inst["structure"], x, last=inst["last"], bfs_cap=args.bfs_cap)
         else:
             report = solve_white(
-                inst["structure"], x, y, forbidden=inst["forbidden"], bfs_cap=args.bfs_cap
+                inst["structure"], x, checked.y, forbidden=checked.forbidden,
+                bfs_cap=args.bfs_cap,
             )
     except RecursionError:
         # reductions run on an explicit stack, but the sum routes recurse once
@@ -194,9 +183,10 @@ def cmd_solve(args) -> int:
 
 def cmd_distance(args) -> int:
     inst = _load_instance(args)
-    m, x, y = _pairs(inst)
+    checked = _pairs(inst)
     result = bfs_oracle(
-        m, x, y, inst["forbidden"], monotone=(inst["mode"] == "gabow"), cap=args.bfs_cap
+        checked.matroid, checked.x, checked.y, checked.forbidden,
+        monotone=(inst["mode"] == "gabow"), cap=args.bfs_cap,
     )
     if result == UNREACHABLE:
         print(json.dumps({"distance": None, "unreachable": True}) if args.json else "unreachable")
@@ -211,7 +201,8 @@ def cmd_distance(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_instance(args)
     labels = inst["labels"]
-    m, x, y = _pairs(inst)
+    checked = _pairs(inst)
+    x, y = checked.x, checked.y
     text = Path(args.sequence).read_text(encoding="utf-8")
     try:
         steps = parse_sequence_json(load_json(text), labels)
@@ -219,7 +210,7 @@ def cmd_verify(args) -> int:
         steps = parse_sequence_text(text, labels)
     seq = ExchangeSequence(steps)
     try:
-        final = apply_and_validate(x, seq, inst["forbidden"])
+        final = apply_and_validate(x, seq, checked.forbidden)
         if inst["mode"] == "gabow":
             check_reversal(x, seq, inst["last"])
     except SequenceValidationError as err:

@@ -8,15 +8,15 @@ unrestricted transform within width 2(r-1) and length r^2 even when a
 forbidden edge set F with at most three vertices is imposed, and makes the
 reversal of a disjoint pair take exactly r strictly monotone steps, which
 can finish on a designated edge.  ``solve_graphic_white`` and
-``solve_graphic_gabow`` check their inputs and run the engine on the graph,
-which replays and checks what it returns.
+``solve_graphic_gabow`` are ``solve_white`` and ``solve_gabow`` on the graph:
+the same entry rules (``reductions.Instance.checked``), engine, closing
+replay and bound check.
 """
 
 from __future__ import annotations
 
-from .matroid import Multigraph, GroundSetError, _as_frozen
-from .exchange import BasisPair, compatible
-from .reductions import IncompatiblePairsError
+from .matroid import Multigraph, _as_frozen
+from .exchange import BasisPair
 from .structure import graphic_leaf
 
 
@@ -73,36 +73,14 @@ def solve_graphic_white(graph: Multigraph, x: BasisPair, y: BasisPair, forbidden
     Requires compatible pairs and |V(F)| <= 3 with F inside
     (X1 ∩ Y1) ∪ (X2 ∩ Y2).
     """
-    f = _as_frozen(forbidden)
-    if not compatible(x, y):
-        raise IncompatiblePairsError("pairs are not compatible")
-    leaf = graphic_leaf(graph)
-    m = leaf.matroid
-    for part in (x.first, x.second, y.first, y.second):
-        if not m.is_basis(part):
-            raise IncompatiblePairsError("pair member is not a maximal forest")
-    if len(vertex_span(graph, f)) > 3:
-        raise GroundSetError("forbidden edges span more than three vertices")
-    eligible = (x.first & y.first) | (x.second & y.second)
-    if not f <= eligible:
-        raise GroundSetError("forbidden edges must stay put in both pairs")
     from .pipeline import solve_white  # the engine imports this module
 
-    return solve_white(leaf, x, y, f).sequence
+    return solve_white(graphic_leaf(graph), x, y, forbidden).sequence
 
 
 def solve_graphic_gabow(graph: Multigraph, x: BasisPair, h: int):
     """Reverse a disjoint pair in exactly r strictly monotone steps,
     exchanging ``h`` in the last one."""
-    if x.first & x.second:
-        raise GroundSetError("reversal requires disjoint bases")
-    if h not in x.union:
-        raise GroundSetError("designated last edge must lie in one of the bases")
-    leaf = graphic_leaf(graph)
-    m = leaf.matroid
-    if not m.is_basis(x.first) or not m.is_basis(x.second):
-        raise GroundSetError("pair members must be bases (spanning forests)")
     from .pipeline import solve_gabow  # the engine imports this module
 
-    return solve_gabow(leaf, x, last=h).sequence
-
+    return solve_gabow(graphic_leaf(graph), x, last=h).sequence

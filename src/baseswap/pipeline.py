@@ -7,11 +7,13 @@ cographic leaf picks its tight set or triad at a low-degree vertex
 2-/3-sum machinery of the structure, or to the exhaustive search fallback
 for small ground sets (which solves R10 and F7).  The same search, monotone,
 solves every frame of rank at most 2 whatever the cap: past the strips
-such a frame has at most four elements.  Reductions run on an
-explicit stack; only the sum routes, which call the engine once per side,
-add Python stack depth.  A caller's matroid reaches the engine as the
-GF(2) matrix of its fundamental circuits (``structure.as_structure``),
-while the entry checks and the closing replay run on the caller's matroid.
+such a frame has at most four elements.  Reductions run on an explicit
+stack; only the sum routes, which call the engine on each side (a 3-sum's
+graph side once per segment), add Python stack depth.  A caller's matroid
+reaches the engine as the GF(2) matrix of its fundamental circuits
+(``structure.as_structure``), while the entry rules
+(``reductions.Instance.checked``) and the closing replay run on the
+caller's matroid.
 The strips run on the frames that are handed no tableaux, the root of each
 engine call and the strips' own children: a tight split or a triad leaves
 disjoint pairs that cover their ground sets.  Past the strips a cographic
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen
@@ -51,10 +54,9 @@ from .exchange import (
 )
 from .reductions import (
     Instance,
-    IncompatiblePairsError,
     PairTableaux,
-    ReductionError,
     TriadLift,
+    _as_pair,
     delete_uncovered,
     contract_common,
     find_nontrivial_tight_set,
@@ -140,13 +142,6 @@ def _bounds(mode: str, rank: int, struct):
     return length, width
 
 
-def _as_pair(m: Matroid, pair) -> BasisPair:
-    if isinstance(pair, BasisPair):
-        return BasisPair(pair.first, pair.second, m)
-    first, second = pair
-    return BasisPair(_as_frozen(first), _as_frozen(second), m)
-
-
 def solve_white(source, x, y, forbidden=(), bfs_cap: int = 16) -> SolveReport:
     """Transform pair x into pair y; length <= c r^2, width <= 2c(r-1)
     with c = 1 for graphic or cographic inputs and c = 2 otherwise."""
@@ -159,22 +154,14 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
 
 
 def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
-    """The root of a solve in either mode.  The entry checks and the closing
-    replay run on the caller's matroid ``m``; the engine runs on the
-    structure's, which is the [I | A] image of a caller's matroid."""
+    """The root of a solve in either mode.  The entry rules
+    (``Instance.checked``) and the closing replay run on the caller's
+    matroid ``m``; the engine runs on the structure's, which is the [I | A]
+    image of a caller's matroid, and that image must keep the pair's bases."""
     struct = as_structure(source)
     m = source if isinstance(source, Matroid) else struct.matroid
-    x = _as_pair(m, x)
-    if mode == "gabow":
-        if x.first & x.second:
-            raise IncompatiblePairsError("reversal needs disjoint bases")
-        if last is not None and last not in x.union:
-            raise ReductionError("designated last element must lie in one of the bases")
-        y = x.swapped()
-    else:
-        y = _as_pair(m, y)
-    inst = Instance(m, x, y, _as_frozen(forbidden))
-    inst.validate()
+    inst = Instance.checked(m, mode, x, y, forbidden, last)
+    x, y = inst.x, inst.y
     image = struct.matroid
     if image is not m:
         if not all(map(image.is_basis, (x.first, x.second, y.first, y.second))):
@@ -425,11 +412,9 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         out_trace.append(TraceNode("bfs", {"cap": cap}))
         return _bfs_solve(m, inst, mode == "gabow", last, cap)
 
-    sample = sorted(m.ground)
-    shown = ", ".join(map(str, sample[:12])) + (", ..." if len(sample) > 12 else "")
     raise UnsupportedStructureError(
-        f"irreducible instance on {len(m.ground)} elements {{{shown}}} "
-        f"has no known structure and exceeds the search cap {cap}"
+        f"irreducible instance on {len(m.ground)} elements has no known structure "
+        f"and exceeds the search cap {cap}"
     )
 
 
@@ -555,15 +540,20 @@ def _three_sum_route(struct: SumNode, inst: Instance, mode: str, cap: int, out_t
         node = TraceNode("three_sum", {"shared": struct.spec.shared})
         out_trace.append(node)
 
+        def solve(side, x_sets, y_sets=None, forbidden=frozenset(), last=None):
+            # the engine on a side under this route's node; a reversal has no
+            # y.  The 3-sum's replay and the root's closing replay check it
+            x_pair = _as_pair(side.matroid, x_sets)
+            y_pair = x_pair.swapped() if y_sets is None else _as_pair(side.matroid, y_sets)
+            sub_inst = Instance(side.matroid, x_pair, y_pair, forbidden)
+            return _engine(side, sub_inst, mode, last, cap, node.children)
+
         def recurse(contract_elt, x_sets, y_sets=None):
-            # the engine on the contracted circ side; a reversal has no y
+            # the contracted circ side
             sub = _frame_minor(circ, circ.matroid, frozenset({contract_elt}), frozenset())
-            x_pair = _as_pair(sub.matroid, x_sets)
-            y_pair = x_pair.swapped() if y_sets is None else _as_pair(sub.matroid, y_sets)
-            sub_inst = Instance(sub.matroid, x_pair, y_pair)
-            return ExchangeSequence(_engine(sub, sub_inst, mode, None, cap, node.children))
+            return solve(sub, x_sets, y_sets)
 
         if mode == "white":
-            return list(three_sum_white(ctx, inst.x, inst.y, recurse))
-        return list(three_sum_gabow(ctx, inst.x, recurse))
+            return list(three_sum_white(ctx, inst.x, inst.y, partial(solve, bullet), recurse))
+        return list(three_sum_gabow(ctx, inst.x, partial(solve, bullet), recurse))
     return None

@@ -47,17 +47,42 @@ class Instance:
     y: BasisPair
     forbidden: frozenset = frozenset()
 
-    def validate(self) -> None:
-        m = self.matroid
-        for pair in (self.x, self.y):
-            for part in (pair.first, pair.second):
-                if not m.is_basis(part):
-                    raise ReductionError("instance member is not a basis")
-        if not compatible(self.x, self.y):
+    @classmethod
+    def checked(cls, m: Matroid, mode: str, x, y=None, forbidden=(), last=None) -> "Instance":
+        """The instance of a solve in ``mode`` on m, after every entry rule.
+        A reversal ("gabow") needs disjoint bases and ``last`` inside their
+        union, and its target is x swapped.  Then all four members must be
+        bases, the pairs compatible, and F inside (X1 ∩ Y1) ∪ (X2 ∩ Y2), so a
+        reversal takes no F.  The pairs are BasisPairs or (first, second)."""
+        x = _as_pair(m, x)
+        if mode == "gabow":
+            if x.first & x.second:
+                raise IncompatiblePairsError("reversal needs disjoint bases")
+            if last is not None and last not in x.union:
+                raise ReductionError("designated last element must lie in one of the bases")
+            y = x.swapped()
+        else:
+            y = _as_pair(m, y)
+        if not all(map(m.is_basis, (x.first, x.second, y.first, y.second))):
+            raise ReductionError("instance member is not a basis")
+        if not compatible(x, y):
             raise IncompatiblePairsError("pairs are not compatible")
-        eligible = (self.x.first & self.y.first) | (self.x.second & self.y.second)
-        if not self.forbidden <= eligible:
+        forbidden = _as_frozen(forbidden)
+        if not forbidden <= (x.first & y.first) | (x.second & y.second):
             raise ReductionError("forbidden set must stay inside matching intersections")
+        return cls(m, x, y, forbidden)
+
+    def validate(self) -> None:
+        """Raise unless the instance passes the entry rules of a transform."""
+        Instance.checked(self.matroid, "white", self.x, self.y, self.forbidden)
+
+
+def _as_pair(m: Matroid, pair) -> BasisPair:
+    """``pair`` (a BasisPair or (first, second)) as a BasisPair of m."""
+    if isinstance(pair, BasisPair):
+        return BasisPair(pair.first, pair.second, m)
+    first, second = pair
+    return BasisPair(_as_frozen(first), _as_frozen(second), m)
 
 
 class PairTableaux:

@@ -6,7 +6,10 @@ only one side keeps using t, a substitute element e stands in for t on the
 finished side.  For a 3-sum with a graphic side the solution is a three-part
 concatenation: a t_k-avoiding graphic transform onto a reference partition,
 a replay of the recursively solved contraction of the other side (with e
-standing in for t2), and a second graphic transform to the target.
+standing in for t2), and a second graphic transform to the target.  The
+caller solves the pieces on both sides (``solve_bullet`` and ``recurse``),
+so this module imports no solver: the engine (``pipeline``) runs them under
+the route's trace node, and the 3-sum replays what they return.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .exchange import (
     check_reversal,
 )
 from .union import matroid_union_partition, InfeasiblePartitionError
-from .graphic import solve_graphic_white, solve_graphic_gabow
 
 
 class SumStructureError(Exception):
@@ -93,10 +95,11 @@ def merge_two_sum(seq_circ, seq_bullet, ctx: TwoSumContext) -> list:
     sb = [ExchangeStep(*s) for s in seq_bullet]
     out = []
     i = j = 0
-    remaining_c = sum(1 for s in sc if t in s)
-    remaining_b = sum(1 for s in sb if t in s)
+    uses_c = sum(1 for s in sc if t in s)
+    uses_b = sum(1 for s in sb if t in s)
+    fused = min(uses_c, uses_b)
 
-    while remaining_c and remaining_b:
+    for _ in range(fused):
         while t not in sc[i]:
             out.append(sc[i])
             i += 1
@@ -114,12 +117,10 @@ def merge_two_sum(seq_circ, seq_bullet, ctx: TwoSumContext) -> list:
         )
         i += 1
         j += 1
-        remaining_c -= 1
-        remaining_b -= 1
 
     # One side is out of t-steps: finish it, then substitute e for t in the
     # other side's remaining steps.
-    if remaining_c:
+    if uses_c > fused:
         finisher, fin_idx = sb, j
         active, act_idx = sc, i
         fin_pair, fin_matroid = ctx.y_bullet, ctx.bullet
@@ -135,9 +136,6 @@ def merge_two_sum(seq_circ, seq_bullet, ctx: TwoSumContext) -> list:
             ExchangeStep(e if s.e == t else s.e, e if s.f == t else s.f) for s in tail
         ]
     out.extend(tail)
-    uses_c = sum(1 for s in sc if t in s)
-    uses_b = sum(1 for s in sb if t in s)
-    fused = min(uses_c, uses_b)
     if len(out) != len(sc) + len(sb) - fused:
         raise AssertionError(f"merged length {len(out)} != {len(sc)} + {len(sb)} - {fused}")
     if any(t in s for s in out):
@@ -352,19 +350,22 @@ def four_regular_triangle_partition(graph: Multigraph, triangle_ordered):
     return frozenset(f1), frozenset(f2), e_edge
 
 
-def three_sum_white(ctx: ThreeSumContext, x: BasisPair, y: BasisPair, recurse: Callable):
+def three_sum_white(
+    ctx: ThreeSumContext, x: BasisPair, y: BasisPair, solve_bullet: Callable, recurse: Callable
+):
     """Transform x into y on a 3-sum with a simple 4-regular graphic side.
 
-    ``recurse`` solves the contracted circ side: recurse(contract_element,
-    x_pair, y_pair) -> sequence.  The result concatenates two t_k-avoiding
-    graphic segments around the replayed recursive solution and stays within
-    width 4(r-1) and length 2 r^2.
+    ``solve_bullet`` solves the graphic side: solve_bullet(x_pair, y_pair,
+    forbidden) -> steps.  ``recurse`` solves the contracted circ side:
+    recurse(contract_element, x_pair, y_pair) -> steps.  The result
+    concatenates two t_k-avoiding graphic segments around the replayed
+    recursive solution and stays within width 4(r-1) and length 2 r^2.
     """
     if x.first == y.first and x.second == y.second:
         return ExchangeSequence()
     cx = classify_three_sum_pair(ctx, x)
     if cx.kind == 2:
-        seq = three_sum_white(ctx, x.swapped(), y.swapped(), recurse)
+        seq = three_sum_white(ctx, x.swapped(), y.swapped(), solve_bullet, recurse)
         return ExchangeSequence([s.reversed() for s in seq])
     cy = classify_three_sum_pair(ctx, y)
 
@@ -379,11 +380,10 @@ def three_sum_white(ctx: ThreeSumContext, x: BasisPair, y: BasisPair, recurse: C
     f1, f2, e_edge = four_regular_triangle_partition(ctx.bullet.graph, (t1, t2, t3))
 
     # segment 1: bullet side onto the reference partition, avoiding t_kX
-    seg1 = solve_graphic_white(
-        ctx.bullet.graph,
+    seg1 = solve_bullet(
         BasisPair(x1b, x2b | {cx.k}, ctx.bullet),
         BasisPair(f1, f2 | {cx.k}, ctx.bullet),
-        forbidden={cx.k},
+        frozenset({cx.k}),
     )
 
     # segment 2: recursive solve on circ / t1, replayed with e for t2
@@ -407,7 +407,7 @@ def three_sum_white(ctx: ThreeSumContext, x: BasisPair, y: BasisPair, recurse: C
         f_tilde1, f_tilde2 = f1 - {e_edge}, f2 | {e_edge}
         start3 = BasisPair(f_tilde1 | {cy.k}, f_tilde2, ctx.bullet)
         end3 = BasisPair(y1b | {cy.k}, y2b, ctx.bullet)
-    seg3 = solve_graphic_white(ctx.bullet.graph, start3, end3, forbidden={cy.k})
+    seg3 = solve_bullet(start3, end3, frozenset({cy.k}))
 
     steps = list(seg1) + seg2 + list(seg3)
     try:
@@ -419,15 +419,18 @@ def three_sum_white(ctx: ThreeSumContext, x: BasisPair, y: BasisPair, recurse: C
     return ExchangeSequence(steps)
 
 
-def three_sum_gabow(ctx: ThreeSumContext, x: BasisPair, recurse: Callable):
+def three_sum_gabow(ctx: ThreeSumContext, x: BasisPair, solve_bullet: Callable, recurse: Callable):
     """Reverse a disjoint covering pair of a 3-sum in exactly r monotone steps.
 
-    ``recurse`` reverses the contracted circ side: recurse(contract_element,
-    pair) -> sequence of length r(circ) - 1 using each element once.
+    ``solve_bullet`` reverses a pair of the graphic side:
+    solve_bullet(pair, last=h) -> r(bullet) monotone steps, the last one
+    exchanging h.  ``recurse`` reverses the contracted circ side:
+    recurse(contract_element, pair) -> sequence of length r(circ) - 1 using
+    each element once.
     """
     cx = classify_three_sum_pair(ctx, x)
     if cx.kind == 2:
-        seq = three_sum_gabow(ctx, x.swapped(), recurse)
+        seq = three_sum_gabow(ctx, x.swapped(), solve_bullet, recurse)
         return ExchangeSequence([s.reversed() for s in seq])
     t1, t2, t3 = cx.i, cx.j, cx.k
     x1c, x1b = ctx.split(x.first)
@@ -455,13 +458,13 @@ def three_sum_gabow(ctx: ThreeSumContext, x: BasisPair, recurse: Callable):
     t_j = t3 if candidates == [t1] else t1
 
     bullet_pair = BasisPair(x1b, x2b | {t_j}, ctx.bullet)
-    seq_b = solve_graphic_gabow(ctx.bullet.graph, bullet_pair, t_j)
-    last = seq_b.steps[-1]
+    seq_b = [ExchangeStep(*s) for s in solve_bullet(bullet_pair, last=t_j)]
+    last = seq_b[-1]
     if last.f != t_j:
         raise AssertionError("the designated edge must enter the first member last")
     bridging = ExchangeStep(last.e, e_elt)
 
-    steps = list(sub[:pos]) + list(seq_b.steps[:-1]) + [bridging] + list(sub[pos + 1 :])
+    steps = sub[:pos] + seq_b[:-1] + [bridging] + sub[pos + 1 :]
     try:
         apply_and_validate(BasisPair(x.first, x.second, ctx.total), steps)
         check_reversal(x, steps)

@@ -18,7 +18,7 @@ from baseswap.graphic import (
     vertex_span,
 )
 from baseswap.matroid import DualMatroid, GraphicMatroid, GroundSetError, Multigraph
-from baseswap.reductions import IncompatiblePairsError
+from baseswap.reductions import IncompatiblePairsError, ReductionError
 
 from conftest import A, B, C, D, E, F, DT_EDGES
 
@@ -52,16 +52,19 @@ class TestWhite:
             solve_graphic_white(m.graph, x, y.swapped(), forbidden={B, E})
 
     def test_incompatible_rejected(self, k4):
+        # two spanning trees sharing a, so their union misses e: bases, but
+        # not compatible with x
         m, x, _ = k4
-        unequal_union = BasisPair(frozenset({A, B, D}), frozenset({D, E, F}), m)
+        unequal_union = BasisPair(frozenset({A, B, C}), frozenset({A, D, F}), m)
         with pytest.raises(IncompatiblePairsError):
             solve_graphic_white(m.graph, x, unequal_union)
 
     def test_non_basis_member_rejected(self, k4):
         m, x, _ = k4
         not_forests = BasisPair(frozenset({A, B, D}), frozenset({C, E, F}), m)
-        with pytest.raises(IncompatiblePairsError):
+        with pytest.raises(ReductionError) as err:
             solve_graphic_white(m.graph, x, not_forests)
+        assert err.type is ReductionError
 
     def test_random_instances_meet_bounds(self):
         rng = random.Random(20240809)
@@ -129,8 +132,9 @@ class TestGabow:
     def test_not_bispanning_rejected(self):
         g = Multigraph({0: (1, 2), 1: (2, 3), 2: (1, 3)})
         m = GraphicMatroid(g)
-        with pytest.raises(GroundSetError):
+        with pytest.raises(ReductionError) as err:
             solve_graphic_gabow(g, BasisPair(frozenset({0, 1}), frozenset({2}), m), h=0)
+        assert err.type is ReductionError
 
 
 class TestPickVertex:

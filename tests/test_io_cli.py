@@ -190,43 +190,94 @@ class TestCliRoundTrips:
         path.write_text(json.dumps(inst))
         code, out, _ = self.run(capsys, "distance", str(path))
         assert code == 0 and out.strip() == "1"
+        # Figure 3: F = {b, e} stays inside (X1 n Y1) u (X2 n Y2) for the
+        # swapped target, yet no sequence avoids it
+        inst.update(y1=["d", "b", "f"], y2=["a", "e", "c"])
+        path.write_text(json.dumps(inst))
         code, out, _ = self.run(capsys, "distance", str(path), "--forbidden", "b,e")
         assert code == 0 and out.strip() == "unreachable"
 
-    def test_non_bases_exit_two_in_every_command(self, tmp_path, capsys):
-        # x1 = y1 = {a, b, d} is a triangle of K4: no command may take the
-        # pairs as given (the empty sequence "reaches" y from x)
-        inst = {
-            "matroid": {"kind": "graph",
-                        "text": "a 1 2\nb 2 3\nc 3 4\nd 1 3\ne 1 4\nf 2 4"},
-            "mode": "white",
-            "x1": ["a", "b", "d"], "x2": ["c", "e", "f"],
-            "y1": ["a", "b", "d"], "y2": ["c", "e", "f"],
-        }
-        path = tmp_path / "triangle.json"
-        path.write_text(json.dumps(inst))
-        empty = tmp_path / "empty.json"
-        empty.write_text("[]")
-        for args in (("solve",), ("distance",), ("verify", str(empty))):
-            code, out, err = self.run(capsys, args[0], str(path), *args[1:])
-            assert code == 2 and out == "" and "not a basis" in err, args
-
-    def test_reversal_of_meeting_bases_exits_two_in_every_command(self, tmp_path, capsys):
+    K4 = "a 1 2\nb 2 3\nc 3 4\nd 1 3\ne 1 4\nf 2 4"
+    ENTRY_RULES = {
+        # x1 = y1 = {a, b, d} is a triangle of K4 (the empty sequence
+        # "reaches" y from x)
+        "non-bases": (
+            K4, {"mode": "white", "x1": ["a", "b", "d"], "x2": ["c", "e", "f"],
+             "y1": ["a", "b", "d"], "y2": ["c", "e", "f"]},
+            "instance member is not a basis",
+        ),
         # K4 plus g parallel to a: {a, b, c} and {a, d, e} are bases that
-        # share a, so no reversal exists and every command refuses the pair
-        inst = {
-            "matroid": {"kind": "graph",
-                        "text": "a 1 2\nb 2 3\nc 3 4\nd 1 3\ne 1 4\nf 2 4\ng 1 2"},
-            "mode": "gabow",
-            "x1": ["a", "b", "c"], "x2": ["a", "d", "e"],
-        }
-        path = tmp_path / "meet.json"
-        path.write_text(json.dumps(inst))
+        # share a, so no reversal exists
+        "meeting-bases": (
+            K4 + "\ng 1 2", {"mode": "gabow",
+             "x1": ["a", "b", "c"], "x2": ["a", "d", "e"]},
+            "reversal needs disjoint bases",
+        ),
+        # a reversal moves every element, so it takes no F
+        "reversal-with-F": (
+            K4, {"mode": "gabow", "x1": ["a", "b", "c"], "x2": ["d", "e", "f"],
+             "forbidden": ["a"]},
+            "forbidden set must stay inside matching intersections",
+        ),
+        # g is in neither basis, so no step exchanges it
+        "last-outside-union": (
+            K4 + "\ng 1 2", {"mode": "gabow",
+             "x1": ["a", "b", "c"], "x2": ["d", "e", "f"], "last": "g"},
+            "designated last element must lie in one of the bases",
+        ),
+        # b moves from the first member to the second
+        "F-outside-intersections": (
+            K4, {"mode": "white", "x1": ["a", "b", "c"], "x2": ["d", "e", "f"],
+             "y1": ["a", "e", "c"], "y2": ["d", "b", "f"], "forbidden": ["b"]},
+            "forbidden set must stay inside matching intersections",
+        ),
+    }
+
+    @pytest.mark.parametrize("row", sorted(ENTRY_RULES))
+    def test_entry_rules_exit_two_in_every_command(self, tmp_path, capsys, row):
+        text, fields, message = self.ENTRY_RULES[row]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"matroid": {"kind": "graph", "text": text}, **fields}))
         empty = tmp_path / "empty.json"
         empty.write_text("[]")
+        errors = set()
         for args in (("solve",), ("distance",), ("verify", str(empty))):
             code, out, err = self.run(capsys, args[0], str(path), *args[1:])
-            assert code == 2 and out == "" and "reversal needs disjoint bases" in err, args
+            assert code == 2 and out == "", args
+            errors.add(err)
+        assert errors == {f"error: {message}\n"}
+
+    def test_flag_errors_exit_four_in_every_command(self, tmp_path, capsys):
+        # the flags are written into the instance before it is parsed, so
+        # the parser's checks and messages cover them
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "matroid": {"kind": "graph", "text": self.K4}, "mode": "gabow",
+            "x1": ["a", "b", "c"], "x2": ["d", "e", "f"],
+        }))
+        listed = tmp_path / "list.json"
+        listed.write_text("[]")
+        cases = [
+            ((path, "--mode", "white"), "white mode needs y1 and y2"),
+            ((path, "--forbidden", "a,zz"), "unknown element label 'zz'"),
+            ((path, "--last", "zz"), "unknown element label 'zz'"),
+            ((listed,), "instance must be a JSON object"),
+        ]
+        for command in (("solve",), ("distance",), ("verify", str(listed))):
+            for (inst, *flags), message in cases:
+                code, out, err = self.run(capsys, command[0], str(inst), *command[1:], *flags)
+                assert (code, out, err) == (4, "", f"error: {message}\n"), (command, flags)
+
+    def test_search_cap_message_counts_elements(self, tmp_path, capsys):
+        # internal ids are not the file's labels, so the message names none
+        inst = tmp_path / "r10.json"
+        self.run(capsys, "gen", "r10", "--seed", "1", "-o", str(inst))
+        code, out, err = self.run(capsys, "solve", str(inst), "--bfs-cap", "0")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: irreducible instance on 10 elements has no known structure "
+            "and exceeds the search cap 0\n"
+        )
 
     @pytest.mark.parametrize("mode", ["white", "gabow"])
     def test_search_cap_zero_gives_the_same_steps(self, tmp_path, capsys, mode):
@@ -332,12 +383,12 @@ class TestCliRoundTrips:
             "mode": "white",
             "x1": ["a", "b", "c"], "x2": ["d", "e", "f"],
             "y1": ["a", "e", "c"], "y2": ["d", "b", "f"],
-            "forbidden": ["b"],
+            "forbidden": ["a"],
         }
         path = tmp_path / "k4.json"
         path.write_text(json.dumps(inst))
         seq = tmp_path / "seq.txt"
-        seq.write_text("0: b <-> e\n")
+        seq.write_text("0: a <-> e\n")
         code, out, _ = self.run(capsys, "verify", str(path), str(seq))
         assert code == 1 and "step 0" in out
 
@@ -363,11 +414,11 @@ class TestCliRoundTrips:
         seq.write_text(json.dumps([{"e": f, "f": e}] + steps[1:]))
         code, out, _ = self.run(capsys, "verify", str(path), str(seq))
         assert code == 1 and out.strip() == f"fail at step 0: invalid exchange ({f}, {e})"
-        inst.update(mode="white", y1=["a", "e", "c"], y2=["d", "b", "f"], forbidden=["b"])
+        inst.update(mode="white", y1=["a", "e", "c"], y2=["d", "b", "f"], forbidden=["a"])
         path.write_text(json.dumps(inst))
-        seq.write_text(json.dumps([{"e": "b", "f": "e"}]))
+        seq.write_text(json.dumps([{"e": "a", "f": "e"}]))
         code, out, _ = self.run(capsys, "verify", str(path), str(seq))
-        assert code == 1 and out.strip() == "fail at step 0: forbidden element b used"
+        assert code == 1 and out.strip() == "fail at step 0: forbidden element a used"
 
     def test_malformed_graph_line_exit_four(self, tmp_path, capsys):
         inst = {

@@ -372,6 +372,31 @@ class TestSolveEndToEnd:
         gab = solve_gabow(node, x)
         assert gab.length == 34
 
+    @pytest.mark.parametrize("mode", ["white", "gabow"])
+    def test_three_sum_trace_names_the_bullet_edges(self, mode):
+        # the graphic side of a 3-sum is solved inside the engine, so its
+        # reductions sit under the route's node.  Gadget i's 17 edges off
+        # its triangle {100 i + 1, 100 i + 2, 100 i + 3} are 1000 i onwards
+        node = remark_construction()
+        x, view = partition_pair(node)
+        if mode == "white":
+            y = random_exchange_walk(view, x, 10, random.Random(23))
+            report = solve_white(node, x, BasisPair(y.first, y.second, node.matroid))
+        else:
+            report = solve_gabow(node, x)
+        routes = [n for n in report.trace.flatten() if n.kind == "three_sum"]
+        assert routes
+        for route in routes:
+            (i,) = {t // 100 for t in route.payload["shared"]}
+            named = set()
+            for n in route.flatten():
+                for value in n.payload.values():
+                    if isinstance(value, (frozenset, tuple)):
+                        named |= set(value)
+                    elif type(value) is int:
+                        named.add(value)
+            assert named & set(range(1000 * i, 1000 * i + 17)), (i, sorted(named))
+
     def test_composed_small_instances_with_bfs_lower_bound(self):
         rng = random.Random(6)
         wheel = Multigraph(
@@ -705,7 +730,8 @@ def test_sum_trees_are_composed_only_for_routes(monkeypatch, capsys):
     for seed in (0, 1):
         assert main(["gen", "tree-composed", "--n", "40", "--seed", str(seed)]) == 0
         inst = parse_instance(json.loads(capsys.readouterr().out))
-        cases.append((seed, inst["structure"], *_pairs(inst)[1:]))
+        checked = _pairs(inst)
+        cases.append((seed, inst["structure"], checked.x, checked.y))
     for name, struct, x, y in cases:
         for report in solves(struct, x, y):
             levels = len(report.trace.flatten())

@@ -254,12 +254,23 @@ class TestThreeSumSolvers:
 
         return recurse
 
+    def _solve_bullet(self, node):
+        # the graphic side through the public solvers
+        from baseswap.pipeline import solve_gabow, solve_white
+
+        def solve_bullet(x_pair, y_pair=None, forbidden=frozenset(), last=None):
+            if y_pair is None:
+                return solve_gabow(node.right, x_pair, last).sequence
+            return solve_white(node.right, x_pair, y_pair, forbidden).sequence
+
+        return solve_bullet
+
     def test_white_three_part_concatenation(self):
         node, total, view, x, ctx = self._instance()
         rng = random.Random(3)
         y = random_exchange_walk(view, x, 6, rng)
         y = BasisPair(y.first, y.second, total)
-        seq = three_sum_white(ctx, x, y, self._recurse_white(node))
+        seq = three_sum_white(ctx, x, y, self._solve_bullet(node), self._recurse_white(node))
         final = apply_and_validate(x, seq)
         assert final.first == y.first
         r = total.full_rank
@@ -281,11 +292,12 @@ class TestThreeSumSolvers:
             return [(min(second), min(first))] + list(solve(contract_elt, x_sets, y_sets))
 
         with pytest.raises(AssertionError, match="invalid exchange"):
-            three_sum_white(ctx, x, y, recurse)
+            three_sum_white(ctx, x, y, self._solve_bullet(node), recurse)
 
     def test_white_same_pair_empty(self):
         node, total, view, x, ctx = self._instance()
-        assert three_sum_white(ctx, x, x, self._recurse_white(node)).length == 0
+        solvers = self._solve_bullet(node), self._recurse_white(node)
+        assert three_sum_white(ctx, x, x, *solvers).length == 0
 
     def test_gabow_exact_reversal(self):
         node, total, view, x, ctx = self._instance()
@@ -296,7 +308,7 @@ class TestThreeSumSolvers:
             sub = structure_minor(node.left, frozenset({contract_elt}), frozenset())
             return solve_gabow(sub, x_sets).sequence
 
-        seq = three_sum_gabow(ctx, x, recurse)
+        seq = three_sum_gabow(ctx, x, self._solve_bullet(node), recurse)
         assert seq.length == total.full_rank
         assert seq.width == 1
         final = apply_and_validate(x, seq)
