@@ -143,14 +143,15 @@ def _pairs(inst) -> Instance:
 def cmd_solve(args) -> int:
     inst = _load_instance(args)
     labels = inst["labels"]
-    checked = _pairs(inst)
-    m, x = checked.matroid, checked.x
-    try:
+    m, x = inst["structure"].matroid, (inst["x1"], inst["x2"])
+    try:  # the solvers run the entry rules
         if inst["mode"] == "gabow":
+            if inst["forbidden"]:
+                _pairs(inst)  # solve_gabow takes no F, and these rules refuse it
             report = solve_gabow(inst["structure"], x, last=inst["last"], bfs_cap=args.bfs_cap)
         else:
             report = solve_white(
-                inst["structure"], x, checked.y, forbidden=checked.forbidden,
+                inst["structure"], x, (inst["y1"], inst["y2"]), forbidden=inst["forbidden"],
                 bfs_cap=args.bfs_cap,
             )
     except RecursionError:

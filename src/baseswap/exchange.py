@@ -6,8 +6,8 @@ are bases.  Sequences carry length (step count) and width (maximum number of
 occurrences of any single element).  The replay (``apply_and_validate``)
 carries the pair as one tableau per basis on GF(2) and graphic matroids:
 each step is read off and pivots them, and the final pair is built once
-from their keys.  On any other matroid it asks ``is_valid_exchange``, its
-rank-based reference, and builds the pair at every step.  The BFS oracle
+from their keys.  On a caller's own matroid it asks ``is_valid_exchange``,
+its rank-based reference, and builds the pair at every step.  The BFS oracle
 searches the exchange graph of a small matroid exhaustively between two
 pairs of bases and certifies optimal distances and unreachability; the
 engine also solves its rank <= 2 frames with its monotone search.
@@ -149,9 +149,9 @@ def apply_and_validate(pair: BasisPair, seq, forbidden=()) -> BasisPair:
     a step (e, f) is valid when e lies in the first basis and on the
     circuit of f in it, and f in the second basis and on the circuit of e
     in it (so each lies in one basis only); each step pivots both tableaux,
-    and the final pair is read from their keys.  On any other matroid, and
-    from a start that is not a pair of bases, ``is_valid_exchange`` asks
-    the rank oracle at every step."""
+    and the final pair is read from their keys.  Only on a caller's own
+    matroid, and from a start that is not a pair of bases,
+    ``is_valid_exchange`` asks the rank oracle at every step."""
     avoid = _as_frozen(forbidden)
     m = pair.matroid
     if isinstance(m, (Gf2Matroid, GraphicMatroid)):

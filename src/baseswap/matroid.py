@@ -2,13 +2,12 @@
 
 Every matroid lives on a ground set of small nonnegative integers.  Concrete
 backends: binary matrices over GF(2) and multigraphs, whose duals (GF(2)) and
-minors (both) are explicit matroids of the same backend, and a lazy dual
-view of any other matroid; binary 1-/2-/3-sums are GF(2) matrices built in
-``structure``.  Only the two explicit backends take minors: the solver
-swaps any other matroid for its GF(2) image before it reduces.  Instances
-are immutable after construction and all queries are read-only, so values
-can be shared freely between threads; rank caches and a graph's incidence
-index fill idempotently.
+minors (both) are explicit matroids of the same backend; binary 1-/2-/3-sums
+are GF(2) matrices built in ``structure``.  Only the two explicit backends
+take duals and minors: the solver swaps any other matroid for its GF(2)
+image before it reduces.  Instances are immutable after construction and
+all queries are read-only, so values can be shared freely between threads;
+rank caches and a graph's incidence index fill idempotently.
 
 A ``Tableau`` holds the fundamental circuits of one basis of a binary
 matroid as bitmasks and answers "is B - b + f a basis?" with one bit; an
@@ -42,8 +41,9 @@ class Matroid:
     """Abstract rank oracle over an integer ground set.
 
     Subclasses implement ``_rank``.  The derived queries (independence,
-    basis tests, fundamental circuits, duals) are provided here in terms of
-    rank; minors are left to the explicit backends (``_minor``).
+    basis tests, fundamental circuits) are provided here in terms of rank;
+    duals and minors are left to the explicit backends (``dual``,
+    ``_minor``).
     """
 
     def __init__(self, ground: frozenset):
@@ -143,7 +143,7 @@ class Matroid:
     # -- views -------------------------------------------------------------
 
     def dual(self) -> "Matroid":
-        return DualMatroid(self)
+        raise NotImplementedError(f"{type(self).__name__} has no explicit dual")
 
     def minor(self, contract=(), delete=()) -> "Matroid":
         c = _as_frozen(contract)
@@ -200,7 +200,7 @@ class Gf2Matroid(Matroid):
 
     def dual(self) -> "Gf2Matroid":
         """Explicit dual: the transposed tableau of the greedy basis
-        (``Tableau.dual_columns``)."""
+        (``Tableau.dual_columns``).  A graph's dual is the same matrix."""
         return Gf2Matroid(self.tableau().dual_columns())
 
     def _minor(self, c: frozenset, d: frozenset) -> "Gf2Matroid":
@@ -550,9 +550,14 @@ class Multigraph:
 
     def forest_rank(self, edge_ids) -> int:
         """Rank of an edge subset: vertices touched minus components."""
+        return len(self.forest(edge_ids))
+
+    def forest(self, edge_ids) -> list:
+        """The edges of ``edge_ids``, taken in order, that each join two
+        components of the ones kept before them (Kruskal's rule)."""
         edges = self.edges
         parent: dict = {}  # non-root vertex -> a vertex closer to its root
-        rank = 0
+        kept = []
         for e in edge_ids:
             u, v = edges[e]
             while u in parent:
@@ -563,9 +568,8 @@ class Multigraph:
                 parent[v] = v = parent.get(vp, vp)  # to the grandparent
             if u != v:
                 parent[u] = v
-                rank += 1
-        return rank
-
+                kept.append(e)
+        return kept
 
 
 class GraphicMatroid(Matroid):
@@ -577,6 +581,12 @@ class GraphicMatroid(Matroid):
 
     def _rank(self, subset: frozenset) -> int:
         return self.graph.forest_rank(subset)
+
+    def greedy_basis(self) -> frozenset:
+        """Kruskal in id order: one union-find pass."""
+        return frozenset(self.graph.forest(sorted(self.ground)))
+
+    dual = Gf2Matroid.dual
 
     def _independent(self, elements) -> bool:
         """Whether the edges ``elements``, ids of the ground set, form a
@@ -703,21 +713,6 @@ class GraphicMatroid(Matroid):
         if c:
             graph = graph.contract_edges(c)
         return GraphicMatroid(graph)
-
-
-class DualMatroid(Matroid):
-    """Lazy dual view: r*(Z) = |Z| - r(E) + r(E - Z)."""
-
-    def __init__(self, base: Matroid):
-        super().__init__(base.ground)
-        self.base = base
-
-    def _rank(self, subset: frozenset) -> int:
-        b = self.base
-        return len(subset) - b.full_rank + b.rank(b.ground - subset)
-
-    def dual(self) -> Matroid:
-        return self.base
 
 
 class SumSpec:

@@ -164,7 +164,7 @@ def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
     x, y = inst.x, inst.y
     image = struct.matroid
     if image is not m:
-        if not all(map(image.is_basis, (x.first, x.second, y.first, y.second))):
+        if not all(map(image.is_basis, dict.fromkeys((x.first, x.second, y.first, y.second)))):
             raise GroundSetError(
                 "the caller's matroid is not binary: its [I | A] image over GF(2) "
                 "loses a basis of the pair"

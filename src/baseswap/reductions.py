@@ -63,7 +63,7 @@ class Instance:
             y = x.swapped()
         else:
             y = _as_pair(m, y)
-        if not all(map(m.is_basis, (x.first, x.second, y.first, y.second))):
+        if not all(map(m.is_basis, dict.fromkeys((x.first, x.second, y.first, y.second)))):
             raise ReductionError("instance member is not a basis")
         if not compatible(x, y):
             raise IncompatiblePairsError("pairs are not compatible")

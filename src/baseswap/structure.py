@@ -10,12 +10,13 @@ side they empty becomes its other side, and when a pushed minor breaks a
 sum precondition the node collapses to a GF(2) leaf.  ``structure_minors``
 applies a list of minors in turn and composes each node once.
 
-Every node has an explicit GF(2) matrix (``gf2``): a leaf's own matrix, its
-graph's incidence matrix, or the dual of that for a cographic leaf.  The
-matroid of a sum node is the matrix glued from its children's along the
-shared set (``_glue``).  It answers every rank, basis and minor query on
-the node, and the tree is kept only for routing: graph solves on graphic
-bullets and the 2-/3-sum merges, so the engine builds a minor's tree only
+Every node has an explicit GF(2) matrix (``gf2``): a graphic leaf's
+incidence matrix, or any other leaf's own matroid, which for a cographic
+leaf is the graph's dual (``GraphicMatroid.dual``).  The matroid of a sum
+node is the matrix glued from its children's along the shared set
+(``_glue``).  It answers every rank, basis and minor query on the node,
+and the tree is kept only for routing: graph solves on graphic bullets and
+the 2-/3-sum merges, so the engine builds a minor's tree only
 where a route reads it.  The tests check the matrix against the
 definitional rank of a binary sum.
 
@@ -31,7 +32,6 @@ from .matroid import (
     Matroid,
     Gf2Matroid,
     GraphicMatroid,
-    DualMatroid,
     Multigraph,
     SumSpec,
     CompositionError,
@@ -54,13 +54,12 @@ class Leaf:
     @cached_property
     def gf2(self) -> Gf2Matroid:
         """The leaf's matroid as an explicit GF(2) matrix."""
-        if self.graph is None:
+        if self.tag != "graphic":
             return self.matroid
         # vertex-edge incidence columns; a loop is a zero column
         row = {v: i for i, v in enumerate(sorted(self.graph.vertices(), key=str))}
         cols = {e: (1 << row[u]) ^ (1 << row[v]) for e, (u, v) in self.graph.edges.items()}
-        incidence = Gf2Matroid(cols)
-        return incidence if self.tag == "graphic" else incidence.dual()
+        return Gf2Matroid(cols)
 
 
 class SumNode:
@@ -89,7 +88,7 @@ def graphic_leaf(graph: Multigraph) -> Leaf:
 
 
 def cographic_leaf(graph: Multigraph) -> Leaf:
-    return Leaf("cographic", DualMatroid(GraphicMatroid(graph)), graph)
+    return Leaf("cographic", GraphicMatroid(graph).dual(), graph)
 
 
 def gf2_leaf(matroid: Gf2Matroid) -> Leaf:

@@ -83,6 +83,20 @@ class MinorMatroid(Matroid):
         return MinorMatroid(self.base, self.contracted | c, self.deleted | d)
 
 
+class DualMatroid(Matroid):
+    """Lazy dual view: r*(Z) = |Z| - r(E) + r(E - Z), the rank-path
+    reference for the explicit duals.  It has no dual or minor of its own,
+    so ``DualMatroid(DualMatroid(m))`` is an opaque caller's view of m."""
+
+    def __init__(self, base: Matroid):
+        super().__init__(base.ground)
+        self.base = base
+
+    def _rank(self, subset: frozenset) -> int:
+        b = self.base
+        return len(subset) - b.full_rank + b.rank(b.ground - subset)
+
+
 def f7_bases() -> list:
     """The 28 three-element subsets of F7's elements 0..6 that are not
     lines, from the line list."""
@@ -277,8 +291,8 @@ def checked_replace(replace, options):
 def reference_find_triad(m, cover=None):
     """``reductions.find_triad`` by the rank search it replaced: the
     lexicographically first 3-element set T inside ``cover`` with r(E - T)
-    = r - 1 and r(E - T + t) = r for each t in T.  On ``m.dual()`` it finds
-    the first triangle."""
+    = r - 1 and r(E - T + t) = r for each t in T.  On the dual of m it
+    finds the first triangle."""
     elems = sorted(m.ground if cover is None else frozenset(cover))
     r = m.full_rank
     for combo in itertools.combinations(elems, 3):
@@ -341,7 +355,7 @@ def brute_circuits(m):
 
 
 def brute_cocircuits(m):
-    return brute_circuits(m.dual())
+    return brute_circuits(DualMatroid(m))
 
 
 def brute_tight_sets(m):

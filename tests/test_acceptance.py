@@ -34,6 +34,7 @@ from baseswap.union import matroid_union_partition
 from conftest import (
     K4_EDGES,
     DT_EDGES,
+    DualMatroid,
     MinorMatroid,
     bfs_distances,
     brute_circuits,
@@ -301,7 +302,7 @@ def test_criterion_8_four_regular_partition_suite():
 def _lemma_backends():
     yield "graphic K4", graphic_matroid(K4_EDGES)
     yield "graphic DT", graphic_matroid(DT_EDGES)
-    yield "dual view", graphic_matroid(K4_EDGES).dual()
+    yield "dual view", DualMatroid(graphic_matroid(K4_EDGES))
     yield "minor view", MinorMatroid(graphic_matroid(K4_EDGES), frozenset({0}), frozenset())
     yield "gf2 F7", fano_gf2()
     yield "gf2 R10", r10_matroid()

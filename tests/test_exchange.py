@@ -18,7 +18,7 @@ from baseswap.exchange import (
     is_valid_exchange,
 )
 from baseswap.io import sequence_to_text
-from baseswap.matroid import DualMatroid, GraphicMatroid, graphic_matroid
+from baseswap.matroid import GraphicMatroid, graphic_matroid
 
 from conftest import (
     A,
@@ -27,6 +27,7 @@ from conftest import (
     D,
     E,
     F,
+    DualMatroid,
     bfs_distances,
     gf2_matrices,
     multigraphs,

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+from functools import partial
 
 import pytest
 
+import baseswap.exchange
 from baseswap.cli import main
 from baseswap.exchange import BasisPair, apply_and_validate
 from baseswap.gen import (
@@ -17,10 +19,12 @@ from baseswap.graphic import (
     solve_graphic_white,
     vertex_span,
 )
-from baseswap.matroid import DualMatroid, GraphicMatroid, GroundSetError, Multigraph
+from baseswap.matroid import GraphicMatroid, GroundSetError, Multigraph
+from baseswap.pipeline import solve_gabow, solve_white
 from baseswap.reductions import IncompatiblePairsError, ReductionError
+from baseswap.structure import cographic_leaf, graphic_leaf
 
-from conftest import A, B, C, D, E, F, DT_EDGES
+from conftest import A, B, C, D, E, F, DT_EDGES, DualMatroid
 
 
 class TestWhite:
@@ -135,6 +139,102 @@ class TestGabow:
         with pytest.raises(ReductionError) as err:
             solve_graphic_gabow(g, BasisPair(frozenset({0, 1}), frozenset({2}), m), h=0)
         assert err.type is ReductionError
+
+
+def _wheel(k):
+    """The wheel W_k and its plane dual on the same edge ids.  Spoke i joins
+    the hub to rim vertex i, and rim edge k + i joins rim vertices i and
+    i + 1.  Face i is the triangle of spokes i, i + 1 and rim edge k + i,
+    and "o" is the outer face, so the dual is W_k again with hub "o"."""
+    g = {i: ("h", f"r{i}") for i in range(k)}
+    g.update({k + i: (f"r{i}", f"r{(i + 1) % k}") for i in range(k)})
+    dual = {i: (f"f{(i - 1) % k}", f"f{i}") for i in range(k)}
+    dual.update({k + i: ("o", f"f{i}") for i in range(k)})
+    return g, dual
+
+
+def _grid(k, l):
+    """The k x l grid and its plane dual on the same edge ids.  Face (i, j)
+    is the square with corners (i, j) and (i + 1, j + 1), and "o" is the
+    outer face."""
+
+    def face(i, j):
+        return f"f{i},{j}" if 0 <= i < k - 1 and 0 <= j < l - 1 else "o"
+
+    g, dual = {}, {}
+    for i in range(k):
+        for j in range(l):
+            if j + 1 < l:  # the top side of face (i, j), the bottom of (i - 1, j)
+                dual[len(g)] = (face(i - 1, j), face(i, j))
+                g[len(g)] = (f"v{i},{j}", f"v{i},{j + 1}")
+            if i + 1 < k:  # the left side of face (i, j), the right of (i, j - 1)
+                dual[len(g)] = (face(i, j - 1), face(i, j))
+                g[len(g)] = (f"v{i},{j}", f"v{i + 1},{j}")
+    return g, dual
+
+
+def _disjoint_bases(m, rng):
+    """Two disjoint bases of m: the greedy basis of a random order, then of
+    the elements left over, until the second one is a basis."""
+
+    def greedy(order):
+        kept = set()
+        for e in order:
+            if m.is_independent(kept | {e}):
+                kept.add(e)
+        return frozenset(kept)
+
+    while True:
+        order = rng.sample(sorted(m.ground), len(m.ground))
+        first = greedy(order)
+        second = greedy(e for e in order if e not in first)
+        if len(second) == m.full_rank:
+            return first, second
+
+
+class TestPlanarDuality:
+    """Whitney: M*(G) = M(G*) for a plane graph G with plane dual G*.  The
+    cographic leaf of G and the graphic leaf of G* are the same matroid on
+    the same ids, so both solve each pair within the graphic bounds, and
+    each sequence replays on the other's matroid."""
+
+    CASES = {f"wheel{k}": (_wheel, k) for k in range(3, 8)}
+    CASES.update({f"grid{k}x{l}": (_grid, k, l) for k, l in ((2, 3), (3, 3), (3, 4), (4, 4))})
+
+    @pytest.mark.parametrize("mode", ["white", "gabow"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cographic_leaf_matches_the_plane_dual(self, case, mode, monkeypatch):
+        build, *size = self.CASES[case]
+        g, dual = build(*size)
+        co = cographic_leaf(Multigraph(g))
+        gr = graphic_leaf(Multigraph(dual))
+        basis = co.matroid.greedy_basis()
+        assert co.matroid.tableau(basis).circuits == gr.matroid.tableau(basis).circuits
+        rng = random.Random(case)
+        r = gr.matroid.full_rank
+        x = BasisPair(*_disjoint_bases(gr.matroid, rng), gr.matroid)
+        y = random_exchange_walk(gr.matroid, x, 2 * r, rng) if mode == "white" else x.swapped()
+        checks = []
+        valid = baseswap.exchange.is_valid_exchange
+
+        def counted(pair, step):
+            checks.append(step)
+            return valid(pair, step)
+
+        # the cographic leaf's matroid is a GF(2) matrix, so its closing
+        # replay reads tableaux and asks no rank-path exchange test
+        monkeypatch.setattr(baseswap.exchange, "is_valid_exchange", counted)
+        solve = partial(solve_white, y=y) if mode == "white" else solve_gabow
+        reports = {"cographic": solve(co, x), "graphic": solve(gr, x)}
+        assert not checks
+        for name, other in (("cographic", gr), ("graphic", co)):
+            seq = reports[name].sequence
+            assert reports[name].rank == r
+            assert seq.length <= r * r and seq.width <= 2 * (r - 1)
+            if mode == "gabow":
+                assert seq.length == r
+            final = apply_and_validate(BasisPair(x.first, x.second, other.matroid), seq)
+            assert (final.first, final.second) == (y.first, y.second), name
 
 
 class TestPickVertex:

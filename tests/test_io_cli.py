@@ -25,6 +25,7 @@ from baseswap.io import (
     sequence_to_text,
 )
 from baseswap.exchange import ExchangeSequence
+from baseswap.matroid import Matroid
 
 from conftest import r10_two_sum_tree
 
@@ -246,6 +247,25 @@ class TestCliRoundTrips:
             assert code == 2 and out == "", args
             errors.add(err)
         assert errors == {f"error: {message}\n"}
+
+    @pytest.mark.parametrize("mode, members", [("gabow", 2), ("white", 4)])
+    def test_solve_tests_each_member_once(self, tmp_path, capsys, monkeypatch, mode, members):
+        # the solver runs the entry rules, once, and a reversal's target is
+        # x swapped, so its two bases are the only members
+        calls = []
+        is_basis = Matroid.is_basis
+
+        def counted(m, subset):
+            calls.append(frozenset(subset))
+            return is_basis(m, subset)
+
+        path = tmp_path / "inst.json"
+        self.run(capsys, "gen", "bispanning", "--n", "5", "--seed", "3",
+                 "--mode", mode, "-o", str(path))
+        monkeypatch.setattr(Matroid, "is_basis", counted)
+        code, _, _ = self.run(capsys, "solve", str(path))
+        assert code == 0
+        assert len(calls) == len(set(calls)) == members
 
     def test_flag_errors_exit_four_in_every_command(self, tmp_path, capsys):
         # the flags are written into the instance before it is parsed, so

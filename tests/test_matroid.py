@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from baseswap.matroid import (
     CompositionError,
-    DualMatroid,
     Gf2Matroid,
     GraphicMatroid,
     GroundSetError,
@@ -17,7 +16,7 @@ from baseswap.matroid import (
     graphic_matroid,
 )
 from baseswap.graphic import pick_reduction_vertex
-from baseswap.structure import compose_sum
+from baseswap.structure import cographic_leaf, compose_sum, graphic_leaf
 
 from conftest import (
     A, B, C, D, E, F,
@@ -27,6 +26,7 @@ from conftest import (
     brute_cocircuits,
     brute_sum_rank_fn,
     DefinitionalSum,
+    DualMatroid,
     MinorMatroid,
     dfs_forest_rank,
     gf2_matrices,
@@ -262,11 +262,14 @@ class TestDualMinor:
                     assert lazy.rank(s) == explicit.rank(s)
 
     def test_lazy_view_has_no_minor(self, k4):
-        # only the explicit backends build minors; an empty one is the view
-        view = k4[0].dual()
+        # only the explicit backends build duals and minors; an empty minor
+        # is the view
+        view = DualMatroid(k4[0])
         assert view.minor() is view
         with pytest.raises(NotImplementedError, match="DualMatroid"):
             view.minor(contract={A}, delete={F})
+        with pytest.raises(NotImplementedError, match="DualMatroid"):
+            view.dual()
 
     def test_dual_on_minor_views(self, dt):
         m, _ = dt
@@ -354,6 +357,19 @@ class TestGf2Dual:
         assert got.ground == m.ground
         for s in subsets(got.ground):
             assert got.rank(s) == lazy.rank(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs())
+    def test_graph_dual_is_its_incidence_matrix_dual(self, g):
+        # a graph's Kruskal basis is the generic greedy basis, so its dual
+        # is bit for bit the dual of its incidence matrix, and a cographic
+        # leaf's matroid is that matrix
+        m = GraphicMatroid(g)
+        assert m.greedy_basis() == Matroid.greedy_basis(m)
+        assert m.dual().columns == graphic_leaf(g).gf2.dual().columns
+        leaf = cographic_leaf(g)
+        assert leaf.gf2 is leaf.matroid
+        assert leaf.matroid.columns == m.dual().columns
 
 
 class TestGf2FundamentalCircuits:

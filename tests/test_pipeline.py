@@ -17,7 +17,6 @@ from baseswap.exchange import (
     check_reversal,
 )
 from baseswap.matroid import (
-    DualMatroid,
     Gf2Matroid,
     GraphicMatroid,
     GroundSetError,
@@ -57,6 +56,7 @@ from baseswap.gen import random_exchange_walk, random_bispanning_graph, random_f
 
 from conftest import (
     K4_EDGES,
+    DualMatroid,
     MinorMatroid,
     brute_circuits,
     brute_cocircuits,
@@ -143,7 +143,7 @@ class TestStructure:
     def test_two_sum_with_a_callers_matroid_part(self):
         # a lazy dual is neither GF(2) nor graphic, so it becomes the GF(2)
         # leaf of its [I | A] image, built from fundamental circuits
-        left = graphic_matroid(dict(K4_EDGES)).dual()
+        left = DualMatroid(graphic_matroid(dict(K4_EDGES)))
         right = graphic_matroid(
             {5: (11, 12), 6: (12, 13), 7: (13, 14), 8: (11, 13), 9: (11, 14), 10: (12, 14)}
         )
