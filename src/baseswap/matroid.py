@@ -7,7 +7,8 @@ are GF(2) matrices built in ``structure``.  Only the two explicit backends
 take duals and minors: the solver swaps any other matroid for its GF(2)
 image before it reduces.  Instances are immutable after construction and
 all queries are read-only, so values can be shared freely between threads;
-rank caches and a graph's incidence index fill idempotently.
+rank caches and a graph's incidence index fill idempotently.  The one
+mutable graph is a graph solve's private copy (``Multigraph``).
 
 A ``Tableau`` holds the fundamental circuits of one basis of a binary
 matroid as bitmasks and answers "is B - b + f a basis?" with one bit; an
@@ -416,13 +417,15 @@ class Multigraph:
     """Loopless-or-not multigraph given as an edge dict {id: (u, v)}.
 
     Vertices are arbitrary hashables.  Instances are treated as immutable;
-    contraction and deletion return fresh graphs.
+    contraction and deletion return fresh graphs.  The one exception is the
+    private copy a graph solve's chain of reductions edits in place
+    (``graphic.GraphChain``), whose index holds sets.
 
     The incidence index (``incidence``) maps each vertex to the ids of its
     edges, one id per end, so a loop is listed twice; it is built on first
-    use.  A minor of an indexed graph copies the parent's two dicts
-    and edits only the vertices it touches; one that drops more edges than
-    it keeps is built from scratch instead, and indexes itself when asked.
+    use.  Deleting a few edges of an indexed graph copies its two dicts and
+    edits only the vertices it touches; any other minor is built from
+    scratch, and indexes itself when asked.
     """
 
     def __init__(self, edges: dict):
@@ -493,11 +496,10 @@ class Multigraph:
         the edges one at a time gives, so vertex names do not depend on how
         the contraction is carried out.  An edge that is a loop by its turn
         is deleted, ids not in the graph are ignored, and surviving edges
-        keep their order.  On an indexed graph only the edges at merged
-        vertices are renamed.
+        keep their order.
         """
         drop = _as_frozen(edge_ids)
-        edges, ends = self.edges, self._ends
+        edges = self.edges
         parent: dict = {}  # non-root vertex -> a vertex closer to its root
         for e in sorted(drop):
             uv = edges.get(e)
@@ -512,41 +514,15 @@ class Multigraph:
                 parent[v] = v = parent.get(vp, vp)
             if u != v:
                 parent[v] = u
-        if ends is None or 2 * len(drop) > len(edges):
-            kept = {}
-            for e, (a, b) in edges.items():
-                if e not in drop:
-                    while a in parent:
-                        a = parent[a]
-                    while b in parent:
-                        b = parent[b]
-                    kept[e] = (a, b)
-            return Multigraph._of(kept)
-
-        def root(x):
-            while x in parent:
-                x = parent[x]
-            return x
-
-        kept, index = dict(edges), dict(ends)
-        groups: dict = {}  # root -> the ends of contracted edges that merge into it
-        for e in drop:
-            uv = kept.pop(e, None)
-            if uv is not None:
-                for w in uv:
-                    groups.setdefault(root(w), set()).add(w)
-        for r, members in groups.items():
-            ids = []
-            for w in members:
-                ids += [x for x in index.pop(w) if x not in drop]
-                if w != r:
-                    for x in ends[w]:
-                        if x not in drop:
-                            a, b = kept[x]
-                            kept[x] = (root(a), root(b))
-            if ids:
-                index[r] = tuple(ids)
-        return Multigraph._of(kept, index)
+        kept = {}
+        for e, (a, b) in edges.items():
+            if e not in drop:
+                while a in parent:
+                    a = parent[a]
+                while b in parent:
+                    b = parent[b]
+                kept[e] = (a, b)
+        return Multigraph._of(kept)
 
     def forest_rank(self, edge_ids) -> int:
         """Rank of an edge subset: vertices touched minus components."""
@@ -572,6 +548,25 @@ class Multigraph:
         return kept
 
 
+def _is_forest(edges: dict, elements) -> bool:
+    """Whether the edges ``elements`` of ``edges`` ({id: (u, v)}) form a
+    forest: ``Multigraph.forest``'s union-find, stopping at the first edge
+    that closes a cycle."""
+    parent: dict = {}  # non-root vertex -> a vertex closer to its root
+    for e in elements:
+        u, v = edges[e]
+        while u in parent:
+            up = parent[u]
+            parent[u] = u = parent.get(up, up)  # to the grandparent
+        while v in parent:
+            vp = parent[v]
+            parent[v] = v = parent.get(vp, vp)
+        if u == v:
+            return False
+        parent[u] = v
+    return True
+
+
 class GraphicMatroid(Matroid):
     """Graphic matroid of a multigraph; elements are edge ids."""
 
@@ -590,22 +585,8 @@ class GraphicMatroid(Matroid):
 
     def _independent(self, elements) -> bool:
         """Whether the edges ``elements``, ids of the ground set, form a
-        forest: ``forest_rank``'s union-find, stopping at the first edge
-        that closes a cycle.  Nothing is cached or checked."""
-        edges = self.graph.edges
-        parent: dict = {}  # non-root vertex -> a vertex closer to its root
-        for e in elements:
-            u, v = edges[e]
-            while u in parent:
-                up = parent[u]
-                parent[u] = u = parent.get(up, up)  # to the grandparent
-            while v in parent:
-                vp = parent[v]
-                parent[v] = v = parent.get(vp, vp)
-            if u == v:
-                return False
-            parent[u] = v
-        return True
+        forest (``_is_forest``).  Nothing is cached or checked."""
+        return _is_forest(self.graph.edges, elements)
 
     def circuit_in(self, independent, e: int):
         if e not in self.ground:

@@ -2,8 +2,9 @@
 
 The engine strips uncovered and common elements, splits on tight sets, and
 shrinks along triads (or triangles, through the dual); a graphic or
-cographic leaf picks its tight set or triad at a low-degree vertex
-(``graphic.pick_reduction_vertex``).  Irreducible instances go to the
+cographic leaf picks its tight set or triad at a low-degree vertex, and
+its reductions form a chain that ``graphic.GraphChain`` runs in place on
+one private graph (``_graph_chain``).  Irreducible instances go to the
 2-/3-sum machinery of the structure, or to the exhaustive search fallback
 for small ground sets (which solves R10 and F7).  The same search, monotone,
 solves every frame of rank at most 2 whatever the cap: past the strips
@@ -21,7 +22,9 @@ leaf is solved on its graph, so every later frame is a graph or a GF(2)
 matrix.  Then comes one tableau per basis of the two pairs; the searches
 and fix-ups read them, and each reduction hands its children tableaux
 derived from them, so they are built once per engine call and once more
-where a cographic leaf is swapped.  A frame's rank is the size of a basis
+where a cographic leaf is swapped.  A graph's chain hands back to the
+stack only its splits' parallel pairs and the frame it ends on, the
+identity or a frame of rank at most 2.  A frame's rank is the size of a basis
 of its pair, so no frame asks the rank of its whole ground set.  A minor of
 a sum node is a GF(2) matrix minor whose tree is built only where a sum
 route or its refusal reads it.
@@ -65,7 +68,7 @@ from .reductions import (
     reduce_triad,
     split_on_tight_set,
 )
-from .graphic import pick_reduction_vertex, vertex_span
+from .graphic import GraphChain, vertex_span
 from .sums import (
     ThreeSumContext,
     TwoSumContext,
@@ -197,19 +200,18 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
     instance, last, trace list, tableaux or None), so a chain of reductions
     adds no Python stack depth.  Each frame becomes a node of the reduction
     tree: a leaf's list of steps, or a ``_Node`` holding its reduction's lift
-    data and its child nodes in the order the parent runs them.  Once every
-    frame is done, ``_lift_forward`` emits the sequence in one pass."""
+    data and its child nodes in the order the parent runs them; a graph
+    frame's whole chain becomes a path of nodes at once (``_graph_chain``).
+    Once every frame is done, ``_lift_forward`` emits the sequence in one
+    pass."""
     root: list = [None]
     stack: list = [((struct, inst, last, out_trace, None), root, 0)]
     while stack:
         frame, slots, i = stack.pop()
         out = _reduce(*frame, mode, cap)
-        if isinstance(out, tuple):
-            red, frames = out
-            kids = [None] * len(frames)
-            slots[i] = _Node(red.triad, kids)
-            for k in reversed(range(len(frames))):
-                stack.append((frames[k], kids, red.order.index(k)))
+        if isinstance(out, tuple):  # a node, and its children's frames with their slots
+            slots[i] = out[0]
+            stack += reversed(out[1])
         else:
             slots[i] = out
     return _lift_forward(root[0], inst.x)
@@ -311,7 +313,8 @@ def _oriented(step, parity) -> tuple:
 
 
 def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, cap: int):
-    """One step on a frame: its list of steps, or (reduction, child frames)."""
+    """One step on a frame: its list of steps, or its node and its
+    children's frames, each with the slot its node fills."""
     m = inst.matroid
     if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
         out_trace.append(TraceNode("identity"))
@@ -345,20 +348,14 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         return _bfs_solve(m, inst, True, last, len(m.ground))
 
     tableaux = tableaux or PairTableaux.of(inst)
-    graph = struct.graph if isinstance(struct, Leaf) else None
-
-    triad = None
-    if graph is not None:
-        # a graph reduces at a low-degree vertex.  Minors never widen F's
-        # vertex span: only a solve's first graph frame can fail this
-        if len(vertex_span(graph, inst.forbidden)) > 3:
+    if isinstance(struct, Leaf) and struct.graph is not None:
+        # minors never widen F's vertex span: only a solve's first graph
+        # frame can fail this
+        if len(vertex_span(struct.graph, inst.forbidden)) > 3:
             raise GroundSetError("forbidden edges span more than three vertices")
-        u, kind = pick_reduction_vertex(graph, inst.forbidden, last)
-        star = graph.incident(u)
-        z, triad = (m.ground - star, None) if kind == "degree2" else (None, star)
-    else:
-        z = find_nontrivial_tight_set(m, inst.x, tableaux.x)
+        return _graph_chain(GraphChain(struct.graph, inst, last, tableaux), out_trace)
 
+    z = find_nontrivial_tight_set(m, inst.x, tableaux.x)
     if z is not None:
         restrict_last = last is not None and last in z
         record = []
@@ -374,17 +371,14 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
             wrapper = TraceNode("child")
             node.children.append(wrapper)
             frames.append((child_struct, child, child_last, wrapper.children, tabs))
-        return red, frames
+        return _tree(red, frames)
 
-    dual = False
+    # a frame without a graph is a GF(2) matrix.  A triad or triangle holding
+    # an element of F or the designated last element cannot be reduced
+    cover = m.ground - inst.forbidden - {last}
+    triad, dual = find_triad(m, cover, tableaux.x[0]), False
     if triad is None:
-        # a frame without a graph is a GF(2) matrix.  A triad or triangle
-        # holding an element of F or the designated last element cannot be
-        # reduced
-        cover = m.ground - inst.forbidden - {last}
-        triad = find_triad(m, cover, tableaux.x[0])
-        if triad is None:
-            triad, dual = find_triangle(m, cover), True
+        triad, dual = find_triangle(m, cover), True
     if triad is not None:
         record = []
         red = reduce_triad(
@@ -423,7 +417,45 @@ def _one_child(red, child_struct, last, out_trace: list, **extra):
     node = TraceNode(red.certificate.kind, {**red.certificate.payload, **extra})
     out_trace.append(node)
     child_tableaux = red.tableaux[0] if red.tableaux else None
-    return red, [(child_struct, red.children[0], last, node.children, child_tableaux)]
+    return _tree(red, [(child_struct, red.children[0], last, node.children, child_tableaux)])
+
+
+def _tree(red, frames: list) -> tuple:
+    """A reduction's node, and its children's frames, each with the slot
+    its node fills (in the order the parent runs them)."""
+    kids = [None] * len(frames)
+    return _Node(red.triad, kids), [(f, kids, red.order.index(k)) for k, f in enumerate(frames)]
+
+
+def _graph_chain(chain: GraphChain, out_trace: list) -> tuple:
+    """Run a graph frame's chain of reductions in place (``GraphChain``):
+    the path of nodes from its first frame, and the frames it hands back,
+    each split's parallel pair and the frame the chain ends on, with their
+    slots.  Trace nodes and certificates are those of the generic
+    reductions."""
+    root: list = [None]
+    slots, at, frames = root, 0, []
+    while True:
+        kind, level = chain.reduce()
+        if kind == "tight_split":
+            z, restrict_last, (struct, inst, last, tabs) = level
+            node = TraceNode(kind, {"z": z, "restrict_last": restrict_last})
+            inner, outer = TraceNode("child"), TraceNode("child")
+            node.children += (inner, outer)
+            kids, lift, trace = [None, None], None, inner.children
+            kids_at = (1, 0) if restrict_last else (0, 1)  # the chain's, the pair's
+            frames.append(((struct, inst, last, outer.children, tabs), kids, kids_at[1]))
+        else:
+            payload, lift = level
+            node = TraceNode(kind, payload)
+            kids, kids_at, trace = [None], (0,), node.children
+        out_trace.append(node)
+        slots[at] = _Node(lift, kids)
+        slots, at, out_trace = kids, kids_at[0], trace
+        if chain.done():
+            struct, inst, last, tabs = chain.frame()
+            frames.append(((struct, inst, last, out_trace, tabs), slots, at))
+            return root[0], frames
 
 
 def _recording_factory(struct, record: list):
@@ -431,7 +463,7 @@ def _recording_factory(struct, record: list):
         if parallel is None:
             sub = _frame_minor(struct, m, _as_frozen(contract), _as_frozen(delete))
         else:
-            # a parallel pair of the frame's backend: a graph stays a graph
+            # a parallel pair, built directly (``Matroid.parallel_pair``)
             sub = as_structure(m.parallel_pair(*parallel))
         record.append(sub)
         return sub.matroid

@@ -4,7 +4,7 @@ exhaustive search of ``exchange.bfs_oracle`` (see ``pipeline``).
 
 Each reduction shrinks an instance and records its lift as data: the order
 in which the parent runs its children's sequences, and for a triad the
-elements, fix-up steps and frame matroid that replace each child step using
+elements, fix-up steps and frame data that replace each child step using
 t1 (``TriadLift``).  ``Reduction.lift`` maps solved child sequences back to
 the parent one level at a time, preserving F-avoidance and, where stated,
 the element used in the last step; the engine (``pipeline``) instead lifts
@@ -18,7 +18,8 @@ fix-up checks are bits, and the reduction hands the tableaux on to its
 children, updated in place.  The triad and triangle searches read a GF(2)
 matrix: the frame's own, or a tableau's transpose for the dual.  The
 updates need a binary matroid, and the engine solves every frame as a graph
-or a GF(2) matrix.
+or a GF(2) matrix.  A graph's chain (``graphic.GraphChain``) runs the
+same split, fix-up rule (``_triad_fixups``) and tableau updates in place.
 """
 
 from __future__ import annotations
@@ -158,12 +159,14 @@ class TriadLift:
     orientation of the fixed pairs, swapped when ``swapped``.  The parent
     runs ``prefix`` (the x fix-up, or None), then the child's steps with each
     one using t1 replaced by two (``replace``), then ``suffix`` (the reversed
-    y fix-up, or None).  Only the parent's frame ``matroid``, a graph or a
-    GF(2) matrix, and the child's ground set ``ground`` are kept, not the
-    child.  Each replacement asks the frame one independence test
-    (``_independent``), which stops at the first dependency and caches
-    nothing: the lifts of a whole reduction tree run together, and their
-    sets seldom repeat."""
+    y fix-up, or None).  The child is not kept, only what the one query of a
+    replacement reads: the parent's ``frame``, whose ``ground`` is the
+    parent's ground set and whose ``_independent`` answers the query.  That
+    is the frame's graph or GF(2) matrix, or for a level of a graph solve's
+    chain (``graphic.GraphChain``) a copy of that level's edge ends
+    (``graphic.LevelEdges``).  The query stops at the first dependency and
+    caches nothing: the lifts of a whole reduction tree run together, and
+    their sets seldom repeat."""
 
     t1: int
     t2: int
@@ -172,8 +175,7 @@ class TriadLift:
     swapped: bool
     prefix: Optional[ExchangeStep]
     suffix: Optional[ExchangeStep]
-    matroid: Matroid
-    ground: frozenset
+    frame: object
 
     def replace(self, e, f, first, second) -> tuple:
         """The two parent steps for a child step (e, f) that uses t1, given
@@ -194,10 +196,11 @@ class TriadLift:
         is a basis exactly when it is independent.  The closing replay
         checks every step."""
         t1, t2, t3, delete = self.t1, self.t2, self.t3, self.delete
-        query = (first if (e == t1) == (delete == t3) else second) & self.ground
+        query = (first if (e == t1) == (delete == t3) else second) & self.frame.ground
+        query.discard(t2 if delete == t3 else t3)  # the contracted element
         query.add(delete)
         # a moves against t3 first, then b takes t1's place in (e, f)
-        a, b = (t2, t1) if self.matroid._independent(query) else (t1, t2)
+        a, b = (t2, t1) if self.frame._independent(query) else (t1, t2)
         if e == t1:
             return ExchangeStep(a, t3), ExchangeStep(b, f)
         return ExchangeStep(t3, a), ExchangeStep(e, b)
@@ -364,7 +367,7 @@ def split_on_tight_set(
         raise ReductionError("tight set must be nonempty and proper")
     outside = m.ground - z
     tableaux = tableaux or PairTableaux.of(inst)
-    if not _tight_in_tableaux(inst.x, tableaux.x, z, outside):
+    if not _tight_in_tableaux((inst.x.first, inst.x.second), tableaux.x, z, outside):
         raise ReductionError("set is not tight")
     m_z = minor(m, frozenset(), outside)
     if len(outside) == 2:
@@ -390,29 +393,30 @@ def split_on_tight_set(
     )
 
 
-def _tight_in_tableaux(x: BasisPair, tabs, z: frozenset, outside: frozenset) -> bool:
-    """|Z| = 2 r(Z), read from the tableaux of x's bases: each basis B meets
-    Z in |Z|/2 elements and spans Z with them, that is, no element of Z - B
-    has a circuit that leaves Z (no C*(B, b) of a b outside Z meets Z).  The
-    cocircuits are masked with the smaller of Z and ``outside`` (the ground
-    set minus Z).  The mask of Z holds only elements of the ground set, so
-    stale bits are skipped; a bit that a cocircuit holds beyond the mask of
-    ``outside`` is in Z exactly when it has a circuit of its own.  The test
-    is exact when x partitions the ground set, as after the strips; for any
-    other pair it may only wrongly say no."""
-    for basis in (x.first, x.second):
-        if 2 * len(basis & z) != len(z):
+def _tight_in_tableaux(bases: tuple, tabs, z: frozenset, outside: frozenset) -> bool:
+    """|Z| = 2 r(Z), read from the tableaux ``tabs`` of the two ``bases``:
+    each basis B meets Z in |Z|/2 elements and spans Z with them, that is,
+    no element of Z - B has a circuit that leaves Z (no C*(B, b) of a b
+    outside Z meets Z).  The cocircuits are masked with the smaller of Z
+    and ``outside`` (the ground set minus Z).  The mask of Z holds only
+    elements of the ground set, so stale bits are skipped; a bit that a
+    cocircuit holds beyond the mask of ``outside`` is in Z exactly when it
+    has a circuit of its own.  The test is exact when the bases partition
+    the ground set, as after the strips; for any other pair it may only
+    wrongly say no."""
+    for basis in bases:
+        if 2 * (len(basis) - len(outside & basis)) != len(z):
             return False
     if len(outside) < len(z):
         keep = ~_encode(outside)
-        for basis, tab in zip((x.first, x.second), tabs):
+        for basis, tab in zip(bases, tabs):
             circuits, cocircuits = tab.circuits, tab.cocircuits
             for b in basis & outside:
                 if any(y in circuits for y in _bits(cocircuits[b] & keep)):
                     return False
         return True
     zmask = _encode(z)
-    for basis, tab in zip((x.first, x.second), tabs):
+    for basis, tab in zip(bases, tabs):
         cocircuits = tab.cocircuits
         if any(cocircuits[b] & zmask for b in basis - z):
             return False
@@ -462,32 +466,13 @@ def make_consistent_on_triad(inst: Instance, triad, tableaux=None):
     """Fix-up exchanges making both pairs split the triad the same way.
 
     Returns (step_x, step_y, fixed_instance); each step is None when the
-    corresponding pair needs no change.  At most one exchange per pair is
-    needed; among valid consistent combinations the one with fewest steps
-    wins, then the lexicographically smallest.  A step's validity is read
-    from ``tableaux``, built when not given.
+    corresponding pair needs no change.  The steps follow ``_triad_fixups``,
+    with validity read from ``tableaux``, built when not given.
     """
     tset = _as_frozen(triad)
-    t = tuple(sorted(tset))
     m = inst.matroid
     tableaux = tableaux or PairTableaux.of(inst)
-
-    def candidates(pair: BasisPair, tabs):
-        """(step, triad elements of the first basis after it) per valid
-        consistent split of the pair: one lone triad element on one side."""
-        inside = pair.first & tset
-        if len(inside) not in (1, 2):
-            raise ReductionError("triad must meet both bases")
-        out = []
-        for lone in t:
-            first_t = tset - {lone} if len(inside) == 2 else frozenset({lone})
-            step = None
-            if first_t != inside:
-                step = ExchangeStep(min(inside - first_t), min(first_t - inside))
-                if not (tabs[0].exchangeable(*step) and tabs[1].exchangeable(step.f, step.e)):
-                    continue
-            out.append((step, first_t))
-        return out
+    step_x, step_y, cx, cy = _triad_fixups(tset, inst.x.first & tset, inst.y.first & tset, tableaux)
 
     def fixed_pair(pair: BasisPair, first_t) -> BasisPair:
         second_t = tset - first_t
@@ -495,25 +480,49 @@ def make_consistent_on_triad(inst: Instance, triad, tableaux=None):
             return BasisPair(pair.first, pair.second, m)
         return BasisPair((pair.first - tset) | first_t, (pair.second - tset) | second_t, m)
 
+    fixed = Instance(m, fixed_pair(inst.x, cx), fixed_pair(inst.y, cy), inst.forbidden)
+    return step_x, step_y, fixed
+
+
+def _triad_fixups(tset: frozenset, x_inside, y_inside, tableaux: PairTableaux) -> tuple:
+    """The fix-up rule on a triad ``tset`` that the first bases of x and y
+    meet in ``x_inside`` and ``y_inside``: (step_x, step_y, cx, cy), the
+    steps (None for no step) and the triad elements of each first basis
+    after them.  Both pairs must leave the same triad element alone on its
+    side, which takes at most one exchange per pair; among the valid
+    choices the one with fewest steps wins, then the lexicographically
+    smallest.  A step's validity is read from the tableaux of its pair's
+    bases."""
+    for inside in (x_inside, y_inside):
+        if len(inside) not in (1, 2):
+            raise ReductionError("triad must meet both bases")
+
+    def step(inside, tabs, lone):
+        """The step leaving ``lone`` alone on its side: () when it already
+        is, None when the exchange is not valid."""
+        if (lone in inside) != (len(inside) == 2):
+            return ()
+        if len(inside) == 2:
+            e, (f,) = lone, tset - inside
+        else:
+            (e,), f = inside, lone
+        valid = tabs[0].exchangeable(e, f) and tabs[1].exchangeable(f, e)
+        return ExchangeStep(e, f) if valid else None
+
     best = None
-    for step_x, cx in candidates(inst.x, tableaux.x):
-        for step_y, cy in candidates(inst.y, tableaux.y):
-            if cx != cy and cx != tset - cy:
-                continue
-            cost = (step_x is not None) + (step_y is not None)
-            key = (
-                cost,
-                tuple(step_x) if step_x else (),
-                tuple(step_y) if step_y else (),
-            )
+    for lone in sorted(tset):
+        step_x, step_y = step(x_inside, tableaux.x, lone), step(y_inside, tableaux.y, lone)
+        if step_x is not None and step_y is not None:
+            key = (bool(step_x) + bool(step_y), tuple(step_x), tuple(step_y))
             if best is None or key < best[0]:
-                best = (key, step_x, step_y, cx, cy)
+                best = (key, step_x or None, step_y or None, lone)
     if best is None:
         raise AssertionError("no consistent triad split exists; this cannot happen")
-    _, step_x, step_y, cx, cy = best
-    cand_x, cand_y = fixed_pair(inst.x, cx), fixed_pair(inst.y, cy)
-    fixed = Instance(m, cand_x, cand_y, inst.forbidden)
-    return step_x, step_y, fixed
+    _, step_x, step_y, lone = best
+    cx, cy = (
+        tset - {lone} if len(inside) == 2 else frozenset({lone}) for inside in (x_inside, y_inside)
+    )
+    return step_x, step_y, cx, cy
 
 
 def reduce_triad(
@@ -574,20 +583,21 @@ def reduce_triad(
     )
     child_tableaux = tableaux.fixed(step_x, step_y, swapped)
     child_tableaux.minor(contract, delete)
-    cert = ReductionCertificate(
-        "triad",
-        {
-            "triad": t,
-            "t1": t1,
-            "t2": t2,
-            "t3": t3,
-            "swapped": swapped,
-            "fix_x": tuple(step_x) if step_x else None,
-            "fix_y": tuple(step_y) if step_y else None,
-        },
-    )
+    cert = ReductionCertificate("triad", _triad_payload(t, t1, t2, t3, swapped, step_x, step_y))
     lift = TriadLift(
-        t1, t2, t3, delete, swapped, step_x, step_y.reversed() if step_y else None,
-        m, child_m.ground,
+        t1, t2, t3, delete, swapped, step_x, step_y.reversed() if step_y else None, m
     )
     return Reduction([child], cert, triad=lift, tableaux=[child_tableaux])
+
+
+def _triad_payload(t, t1, t2, t3, swapped, step_x, step_y) -> dict:
+    """A triad reduction's certificate payload."""
+    return {
+        "triad": t,
+        "t1": t1,
+        "t2": t2,
+        "t3": t3,
+        "swapped": swapped,
+        "fix_x": tuple(step_x) if step_x else None,
+        "fix_y": tuple(step_y) if step_y else None,
+    }

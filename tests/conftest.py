@@ -245,20 +245,25 @@ def reference_rank_le2(inst, h=None) -> ExchangeSequence:
 
 def reference_replace(lift, e, f, first, second):
     """``TriadLift.replace`` by the two-option choice it replaced, on the
-    child's pair (``first`` and ``second`` cut to ``lift.ground``): option A
-    when its middle pair consists of bases, asking only the member holding
-    the deleted element (the other is a child basis plus the contracted
-    one), else option B when both of its members are bases.  Returns (the
-    two steps, whether option A held, whether option B's two checks held);
-    the choice raised when neither held.  A set is a basis when the
-    frame's cached rank oracle gives it the frame's rank r, one more than
-    the size of a child basis."""
+    child's pair (``first`` and ``second`` cut to the child's ground set,
+    the frame's minus t2 and t3): option A when its middle pair consists of
+    bases, asking only the member holding the deleted element (the other is
+    a child basis plus the contracted one), else option B when both of its
+    members are bases.  Returns (the two steps, whether option A held,
+    whether option B's two checks held); the choice raised when neither
+    held.  A set is a basis when the frame's cached rank oracle gives it the
+    frame's rank r, one more than the size of a child basis; a graph
+    chain's level (``graphic.LevelEdges``) is asked as a fresh graph."""
     t1, t2, t3, delete = lift.t1, lift.t2, lift.t3, lift.delete
-    first, second = set(first) & lift.ground, set(second) & lift.ground
+    frame = lift.frame
+    if not isinstance(frame, Matroid):
+        frame = graphic_matroid(frame.edges)
+    ground = frame.ground - {t2, t3}
+    first, second = set(first) & ground, set(second) & ground
     r = len(first) + 1
 
     def basis(s) -> bool:
-        return lift.matroid.rank(s) == r
+        return frame.rank(s) == r
 
     if e == t1:
         mid = (first | {t3}, second | {t2})

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import baseswap.exchange
 from baseswap.cli import main
@@ -24,7 +26,9 @@ from baseswap.pipeline import solve_gabow, solve_white
 from baseswap.reductions import IncompatiblePairsError, ReductionError
 from baseswap.structure import cographic_leaf, graphic_leaf
 
-from conftest import A, B, C, D, E, F, DT_EDGES, DualMatroid
+from conftest import (
+    A, B, C, D, E, F, DT_EDGES, DualMatroid, reference_degree, reference_pick_reduction_vertex,
+)
 
 
 class TestWhite:
@@ -266,6 +270,146 @@ class TestPickVertex:
             assert deg[vertex] in (2, 3)
 
 
+def _with_equal_names(g: Multigraph, rng: random.Random) -> Multigraph:
+    """g with two vertices of equal degree, the least degree two share,
+    renamed 1 and "1" (which ``str`` sorts alike), and every other vertex v
+    renamed "v<v>", which sorts after them."""
+    by_degree: dict = {}
+    for v, d in reference_degree(g.edges).items():
+        by_degree.setdefault(d, []).append(v)
+    one, other = rng.sample(min((d, vs) for d, vs in by_degree.items() if len(vs) > 1)[1], 2)
+    name = {v: f"v{v}" for v in g.vertices()}
+    name[one], name[other] = 1, "1"
+    return Multigraph({e: (name[u], name[v]) for e, (u, v) in g.edges.items()})
+
+
+def _checked_picks(monkeypatch, picks: list):
+    """Make every pick of a graph chain also ask the reference scan on the
+    chain's current graph, and require the same (vertex, kind)."""
+    from baseswap.graphic import _Buckets
+
+    pick = _Buckets.pick
+
+    def checked(buckets, edges, forbidden, last):
+        got = pick(buckets, edges, forbidden, last)
+        graph = Multigraph(edges)
+        assert got == reference_pick_reduction_vertex(graph, forbidden, last)
+        picks.append((got[0], graph))
+        return got
+
+    monkeypatch.setattr(_Buckets, "pick", checked)
+
+
+class TestGraphChain:
+    """A graph solve reduces its chain of frames on one private graph
+    (``graphic.GraphChain``), picking each vertex from degree buckets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(4, 24), st.integers(0, 2**32 - 1), st.sampled_from(["white", "gabow"]),
+        st.booleans(), st.data(),
+    )
+    def test_bucket_picker_matches_the_scan_at_every_level(self, n, seed, mode, equal, data):
+        # whole chains, with a drawn F (|V(F)| <= 3) or a drawn last edge
+        rng = random.Random(seed)
+        g, x = random_bispanning_graph(n, rng)
+        if equal:
+            g = _with_equal_names(g, rng)
+        m = GraphicMatroid(g)
+        x = BasisPair(x.first, x.second, m)
+        picks = []
+        with pytest.MonkeyPatch.context() as mp:
+            _checked_picks(mp, picks)
+            if mode == "gabow":
+                last = data.draw(st.none() | st.sampled_from(sorted(x.union)))
+                solve_gabow(graphic_leaf(g), x, last=last)
+            else:
+                y = random_exchange_walk(m, x, rng.randint(1, n), rng)
+                solve_white(graphic_leaf(g), x, y, random_forbidden_set(x, y, g, rng))
+        assert picks or (mode == "white" and y.first == x.first)
+
+    def test_equal_names_follow_the_current_edge_order(self, monkeypatch):
+        # 1 and "1" tie on name and degree; the one the edges reach first
+        # wins, and contractions change which that is
+        rng = random.Random(72)
+        g, x = random_bispanning_graph(8, rng)
+        g = _with_equal_names(g, rng)
+        first_reach = list(reference_degree(g.edges))
+        picks = []
+        _checked_picks(monkeypatch, picks)
+        solve_gabow(graphic_leaf(g), x)
+        moved = []
+        for v, graph in picks:
+            deg = reference_degree(graph.edges)
+            if v in (1, "1") and deg.get(1) == deg.get("1"):
+                other = "1" if v == 1 else 1
+                moved.append(first_reach.index(v) > first_reach.index(other))
+        assert True in moved
+
+    @staticmethod
+    def _graph_solves():
+        """(graphs the solve reads, solve) per case: a caller's
+        ``GraphicMatroid``, a graphic leaf, and the wheel-octahedron 3-sum,
+        whose bullet runs a chain per segment."""
+        from baseswap.cli import _gen_tree
+        from baseswap.io import parse_instance
+
+        g, x = random_bispanning_graph(30, random.Random(3))
+        m = GraphicMatroid(g)
+        x = BasisPair(x.first, x.second, m)
+        y = random_exchange_walk(m, x, 20, random.Random(4))
+        yield [g], lambda: solve_white(m, x, y)
+        h, xh = random_bispanning_graph(30, random.Random(6))
+        yield [h], lambda: solve_gabow(graphic_leaf(h), xh, last=max(xh.first))
+        for mode in ("white", "gabow"):
+            inst = parse_instance(_gen_tree(40, random.Random(17), mode))
+            tree = inst["structure"]
+            leaves = [side for side in (tree.left, tree.right) if side.graph is not None]
+            assert [leaf.tag for leaf in leaves] == ["graphic", "graphic"]
+            xt = (inst["x1"], inst["x2"])
+            if mode == "gabow":
+                yield [leaf.graph for leaf in leaves], lambda: solve_gabow(tree, xt)
+            else:
+                yt = (inst["y1"], inst["y2"])
+                yield [leaf.graph for leaf in leaves], lambda: solve_white(tree, xt, yt)
+
+    def test_solves_edit_only_their_own_copy(self):
+        for graphs, solve in self._graph_solves():
+            before = [(list(g.edges.items()), dict(g.incidence())) for g in graphs]
+            first = solve()
+            assert [(list(g.edges.items()), g.incidence()) for g in graphs] == before
+            assert solve().sequence == first.sequence
+            assert any(node.kind == "triad" for node in first.trace.flatten())
+
+    def test_lifts_keep_no_graph_per_level(self, monkeypatch):
+        # when the forward pass starts, the solve holds a bounded number of
+        # graphs and graph matroids, not one per triad level
+        import gc
+
+        import baseswap.pipeline as pipeline
+
+        lift_forward, alive = pipeline._lift_forward, []
+
+        def count():
+            gc.collect()
+            return Counter(type(o).__name__ for o in gc.get_objects()
+                           if isinstance(o, (Multigraph, GraphicMatroid)))
+
+        def counted(root, x):
+            alive.append(count())
+            return lift_forward(root, x)
+
+        monkeypatch.setattr(pipeline, "_lift_forward", counted)
+        g, x = random_bispanning_graph(200, random.Random(0))
+        leaf = graphic_leaf(g)
+        before = count()
+        report = solve_gabow(leaf, x)
+        assert sum(node.kind == "triad" for node in report.trace.flatten()) > 100
+        assert len(alive) == 1
+        alive[0].subtract(before)
+        assert max(alive[0].values()) <= 1, alive[0]
+
+
 # sha256 of the JSON step list `baseswap solve --json` prints for
 # `gen bispanning --n n --seed s --mode mode`, recorded before the one-pass
 # contraction and the set-based triad lift replaced the per-edge versions
@@ -303,6 +447,37 @@ GOLDEN_BEYOND_GRAPHS = {
 }
 
 
+# the same digest at the bench's graph sizes, recorded before a graph solve
+# ran its chain of reductions on one graph edited in place
+GOLDEN_AT_BENCH_SCALE = {
+    (160, 0, "white"): "f932fcfbf099210c18cb1f163505cccd1540154c9f21092cd205f0dba7f62bc7",
+    (160, 0, "gabow"): "3c1b363ee9991560c0b553e7fa75fb25f265a881112b79cd1e7031d8c7fa58f3",
+    (160, 1, "white"): "3121da75c4be0a2e2b38d00cfdfed4649f7d322cf36dff22c37975db8f2e8afd",
+    (160, 1, "gabow"): "ffcc43440d6ac81869302a9369a4c1b988dafd04448d44f78d7e6306a695a117",
+    (240, 0, "white"): "a1ae7423659b99a4496783ff73fe14d49644ba7589826daedef8ce6f5bc69d53",
+    (240, 0, "gabow"): "89337bf158e34b2c4335f30a75d52b06d5efdd95ea2ca374fb1dfdb1e121f7f7",
+}
+
+
+# sha256 of the solve trace of each GOLDEN_SEQUENCES instance: every node's
+# kind and payload (sets sorted), depth first, so the chain's certificates
+# are pinned as well as its steps.  Recorded with GOLDEN_AT_BENCH_SCALE
+GOLDEN_TRACES = {
+    (40, 0, "white"): "5b4dbab023109971b731f5ecfae6ede8b409f703eb95a8da0d51b2a91e2ab393",
+    (40, 0, "gabow"): "8d469146aaf9c62e174ee08b874e82608b362298bb42d9bfee98407a3fc040fb",
+    (40, 1, "white"): "648b49d593365bcf377bffc19e191b36cfec43b642e778f7204fdd6ec7b26869",
+    (40, 1, "gabow"): "445b8765243a2d65d6252953e316794e9f5a575c95969738440e83550716a30f",
+    (40, 2, "white"): "73fa1d534b8f73078caa4e3a5f2f46458dc6343eef03bace2e937f4eac699bb7",
+    (40, 2, "gabow"): "d5d8163b7bfab7a62461a27503e4cfab049dd8fbc144ed0ac995ae18f9c3d2b8",
+    (80, 0, "white"): "2143b35170562cef9189ee559a5b352ad2a715c9477c69b2a27870aad8aed414",
+    (80, 0, "gabow"): "3734bce3ea1da61a7945961a691f058b88abdf3b300e0976240097298a370df8",
+    (80, 1, "white"): "b1cbf8246c377bd94e750114631e361a1d60dd8dc56e8190b12b74759f179837",
+    (80, 1, "gabow"): "8b85ae688f7372ce9b4a9e4823a01c65f729c26ef5fa1fcf4d3f5411475a7a40",
+    (80, 2, "white"): "aac976ae3df153eb338b78a70719692880d3ab5129eca6475f7d0aced4b5fa02",
+    (80, 2, "gabow"): "416cad9e1f392b82a0e5065bc47e67b61690ce0b8a45db3649fe30284273ba6f",
+}
+
+
 def _solve_digest(gen_args, tmp_path, capsys) -> str:
     inst = tmp_path / "inst.json"
     assert main(["gen", *gen_args, "-o", str(inst)]) == 0
@@ -312,10 +487,39 @@ def _solve_digest(gen_args, tmp_path, capsys) -> str:
     return hashlib.sha256(json.dumps(steps).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("n, seed, mode", sorted(GOLDEN_SEQUENCES))
+@pytest.mark.parametrize("n, seed, mode", sorted({**GOLDEN_SEQUENCES, **GOLDEN_AT_BENCH_SCALE}))
 def test_golden_sequences(n, seed, mode, tmp_path, capsys):
     args = ["bispanning", "--n", str(n), "--seed", str(seed), "--mode", mode]
-    assert _solve_digest(args, tmp_path, capsys) == GOLDEN_SEQUENCES[(n, seed, mode)]
+    want = {**GOLDEN_SEQUENCES, **GOLDEN_AT_BENCH_SCALE}[(n, seed, mode)]
+    assert _solve_digest(args, tmp_path, capsys) == want
+
+
+def _trace_digest(report) -> str:
+    def plain(value):
+        if isinstance(value, frozenset):
+            return sorted(value)
+        return list(value) if isinstance(value, tuple) else value
+
+    nodes = [
+        [node.kind, {key: plain(value) for key, value in sorted(node.payload.items())}]
+        for node in report.trace.flatten()
+    ]
+    return _steps_digest(nodes)
+
+
+@pytest.mark.parametrize("n, seed, mode", sorted(GOLDEN_TRACES))
+def test_golden_traces(n, seed, mode):
+    from baseswap.cli import _gen_bispanning
+    from baseswap.io import parse_instance
+
+    inst = parse_instance(_gen_bispanning(n, random.Random(seed), mode))
+    x = (inst["x1"], inst["x2"])
+    if mode == "gabow":
+        report = solve_gabow(inst["structure"], x, last=inst["last"])
+    else:
+        y = (inst["y1"], inst["y2"])
+        report = solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
+    assert _trace_digest(report) == GOLDEN_TRACES[(n, seed, mode)]
 
 
 @pytest.mark.parametrize("kind, seed, mode", sorted(GOLDEN_BEYOND_GRAPHS))

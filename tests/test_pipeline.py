@@ -954,9 +954,10 @@ def test_lift_choice_matches_the_two_option_reference(monkeypatch):
 @pytest.mark.parametrize("case", ["remark/white", "bispanning/white"])
 def test_lift_asks_one_rank_query_per_replaced_step(case, monkeypatch):
     # every query the forward pass makes is the one independence test of a
-    # replacement, asked of the frame's graph or GF(2) matrix; the rank
-    # oracle is not asked at all
+    # replacement, asked of the frame's GF(2) matrix or, on a graph, of the
+    # chain level's edges; the rank oracle is not asked at all
     import baseswap.pipeline as pipeline
+    from baseswap.graphic import LevelEdges
     from baseswap.matroid import Gf2Matroid, Matroid
     from baseswap.reductions import TriadLift
 
@@ -988,7 +989,7 @@ def test_lift_asks_one_rank_query_per_replaced_step(case, monkeypatch):
     monkeypatch.setattr(pipeline, "_lift_forward", counted_lift_forward)
     monkeypatch.setattr(Matroid, "rank", counted_rank)
     monkeypatch.setattr(TriadLift, "replace", counted_replace)
-    for cls in (GraphicMatroid, Gf2Matroid):
+    for cls in (GraphicMatroid, Gf2Matroid, LevelEdges):
         monkeypatch.setattr(cls, "_independent", counted(cls._independent))
     lift_solves()[case]()
     assert counts["replace"] > 0
@@ -1029,19 +1030,29 @@ def strip_solves() -> dict:
 def test_frames_handed_tableaux_have_nothing_to_strip(monkeypatch):
     # the children of a tight split or a triad, the frames handed tableaux,
     # have disjoint pairs that cover their ground sets: neither strip
-    # applies to them
+    # applies to them.  A graph's chain reduces its levels in place, past
+    # ``_reduce``, so each level is observed where the chain reduces it
     import baseswap.pipeline as pipeline
+    from baseswap.graphic import GraphChain
     from baseswap.reductions import contract_common, delete_uncovered
 
-    reduce, results = pipeline._reduce, Counter()
+    reduce, reduce_level, results = pipeline._reduce, GraphChain.reduce, Counter()
+
+    def check(inst):
+        strips = (delete_uncovered(inst), contract_common(inst))
+        results[strips == (None, None)] += 1
 
     def recording(struct, inst, last, out_trace, tableaux, *rest):
         if tableaux is not None:
-            strips = (delete_uncovered(inst), contract_common(inst))
-            results[strips == (None, None)] += 1
+            check(inst)
         return reduce(struct, inst, last, out_trace, tableaux, *rest)
 
+    def recording_level(chain):
+        check(chain.frame()[1])
+        return reduce_level(chain)
+
     monkeypatch.setattr(pipeline, "_reduce", recording)
+    monkeypatch.setattr(GraphChain, "reduce", recording_level)
     for solve in strip_solves().values():
         solve()
     assert results[True] > 0 and results[False] == 0, results
@@ -1050,16 +1061,28 @@ def test_frames_handed_tableaux_have_nothing_to_strip(monkeypatch):
 @pytest.mark.parametrize("case", ["bispanning/white", "bispanning/gabow", "remark/white", "one-sum"])
 def test_strips_run_only_on_frames_without_tableaux(case, monkeypatch):
     # the strips run once per engine call and once more per strip: on the
-    # frames that carry no handed-down tableaux, and on no other
+    # frames that carry no handed-down tableaux, and on no other.  Past its
+    # first level, which ``_reduce`` hands it, a graph's chain reduces the
+    # children of its splits and triads in place, each a frame handed
+    # tableaux
     import baseswap.pipeline as pipeline
+    from baseswap.graphic import GraphChain
 
-    reduce, strips = pipeline._reduce, {}
-    frames, calls = Counter(), Counter()
+    reduce, reduce_level, strips = pipeline._reduce, GraphChain.reduce, {}
+    frames, calls, chains = Counter(), Counter(), []
 
     def counted_reduce(struct, inst, last, out_trace, tableaux, *rest):
         frames[tableaux is None] += 1
         handed[0] = tableaux is not None
         return reduce(struct, inst, last, out_trace, tableaux, *rest)
+
+    def counted_level(chain):
+        if any(seen is chain for seen in chains):
+            frames[False] += 1
+            handed[0] = True
+        else:
+            chains.append(chain)
+        return reduce_level(chain)
 
     def counted(name):
         def strip(*args, **kwargs):
@@ -1070,6 +1093,7 @@ def test_strips_run_only_on_frames_without_tableaux(case, monkeypatch):
 
     handed = [False]
     monkeypatch.setattr(pipeline, "_reduce", counted_reduce)
+    monkeypatch.setattr(GraphChain, "reduce", counted_level)
     for name in ("delete_uncovered", "contract_common"):
         strips[name] = getattr(pipeline, name)
         monkeypatch.setattr(pipeline, name, counted(name))
