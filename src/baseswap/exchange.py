@@ -4,10 +4,12 @@ A symmetric exchange (e, f) on a pair (first, second) moves e from the first
 basis to the second and f the other way; it is valid when both resulting sets
 are bases.  Sequences carry length (step count) and width (maximum number of
 occurrences of any single element).  The replay (``apply_and_validate``)
-carries the pair as one tableau per basis on GF(2) and graphic matroids:
-each step is read off and pivots them, and the final pair is built once
-from their keys.  On a caller's own matroid it asks ``is_valid_exchange``,
-its rank-based reference, and builds the pair at every step.  The BFS oracle
+carries the pair as one rooted spanning forest per basis on a graph (a
+cographic matroid's on its graph, as the forests of the complements) and
+one tableau per basis on a GF(2) matrix: each step is read off and moves
+them, and the final pair is built once from their keys.  On a caller's own
+matroid it asks ``is_valid_exchange``, its rank-based reference, and builds
+the pair at every step.  The BFS oracle
 searches the exchange graph of a small matroid exhaustively between two
 pairs of bases and certifies optimal distances and unreachability; the
 engine also solves its rank <= 2 frames with its monotone search.
@@ -19,7 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .matroid import Gf2Matroid, GraphicMatroid, GroundSetError, Matroid, Tableau, _as_frozen
+from .matroid import Gf2Matroid, GraphicMatroid, GroundSetError, Matroid, _as_frozen
 
 
 class ExchangeStep(NamedTuple):
@@ -142,25 +144,30 @@ def apply_step(pair: BasisPair, step: ExchangeStep) -> BasisPair:
     return BasisPair(pair.first - {e} | {f}, pair.second - {f} | {e}, pair.matroid)
 
 
-def apply_and_validate(pair: BasisPair, seq, forbidden=()) -> BasisPair:
+def apply_and_validate(pair: BasisPair, seq, forbidden=(), graph=None) -> BasisPair:
     """Apply steps in order, checking validity and F-avoidance at each one.
 
-    On a GF(2) or graphic matroid, one tableau per basis carries the pair:
-    a step (e, f) is valid when e lies in the first basis and on the
-    circuit of f in it, and f in the second basis and on the circuit of e
-    in it (so each lies in one basis only); each step pivots both tableaux,
-    and the final pair is read from their keys.  Only on a caller's own
-    matroid, and from a start that is not a pair of bases,
-    ``is_valid_exchange`` asks the rank oracle at every step."""
+    On a graph, one rooted spanning forest per basis carries the pair
+    (``RootedForest``), and on a GF(2) matrix one tableau per basis: a step
+    (e, f) is valid when the first side's ``exchange(e, f)`` and the
+    second's ``exchange(f, e)`` both succeed, and the final pair is read
+    from their keys.  ``graph``, a ``GraphicMatroid`` G whose dual is the
+    pair's matroid, carries the pair as the forests of E - X1 and E - X2
+    instead: (e, f) on (X1, X2) in M*(G) is (e, f) on (E - X2, E - X1) in
+    M(G).  Only on a caller's own matroid, and from a start that is not a
+    pair of bases, ``is_valid_exchange`` asks the rank oracle at every
+    step."""
     avoid = _as_frozen(forbidden)
     m = pair.matroid
-    if isinstance(m, (Gf2Matroid, GraphicMatroid)):
-        try:
-            tableaux = m.tableau(pair.first), m.tableau(pair.second)
-        except GroundSetError:
-            pass
-        else:
-            return _tableau_replay(m, *tableaux, seq, avoid)
+    if graph is not None and pair.union <= m.ground:
+        ground = m.ground
+        final = _replay(graph, ground - pair.second, ground - pair.first, seq, avoid)
+        if final is not None:
+            return BasisPair(ground - final[1], ground - final[0], m)
+    elif isinstance(m, (Gf2Matroid, GraphicMatroid)):
+        final = _replay(m, pair.first, pair.second, seq, avoid)
+        if final is not None:
+            return BasisPair(*final, m)
     current = pair
     for k, step in enumerate(seq):
         step = ExchangeStep(*step)
@@ -173,24 +180,21 @@ def apply_and_validate(pair: BasisPair, seq, forbidden=()) -> BasisPair:
     return current
 
 
-def _tableau_replay(m: Matroid, first: Tableau, second: Tableau, seq, avoid) -> BasisPair:
-    """``apply_and_validate`` on the tableaux of a pair of bases of ``m``,
-    pivoted in place."""
+def _replay(m: Matroid, first, second, seq, avoid) -> Optional[tuple]:
+    """``apply_and_validate`` on the forests (graph) or tableaux (GF(2)) of
+    the bases ``first`` and ``second`` of ``m``, moved in place: the final
+    two bases, or None when the two sets are not bases."""
+    build = m.forest if isinstance(m, GraphicMatroid) else m.tableau
+    try:
+        first, second = build(first), build(second)
+    except GroundSetError:
+        return None
     for k, (e, f) in enumerate(seq):
         if e in avoid or f in avoid:
             raise ForbiddenElementError(k, e if e in avoid else f)
-        # only the elements outside a basis have circuits: one in both
-        # bases has none, read as 0
-        if not (
-            e in first.cocircuits
-            and f in second.cocircuits
-            and first.circuits.get(f, 0) >> e & 1
-            and second.circuits.get(e, 0) >> f & 1
-        ):
+        if not (first.exchange(e, f) and second.exchange(f, e)):
             raise SequenceValidationError(k, "invalid exchange {step}", step=ExchangeStep(e, f))
-        first.pivot(e, f)
-        second.pivot(f, e)
-    return BasisPair(frozenset(first.cocircuits), frozenset(second.cocircuits), m)
+    return first.basis(), second.basis()
 
 
 def check_reversal(x: BasisPair, seq, last=None) -> None:

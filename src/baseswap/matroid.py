@@ -12,9 +12,11 @@ mutable graph is a graph solve's private copy (``Multigraph``).
 
 A ``Tableau`` holds the fundamental circuits of one basis of a binary
 matroid as bitmasks and answers "is B - b + f a basis?" with one bit; an
-exchange is one XOR pass over it.  The sequence replay and the solver's
-fix-ups and searches read tableaux; ``Matroid.is_basis`` is their rank
-reference.
+exchange is one XOR pass over it.  The solver's fix-ups and searches read
+tableaux.  A ``RootedForest`` answers the same question for a graph by
+climbing parent pointers, and the sequence replay carries a graph's bases
+as forests and a GF(2) matrix's as tableaux; ``Matroid.is_basis`` is the
+rank reference of both.
 
 Every parse loads this module, so it imports no other.
 """
@@ -365,6 +367,18 @@ class Tableau:
         """Whether B - b + f is a basis, for b in B and f outside it."""
         return self.circuits[f] >> b & 1 == 1
 
+    def exchange(self, b, f) -> bool:
+        """Pivot to B - b + f and return True when b is in B, f is not, and
+        b lies on C(B, f); otherwise change nothing and return False."""
+        cf = self.circuits.get(f)
+        if cf is None or b not in self.cocircuits or not cf >> b & 1:
+            return False
+        self.pivot(b, f)
+        return True
+
+    def basis(self) -> frozenset:
+        return frozenset(self.cocircuits)
+
     def pivot(self, b: int, f: int) -> None:
         """Move to the basis B - b + f (``exchangeable(b, f)`` must hold)."""
         circuits, cocircuits = self.circuits, self.cocircuits
@@ -411,6 +425,52 @@ class Tableau:
         cols = {e: 1 << e for e in self.circuits}
         cols.update((b, c & rows) for b, c in self.cocircuits.items())
         return cols
+
+
+class RootedForest:
+    """A spanning forest B of the graph ``edges`` ({id: (u, v)}, read only),
+    rooted: ``up`` and ``via`` give each vertex below a root its parent and
+    the tree edge to it, and ``child`` gives each tree edge its lower end.
+
+    B - b + f is a basis exactly when b lies on the tree path between the
+    ends of f, that is, when exactly one end of f lies in the subtree under
+    b.  ``exchange`` finds out by climbing from both ends, at the cost of
+    their depths, then re-roots that subtree at the end of f inside it and
+    hangs it from the other end through f.
+    """
+
+    __slots__ = ("edges", "up", "via", "child")
+
+    def __init__(self, edges: dict, up: dict, via: dict, child: dict):
+        self.edges, self.up, self.via, self.child = edges, up, via, child
+
+    def exchange(self, b, f) -> bool:
+        """Move to B - b + f and return True when b is in B, f is an edge
+        outside it, and B - b + f is a basis; otherwise change nothing and
+        return False."""
+        child, up = self.child, self.up
+        if b not in child or f in child or f not in self.edges:
+            return False
+        c = child[b]
+        ends = u, v = self.edges[f]
+        while u != c and u in up:
+            u = up[u]
+        while v != c and v in up:
+            v = up[v]
+        if (u == c) == (v == c):  # both ends under b, or neither (a loop too)
+            return False
+        u, v = ends if u == c else ends[::-1]
+        via, w, edge = self.via, u, f  # u, under b, hangs from v through f
+        while w != c:
+            next_w, next_edge = up[w], via[w]
+            up[w], via[w], child[edge] = v, edge, w
+            v, w, edge = w, next_w, next_edge
+        up[c], via[c], child[edge] = v, edge, c
+        del child[b]
+        return True
+
+    def basis(self) -> frozenset:
+        return frozenset(self.child)
 
 
 class Multigraph:
@@ -623,14 +683,12 @@ class GraphicMatroid(Matroid):
         tab = self.tableau(basis)
         return frozenset(tab.cocircuits), {e: _decode(c) for e, c in tab.circuits.items()}
 
-    def tableau(self, basis=None) -> "Tableau":
-        """From one rooted spanning forest of B, as bitmasks.  Each vertex
-        keeps the tree edges on its path to the root.  The climbs from the
-        two ends of an edge e outside B meet where those paths join, so C(e)
-        is e plus the XOR of the two paths.  Each edge outside B is also
-        XORed into both of its ends; XORed up a subtree, these leave the
-        edges with exactly one end in it, which with the tree edge b above
-        the subtree make C*(b)."""
+    def forest(self, basis=None) -> "RootedForest":
+        """One rooted spanning forest of ``basis`` (default: the greedy
+        basis), found depth first, so ``child`` lists the tree edges parents
+        first.  A set with elements outside the ground set, a cycle, or an
+        edge outside it joining two of its trees (it does not span) raises
+        GroundSetError."""
         edges = self.graph.edges
         b = self.greedy_basis() if basis is None else _as_frozen(basis)
         if not b <= self.ground:
@@ -640,43 +698,57 @@ class GraphicMatroid(Matroid):
             u, v = edges[x]
             adj.setdefault(u, []).append((v, x))
             adj.setdefault(v, []).append((u, x))
-        path: dict = {}  # vertex -> mask of the tree edges up to its root
-        root_of: dict = {}
-        below = []  # (vertex, its parent, the tree edge between), parents first
+        up, via, child, root_of = {}, {}, {}, {}  # root_of: vertex -> its tree's root
         for root in adj:
-            if root in path:
+            if root in root_of:
                 continue
-            path[root] = 0
             root_of[root] = root
             stack = [(root, None)]
             while stack:
-                node, via = stack.pop()
+                node, above = stack.pop()
                 for nxt, x in adj[node]:
-                    if x == via:
+                    if x == above:
                         continue
-                    if nxt in path:  # a second way into nxt: B holds a cycle
+                    if nxt in root_of:  # a second way into nxt: B holds a cycle
                         raise GroundSetError("fundamental_circuits requires a basis")
-                    path[nxt] = path[node] | 1 << x
                     root_of[nxt] = root
-                    below.append((nxt, node, x))
+                    up[nxt], via[nxt], child[x] = node, x, nxt
                     stack.append((nxt, x))
+        for e in self.ground - b:
+            u, v = edges[e]
+            if u != v and (u not in root_of or root_of[u] != root_of.get(v)):
+                raise GroundSetError("fundamental_circuits requires a basis")
+        return RootedForest(edges, up, via, child)
+
+    def tableau(self, basis=None) -> "Tableau":
+        """From the rooted spanning forest of B (``forest``), as bitmasks.
+        Each vertex keeps the tree edges on its path to the root.  The
+        climbs from the two ends of an edge e outside B meet where those
+        paths join, so C(e) is e plus the XOR of the two paths.  Each edge
+        outside B is also XORed into both of its ends; XORed up a subtree,
+        these leave the edges with exactly one end in it, which with the
+        tree edge b above the subtree make C*(b)."""
+        edges = self.graph.edges
+        forest = self.forest(basis)
+        up, tree = forest.up, forest.child
+        path: dict = {}  # vertex -> mask of the tree edges up to its root
+        for x, node in tree.items():
+            path[node] = path.get(up[node], 0) | 1 << x
         circuits = {}
-        ends = dict.fromkeys(path, 0)  # vertex -> XOR of the edges outside B at it
-        for e in sorted(self.ground - b):
+        ends: dict = {}  # vertex -> XOR of the edges outside B at it
+        for e in sorted(self.ground - tree.keys()):
             u, v = edges[e]
             bit = 1 << e
             if u != v:
-                if u not in root_of or root_of[u] != root_of.get(v):
-                    # e joins two trees of B, so B does not span
-                    raise GroundSetError("fundamental_circuits requires a basis")
-                ends[u] ^= bit
-                ends[v] ^= bit
-                bit |= path[u] ^ path[v]
+                ends[u] = ends.get(u, 0) ^ bit
+                ends[v] = ends.get(v, 0) ^ bit
+                bit |= path.get(u, 0) ^ path.get(v, 0)
             circuits[e] = bit
         cocircuits = {}
-        for node, parent, x in reversed(below):
-            cocircuits[x] = ends[node] | 1 << x
-            ends[parent] ^= ends[node]
+        for x, node in reversed(tree.items()):
+            end = ends.get(node, 0)
+            cocircuits[x] = end | 1 << x
+            ends[up[node]] = ends.get(up[node], 0) ^ end
         return Tableau(circuits, cocircuits)
 
     def parallel_pair(self, a: int, b: int) -> "GraphicMatroid":

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen
+from .matroid import Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen
 from .exchange import (
     BasisPair,
     ExchangeSequence,
@@ -159,8 +159,9 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
 def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
     """The root of a solve in either mode.  The entry rules
     (``Instance.checked``) and the closing replay run on the caller's
-    matroid ``m``; the engine runs on the structure's, which is the [I | A]
-    image of a caller's matroid, and that image must keep the pair's bases."""
+    matroid ``m`` (a cographic root's replay on its graph); the engine runs
+    on the structure's, which is the [I | A] image of a caller's matroid,
+    and that image must keep the pair's bases."""
     struct = as_structure(source)
     m = source if isinstance(source, Matroid) else struct.matroid
     inst = Instance.checked(m, mode, x, y, forbidden, last)
@@ -175,8 +176,11 @@ def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
         inst = Instance(image, _as_pair(image, x), _as_pair(image, y), inst.forbidden)
     trace = TraceNode("solve", {"mode": mode})
     seq = ExchangeSequence(_engine(struct, inst, mode, last, cap, trace.children))
-    try:  # the closing replay: a step it rejects is a failed internal check
-        final = apply_and_validate(x, seq, inst.forbidden)
+    cographic = isinstance(struct, Leaf) and struct.tag == "cographic"
+    graph = GraphicMatroid(struct.graph) if cographic else None
+    try:  # the closing replay (a cographic root's on its graph): a step it
+        # rejects is a failed internal check
+        final = apply_and_validate(x, seq, inst.forbidden, graph)
     except SequenceValidationError as err:
         raise AssertionError(f"the closing replay failed: {err}") from None
     if mode == "gabow":

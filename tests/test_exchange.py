@@ -1,8 +1,12 @@
+import itertools
 import json
+import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baseswap import exchange
 from baseswap.exchange import (
     BasisPair,
     CapacityError,
@@ -18,7 +22,8 @@ from baseswap.exchange import (
     is_valid_exchange,
 )
 from baseswap.io import sequence_to_text
-from baseswap.matroid import GraphicMatroid, graphic_matroid
+from baseswap.gen import random_bispanning_graph
+from baseswap.matroid import Gf2Matroid, GraphicMatroid, Multigraph, graphic_matroid
 
 from conftest import (
     A,
@@ -225,8 +230,8 @@ class TestTableauReplay:
     def test_mutated_walks_fail_as_on_the_rank_path(self, m, rng):
         # a walk of valid steps and its mutations: a step dropped, two steps
         # swapped, a step reversed, a step using an element outside the
-        # ground set, and an F holding an element of a step.  The tableau
-        # replay agrees with the rank path (on the matroid behind two lazy
+        # ground set, and an F holding an element of a step.  The forest or
+        # tableau replay agrees with the rank path (on the matroid behind two lazy
         # duals) on the error class, index and step, or on the final pair
         pair = BasisPair(random_basis(m, rng), random_basis(m, rng), m)
         seq, current = [], pair
@@ -262,3 +267,193 @@ class TestTableauReplay:
             got = _outcome(apply_and_validate, pair, steps, forbidden)
             assert got == _outcome(apply_and_validate, rank_path, steps, forbidden), name
         assert _outcome(apply_and_validate, pair, seq, ()) == (current.first, current.second)
+
+
+def _valid_walk(m, pair, steps, rng) -> list:
+    """``steps`` random valid exchanges from ``pair``, found without
+    forests or tableaux: f from the second basis, e from its circuit in the
+    first (``circuit_in``), kept when the second side is a basis too."""
+    walk, first, second = [], pair.first, pair.second
+    for _ in range(steps):
+        found = None
+        for f in rng.sample(sorted(second - first), len(second - first)):
+            circuit = m.circuit_in(first, f) - second
+            for e in rng.sample(sorted(circuit), len(circuit)):
+                if m.is_basis(second - {f} | {e}):
+                    found = ExchangeStep(e, f)
+                    break
+            if found:
+                break
+        if found is None:
+            break
+        walk.append(found)
+        first, second = first - {found.e} | {found.f}, second - {found.f} | {found.e}
+    return walk
+
+
+def _mutations(m, walk, rng) -> dict:
+    """The walk and its mutations, each with its F: a step dropped, two
+    steps swapped, a step reversed, a step using an element outside the
+    ground set, one with e = f, and an F holding an element of a step."""
+    k, j = rng.randrange(len(walk)), rng.randrange(len(walk))
+    e, f = walk[k]
+    swapped = list(walk)
+    swapped[k], swapped[j] = swapped[j], swapped[k]
+    outside = max(m.ground) + 1
+    stray = ExchangeStep(outside, f) if rng.random() < 0.5 else ExchangeStep(e, outside)
+    return {
+        "valid": (walk, ()),
+        "drop": (walk[:k] + walk[k + 1 :], ()),
+        "swap": (swapped, ()),
+        "reverse": (walk[:k] + [walk[k].reversed()] + walk[k + 1 :], ()),
+        "outside": (walk[:k] + [stray] + walk[k + 1 :], ()),
+        "e = f": (walk[:k] + [ExchangeStep(e, e)] + walk[k + 1 :], ()),
+        "into F": (walk, {rng.choice(walk[k])}),
+    }
+
+
+def _graph_with_extras(rng):
+    """Two bispanning graphs on disjoint vertex sets (so two components),
+    plus loops and edges parallel to edges of both."""
+    g1, _ = random_bispanning_graph(40, rng)
+    g2, _ = random_bispanning_graph(30, rng)
+    edges = dict(g1.edges)
+    shift = max(edges) + 1
+    edges.update({shift + e: (f"b{u}", f"b{v}") for e, (u, v) in g2.edges.items()})
+    ids = sorted(edges)
+    for k in range(12):
+        u, v = edges[rng.choice(ids)]
+        edges[max(edges) + 1] = (u, u) if k % 3 == 0 else (u, v)
+    return Multigraph(edges)
+
+
+def _scale_cases() -> list:
+    """A matroid and start pair per case: bispanning graphs at n = 40-120,
+    and a graph with loops, parallel edges and two components, from random
+    bases."""
+    cases = []
+    for n, seed in ((40, 0), (80, 1), (120, 2)):
+        g, pair = random_bispanning_graph(n, random.Random(seed))
+        cases.append(pytest.param(GraphicMatroid(g), pair, id=f"bispanning-{n}"))
+    rng = random.Random(3)
+    m = GraphicMatroid(_graph_with_extras(rng))
+    pair = BasisPair(random_basis(m, rng), random_basis(m, rng), m)
+    return cases + [pytest.param(m, pair, id="loops-parallels-two-components")]
+
+
+def _assert_fails_where_it_must(mutation, outcome):
+    """The walk ends on a pair; a step outside the ground set, with e = f
+    or into F fails (a drop or a swap may leave a valid walk)."""
+    if mutation == "valid":
+        assert len(outcome) == 2
+    elif mutation in ("outside", "e = f", "into F"):
+        assert len(outcome) == 4, mutation
+
+
+class TestForestReplayAtScale:
+    @pytest.mark.parametrize("m, pair", _scale_cases())
+    def test_long_walks_and_mutations_match_the_rank_path(self, m, pair):
+        # hundreds of valid steps re-root the trees deeply; every mutation
+        # gives the rank references' final pair or their error
+        rng = random.Random(len(m.ground))
+        pair = BasisPair(pair.first, pair.second, m)
+        walk = _valid_walk(m, pair, 300, rng)
+        assert len(walk) >= 200
+        rank_path = BasisPair(pair.first, pair.second, DualMatroid(DualMatroid(m)))
+        for mutation, (steps, forbidden) in _mutations(m, walk, rng).items():
+            got = _outcome(apply_and_validate, pair, steps, forbidden)
+            assert got == _outcome(reference_replay, pair, steps, forbidden), mutation
+            assert got == _outcome(apply_and_validate, rank_path, steps, forbidden), mutation
+            _assert_fails_where_it_must(mutation, got)
+
+    @pytest.mark.parametrize("m, pair", _scale_cases())
+    def test_cographic_replay_matches_the_gf2_tableaux(self, m, pair):
+        # the same walks on M*(G): forests of the complements against the
+        # tableaux of the dual's GF(2) matrix
+        rng = random.Random(len(m.ground) + 1)
+        dual = m.dual()
+        pair = BasisPair(m.ground - pair.first, m.ground - pair.second, dual)
+        walk = _valid_walk(dual, pair, 300, rng)
+        assert len(walk) >= 200
+        for mutation, (steps, forbidden) in _mutations(dual, walk, rng).items():
+            got = _outcome(partial(apply_and_validate, graph=m), pair, steps, forbidden)
+            assert got == _outcome(apply_and_validate, pair, steps, forbidden), mutation
+            _assert_fails_where_it_must(mutation, got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs(), st.randoms(use_true_random=False))
+    def test_cographic_mutated_walks_match_on_small_graphs(self, g, rng):
+        m = GraphicMatroid(g)
+        dual = m.dual()
+        pair = BasisPair(random_basis(dual, rng), random_basis(dual, rng), dual)
+        walk = _valid_walk(dual, pair, rng.randint(1, 8), rng)
+        if not walk:
+            return
+        for mutation, (steps, forbidden) in _mutations(dual, walk, rng).items():
+            got = _outcome(partial(apply_and_validate, graph=m), pair, steps, forbidden)
+            assert got == _outcome(reference_replay, pair, steps, forbidden), mutation
+
+
+def _refuse(*args):
+    raise RuntimeError("the replay built a tableau")
+
+
+class TestReplayDispatch:
+    def test_a_graph_pair_builds_no_tableau(self, monkeypatch):
+        g, pair = random_bispanning_graph(30, random.Random(5))
+        m = GraphicMatroid(g)
+        pair = BasisPair(pair.first, pair.second, m)
+        walk = _valid_walk(m, pair, 60, random.Random(6))
+        expected = reference_replay(pair, walk)
+        dual_pair = BasisPair(pair.second, pair.first, m.dual())
+        dual_walk = _valid_walk(dual_pair.matroid, dual_pair, 60, random.Random(7))
+        dual_expected = reference_replay(dual_pair, dual_walk)
+        monkeypatch.setattr(GraphicMatroid, "tableau", _refuse)
+        monkeypatch.setattr(Gf2Matroid, "tableau", _refuse)
+        final = apply_and_validate(pair, walk)
+        assert (final.first, final.second) == (expected.first, expected.second)
+        # a cographic pair replayed on its graph builds none either
+        final = apply_and_validate(dual_pair, dual_walk, (), m)
+        assert (final.first, final.second) == (dual_expected.first, dual_expected.second)
+
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_a_start_that_is_not_a_pair_of_bases_takes_the_rank_path(self, k4, monkeypatch, graph):
+        # {a, e, f} is a triangle of K4: not a basis of M(K4), and the
+        # complement of {b, c, d}, so {b, c, d} is not a basis of M*(K4)
+        m, _, _ = k4
+        host = m.dual() if graph else m
+        pair = BasisPair(frozenset({A, E, F}), frozenset({B, C, D}), host)
+        asked = []
+
+        def counted(p, step):
+            asked.append(step)
+            return is_valid_exchange(p, step)
+
+        monkeypatch.setattr(exchange, "is_valid_exchange", counted)
+        for steps in ([], [(A, B)], [(E, D), (A, B)]):
+            got = _outcome(partial(apply_and_validate, graph=m if graph else None), pair, steps, ())
+            assert got == _outcome(reference_replay, pair, steps, ())
+        assert asked
+
+    @pytest.mark.parametrize("backend", ["graph", "gf2", "cographic", "rank"])
+    def test_e_equal_f_and_elements_outside_the_ground_set_are_invalid(self, k4, backend):
+        m, x, _ = k4
+        graph = None
+        if backend == "gf2":
+            m = Gf2Matroid(dict(enumerate([0b011, 0b110, 0b100, 0b101, 0b001, 0b010])))
+            x = BasisPair(x.first, x.second, m)  # K4's incidence matrix, rows 1-3
+        elif backend == "cographic":
+            graph, m = m, m.dual()
+            x = BasisPair(x.second, x.first, m)
+        elif backend == "rank":
+            m = DualMatroid(DualMatroid(m))
+            x = BasisPair(x.first, x.second, m)
+        assert m.is_basis(x.first) and m.is_basis(x.second)
+        e, f = min(x.first), min(x.second)
+        valid = next(s for s in itertools.product(x.first, x.second) if is_valid_exchange(x, s))
+        for steps in ([(e, e)], [(f, f)], [(e, 99)], [(99, f)], [(99, 99)], [valid, (99, e)]):
+            with pytest.raises(SequenceValidationError) as err:
+                apply_and_validate(x, steps, (), graph)
+            assert type(err.value) is SequenceValidationError
+            assert err.value.index == len(steps) - 1
+            assert tuple(err.value.step) == steps[-1]

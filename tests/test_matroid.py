@@ -539,6 +539,72 @@ class TestTableau:
             assert dual.rank(s) == lazy.rank(s)
 
 
+def _check_rooted(forest, g, basis):
+    """The forest's pointers describe a rooted spanning forest of ``basis``:
+    each vertex below a root hangs from an end of its tree edge, each tree
+    edge names its lower end, and every climb reaches a root."""
+    assert forest.basis() == basis
+    assert set(forest.up) == set(forest.via) and sorted(forest.via.values()) == sorted(basis)
+    for w, x in forest.via.items():
+        assert set(g.edges[x]) == {w, forest.up[w]} and len(set(g.edges[x])) == 2
+        assert forest.child[x] == w
+    for w in forest.up:
+        steps = 0
+        while w in forest.up:
+            w, steps = forest.up[w], steps + 1
+            assert steps <= len(forest.up)
+
+
+class TestRootedForest:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs(), st.randoms(use_true_random=False))
+    def test_exchanges_match_the_rank(self, g, rng):
+        # every (b, f) over the ground set plus one element outside it,
+        # e = f included: exchange answers as is_basis does, changes nothing
+        # when it refuses, and re-roots to a forest of B - b + f otherwise
+        m = GraphicMatroid(g)
+        basis = random_basis(m, rng)
+        forest = m.forest(basis)
+        _check_rooted(forest, g, basis)
+        elements = sorted(m.ground | {max(m.ground, default=0) + 1})
+        for _ in range(rng.randint(1, 8)):
+            valid = []
+            for b, f in itertools.product(elements, repeat=2):
+                before = dict(forest.up), dict(forest.via), dict(forest.child)
+                expected = (
+                    b in basis and f in m.ground - basis and m.is_basis(basis - {b} | {f})
+                )
+                assert forest.exchange(b, f) == expected, (b, f)
+                if expected:
+                    _check_rooted(forest, g, basis - {b} | {f})
+                    valid.append((b, f))
+                forest.up, forest.via, forest.child = before
+            if not valid:
+                break
+            b, f = rng.choice(valid)
+            assert forest.exchange(b, f)
+            basis = basis - {b} | {f}
+            _check_rooted(forest, g, basis)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_refuses_what_the_tableau_refuses(self, g, data):
+        # one rooting pass: a set with a cycle, one that does not span, or
+        # one with elements outside the ground set raises for both
+        m = GraphicMatroid(g)
+        drawn = _drawn_near_basis(m, data)
+        if data.draw(st.booleans()):
+            drawn |= {max(m.ground, default=0) + 1}
+        if drawn <= m.ground and m.is_basis(drawn):
+            _check_rooted(m.forest(drawn), g, drawn)
+            assert m.tableau(drawn).basis() == drawn
+        else:
+            with pytest.raises(GroundSetError):
+                m.forest(drawn)
+            with pytest.raises(GroundSetError):
+                m.tableau(drawn)
+
+
 def k3_matroid(first_id, vertex_base=0):
     edges = {
         first_id: (vertex_base + 1, vertex_base + 2),

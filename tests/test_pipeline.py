@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baseswap import pipeline
 from baseswap.exchange import (
     BasisPair,
     ExchangeSequence,
@@ -530,6 +531,27 @@ class TestMoreStructure:
             gabow.append(solve_gabow(leaf, x, last=h).sequence)
         assert white[0] == white[1] and white[0].length > 0
         assert gabow[0] == gabow[1] and h in gabow[0].steps[-1]
+
+    def test_cographic_root_replays_on_its_graph(self, monkeypatch):
+        # the closing replay of a cographic root runs on the forests of its
+        # graph, and builds no GF(2) tableau
+        rng = random.Random(4)
+        g, x = random_bispanning_graph(12, rng)
+        y = random_exchange_walk(GraphicMatroid(g), x, 12, rng)
+        replay, graphs = pipeline.apply_and_validate, []
+
+        def recorded(pair, seq, forbidden=(), graph=None):
+            graphs.append(graph)
+            return replay(pair, seq, forbidden, graph)
+
+        def refuse(*args):
+            raise RuntimeError("a GF(2) tableau was built")
+
+        monkeypatch.setattr(pipeline, "apply_and_validate", recorded)
+        monkeypatch.setattr(Gf2Matroid, "tableau", refuse)
+        solve_white(cographic_leaf(g), x, y)
+        solve_gabow(cographic_leaf(g), x)
+        assert [graph.graph.edges for graph in graphs] == [g.edges] * 2
 
     def test_cographic_leaf_in_a_one_sum(self):
         # a tight split of the sum hands its cographic side tableaux of
