@@ -507,19 +507,88 @@ def _trace_digest(report) -> str:
     return _steps_digest(nodes)
 
 
+def _report(obj: dict):
+    """The solve report of an instance object, as ``baseswap solve`` runs it."""
+    from baseswap.io import parse_instance
+
+    inst = parse_instance(obj)
+    x = (inst["x1"], inst["x2"])
+    if inst["mode"] == "gabow":
+        return solve_gabow(inst["structure"], x, last=inst["last"])
+    y = (inst["y1"], inst["y2"])
+    return solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
+
+
 @pytest.mark.parametrize("n, seed, mode", sorted(GOLDEN_TRACES))
 def test_golden_traces(n, seed, mode):
     from baseswap.cli import _gen_bispanning
-    from baseswap.io import parse_instance
 
-    inst = parse_instance(_gen_bispanning(n, random.Random(seed), mode))
-    x = (inst["x1"], inst["x2"])
-    if mode == "gabow":
-        report = solve_gabow(inst["structure"], x, last=inst["last"])
-    else:
-        y = (inst["y1"], inst["y2"])
-        report = solve_white(inst["structure"], x, y, forbidden=inst["forbidden"])
+    report = _report(_gen_bispanning(n, random.Random(seed), mode))
     assert _trace_digest(report) == GOLDEN_TRACES[(n, seed, mode)]
+
+
+# the same trace digest for solves on GF(2) frames, recorded before those
+# frames ran their reductions through the chain a graph solve runs: the
+# incidence matrices of `gen bispanning --n 24` as the bench's ``binary``
+# workload encodes them, `gen r10`, the remark tree (as in
+# GOLDEN_SUM_MINORS) and `gen tree-composed --n 40`
+GOLDEN_GF2_TRACES = {
+    ("gf2-bispanning", 0, "white"): "d68bcc7ce9ba26462706ea60731ebb51d877aa8a529569875e8f2055eb591c3f",
+    ("gf2-bispanning", 0, "gabow"): "1c3aeb145e12caa4270c0ff69b65e381c7c051efbfffeb4c91b64e050a96997e",
+    ("gf2-bispanning", 1, "white"): "1e8d2e5b1b8f57d620f5e7d1b6b2d672a65ddd6c12aed4344a060c3e0c5c20e7",
+    ("gf2-bispanning", 1, "gabow"): "f31c6148ca53971bf48d7807767473f3a539038338750347039c41665ed2390b",
+    ("gf2-bispanning", 2, "white"): "4c4867793966e21e5e220c506fd5b30375d94094feecff068a754d4394f16cc9",
+    ("gf2-bispanning", 2, "gabow"): "6ede3ce19aa006b7c02beff567eb644f90f876002a348f5b5dfb836c39ea13f7",
+    ("r10", 0, "white"): "f23a642158418e009b648170a2b04afd5aeea22c392a5623dbc71a6fd9c06ed0",
+    ("r10", 0, "gabow"): "6f2a0931da314ab61f3e1a98d5128bfa7aacfa75e7c598e9e718b660b2c01daf",
+    ("remark", 17, "white"): "9dda783ba4e5afdebdd7e1ec3a845859cf8a115c62842c382bf63cafb1d3610b",
+    ("remark", 17, "gabow"): "f9b82e2ee1be4cfd7be9fae5ed425ad9b09499153fff2653abdf1a7a3a71934c",
+    ("tree-composed", 10, "white"): "eaeab82e82b6670895b4e3529391b4ef5a375b53515ea2b194a28f2d6c5ac37d",
+    ("tree-composed", 10, "gabow"): "ab2cc274f83c932df6318cacedb844c23ce2f41c736f9d45433c5e6ba7792c21",
+    ("tree-composed", 17, "white"): "c604438a0c6ad0e9aea4d1aef389dfe79e24bdbb69732a861d14dfbc431c152f",
+    ("tree-composed", 17, "gabow"): "1a6f64a336417429c3cefea399352ccbef5519cdad2015fed3ea0aa79e97fd52",
+    ("tree-composed", 22, "white"): "967fb0dac66655de07db1a0259146769a06140bdad1cb615eb7c4846c58a8987",
+    ("tree-composed", 22, "gabow"): "6449204f36fa156cb1f45776cc516427b88e33aa082137194bf51011c8d896f7",
+    ("tree-composed", 23, "white"): "2a1f98bbcb547be5c5881c1a731c8cfe11dcd9048640ce79a6a675627ee869a8",
+    ("tree-composed", 23, "gabow"): "ac14bfa492d18add9899df7e9e2beac5cd633153fa48b83f799fd80f7095353d",
+}
+
+
+def _gf2_encoding(obj: dict) -> dict:
+    """A graph instance re-encoded as ``kind: gf2``: the vertex-edge
+    incidence matrix with the last vertex row dropped; pairs, F and
+    ``last`` kept."""
+    edges = {lab: (u, v) for lab, u, v in map(str.split, obj["matroid"]["text"].splitlines())}
+    labels = sorted(edges)
+    verts = sorted({v for uv in edges.values() for v in uv})[:-1]
+    rows = ["".join("1" if v in edges[lab] else "0" for lab in labels) for v in verts]
+    return {**obj, "matroid": {"kind": "gf2", "text": "\n".join([" ".join(labels)] + rows)}}
+
+
+def _gf2_frame_report(kind: str, seed: int, mode: str):
+    from baseswap.cli import _gen_bispanning, _gen_r10, _gen_tree
+
+    rng = random.Random(seed)
+    if kind == "gf2-bispanning":
+        return _report(_gf2_encoding(_gen_bispanning(24, rng, mode)))
+    if kind == "r10":
+        return _report(_gen_r10(rng, mode))
+    if kind == "tree-composed":
+        return _report(_gen_tree(40, rng, mode))
+    from baseswap.io import parse_tree
+    from test_pipeline import partition_pair, remark_tree_json
+
+    structure, _ = parse_tree(remark_tree_json())
+    x, view = partition_pair(structure)
+    walk = random_exchange_walk(view, x, 8, rng)
+    y = BasisPair(walk.first, walk.second, structure.matroid)
+    return solve_white(structure, x, y) if mode == "white" else solve_gabow(structure, x)
+
+
+@pytest.mark.parametrize("kind, seed, mode", sorted(GOLDEN_GF2_TRACES))
+def test_golden_gf2_traces(kind, seed, mode):
+    report = _gf2_frame_report(kind, seed, mode)
+    assert _trace_digest(report) == GOLDEN_GF2_TRACES[(kind, seed, mode)]
 
 
 @pytest.mark.parametrize("kind, seed, mode", sorted(GOLDEN_BEYOND_GRAPHS))
