@@ -5,9 +5,9 @@ basis to the second and f the other way; it is valid when both resulting sets
 are bases.  Sequences carry length (step count) and width (maximum number of
 occurrences of any single element).  The replay (``apply_and_validate``)
 carries the pair as one rooted spanning forest per basis on a graph (a
-cographic matroid's on its graph, as the forests of the complements) and
-one tableau per basis on a GF(2) matrix: each step is read off and moves
-them, and the final pair is built once from their keys.  On a caller's own
+cographic leaf's matrix on its graph, as the forests of the complements)
+and one tableau per basis on any other GF(2) matrix: each step is read off
+and moves them, and the final pair is built once from their keys.  On a caller's own
 matroid it asks ``is_valid_exchange``, its rank-based reference, and builds
 the pair at every step.  The BFS oracle
 searches the exchange graph of a small matroid exhaustively between two
@@ -54,9 +54,6 @@ class ExchangeSequence:
             counts[e] += 1
             counts[f] += 1
         return counts
-
-    def uses(self, element: int) -> bool:
-        return any(element in (e, f) for e, f in self.steps)
 
     def __iter__(self):
         return iter(self.steps)
@@ -144,21 +141,22 @@ def apply_step(pair: BasisPair, step: ExchangeStep) -> BasisPair:
     return BasisPair(pair.first - {e} | {f}, pair.second - {f} | {e}, pair.matroid)
 
 
-def apply_and_validate(pair: BasisPair, seq, forbidden=(), graph=None) -> BasisPair:
+def apply_and_validate(pair: BasisPair, seq, forbidden=()) -> BasisPair:
     """Apply steps in order, checking validity and F-avoidance at each one.
 
     On a graph, one rooted spanning forest per basis carries the pair
     (``RootedForest``), and on a GF(2) matrix one tableau per basis: a step
     (e, f) is valid when the first side's ``exchange(e, f)`` and the
     second's ``exchange(f, e)`` both succeed, and the final pair is read
-    from their keys.  ``graph``, a ``GraphicMatroid`` G whose dual is the
-    pair's matroid, carries the pair as the forests of E - X1 and E - X2
-    instead: (e, f) on (X1, X2) in M*(G) is (e, f) on (E - X2, E - X1) in
-    M(G).  Only on a caller's own matroid, and from a start that is not a
-    pair of bases, ``is_valid_exchange`` asks the rank oracle at every
-    step."""
+    from their keys.  A matrix built as the dual of a graph G
+    (``Gf2Matroid.dual_of``, a cographic leaf's) carries the pair as the
+    forests of E - X1 and E - X2 instead: (e, f) on (X1, X2) in M*(G) is
+    (e, f) on (E - X2, E - X1) in M(G).  Only on a caller's own matroid,
+    and from a start that is not a pair of bases, ``is_valid_exchange``
+    asks the rank oracle at every step."""
     avoid = _as_frozen(forbidden)
     m = pair.matroid
+    graph = getattr(m, "dual_of", None)
     if graph is not None and pair.union <= m.ground:
         ground = m.ground
         final = _replay(graph, ground - pair.second, ground - pair.first, seq, avoid)

@@ -167,12 +167,6 @@ class Matroid:
     def contract(self, subset) -> "Matroid":
         return self.minor(contract=subset)
 
-    def parallel_pair(self, a: int, b: int) -> "Matroid":
-        """The rank-1 matroid on {a, b} with neither a loop, which a minor
-        of this one is known to be; a GF(2) matrix unless the backend builds
-        one of its own kind."""
-        return Gf2Matroid({a: 1, b: 1})
-
 
 class Gf2Matroid(Matroid):
     """Matroid of a 0/1 matrix over GF(2), one column per element.
@@ -181,6 +175,8 @@ class Gf2Matroid(Matroid):
     Gaussian elimination, its pivots keyed by their lowest set bit
     (``_eliminate``), answers memoized rank queries and circuit queries.
     """
+
+    dual_of = None  # the GraphicMatroid G when built as M*(G) (``structure.cographic_leaf``)
 
     def __init__(self, columns: dict):
         super().__init__(frozenset(columns))
@@ -750,12 +746,6 @@ class GraphicMatroid(Matroid):
             cocircuits[x] = end | 1 << x
             ends[up[node]] = ends.get(up[node], 0) ^ end
         return Tableau(circuits, cocircuits)
-
-    def parallel_pair(self, a: int, b: int) -> "GraphicMatroid":
-        """Two edges between the ends of a (never a loop here), so that a
-        graph frame stays a graph."""
-        ends = self.graph.edges[a]
-        return GraphicMatroid(Multigraph._of({a: ends, b: ends}))
 
     def _minor(self, c: frozenset, d: frozenset) -> "GraphicMatroid":
         """Explicit minor: the graph with d deleted and c contracted; an

@@ -1,33 +1,37 @@
 """End-to-end solver: reduction loop, structure resolution, lifting.
 
-The engine strips uncovered and common elements, splits on tight sets, and
-shrinks along triads (or triangles, through the dual); a graphic or
-cographic leaf picks its tight set or triad at a low-degree vertex, and
-its reductions form a chain that ``graphic.GraphChain`` runs in place on
-one private graph (``_graph_chain``).  Irreducible instances go to the
-2-/3-sum machinery of the structure, or to the exhaustive search fallback
-for small ground sets (which solves R10 and F7).  The same search, monotone,
-solves every frame of rank at most 2 whatever the cap: past the strips
-such a frame has at most four elements.  Reductions run on an explicit
-stack; only the sum routes, which call the engine on each side (a 3-sum's
-graph side once per segment), add Python stack depth.  A caller's matroid
-reaches the engine as the GF(2) matrix of its fundamental circuits
-(``structure.as_structure``), while the entry rules
+The engine strips uncovered and common elements (``_strip``), then runs a
+frame's chain of reductions in place (``_chain``): it splits on tight sets
+and shrinks along triads (or triangles, through the dual), with the pair
+bookkeeping of both written once (``reductions.Chain``).  A graphic or
+cographic leaf picks its tight set or triad at a low-degree vertex and
+takes each minor in one private graph (``graphic.GraphChain``); any other
+frame is a GF(2) matrix, which picks by the tight-set, triad and triangle
+searches and takes each minor of its structure (``MatrixChain``,
+``_frame_minor``).  A GF(2) chain ends where a minor becomes a graph or
+cographic leaf, which the engine then solves on its graph.  A frame no
+chain can reduce goes to the 2-/3-sum machinery of the structure, or to the
+exhaustive search fallback for small ground sets (which solves R10 and F7).
+The same search, monotone, solves every frame of rank at most 2 whatever
+the cap: past the strips such a frame has at most four elements.  Frames
+run on an explicit stack; only the sum routes, which call the engine on
+each side (a 3-sum's graph side once per segment), add Python stack depth.
+A caller's matroid reaches the engine as the GF(2) matrix of its
+fundamental circuits (``structure.as_structure``), while the entry rules
 (``reductions.Instance.checked``) and the closing replay run on the
 caller's matroid.
+
 The strips run on the frames that are handed no tableaux, the root of each
-engine call and the strips' own children: a tight split or a triad leaves
-disjoint pairs that cover their ground sets.  Past the strips a cographic
-leaf is solved on its graph, so every later frame is a graph or a GF(2)
-matrix.  Then comes one tableau per basis of the two pairs; the searches
-and fix-ups read them, and each reduction hands its children tableaux
-derived from them, so they are built once per engine call and once more
-where a cographic leaf is swapped.  A graph's chain hands back to the
-stack only its splits' parallel pairs and the frame it ends on, the
-identity or a frame of rank at most 2.  A frame's rank is the size of a basis
-of its pair, so no frame asks the rank of its whole ground set.  A minor of
-a sum node is a GF(2) matrix minor whose tree is built only where a sum
-route or its refusal reads it.
+engine call: a tight split or a triad leaves disjoint pairs that cover
+their ground sets.  Past the strips a cographic leaf is solved on its
+graph, so every later frame is a graph or a GF(2) matrix.  Then comes one
+tableau per basis of the two pairs; the searches and fix-ups read them,
+and each reduction updates them in place, so they are built once per engine
+call and once more where a cographic leaf is swapped.  A chain hands back
+to the stack only its splits' other sides and the frame it ends on.  A
+frame's rank is the size of a basis of its pair, so no frame asks the rank
+of its whole ground set.  A minor of a sum node is a GF(2) matrix minor
+whose tree is built only where a sum route or its refusal reads it.
 
 The frames build a tree of reductions, each with its lift as data, and one
 forward pass over the tree emits the sequence (``_lift_forward``): a step
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .matroid import Matroid, Gf2Matroid, GraphicMatroid, GroundSetError, _as_frozen
+from .matroid import Matroid, Gf2Matroid, GroundSetError
 from .exchange import (
     BasisPair,
     ExchangeSequence,
@@ -53,20 +57,19 @@ from .exchange import (
     apply_and_validate,
     bfs_oracle,
     check_reversal,
+    compatible,
     UNREACHABLE,
 )
 from .reductions import (
+    Chain,
     Instance,
+    IncompatiblePairsError,
     PairTableaux,
     TriadLift,
     _as_pair,
-    delete_uncovered,
-    contract_common,
     find_nontrivial_tight_set,
     find_triad,
     find_triangle,
-    reduce_triad,
-    split_on_tight_set,
 )
 from .graphic import GraphChain, vertex_span
 from .sums import (
@@ -83,6 +86,7 @@ from .structure import (
     SumNode,
     as_structure,
     collapse_one_sums,
+    gf2_leaf,
     graphic_leaf,
     structure_minor,
     structure_minors,
@@ -159,9 +163,9 @@ def solve_gabow(source, x, last=None, bfs_cap: int = 16) -> SolveReport:
 def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
     """The root of a solve in either mode.  The entry rules
     (``Instance.checked``) and the closing replay run on the caller's
-    matroid ``m`` (a cographic root's replay on its graph); the engine runs
-    on the structure's, which is the [I | A] image of a caller's matroid,
-    and that image must keep the pair's bases."""
+    matroid ``m``; the engine runs on the structure's, which is the [I | A]
+    image of a caller's matroid, and that image must keep the pair's
+    bases."""
     struct = as_structure(source)
     m = source if isinstance(source, Matroid) else struct.matroid
     inst = Instance.checked(m, mode, x, y, forbidden, last)
@@ -176,11 +180,8 @@ def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
         inst = Instance(image, _as_pair(image, x), _as_pair(image, y), inst.forbidden)
     trace = TraceNode("solve", {"mode": mode})
     seq = ExchangeSequence(_engine(struct, inst, mode, last, cap, trace.children))
-    cographic = isinstance(struct, Leaf) and struct.tag == "cographic"
-    graph = GraphicMatroid(struct.graph) if cographic else None
-    try:  # the closing replay (a cographic root's on its graph): a step it
-        # rejects is a failed internal check
-        final = apply_and_validate(x, seq, inst.forbidden, graph)
+    try:  # the closing replay: a step it rejects is a failed internal check
+        final = apply_and_validate(x, seq, inst.forbidden)
     except SequenceValidationError as err:
         raise AssertionError(f"the closing replay failed: {err}") from None
     if mode == "gabow":
@@ -204,20 +205,15 @@ def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
     instance, last, trace list, tableaux or None), so a chain of reductions
     adds no Python stack depth.  Each frame becomes a node of the reduction
     tree: a leaf's list of steps, or a ``_Node`` holding its reduction's lift
-    data and its child nodes in the order the parent runs them; a graph
-    frame's whole chain becomes a path of nodes at once (``_graph_chain``).
-    Once every frame is done, ``_lift_forward`` emits the sequence in one
-    pass."""
+    data and its child nodes in the order the parent runs them; a frame's
+    whole chain becomes a path of nodes at once (``_chain``).  Once every
+    frame is done, ``_lift_forward`` emits the sequence in one pass."""
     root: list = [None]
     stack: list = [((struct, inst, last, out_trace, None), root, 0)]
     while stack:
         frame, slots, i = stack.pop()
-        out = _reduce(*frame, mode, cap)
-        if isinstance(out, tuple):  # a node, and its children's frames with their slots
-            slots[i] = out[0]
-            stack += reversed(out[1])
-        else:
-            slots[i] = out
+        slots[i], frames = _reduce(*frame, mode, cap)
+        stack += reversed(frames)
     return _lift_forward(root[0], inst.x)
 
 
@@ -317,22 +313,16 @@ def _oriented(step, parity) -> tuple:
 
 
 def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, cap: int):
-    """One step on a frame: its list of steps, or its node and its
-    children's frames, each with the slot its node fills."""
-    m = inst.matroid
+    """One frame: its node (a leaf's list of steps), and the frames it hands
+    back, each with the slot its node fills."""
     if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
         out_trace.append(TraceNode("identity"))
-        return []
+        return [], []
 
     if tableaux is None:
-        # strip uncovered and common elements.  A frame handed tableaux is
-        # a child of a tight split or a triad, whose pairs are disjoint and
-        # cover its ground set already
-        for fn in (delete_uncovered, contract_common):
-            record: list = []
-            red = fn(inst, minor=_recording_factory(struct, record))
-            if red is not None:
-                return _one_child(red, record[0], last, out_trace)
+        # a frame handed tableaux comes from a chain, whose pairs are
+        # disjoint and cover its ground set already
+        struct, inst, out_trace = _strip(struct, inst, out_trace)
 
     if isinstance(struct, Leaf) and struct.tag == "cographic":
         # the pair is disjoint and covering here, so X1 - e + f is a basis
@@ -345,11 +335,12 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         inst = Instance(m, _as_pair(m, inst.x), _as_pair(m, inst.y), inst.forbidden)
         tableaux = None
 
+    m = inst.matroid
     if len(inst.x.first) <= 2:  # the rank, read from a basis
         # past the strips the pairs are disjoint and cover the frame, so it
         # has at most four elements; the search cap never refuses it
         out_trace.append(TraceNode("rank_le2"))
-        return _bfs_solve(m, inst, True, last, len(m.ground))
+        return _bfs_solve(m, inst, True, last, len(m.ground)), []
 
     tableaux = tableaux or PairTableaux.of(inst)
     if isinstance(struct, Leaf) and struct.graph is not None:
@@ -357,40 +348,130 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         # frame can fail this
         if len(vertex_span(struct.graph, inst.forbidden)) > 3:
             raise GroundSetError("forbidden edges span more than three vertices")
-        return _graph_chain(GraphChain(struct.graph, inst, last, tableaux), out_trace)
+        return _chain(GraphChain(struct.graph, inst, last, tableaux), out_trace, mode, cap)
+    return _chain(MatrixChain(struct, inst, last, tableaux), out_trace, mode, cap)
 
-    z = find_nontrivial_tight_set(m, inst.x, tableaux.x)
-    if z is not None:
-        restrict_last = last is not None and last in z
-        record = []
-        red = split_on_tight_set(
-            inst, z, minor=_recording_factory(struct, record), restrict_last=restrict_last,
-            tableaux=tableaux,
-        )
-        node = TraceNode(red.certificate.kind, dict(red.certificate.payload))
+
+def _strip(struct, inst: Instance, out_trace: list) -> tuple:
+    """Restrict the frame to the union of the bases, whose other elements
+    never move, then contract X1 ∩ X2 (= Y1 ∩ Y2 for compatible pairs),
+    which no step moves either: the steps are unchanged.  Each strip that
+    removes something is traced, and its minor's structure comes from
+    ``_frame_minor``.  Returns the structure, instance and trace list of
+    the frame left."""
+    x, y = inst.x, inst.y
+    if not compatible(x, y):
+        raise IncompatiblePairsError("pairs are not compatible")
+    empty = frozenset()
+    for kind, key, c, d in (
+        ("delete_uncovered", "removed", empty, inst.matroid.ground - x.union),
+        ("contract_common", "contracted", x.common, empty),
+    ):
+        if c or d:
+            struct = _frame_minor(struct, inst.matroid, c, d)
+            m = struct.matroid
+            inst = Instance(
+                m,
+                BasisPair(x.first - c, x.second - c, m),
+                BasisPair(y.first - c, y.second - c, m),
+                inst.forbidden - c,
+            )
+            node = TraceNode(kind, {key: c | d})
+            out_trace.append(node)
+            out_trace = node.children
+    return struct, inst, out_trace
+
+
+def _chain(chain: Chain, out_trace: list, mode: str, cap: int) -> tuple:
+    """Run a frame's chain of reductions in place: the path of nodes from
+    its first level, and the frames it hands back, each split's other side
+    and the frame the chain ends on, with their slots.  A frame the chain
+    cannot reduce is solved where it stands (``_irreducible``)."""
+    root: list = [None]
+    slots, at, frames = root, 0, []
+    while True:
+        level = chain.reduce()
+        if level is None:
+            struct, inst, last, _ = chain.frame()
+            slots[at] = _irreducible(struct, inst, last, out_trace, mode, cap)
+            return root[0], frames
+        kind, out = level
+        if kind == "tight_split":
+            z, restrict_last, (struct, inst, last, tabs) = out
+            node = TraceNode(kind, {"z": z, "restrict_last": restrict_last})
+            inner, outer = TraceNode("child"), TraceNode("child")
+            node.children += (inner, outer)
+            kids, lift, trace = [None, None], None, inner.children
+            kids_at = (1, 0) if restrict_last else (0, 1)  # the chain's, the other side's
+            frames.append(((struct, inst, last, outer.children, tabs), kids, kids_at[1]))
+        else:
+            payload, lift = out
+            node = TraceNode(kind, payload)
+            kids, kids_at, trace = [None], (0,), node.children
         out_trace.append(node)
-        frames = []
-        for child_struct, child, tabs in zip(record, red.children, red.tableaux):
-            child_last = last if (last is not None and last in child.matroid.ground) else None
-            wrapper = TraceNode("child")
-            node.children.append(wrapper)
-            frames.append((child_struct, child, child_last, wrapper.children, tabs))
-        return _tree(red, frames)
+        slots[at] = _Node(lift, kids)
+        slots, at, out_trace = kids, kids_at[0], trace
+        if chain.done():
+            struct, inst, last, tabs = chain.frame()
+            frames.append(((struct, inst, last, out_trace, tabs), slots, at))
+            return root[0], frames
 
-    # a frame without a graph is a GF(2) matrix.  A triad or triangle holding
-    # an element of F or the designated last element cannot be reduced
-    cover = m.ground - inst.forbidden - {last}
-    triad, dual = find_triad(m, cover, tableaux.x[0]), False
-    if triad is None:
-        triad, dual = find_triangle(m, cover), True
-    if triad is not None:
-        record = []
-        red = reduce_triad(
-            inst, triad, minor=_recording_factory(struct, record), tableaux=tableaux, dual=dual
-        )
-        extra = {"dualized": True} if dual else {}
-        return _one_child(red, record[0], last, out_trace, **extra)
 
+class MatrixChain(Chain):
+    """A GF(2) frame's chain of reductions: each level takes the first of a
+    nontrivial tight set, a triad and a triangle that the searches find,
+    and its minors of the frame's structure (``_frame_minor``).  A triad or
+    triangle holding an element of F or the designated last element cannot
+    be reduced.  The chain is also done when a minor is a graph or
+    cographic leaf, which the engine solves on its graph."""
+
+    __slots__ = ("struct",)
+
+    def __init__(self, struct, inst: Instance, last, tableaux):
+        super().__init__(inst, last, tableaux)
+        self.struct = struct
+
+    def done(self) -> bool:
+        struct = self.struct
+        return super().done() or (isinstance(struct, Leaf) and struct.graph is not None)
+
+    def frame(self) -> tuple:
+        return self.struct, self._instance(self.struct.matroid), self.last, self.tableaux
+
+    def reduce(self):
+        m = self.struct.matroid
+        z = find_nontrivial_tight_set(m, BasisPair(self.x1, self.x2), self.tableaux.x)
+        if z is not None:
+            return "tight_split", self.split(m.ground - z)
+        cover = m.ground - self.forbidden - {self.last}
+        triad = find_triad(m, cover, self.tableaux.x[0])
+        if triad is not None:
+            return "triad", self.shrink(triad)
+        triangle = find_triangle(m, cover)
+        if triangle is not None:
+            return "triad", self.shrink(triangle, dual=True)
+        return None
+
+    def _cut(self, outside, z):
+        """M / z; the chain goes on in M | z.  With two elements outside z,
+        M / z has rank 1 and neither is a loop: a parallel pair, built
+        without contracting z."""
+        struct, m = self.struct, self.struct.matroid
+        self.struct = _frame_minor(struct, m, frozenset(), outside)
+        if len(outside) == 2:
+            return gf2_leaf(Gf2Matroid(dict.fromkeys(sorted(outside), 1)))
+        return _frame_minor(struct, m, z, frozenset())
+
+    def _minor(self, contract, delete) -> Gf2Matroid:
+        m = self.struct.matroid
+        self.struct = _frame_minor(self.struct, m, frozenset({contract}), frozenset({delete}))
+        return m
+
+
+def _irreducible(struct, inst: Instance, last, out_trace: list, mode: str, cap: int) -> list:
+    """The steps of a frame no reduction applies to: a 2-/3-sum route of
+    its structure, else the exhaustive search up to the cap."""
+    m = inst.matroid
     routable = not inst.forbidden and last is None
     if isinstance(struct, _Pending) and (routable or len(m.ground) > cap):
         struct = structure_minors(*struct[:3])  # the route or the refusal reads the tree
@@ -414,65 +495,6 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         f"irreducible instance on {len(m.ground)} elements has no known structure "
         f"and exceeds the search cap {cap}"
     )
-
-
-def _one_child(red, child_struct, last, out_trace: list, **extra):
-    """Trace a one-child reduction and hand its child on as a frame."""
-    node = TraceNode(red.certificate.kind, {**red.certificate.payload, **extra})
-    out_trace.append(node)
-    child_tableaux = red.tableaux[0] if red.tableaux else None
-    return _tree(red, [(child_struct, red.children[0], last, node.children, child_tableaux)])
-
-
-def _tree(red, frames: list) -> tuple:
-    """A reduction's node, and its children's frames, each with the slot
-    its node fills (in the order the parent runs them)."""
-    kids = [None] * len(frames)
-    return _Node(red.triad, kids), [(f, kids, red.order.index(k)) for k, f in enumerate(frames)]
-
-
-def _graph_chain(chain: GraphChain, out_trace: list) -> tuple:
-    """Run a graph frame's chain of reductions in place (``GraphChain``):
-    the path of nodes from its first frame, and the frames it hands back,
-    each split's parallel pair and the frame the chain ends on, with their
-    slots.  Trace nodes and certificates are those of the generic
-    reductions."""
-    root: list = [None]
-    slots, at, frames = root, 0, []
-    while True:
-        kind, level = chain.reduce()
-        if kind == "tight_split":
-            z, restrict_last, (struct, inst, last, tabs) = level
-            node = TraceNode(kind, {"z": z, "restrict_last": restrict_last})
-            inner, outer = TraceNode("child"), TraceNode("child")
-            node.children += (inner, outer)
-            kids, lift, trace = [None, None], None, inner.children
-            kids_at = (1, 0) if restrict_last else (0, 1)  # the chain's, the pair's
-            frames.append(((struct, inst, last, outer.children, tabs), kids, kids_at[1]))
-        else:
-            payload, lift = level
-            node = TraceNode(kind, payload)
-            kids, kids_at, trace = [None], (0,), node.children
-        out_trace.append(node)
-        slots[at] = _Node(lift, kids)
-        slots, at, out_trace = kids, kids_at[0], trace
-        if chain.done():
-            struct, inst, last, tabs = chain.frame()
-            frames.append(((struct, inst, last, out_trace, tabs), slots, at))
-            return root[0], frames
-
-
-def _recording_factory(struct, record: list):
-    def factory(m, contract=(), delete=(), parallel=None):
-        if parallel is None:
-            sub = _frame_minor(struct, m, _as_frozen(contract), _as_frozen(delete))
-        else:
-            # a parallel pair, built directly (``Matroid.parallel_pair``)
-            sub = as_structure(m.parallel_pair(*parallel))
-        record.append(sub)
-        return sub.matroid
-
-    return factory
 
 
 class _Pending(NamedTuple):

@@ -1,30 +1,29 @@
-"""Instance reductions: uncovered elements, common elements, tight sets and
-size-three cocircuits.  The rank <= 2 frames they end on are solved by the
-exhaustive search of ``exchange.bfs_oracle`` (see ``pipeline``).
+"""Instance reductions: tight sets and size-three cocircuits, and the entry
+rules of an instance.  The strips of uncovered and common elements, and the
+rank <= 2 frames the reductions end on, are the engine's (``pipeline``).
 
-Each reduction shrinks an instance and records its lift as data: the order
-in which the parent runs its children's sequences, and for a triad the
-elements, fix-up steps and frame data that replace each child step using
-t1 (``TriadLift``).  ``Reduction.lift`` maps solved child sequences back to
-the parent one level at a time, preserving F-avoidance and, where stated,
-the element used in the last step; the engine (``pipeline``) instead lifts
-the whole reduction tree in one forward pass with the same replacement.
-Certificates record what was applied so a solve can be replayed
-deterministically.
+Past the strips a frame's pairs are disjoint and cover its ground set, and
+so are those of a tight split's restriction and of a triad's minor.  So the
+engine reduces a frame level after level on one mutable state (``Chain``):
+the pairs and F as sets, the designated last element, and the tableaux of
+the pairs' bases (``PairTableaux``), from which tightness and the fix-up
+checks are read as bits and which each reduction updates in place.
+``Chain.split`` and ``Chain.shrink`` hold the bookkeeping of the two
+reductions once; a graph (``graphic.GraphChain``) and a GF(2) frame
+(``pipeline.MatrixChain``) differ only in how they pick a reduction and how
+they take a level's minor.  The triad and triangle searches read a GF(2)
+matrix: the frame's own, or a tableau's transpose for the dual.
 
-The tight-set split and the triad reduction read the tableaux of the
-instance's bases (``PairTableaux``), built when not given: tightness and the
-fix-up checks are bits, and the reduction hands the tableaux on to its
-children, updated in place.  The triad and triangle searches read a GF(2)
-matrix: the frame's own, or a tableau's transpose for the dual.  The
-updates need a binary matroid, and the engine solves every frame as a graph
-or a GF(2) matrix.  A graph's chain (``graphic.GraphChain``) runs the
-same split, fix-up rule (``_triad_fixups``) and tableau updates in place.
+Each level records its lift as data: the order in which the parent runs a
+split's two sides, and for a triad the elements, fix-up steps and frame
+data that replace each child step using t1 (``TriadLift``).  The engine
+lifts the whole chain, and the tree of chains, in one forward pass, and its
+certificates (the trace) let a solve be replayed deterministically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen, _bits, _decode, _encode
@@ -73,10 +72,6 @@ class Instance:
             raise ReductionError("forbidden set must stay inside matching intersections")
         return cls(m, x, y, forbidden)
 
-    def validate(self) -> None:
-        """Raise unless the instance passes the entry rules of a transform."""
-        Instance.checked(self.matroid, "white", self.x, self.y, self.forbidden)
-
 
 def _as_pair(m: Matroid, pair) -> BasisPair:
     """``pair`` (a BasisPair or (first, second)) as a BasisPair of m."""
@@ -84,6 +79,12 @@ def _as_pair(m: Matroid, pair) -> BasisPair:
         return BasisPair(pair.first, pair.second, m)
     first, second = pair
     return BasisPair(_as_frozen(first), _as_frozen(second), m)
+
+
+def _instance(m: Matroid, sets, forbidden) -> Instance:
+    """The instance on m of the pairs (x1, x2, y1, y2) and F, frozen."""
+    x1, x2, y1, y2 = map(frozenset, sets)
+    return Instance(m, BasisPair(x1, x2, m), BasisPair(y1, y2, m), frozenset(forbidden))
 
 
 class PairTableaux:
@@ -146,12 +147,6 @@ class PairTableaux:
             tab.minor(contract, delete)
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
-    kind: str
-    payload: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True, slots=True)
 class TriadLift:
     """A triad reduction's lift as data.  The child lives on M / t2 \\ t3
@@ -159,11 +154,12 @@ class TriadLift:
     orientation of the fixed pairs, swapped when ``swapped``.  The parent
     runs ``prefix`` (the x fix-up, or None), then the child's steps with each
     one using t1 replaced by two (``replace``), then ``suffix`` (the reversed
-    y fix-up, or None).  The child is not kept, only what the one query of a
-    replacement reads: the parent's ``frame``, whose ``ground`` is the
-    parent's ground set and whose ``_independent`` answers the query.  That
-    is the frame's graph or GF(2) matrix, or for a level of a graph solve's
-    chain (``graphic.GraphChain``) a copy of that level's edge ends
+    y fix-up, or None); the engine's forward pass does this for a whole tree
+    of reductions at once.  The child is not kept, only what the one query
+    of a replacement reads: the parent's ``frame``, whose ``ground`` is the
+    parent's ground set and whose ``_independent`` answers the query.  A
+    chain level keeps it when it takes its minor (``Chain.shrink``): a GF(2)
+    frame its matrix, a graph a copy of that level's edge ends
     (``graphic.LevelEdges``).  The query stops at the first dependency and
     caches nothing: the lifts of a whole reduction tree run together, and
     their sets seldom repeat."""
@@ -204,96 +200,6 @@ class TriadLift:
         if e == t1:
             return ExchangeStep(a, t3), ExchangeStep(b, f)
         return ExchangeStep(t3, a), ExchangeStep(e, b)
-
-    def lift(self, seq, start: BasisPair) -> list:
-        """The parent's steps for the child's sequence ``seq`` from the
-        child's start pair ``start``."""
-        out = []
-        cur1, cur2 = set(start.first), set(start.second)  # the child's pair, step by step
-        for e, f in seq:
-            out += self.replace(e, f, cur1, cur2) if self.t1 in (e, f) else [ExchangeStep(e, f)]
-            cur1.discard(e)
-            cur1.add(f)
-            cur2.discard(f)
-            cur2.add(e)
-        if self.swapped:
-            out = [s.reversed() for s in out]
-        return [s for s in (self.prefix, *out, self.suffix) if s is not None]
-
-
-@dataclass
-class Reduction:
-    """One applied reduction: child instances, certificate, and its lift as
-    data.
-
-    The parent runs its children's sequences in ``order`` (child indices),
-    each through ``triad`` for a triad reduction.  ``lift`` takes one solved
-    sequence per child (in child order) and returns the list of parent steps.
-    ``tableaux`` holds, per child, the ``PairTableaux`` of its bases (None
-    for the strips).
-    """
-
-    children: list
-    certificate: ReductionCertificate
-    order: tuple = (0,)
-    triad: Optional[TriadLift] = None
-    tableaux: Optional[list] = None
-
-    def lift(self, *seqs) -> list:
-        if self.triad is not None:
-            (seq,) = seqs
-            return self.triad.lift(seq, self.children[0].x)
-        return [step for i in self.order for step in seqs[i]]
-
-
-def default_minor(m: Matroid, contract=(), delete=(), parallel=None) -> Matroid:
-    """M / contract \\ delete.  ``parallel``, when given, names the two
-    elements of a minor known to be a parallel pair (rank 1, neither a
-    loop), which is then built directly (``Matroid.parallel_pair``)."""
-    if parallel is not None:
-        return m.parallel_pair(*parallel)
-    return m.minor(contract=contract, delete=delete)
-
-
-def _repair(pair: BasisPair, matroid: Matroid, drop=frozenset()) -> BasisPair:
-    return BasisPair(pair.first - drop, pair.second - drop, matroid)
-
-
-# -- uncovered elements and common elements ---------------------------------
-
-
-def delete_uncovered(inst: Instance, minor=default_minor) -> Optional[Reduction]:
-    """Restrict to the union of the bases; elements outside it never move."""
-    removed = inst.matroid.ground - inst.x.union
-    if not removed:
-        return None
-    child_m = minor(inst.matroid, frozenset(), removed)
-    child = Instance(
-        child_m,
-        _repair(inst.x, child_m),
-        _repair(inst.y, child_m),
-        inst.forbidden,
-    )
-    cert = ReductionCertificate("delete_uncovered", {"removed": removed})
-    return Reduction([child], cert)
-
-
-def contract_common(inst: Instance, minor=default_minor) -> Optional[Reduction]:
-    """Contract X1 ∩ X2 (= Y1 ∩ Y2 for compatible pairs); steps are unchanged."""
-    if not compatible(inst.x, inst.y):
-        raise IncompatiblePairsError("pairs are not compatible")
-    common = inst.x.common
-    if not common:
-        return None
-    child_m = minor(inst.matroid, common, frozenset())
-    child = Instance(
-        child_m,
-        _repair(inst.x, child_m, drop=common),
-        _repair(inst.y, child_m, drop=common),
-        inst.forbidden - common,
-    )
-    cert = ReductionCertificate("contract_common", {"contracted": common})
-    return Reduction([child], cert)
 
 
 # -- tight sets --------------------------------------------------------------
@@ -343,54 +249,6 @@ def _closure(arcs: dict, v: int, full: int) -> int:
         frontier = new & full & ~seen
         seen |= frontier
     return seen
-
-
-def split_on_tight_set(
-    inst: Instance, z, minor=default_minor, restrict_last: bool = False, tableaux=None
-) -> Reduction:
-    """Split into the restriction to Z and the contraction of Z.
-
-    The lift concatenates the two solved sequences; by default the
-    restriction part runs first, so a designated last-step element of the
-    contraction part stays last.  ``restrict_last`` flips the order, which is
-    equally valid and keeps a last-step element inside Z last instead.
-    The tableaux (built when not given) answer whether Z is tight
-    (``_tight_in_tableaux``) and are split in place between the two sides.
-    With two elements outside Z (E - delta(u) at a degree-2 vertex u of a
-    graph) M / Z has rank |E - Z| / 2 = 1 and each basis keeps one of the
-    two, so it is a parallel pair and is built as one, without contracting
-    Z.
-    """
-    z = _as_frozen(z)
-    m = inst.matroid
-    if not z or z >= m.ground:
-        raise ReductionError("tight set must be nonempty and proper")
-    outside = m.ground - z
-    tableaux = tableaux or PairTableaux.of(inst)
-    if not _tight_in_tableaux((inst.x.first, inst.x.second), tableaux.x, z, outside):
-        raise ReductionError("set is not tight")
-    m_z = minor(m, frozenset(), outside)
-    if len(outside) == 2:
-        m_rest = minor(m, z, frozenset(), parallel=tuple(sorted(outside)))
-    else:
-        m_rest = minor(m, z, frozenset())
-    child_z = Instance(
-        m_z,
-        BasisPair(inst.x.first & z, inst.x.second & z, m_z),
-        BasisPair(inst.y.first & z, inst.y.second & z, m_z),
-        inst.forbidden & z,
-    )
-    child_rest = Instance(
-        m_rest,
-        BasisPair(inst.x.first - z, inst.x.second - z, m_rest),
-        BasisPair(inst.y.first - z, inst.y.second - z, m_rest),
-        inst.forbidden - z,
-    )
-    cert = ReductionCertificate("tight_split", {"z": z, "restrict_last": restrict_last})
-    order = (1, 0) if restrict_last else (0, 1)
-    return Reduction(
-        [child_z, child_rest], cert, order, tableaux=[tableaux, tableaux.split(outside)]
-    )
 
 
 def _tight_in_tableaux(bases: tuple, tabs, z: frozenset, outside: frozenset) -> bool:
@@ -462,28 +320,6 @@ def _first_triangle(cols: dict, cover) -> Optional[frozenset]:
     return None
 
 
-def make_consistent_on_triad(inst: Instance, triad, tableaux=None):
-    """Fix-up exchanges making both pairs split the triad the same way.
-
-    Returns (step_x, step_y, fixed_instance); each step is None when the
-    corresponding pair needs no change.  The steps follow ``_triad_fixups``,
-    with validity read from ``tableaux``, built when not given.
-    """
-    tset = _as_frozen(triad)
-    m = inst.matroid
-    tableaux = tableaux or PairTableaux.of(inst)
-    step_x, step_y, cx, cy = _triad_fixups(tset, inst.x.first & tset, inst.y.first & tset, tableaux)
-
-    def fixed_pair(pair: BasisPair, first_t) -> BasisPair:
-        second_t = tset - first_t
-        if pair.first & tset == first_t and pair.second & tset == second_t:
-            return BasisPair(pair.first, pair.second, m)
-        return BasisPair((pair.first - tset) | first_t, (pair.second - tset) | second_t, m)
-
-    fixed = Instance(m, fixed_pair(inst.x, cx), fixed_pair(inst.y, cy), inst.forbidden)
-    return step_x, step_y, fixed
-
-
 def _triad_fixups(tset: frozenset, x_inside, y_inside, tableaux: PairTableaux) -> tuple:
     """The fix-up rule on a triad ``tset`` that the first bases of x and y
     meet in ``x_inside`` and ``y_inside``: (step_x, step_y, cx, cy), the
@@ -525,79 +361,115 @@ def _triad_fixups(tset: frozenset, x_inside, y_inside, tableaux: PairTableaux) -
     return step_x, step_y, cx, cy
 
 
-def reduce_triad(
-    inst: Instance, triad, minor=default_minor, tableaux=None, dual: bool = False
-) -> Reduction:
-    """Shrink along a triad: contract one of its first-basis elements and
-    delete the second-basis one.
-
-    Applies the consistency fix-ups first; the child instance lives on
-    M / t2 \\ t3.  The lift (``TriadLift``) re-inflates every intermediate
-    pair (t2 joins the side holding t1, t3 the other side) and replaces each
-    step using t1 by two steps: the first option when one independence test
-    finds its middle pair to consist of bases, else the second, whose pair then
-    does, as a circuit and a cocircuit never share exactly one element
-    (``TriadLift.replace``).  The parent's rank is read from the child's
-    pair, never from a query of its ground set.  Width is preserved on
-    surviving elements and length grows by at most the number of t1 usages.
-
-    With ``dual``, ``triad`` is a triangle of M, a triad of M*, and the
-    child lives on (M* / t2 \\ t3)* = M / t3 \\ t2.  The pairs must be
-    disjoint and covering: then a pair of bases of M is also one of M*, and
-    an exchange is valid in both or in neither, so the fix-ups and the lift
-    ask M itself.  The fix-ups pivot the tableaux (built when not given) in
-    place, copying only one the other pair shares (``PairTableaux.fixed``),
-    and they become the child's.
-    """
-    t = _as_frozen(triad)
-    if inst.forbidden & t:
-        raise ReductionError("forbidden set must avoid the triad")
-    m = inst.matroid
-    if dual and (inst.x.first & inst.x.second or inst.x.union != m.ground):
-        raise ReductionError("a triangle reduction needs a disjoint covering pair")
-    tableaux = tableaux or PairTableaux.of(inst)
-    step_x, step_y, fixed = make_consistent_on_triad(inst, t, tableaux)
-
-    swapped = len(fixed.x.first & t) == 1
-    if swapped:
-        work = Instance(fixed.matroid, fixed.x.swapped(), fixed.y.swapped(), fixed.forbidden)
-    else:
-        work = fixed
-    t1, t2 = sorted(work.x.first & t)
-    (t3,) = work.x.second & t
-
-    if {t1, t2} <= work.y.first:
-        y_child = BasisPair(work.y.first - {t2}, work.y.second - {t3})
-    elif {t1, t2} <= work.y.second:
-        y_child = BasisPair(work.y.first - {t3}, work.y.second - {t2})
-    else:
-        raise ReductionError("pairs are not consistent on the triad")
-
-    contract, delete = (t3, t2) if dual else (t2, t3)
-    child_m = minor(m, frozenset({contract}), frozenset({delete}))
-    child = Instance(
-        child_m,
-        BasisPair(work.x.first - {t2}, work.x.second - {t3}, child_m),
-        BasisPair(y_child.first, y_child.second, child_m),
-        work.forbidden,
-    )
-    child_tableaux = tableaux.fixed(step_x, step_y, swapped)
-    child_tableaux.minor(contract, delete)
-    cert = ReductionCertificate("triad", _triad_payload(t, t1, t2, t3, swapped, step_x, step_y))
-    lift = TriadLift(
-        t1, t2, t3, delete, swapped, step_x, step_y.reversed() if step_y else None, m
-    )
-    return Reduction([child], cert, triad=lift, tableaux=[child_tableaux])
+# -- the chain of reductions ---------------------------------------------------
 
 
-def _triad_payload(t, t1, t2, t3, swapped, step_x, step_y) -> dict:
-    """A triad reduction's certificate payload."""
-    return {
-        "triad": t,
-        "t1": t1,
-        "t2": t2,
-        "t3": t3,
-        "swapped": swapped,
-        "fix_x": tuple(step_x) if step_x else None,
-        "fix_y": tuple(step_y) if step_y else None,
-    }
+class Chain:
+    """A frame's chain of reductions, run in place.
+
+    The state is the pairs x = (x1, x2) and y = (y1, y2) and F as mutable
+    sets, the designated ``last`` element, and the pairs' ``PairTableaux``.
+    ``split`` and ``shrink`` apply a tight split and a triad reduction to it;
+    a subclass picks each level's reduction (``reduce``: ("tight_split",
+    ``split``'s result), ("triad", ``shrink``'s result), or None when none
+    applies), takes the level's minors (``_cut``, ``_minor``) and hands the
+    current frame back to the engine (``frame``: structure, instance,
+    ``last``, tableaux).  ``done`` says when the frame is the identity or
+    has rank at most 2."""
+
+    __slots__ = ("x1", "x2", "y1", "y2", "forbidden", "last", "tableaux")
+
+    def __init__(self, inst: Instance, last, tableaux: PairTableaux):
+        self.x1, self.x2 = set(inst.x.first), set(inst.x.second)
+        self.y1, self.y2 = set(inst.y.first), set(inst.y.second)
+        self.forbidden = set(inst.forbidden)
+        self.last = last
+        self.tableaux = tableaux
+
+    def done(self) -> bool:
+        return len(self.x1) <= 2 or (self.x1 == self.y1 and self.x2 == self.y2)
+
+    def _instance(self, m: Matroid) -> Instance:
+        return _instance(m, (self.x1, self.x2, self.y1, self.y2), self.forbidden)
+
+    def split(self, outside: frozenset) -> tuple:
+        """Split on the tight set z, the ground set minus ``outside``: the
+        chain goes on in M | z, and M / z (``_cut``) goes back to the
+        engine.  Returns (z, restrict_last, M / z's frame).  The parent runs
+        the restriction's sequence first, or last when ``restrict_last``
+        (the designated last element lies in z), so that element stays last.
+        The tableaux answer whether z is tight (``_tight_in_tableaux``) and
+        are split between the two sides."""
+        sets = (self.x1, self.x2, self.y1, self.y2)
+        z = frozenset(self.x1 | self.x2) - outside  # the pairs cover the frame
+        if not z or not outside:
+            raise ReductionError("tight set must be nonempty and proper")
+        if not _tight_in_tableaux((self.x1, self.x2), self.tableaux.x, z, outside):
+            raise ReductionError("set is not tight")
+        rest = self._cut(outside, z)
+        rest_inst = _instance(rest.matroid, [s & outside for s in sets], self.forbidden & outside)
+        last = self.last
+        restrict_last = last is not None and last in z
+        rest_last = last if last in outside else None
+        self.last = last if restrict_last else None
+        for s in sets:
+            s -= outside
+        self.forbidden -= outside
+        return z, restrict_last, (rest, rest_inst, rest_last, self.tableaux.split(outside))
+
+    def shrink(self, t: frozenset, dual: bool = False) -> tuple:
+        """Shrink along the triad t: the fix-ups (``_triad_fixups``), which
+        make both pairs split t the same way, then the child on M / t2 \\ t3,
+        where t1 < t2 are the elements of t in the first basis of the fixed x
+        (the pairs are swapped when it held one) and t3 is the third.
+        Returns the certificate payload and the lift (``TriadLift``), whose
+        frame is the parent's (``_minor``).  Width is preserved on surviving
+        elements, and length grows by at most the number of t1 usages.
+
+        With ``dual``, t is a triangle of M, a triad of M*, and the child
+        lives on (M* / t2 \\ t3)* = M / t3 \\ t2.  The pairs are disjoint and
+        covering, so a pair of bases of M is also one of M*, and an exchange
+        is valid in both or in neither: the fix-ups and the lift ask M
+        itself.  The fix-ups pivot the tableaux in place, copying only one
+        the other pair shares (``PairTableaux.fixed``)."""
+        if self.forbidden & t:
+            raise ReductionError("forbidden set must avoid the triad")
+        step_x, step_y, cx, cy = _triad_fixups(t, t & self.x1, t & self.y1, self.tableaux)
+        for first, second, first_t in ((self.x1, self.x2, cx), (self.y1, self.y2, cy)):
+            first -= t
+            first |= first_t
+            second -= t
+            second |= t - first_t
+        swapped = len(cx) == 1
+        if swapped:
+            self.x1, self.x2, self.y1, self.y2 = self.x2, self.x1, self.y2, self.y1
+        t1, t2 = sorted(t & self.x1)
+        (t3,) = t & self.x2
+        if t1 in self.y1 and t2 in self.y1:
+            self.y1.discard(t2)
+            self.y2.discard(t3)
+        elif t1 in self.y2 and t2 in self.y2:
+            self.y1.discard(t3)
+            self.y2.discard(t2)
+        else:
+            raise ReductionError("pairs are not consistent on the triad")
+        self.x1.discard(t2)
+        self.x2.discard(t3)
+        contract, delete = (t3, t2) if dual else (t2, t3)
+        self.tableaux = self.tableaux.fixed(step_x, step_y, swapped)
+        self.tableaux.minor(contract, delete)
+        suffix = step_y.reversed() if step_y else None
+        frame = self._minor(contract, delete)
+        lift = TriadLift(t1, t2, t3, delete, swapped, step_x, suffix, frame)
+        payload = {
+            "triad": t,
+            "t1": t1,
+            "t2": t2,
+            "t3": t3,
+            "swapped": swapped,
+            "fix_x": tuple(step_x) if step_x else None,
+            "fix_y": tuple(step_y) if step_y else None,
+        }
+        if dual:
+            payload["dualized"] = True
+        return payload, lift

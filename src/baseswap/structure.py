@@ -88,7 +88,10 @@ def graphic_leaf(graph: Multigraph) -> Leaf:
 
 
 def cographic_leaf(graph: Multigraph) -> Leaf:
-    return Leaf("cographic", GraphicMatroid(graph).dual(), graph)
+    primal = GraphicMatroid(graph)
+    matroid = primal.dual()
+    matroid.dual_of = primal  # its pairs replay on the graph
+    return Leaf("cographic", matroid, graph)
 
 
 def gf2_leaf(matroid: Gf2Matroid) -> Leaf:

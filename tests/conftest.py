@@ -7,6 +7,7 @@ are checked against an implementation-independent path.
 
 import itertools
 from collections import deque
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -277,6 +278,89 @@ def reference_replace(lift, e, f, first, second):
     return steps[0] if option_a else steps[1], option_a, option_b
 
 
+def triad_lift(lift, seq, start) -> list:
+    """The parent's steps for the child's sequence ``seq`` from the child's
+    start pair ``start``, one triad level at a time: each child step using
+    t1 replaced by two (``TriadLift.replace``), all of them reversed when
+    the pairs were swapped, between the x fix-up and the reversed y fix-up.
+    The engine's forward pass lifts a whole tree of levels in one walk."""
+    out = []
+    cur1, cur2 = set(start.first), set(start.second)  # the child's pair, step by step
+    for e, f in seq:
+        out += lift.replace(e, f, cur1, cur2) if lift.t1 in (e, f) else [ExchangeStep(e, f)]
+        cur1.discard(e)
+        cur1.add(f)
+        cur2.discard(f)
+        cur2.add(e)
+    if lift.swapped:
+        out = [s.reversed() for s in out]
+    return [s for s in (lift.prefix, *out, lift.suffix) if s is not None]
+
+
+class Level(NamedTuple):
+    """One level of a chain of reductions applied to an instance
+    (``chain_level``): its certificate payload, its child instances (for a
+    split the restriction M | z, then M / z), their tableaux, the order in
+    which the parent runs them, and a triad's lift (None for a split)."""
+
+    payload: dict
+    children: list
+    tableaux: list
+    order: tuple
+    triad: object
+
+    def lift(self, *seqs) -> list:
+        """The parent's steps for one solved sequence per child, in child
+        order: a triad's through ``triad_lift``, a split's concatenated in
+        ``order``."""
+        if self.triad is not None:
+            (seq,) = seqs
+            return triad_lift(self.triad, seq, self.children[0].x)
+        return [step for i in self.order for step in seqs[i]]
+
+
+def chain_level(inst, z=None, triad=None, dual=False, last=None, tableaux=None, graph=False):
+    """One level of the engine's chain of reductions on ``inst``, a frame
+    whose pairs are disjoint and cover its ground set: the split on the
+    tight set ``z``, or the shrink along ``triad`` (a triangle, with
+    ``dual``), with ``last`` designated and the pairs' tableaux (built when
+    not given).  The chain is a graph's (``graphic.GraphChain``) with
+    ``graph``, else a GF(2) frame's (``pipeline.MatrixChain``) on the
+    instance's matroid as a leaf.  Returns a ``Level``."""
+    from baseswap.graphic import GraphChain
+    from baseswap.pipeline import MatrixChain
+    from baseswap.reductions import PairTableaux
+    from baseswap.structure import as_structure
+
+    m = inst.matroid
+    tableaux = tableaux or PairTableaux.of(inst)
+    if graph:
+        chain = GraphChain(m.graph, inst, last, tableaux)
+    else:
+        chain = MatrixChain(as_structure(m), inst, last, tableaux)
+    if triad is None:
+        z, restrict_last, (_, rest, _, rest_tableaux) = chain.split(m.ground - frozenset(z))
+        _, child, _, tabs = chain.frame()
+        order = (1, 0) if restrict_last else (0, 1)
+        payload = {"z": z, "restrict_last": restrict_last}
+        return Level(payload, [child, rest], [tabs, rest_tableaux], order, None)
+    payload, lift = chain.shrink(frozenset(triad), dual)
+    _, child, _, tabs = chain.frame()
+    return Level(payload, [child], [tabs], (0,), lift)
+
+
+def strip_level(inst) -> tuple:
+    """The engine's strips (``pipeline._strip``) on ``inst``, as a leaf:
+    the instance left, and the trace nodes of the strips that applied,
+    outermost first."""
+    from baseswap.pipeline import _strip
+    from baseswap.structure import as_structure
+
+    trace: list = []
+    _, child, _ = _strip(as_structure(inst.matroid), inst, trace)
+    return child, trace[0].flatten() if trace else []
+
+
 def checked_replace(replace, options):
     """A stand-in for ``TriadLift.replace`` that calls ``replace`` and
     requires its steps to equal ``reference_replace``'s, with option A or
@@ -497,8 +581,18 @@ def reference_degree(edges) -> dict:
     return deg
 
 
+def bucket_pick(graph, forbidden=(), last=None):
+    """A graph chain's pick (``graphic._Buckets``) on a whole graph: a
+    degree-2 vertex, else a degree-3 vertex clear of F and the ``last``
+    edge, the first in ``sorted(vertices, key=str)`` order, of equal names
+    the one the edges reach first."""
+    from baseswap.graphic import _Buckets
+
+    return _Buckets(graph.incidence()).pick(graph.edges, frozenset(forbidden), last)
+
+
 def reference_pick_reduction_vertex(graph, forbidden=(), last=None):
-    """``graphic.pick_reduction_vertex`` by the scan it replaced: degrees
+    """``bucket_pick`` by the scan it replaced: degrees
     from the edge dict, vertices sorted by ``str`` (stable, so equal names
     keep the order the edges reach them), the first of degree 2, else the
     first of degree 3 that no forbidden edge and not the ``last`` edge

@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +23,7 @@ from baseswap.exchange import (
 from baseswap.io import sequence_to_text
 from baseswap.gen import random_bispanning_graph
 from baseswap.matroid import Gf2Matroid, GraphicMatroid, Multigraph, graphic_matroid
+from baseswap.structure import cographic_leaf
 
 from conftest import (
     A,
@@ -368,29 +368,30 @@ class TestForestReplayAtScale:
 
     @pytest.mark.parametrize("m, pair", _scale_cases())
     def test_cographic_replay_matches_the_gf2_tableaux(self, m, pair):
-        # the same walks on M*(G): forests of the complements against the
-        # tableaux of the dual's GF(2) matrix
+        # the same walks on M*(G): forests of the complements, for a
+        # cographic leaf's matrix, against the tableaux of the same matrix
+        # built without its graph
         rng = random.Random(len(m.ground) + 1)
         dual = m.dual()
         pair = BasisPair(m.ground - pair.first, m.ground - pair.second, dual)
+        on_graph = BasisPair(pair.first, pair.second, cographic_leaf(m.graph).matroid)
         walk = _valid_walk(dual, pair, 300, rng)
         assert len(walk) >= 200
         for mutation, (steps, forbidden) in _mutations(dual, walk, rng).items():
-            got = _outcome(partial(apply_and_validate, graph=m), pair, steps, forbidden)
+            got = _outcome(apply_and_validate, on_graph, steps, forbidden)
             assert got == _outcome(apply_and_validate, pair, steps, forbidden), mutation
             _assert_fails_where_it_must(mutation, got)
 
     @settings(max_examples=200, deadline=None)
     @given(multigraphs(), st.randoms(use_true_random=False))
     def test_cographic_mutated_walks_match_on_small_graphs(self, g, rng):
-        m = GraphicMatroid(g)
-        dual = m.dual()
+        dual = cographic_leaf(g).matroid
         pair = BasisPair(random_basis(dual, rng), random_basis(dual, rng), dual)
         walk = _valid_walk(dual, pair, rng.randint(1, 8), rng)
         if not walk:
             return
         for mutation, (steps, forbidden) in _mutations(dual, walk, rng).items():
-            got = _outcome(partial(apply_and_validate, graph=m), pair, steps, forbidden)
+            got = _outcome(apply_and_validate, pair, steps, forbidden)
             assert got == _outcome(reference_replay, pair, steps, forbidden), mutation
 
 
@@ -399,21 +400,45 @@ def _refuse(*args):
 
 
 class TestReplayDispatch:
+    @pytest.mark.parametrize("mode", ["white", "gabow"])
+    def test_verify_replays_a_cographic_file_on_its_graph(self, mode, tmp_path, capsys, monkeypatch):
+        # ``baseswap verify`` on a one-leaf cographic tree builds no GF(2)
+        # tableau: it accepts the solved sequence, and names the first
+        # failing step of one with a step repeated
+        from baseswap.cli import _gen_bispanning, main
+
+        obj = _gen_bispanning(30, random.Random(8), mode)
+        tree = {"nodes": [{"id": "c", "tag": "cographic", "graph": obj["matroid"]["text"]}]}
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({**obj, "matroid": {"kind": "tree", "tree": tree}}))
+        assert main(["solve", str(inst), "--json"]) == 0
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        monkeypatch.setattr(Gf2Matroid, "tableau", _refuse)
+        k = len(steps) // 2
+        seq = tmp_path / "seq.json"
+        for sent, want in (
+            (steps, "ok"),
+            (steps[: k + 1] + steps[k:], f"fail at step {k + 1}: invalid exchange ({steps[k]['e']}, {steps[k]['f']})"),
+        ):
+            seq.write_text(json.dumps(sent))
+            assert main(["verify", str(inst), str(seq)]) == (0 if want == "ok" else 1)
+            assert capsys.readouterr().out.strip() == want
+
     def test_a_graph_pair_builds_no_tableau(self, monkeypatch):
         g, pair = random_bispanning_graph(30, random.Random(5))
         m = GraphicMatroid(g)
         pair = BasisPair(pair.first, pair.second, m)
         walk = _valid_walk(m, pair, 60, random.Random(6))
         expected = reference_replay(pair, walk)
-        dual_pair = BasisPair(pair.second, pair.first, m.dual())
+        dual_pair = BasisPair(pair.second, pair.first, cographic_leaf(g).matroid)
         dual_walk = _valid_walk(dual_pair.matroid, dual_pair, 60, random.Random(7))
         dual_expected = reference_replay(dual_pair, dual_walk)
         monkeypatch.setattr(GraphicMatroid, "tableau", _refuse)
         monkeypatch.setattr(Gf2Matroid, "tableau", _refuse)
         final = apply_and_validate(pair, walk)
         assert (final.first, final.second) == (expected.first, expected.second)
-        # a cographic pair replayed on its graph builds none either
-        final = apply_and_validate(dual_pair, dual_walk, (), m)
+        # a cographic leaf's pair, replayed on its graph, builds none either
+        final = apply_and_validate(dual_pair, dual_walk)
         assert (final.first, final.second) == (dual_expected.first, dual_expected.second)
 
     @pytest.mark.parametrize("graph", [False, True])
@@ -421,7 +446,7 @@ class TestReplayDispatch:
         # {a, e, f} is a triangle of K4: not a basis of M(K4), and the
         # complement of {b, c, d}, so {b, c, d} is not a basis of M*(K4)
         m, _, _ = k4
-        host = m.dual() if graph else m
+        host = cographic_leaf(m.graph).matroid if graph else m
         pair = BasisPair(frozenset({A, E, F}), frozenset({B, C, D}), host)
         asked = []
 
@@ -431,19 +456,18 @@ class TestReplayDispatch:
 
         monkeypatch.setattr(exchange, "is_valid_exchange", counted)
         for steps in ([], [(A, B)], [(E, D), (A, B)]):
-            got = _outcome(partial(apply_and_validate, graph=m if graph else None), pair, steps, ())
+            got = _outcome(apply_and_validate, pair, steps, ())
             assert got == _outcome(reference_replay, pair, steps, ())
         assert asked
 
     @pytest.mark.parametrize("backend", ["graph", "gf2", "cographic", "rank"])
     def test_e_equal_f_and_elements_outside_the_ground_set_are_invalid(self, k4, backend):
         m, x, _ = k4
-        graph = None
         if backend == "gf2":
             m = Gf2Matroid(dict(enumerate([0b011, 0b110, 0b100, 0b101, 0b001, 0b010])))
             x = BasisPair(x.first, x.second, m)  # K4's incidence matrix, rows 1-3
         elif backend == "cographic":
-            graph, m = m, m.dual()
+            m = cographic_leaf(m.graph).matroid
             x = BasisPair(x.second, x.first, m)
         elif backend == "rank":
             m = DualMatroid(DualMatroid(m))
@@ -453,7 +477,7 @@ class TestReplayDispatch:
         valid = next(s for s in itertools.product(x.first, x.second) if is_valid_exchange(x, s))
         for steps in ([(e, e)], [(f, f)], [(e, 99)], [(99, f)], [(99, 99)], [valid, (99, e)]):
             with pytest.raises(SequenceValidationError) as err:
-                apply_and_validate(x, steps, (), graph)
+                apply_and_validate(x, steps)
             assert type(err.value) is SequenceValidationError
             assert err.value.index == len(steps) - 1
             assert tuple(err.value.step) == steps[-1]

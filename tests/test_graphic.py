@@ -16,7 +16,6 @@ from baseswap.gen import (
     random_forbidden_set,
 )
 from baseswap.graphic import (
-    pick_reduction_vertex,
     solve_graphic_gabow,
     solve_graphic_white,
     vertex_span,
@@ -27,7 +26,8 @@ from baseswap.reductions import IncompatiblePairsError, ReductionError
 from baseswap.structure import cographic_leaf, graphic_leaf
 
 from conftest import (
-    A, B, C, D, E, F, DT_EDGES, DualMatroid, reference_degree, reference_pick_reduction_vertex,
+    A, B, C, D, E, F, DT_EDGES, DualMatroid, bucket_pick, reference_degree,
+    reference_pick_reduction_vertex,
 )
 
 
@@ -244,19 +244,19 @@ class TestPlanarDuality:
 class TestPickVertex:
     def test_dt_degree_two(self, dt):
         m, _ = dt
-        vertex, kind = pick_reduction_vertex(m.graph)
+        vertex, kind = bucket_pick(m.graph)
         assert kind == "degree2" and vertex in (1, 3)
 
     def test_k4_avoids_forbidden_star(self, k4):
         # all four vertices have degree 3; F = {b} = edge 23 blocks 2 and 3
         m, _, _ = k4
-        vertex, kind = pick_reduction_vertex(m.graph, forbidden={B})
+        vertex, kind = bucket_pick(m.graph, forbidden={B})
         assert kind == "degree3" and vertex in (1, 4)
         assert B not in m.graph.incident(vertex)
 
     def test_avoids_last_edge(self, k4):
         m, _, _ = k4
-        vertex, kind = pick_reduction_vertex(m.graph, last=A)  # a = 12
+        vertex, kind = bucket_pick(m.graph, last=A)  # a = 12
         assert vertex not in (1, 2)
 
     def test_covered_bispanning_always_has_low_degree(self):
@@ -265,7 +265,7 @@ class TestPickVertex:
         rng = random.Random(5)
         for _ in range(10):
             g, _ = random_bispanning_graph(rng.randint(4, 12), rng)
-            vertex, kind = pick_reduction_vertex(g)
+            vertex, kind = bucket_pick(g)
             deg = g.degree()
             assert deg[vertex] in (2, 3)
 

@@ -15,7 +15,6 @@ from baseswap.matroid import (
     _bits,
     graphic_matroid,
 )
-from baseswap.graphic import pick_reduction_vertex
 from baseswap.structure import cographic_leaf, compose_sum, graphic_leaf
 
 from conftest import (
@@ -28,6 +27,7 @@ from conftest import (
     DefinitionalSum,
     DualMatroid,
     MinorMatroid,
+    bucket_pick,
     dfs_forest_rank,
     gf2_matrices,
     multigraphs,
@@ -122,7 +122,7 @@ class TestIncidenceIndex:
         forbidden = data.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()))
         last = data.draw(st.none() | st.sampled_from(ids)) if ids else None
         picks = []
-        for pick in (pick_reduction_vertex, reference_pick_reduction_vertex):
+        for pick in (bucket_pick, reference_pick_reduction_vertex):
             try:
                 picks.append(pick(got, forbidden, last))
             except AssertionError:
@@ -157,7 +157,7 @@ class TestIncidenceIndex:
         h = g.delete_edges({0})
         order = list(h.degree())
         assert order.index("0") < order.index(0)
-        assert pick_reduction_vertex(h) == reference_pick_reduction_vertex(h) == (0, "degree2")
+        assert bucket_pick(h) == reference_pick_reduction_vertex(h) == (0, "degree2")
 
 
 class TestBasis:

@@ -1,6 +1,8 @@
 """The package surface: names resolved on first access, the modules a parse
-loads, and the structure classes' cached members."""
+loads, the structure classes' cached members, and no definition that
+nothing reads."""
 
+import ast
 import importlib
 import json
 import os
@@ -108,3 +110,59 @@ def test_leaf_and_sum_node_build_their_matrices_once():
     node = compose_structures(leaf, other, SumSpec(1))
     assert node.matroid is node.matroid is node.gf2
     assert node.ground is node.ground == leaf.ground | other.ground
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the public surface that only callers read
+CALLER_ONLY = {"SolveReport.certificates"}
+
+
+def _definitions(tree) -> list:
+    """(name, qualified name) of every function, method and class, dunder
+    methods aside; a method is qualified by its class."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            out.append((node.name, node.name))
+            out += [
+                (item.name, f"{node.name}.{item.name}")
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    methods = {qual for _, qual in out if "." in qual}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not any(qual.endswith(f".{node.name}") for qual in methods):
+                out.append((node.name, node.name))
+    return [(name, qual) for name, qual in out if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _references(tree) -> set:
+    """Every name, attribute, imported name and identifier string."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name.rsplit(".", 1)[-1], node.asname)))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                found.add(node.value)
+    return found
+
+
+def test_every_definition_is_read_by_the_library_or_the_bench():
+    # a function, method or class of ``src/baseswap`` that nothing in
+    # ``src/`` or ``perfbench/`` names is code the engine never calls; the
+    # tracer's identifier strings ("restrict") count as names
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    referenced = set().union(*map(_references, trees.values()))
+    library = [tree for path, tree in trees.items() if "baseswap" in path.parts]
+    unread = {
+        qual for tree in library for name, qual in _definitions(tree)
+        if name not in referenced and qual not in CALLER_ONLY
+    }
+    assert not unread, sorted(unread)

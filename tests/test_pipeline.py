@@ -33,14 +33,7 @@ from baseswap.pipeline import (
     solve_gabow,
     solve_white,
 )
-from baseswap.reductions import (
-    contract_common,
-    delete_uncovered,
-    find_triad,
-    find_triangle,
-    reduce_triad,
-    split_on_tight_set,
-)
+from baseswap.reductions import find_triad, find_triangle
 from baseswap.structure import (
     as_structure,
     compose_structures,
@@ -62,12 +55,14 @@ from conftest import (
     brute_circuits,
     brute_cocircuits,
     brute_sum_rank_fn,
+    chain_level,
     definitional_matroid,
     checked_replace,
     gf2_matrices,
     multigraphs,
     random_basis,
     r10_two_sum_tree,
+    strip_level,
     subsets,
 )
 
@@ -430,36 +425,28 @@ class TestTraceReplay:
     def _replay(self, inst, node):
         """Re-apply a recorded reduction: it must record the same
         certificate, and each recorded subtree must replay from the child
-        the reduction makes."""
-        if node.kind == "delete_uncovered":
-            red = delete_uncovered(inst)
-        elif node.kind == "contract_common":
-            red = contract_common(inst)
-        elif node.kind == "tight_split":
-            red = split_on_tight_set(
-                inst, node.payload["z"], restrict_last=node.payload["restrict_last"]
-            )
-        elif node.kind == "triad":
-            source = inst
-            if node.payload.get("dualized"):
-                dual_m = inst.matroid.dual()
-                source = Instance(
-                    dual_m,
-                    BasisPair(inst.x.first, inst.x.second, dual_m),
-                    BasisPair(inst.y.first, inst.y.second, dual_m),
-                    inst.forbidden,
-                )
-            red = reduce_triad(source, node.payload["triad"])
+        the reduction makes.  The strips run together, contract_common
+        nested in delete_uncovered; a tight split and a triad are one chain
+        level each."""
+        if node.kind in ("delete_uncovered", "contract_common"):
+            path = [node] + [n for n in node.children[:1] if n.kind == "contract_common"]
+            child, made = strip_level(inst)
+            assert [(n.kind, n.payload) for n in made] == [(n.kind, n.payload) for n in path]
+            children, subtrees = [child], [path[-1].children]
+        elif node.kind in ("tight_split", "triad"):
+            if node.kind == "tight_split":
+                level = chain_level(inst, z=node.payload["z"])
+                subtrees = [wrapper.children for wrapper in node.children]
+            else:
+                dual = node.payload.get("dualized", False)
+                level = chain_level(inst, triad=node.payload["triad"], dual=dual)
+                subtrees = [node.children]
+            assert level.payload == node.payload
+            children = level.children
         else:
             return  # terminal node
-        recorded = {k: v for k, v in node.payload.items() if k != "dualized"}
-        assert red.certificate.payload == recorded
-        if node.kind == "tight_split":
-            subtrees = [wrapper.children for wrapper in node.children]
-        else:
-            subtrees = [node.children]
-        assert len(subtrees) == len(red.children)
-        for subs, child in zip(subtrees, red.children):
+        assert len(subtrees) == len(children)
+        for subs, child in zip(subtrees, children):
             for sub in subs:
                 self._replay(child, sub)
 
@@ -471,13 +458,18 @@ class TestTraceReplay:
         g, gx = random_bispanning_graph(12, rng)
         gm = GraphicMatroid(g)
         gy = random_exchange_walk(gm, gx, 12, rng)
-        for m, x, y in ((m, x, y), (gm, gx, gy)):
+        # both strips: edge 5 lies outside the union, and edge 0 in every basis
+        sm = graphic_matroid({0: (1, 2), 1: (2, 3), 2: (1, 3), 3: (2, 4), 4: (3, 4), 5: (1, 4)})
+        sx = BasisPair(frozenset({0, 1, 3}), frozenset({0, 2, 4}), sm)
+        sy = BasisPair(frozenset({0, 2, 3}), frozenset({0, 1, 4}), sm)
+        kinds = set()
+        for m, x, y in ((m, x, y), (gm, gx, gy), (sm, sx, sy)):
             report = solve_white(m, x, y)
             inst = Instance(m, x, y)
             for node in report.trace.children:
                 self._replay(inst, node)
-        kinds = {n.kind for n in report.trace.flatten()}
-        assert {"tight_split", "triad"} <= kinds
+            kinds |= {n.kind for n in report.trace.flatten()}
+        assert {"tight_split", "triad", "delete_uncovered", "contract_common"} <= kinds
 
     def test_deterministic_traces(self, k4):
         m, x, y = k4
@@ -540,9 +532,9 @@ class TestMoreStructure:
         y = random_exchange_walk(GraphicMatroid(g), x, 12, rng)
         replay, graphs = pipeline.apply_and_validate, []
 
-        def recorded(pair, seq, forbidden=(), graph=None):
-            graphs.append(graph)
-            return replay(pair, seq, forbidden, graph)
+        def recorded(pair, seq, forbidden=()):
+            graphs.append(pair.matroid.dual_of)
+            return replay(pair, seq, forbidden)
 
         def refuse(*args):
             raise RuntimeError("a GF(2) tableau was built")
@@ -1050,31 +1042,34 @@ def strip_solves() -> dict:
 
 
 def test_frames_handed_tableaux_have_nothing_to_strip(monkeypatch):
-    # the children of a tight split or a triad, the frames handed tableaux,
-    # have disjoint pairs that cover their ground sets: neither strip
-    # applies to them.  A graph's chain reduces its levels in place, past
-    # ``_reduce``, so each level is observed where the chain reduces it
+    # the frames handed tableaux, and every level of a chain, have disjoint
+    # pairs that cover their ground sets: neither strip applies to them.
+    # A chain reduces its levels in place, past ``_reduce``, so each level
+    # is observed where the chain reduces it
     import baseswap.pipeline as pipeline
     from baseswap.graphic import GraphChain
-    from baseswap.reductions import contract_common, delete_uncovered
+    from baseswap.pipeline import MatrixChain
 
-    reduce, reduce_level, results = pipeline._reduce, GraphChain.reduce, Counter()
+    reduce, results = pipeline._reduce, Counter()
 
     def check(inst):
-        strips = (delete_uncovered(inst), contract_common(inst))
-        results[strips == (None, None)] += 1
+        results[strip_level(inst) == (inst, [])] += 1
 
     def recording(struct, inst, last, out_trace, tableaux, *rest):
         if tableaux is not None:
             check(inst)
         return reduce(struct, inst, last, out_trace, tableaux, *rest)
 
-    def recording_level(chain):
-        check(chain.frame()[1])
-        return reduce_level(chain)
+    def recording_level(reduce_level):
+        def level(chain):
+            check(chain.frame()[1])
+            return reduce_level(chain)
+
+        return level
 
     monkeypatch.setattr(pipeline, "_reduce", recording)
-    monkeypatch.setattr(GraphChain, "reduce", recording_level)
+    for cls in (GraphChain, MatrixChain):
+        monkeypatch.setattr(cls, "reduce", recording_level(cls.reduce))
     for solve in strip_solves().values():
         solve()
     assert results[True] > 0 and results[False] == 0, results
@@ -1082,44 +1077,26 @@ def test_frames_handed_tableaux_have_nothing_to_strip(monkeypatch):
 
 @pytest.mark.parametrize("case", ["bispanning/white", "bispanning/gabow", "remark/white", "one-sum"])
 def test_strips_run_only_on_frames_without_tableaux(case, monkeypatch):
-    # the strips run once per engine call and once more per strip: on the
-    # frames that carry no handed-down tableaux, and on no other.  Past its
-    # first level, which ``_reduce`` hands it, a graph's chain reduces the
-    # children of its splits and triads in place, each a frame handed
-    # tableaux
+    # the strips run on the frames that carry no handed-down tableaux, the
+    # root of each engine call, at most once each, and on no other: a
+    # chain's levels and the frames it hands back skip them
     import baseswap.pipeline as pipeline
-    from baseswap.graphic import GraphChain
 
-    reduce, reduce_level, strips = pipeline._reduce, GraphChain.reduce, {}
-    frames, calls, chains = Counter(), Counter(), []
+    reduce, strip = pipeline._reduce, pipeline._strip
+    frames, calls, handed = Counter(), Counter(), [False]
 
     def counted_reduce(struct, inst, last, out_trace, tableaux, *rest):
         frames[tableaux is None] += 1
         handed[0] = tableaux is not None
         return reduce(struct, inst, last, out_trace, tableaux, *rest)
 
-    def counted_level(chain):
-        if any(seen is chain for seen in chains):
-            frames[False] += 1
-            handed[0] = True
-        else:
-            chains.append(chain)
-        return reduce_level(chain)
+    def counted_strip(*args):
+        calls[handed[0]] += 1
+        return strip(*args)
 
-    def counted(name):
-        def strip(*args, **kwargs):
-            calls[handed[0]] += 1
-            return strips[name](*args, **kwargs)
-
-        return strip
-
-    handed = [False]
     monkeypatch.setattr(pipeline, "_reduce", counted_reduce)
-    monkeypatch.setattr(GraphChain, "reduce", counted_level)
-    for name in ("delete_uncovered", "contract_common"):
-        strips[name] = getattr(pipeline, name)
-        monkeypatch.setattr(pipeline, name, counted(name))
+    monkeypatch.setattr(pipeline, "_strip", counted_strip)
     strip_solves()[case]()
     assert frames[False] > 0 and calls[False] > 0
     assert calls[True] == 0
-    assert calls[False] <= 2 * frames[True]
+    assert calls[False] <= frames[True]

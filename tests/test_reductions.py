@@ -18,27 +18,28 @@ from baseswap.reductions import (
     Instance,
     PairTableaux,
     ReductionError,
-    contract_common,
-    delete_uncovered,
     find_nontrivial_tight_set,
     find_triad,
     find_triangle,
-    make_consistent_on_triad,
-    reduce_triad,
-    split_on_tight_set,
 )
 from baseswap.gen import random_bispanning_graph, random_exchange_walk
 from baseswap.pipeline import UnsupportedStructureError, _bfs_solve
 from baseswap.structure import gf2_view, graphic_leaf
 
 from conftest import (
-    A, B, C, D, E, F, K4_EDGES, brute_tight_sets, checked_replace, random_basis,
-    reference_find_triad, reference_rank_le2, reference_sinks, reference_tight_set, subsets,
+    A, B, C, D, E, F, K4_EDGES, brute_tight_sets, chain_level, checked_replace, random_basis,
+    reference_find_triad, reference_rank_le2, reference_sinks, reference_tight_set, strip_level,
+    subsets,
 )
 
 
 def reversal_instance(m, pair):
     return Instance(m, pair, pair.swapped())
+
+
+def entry_checked(inst) -> Instance:
+    """The instance after the entry rules of a transform."""
+    return Instance.checked(inst.matroid, "white", inst.x, inst.y, inst.forbidden)
 
 
 class TestDeleteUncovered:
@@ -48,43 +49,43 @@ class TestDeleteUncovered:
         m = f7_matroid()
         x = BasisPair(frozenset({0, 1, 2}), frozenset({3, 4, 6}), m)
         assert m.is_basis(x.first) and m.is_basis(x.second)
-        inst = Instance(m, x, x.swapped())
-        red = delete_uncovered(inst)
-        assert len(red.children[0].matroid.ground) == 6
+        child, nodes = strip_level(Instance(m, x, x.swapped()))
+        assert [node.kind for node in nodes] == ["delete_uncovered"]
+        assert len(child.matroid.ground) == 6
 
     def test_covering_instance_unchanged(self, k4):
         m, x, y = k4
-        assert delete_uncovered(Instance(m, x, y)) is None
+        inst = Instance(m, x, y)
+        assert strip_level(inst) == (inst, [])
 
     def test_extra_parallel_class_removed(self):
         edges = {0: (1, 2), 1: (1, 2), 2: (2, 3), 3: (2, 3), 4: (1, 3), 5: (1, 3)}
         m = graphic_matroid(edges)
         x = BasisPair(frozenset({0, 2}), frozenset({1, 3}), m)
-        red = delete_uncovered(Instance(m, x, x.swapped()))
-        assert red.certificate.payload["removed"] == {4, 5}
-        red.children[0].validate()
+        child, nodes = strip_level(Instance(m, x, x.swapped()))
+        assert [(node.kind, node.payload) for node in nodes] == [("delete_uncovered", {"removed": {4, 5}})]
+        entry_checked(child)
 
 
 class TestContractCommon:
     def test_disjoint_unchanged(self, k4):
         m, x, y = k4
-        assert contract_common(Instance(m, x, y)) is None
+        inst = Instance(m, x, y)
+        assert strip_level(inst) == (inst, [])
 
     def test_overlapping_pairs_contract_and_lift(self):
-        # 5-edge graph with g shared by both first bases
+        # 5-edge graph with g shared by both first bases; the steps of the
+        # contraction are the parent's
         edges = {0: (1, 2), 1: (2, 3), 2: (1, 3), 3: (2, 4), 4: (3, 4)}
         m = graphic_matroid(edges)
         x = BasisPair(frozenset({0, 1, 3}), frozenset({0, 2, 4}), m)
         y = BasisPair(frozenset({0, 2, 3}), frozenset({0, 1, 4}), m)
-        inst = Instance(m, x, y)
-        inst.validate()
-        red = contract_common(inst)
-        child = red.children[0]
+        inst = entry_checked(Instance(m, x, y))
+        child, nodes = strip_level(inst)
+        assert [(node.kind, node.payload) for node in nodes] == [("contract_common", {"contracted": {0}})]
         assert child.matroid.full_rank == m.full_rank - 1
-        child.validate()
-        sub = reference_rank_le2(child)
-        lifted = red.lift(sub)
-        final = apply_and_validate(x, ExchangeSequence(lifted))
+        entry_checked(child)
+        final = apply_and_validate(x, reference_rank_le2(child))
         assert final.first == y.first and final.second == y.second
 
 
@@ -191,39 +192,44 @@ class TestTightSets:
                 assert find_nontrivial_tight_set(m, x, self.stale_tableaux(m, x)) == want
         assert min(shapes[k] for k in (0, 1, 2)) >= 5, shapes
 
-    def test_split_on_dt(self, dt):
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_split_on_dt(self, dt, graph):
         m, x = dt
         y = BasisPair(frozenset({1, 2}), frozenset({0, 3}), m)
         inst = Instance(m, x, y)
-        red = split_on_tight_set(inst, frozenset({0, 1}))
-        ranks = [c.matroid.full_rank for c in red.children]
+        level = chain_level(inst, z={0, 1}, graph=graph)
+        ranks = [c.matroid.full_rank for c in level.children]
         assert ranks == [1, 1]
-        seqs = [reference_rank_le2(c) for c in red.children]
-        lifted = red.lift(*seqs)
+        seqs = [reference_rank_le2(c) for c in level.children]
+        lifted = level.lift(*seqs)
         assert len(lifted) == sum(len(s) for s in seqs)
         final = apply_and_validate(x, ExchangeSequence(lifted))
         assert final.first == y.first
 
     def test_split_order_flip(self, dt):
+        # a designated last element inside z runs the restriction last
         m, x = dt
         y = BasisPair(frozenset({1, 3}), frozenset({0, 2}), m)
         inst = Instance(m, x, y)
-        for restrict_last in (False, True):
-            red = split_on_tight_set(inst, frozenset({0, 1}), restrict_last=restrict_last)
-            seqs = [reference_rank_le2(c) for c in red.children]
-            lifted = red.lift(*seqs)
+        for last, restrict_last in ((None, False), (2, False), (0, True)):
+            level = chain_level(inst, z={0, 1}, last=last)
+            assert level.payload["restrict_last"] is restrict_last
+            seqs = [reference_rank_le2(c) for c in level.children]
+            lifted = level.lift(*seqs)
             final = apply_and_validate(x, ExchangeSequence(lifted))
             assert final.first == y.first
 
     def test_not_tight_rejected(self, k4):
         m, x, y = k4
         inst = Instance(m, x, y)
-        for tabs in (None, PairTableaux.of(inst)):
-            # {A, B} meets X1 in two elements; {A, D} meets each basis once,
-            # but D's circuit in X1 leaves it
-            for z in ({A, B}, {A, D}):
-                with pytest.raises(ReductionError, match="set is not tight"):
-                    split_on_tight_set(inst, frozenset(z), tableaux=tabs)
+        # {A, B} meets X1 in two elements; {A, D} meets each basis once,
+        # but D's circuit in X1 leaves it
+        for z in ({A, B}, {A, D}):
+            with pytest.raises(ReductionError, match="set is not tight"):
+                chain_level(inst, z=z)
+        for z in (set(), m.ground):
+            with pytest.raises(ReductionError, match="nonempty and proper"):
+                chain_level(inst, z=z)
 
     @staticmethod
     def partitioned_instances():
@@ -252,7 +258,7 @@ class TestTightSets:
         # sets that meet each basis in the same number of elements, and
         # drawn sets with two elements outside; the tableaux carry stale
         # bits at ids outside the ground set, which must be skipped.  The
-        # split without tableaux builds fresh ones
+        # level without tableaux builds fresh ones
         stale = 1 << 60 | 1 << 61
         rng = random.Random(7)
         verdicts = set()
@@ -276,7 +282,7 @@ class TestTightSets:
                 tight = len(z) == 2 * m.rank(z)
                 for given in (tabs, None):
                     try:
-                        split_on_tight_set(inst, z, tableaux=given)
+                        chain_level(inst, z=z, tableaux=given)
                         verdict = True
                     except ReductionError as err:
                         assert str(err) == "set is not tight"
@@ -309,25 +315,23 @@ class TestTightSets:
 
     def test_two_outside_split_builds_the_contraction(self):
         # the rest side is built as a parallel pair, not contracted; it must
-        # be M / Z all the same, of the frame's own backend, with fresh
-        # tableaux
+        # be M / Z all the same, of the frame's own backend (a graph's from
+        # its chain), with fresh tableaux
         backends = set()
         for inst, z in self.two_outside_splits():
             m = inst.matroid
             want = m.minor(contract=z)
-            for tabs in (None, PairTableaux.of(inst)):
-                red = split_on_tight_set(inst, z, tableaux=tabs)
-                rest = red.children[1]
-                assert type(rest.matroid) is type(m)
-                assert rest.matroid.ground == want.ground and len(want.ground) == 2
-                for s in subsets(sorted(want.ground)):
-                    assert rest.matroid.rank(s) == want.rank(s)
-                for got, pair in ((rest.x, inst.x), (rest.y, inst.y)):
-                    assert (got.first, got.second) == (pair.first - z, pair.second - z)
-                Instance(want, rest.x, rest.y).validate()
-                if tabs is not None:
-                    for child_tabs, child in zip(red.tableaux, red.children):
-                        TestPairTableaux.assert_fresh(child_tabs, child)
+            level = chain_level(inst, z=z, graph=isinstance(m, GraphicMatroid))
+            rest = level.children[1]
+            assert type(rest.matroid) is type(m)
+            assert rest.matroid.ground == want.ground and len(want.ground) == 2
+            for s in subsets(sorted(want.ground)):
+                assert rest.matroid.rank(s) == want.rank(s)
+            for got, pair in ((rest.x, inst.x), (rest.y, inst.y)):
+                assert (got.first, got.second) == (pair.first - z, pair.second - z)
+            Instance.checked(want, "white", rest.x, rest.y)
+            for child_tabs, child in zip(level.tableaux, level.children):
+                TestPairTableaux.assert_fresh(child_tabs, child)
             backends.add(type(m))
         assert backends == {GraphicMatroid, Gf2Matroid}
 
@@ -381,12 +385,20 @@ class TestTriads:
                     found[triad is not None, triangle is not None] += 1
         assert len(found) == 4, found
 
+    @staticmethod
+    def fixups(inst, t) -> tuple:
+        """The fix-up steps of the triad level on t (None for no step), and
+        the pairs they lead to."""
+        payload = chain_level(inst, triad=t).payload
+        steps = [None if s is None else ExchangeStep(*s) for s in (payload["fix_x"], payload["fix_y"])]
+        pairs = [apply_step(p, s) if s else p for p, s in zip((inst.x, inst.y), steps)]
+        return steps, pairs
+
     def test_consistent_pairs_no_fix(self, k4):
         m, x, _ = k4
         # reversal pairs are always consistent on any triad
-        inst = reversal_instance(m, x)
-        step_x, step_y, fixed = make_consistent_on_triad(inst, frozenset({A, D, E}))
-        assert step_x is None and step_y is None
+        steps, _ = self.fixups(reversal_instance(m, x), frozenset({A, D, E}))
+        assert steps == [None, None]
 
     def test_inconsistent_pairs_get_fixed(self, k4):
         m, _, _ = k4
@@ -394,11 +406,9 @@ class TestTriads:
         y = BasisPair(frozenset({A, E, C}), frozenset({D, B, F}), m)
         t = frozenset({A, D, E})
         assert x.first & t == {A, D} and y.first & t == {A, E}
-        inst = Instance(m, x, y)
-        step_x, step_y, fixed = make_consistent_on_triad(inst, t)
+        (step_x, step_y), (fx, fy) = self.fixups(Instance(m, x, y), t)
         assert step_x is not None or step_y is not None
-        cx = fixed.x.first & t
-        assert cx in (fixed.y.first & t, fixed.y.second & t)
+        assert fx.first & t in (fy.first & t, fy.second & t)
         for step, start in ((step_x, x), (step_y, y)):
             if step is not None:
                 assert is_valid_exchange(start, step)
@@ -415,20 +425,19 @@ class TestTriads:
         if t is None or not t <= x.union:
             return
         y = random_exchange_walk(m, x, 3, rng)
-        inst = Instance(m, x, y)
-        step_x, step_y, fixed = make_consistent_on_triad(inst, t)
+        (step_x, step_y), (fx, fy) = self.fixups(Instance(m, x, y), t)
+        assert fx.first & t in (fy.first & t, fy.second & t)
         for step, start in ((step_x, x), (step_y, y)):
             if step is not None:
                 assert is_valid_exchange(BasisPair(start.first, start.second, m), step)
 
-    def test_reduce_triad_lift_revalidates(self, k4):
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_reduce_triad_lift_revalidates(self, k4, graph):
         m, x, y = k4
-        inst = Instance(m, x, y)
-        red = reduce_triad(inst, frozenset({A, D, E}))
-        child = red.children[0]
-        child.validate()
+        level = chain_level(Instance(m, x, y), triad={A, D, E}, graph=graph)
+        child = entry_checked(level.children[0])
         sub = reference_rank_le2(child)
-        lifted = red.lift(sub)
+        lifted = level.lift(sub)
         final = apply_and_validate(x, ExchangeSequence(lifted))
         assert final.first == y.first and final.second == y.second
 
@@ -436,19 +445,15 @@ class TestTriads:
         # a child sequence that never uses t1 lifts without extra steps; one
         # that uses t1 once lifts with exactly one extra step
         m, x, _ = k4
-        inst = reversal_instance(m, x)
-        red = reduce_triad(inst, frozenset({A, D, E}))
-        child = red.children[0]
-        t1 = red.certificate.payload["t1"]
-        no_t1 = []
-        with_t1 = []
-        # enumerate child sequences by brute BFS paths
+        level = chain_level(reversal_instance(m, x), triad={A, D, E})
+        child = level.children[0]
+        t1 = level.payload["t1"]
         from baseswap.exchange import bfs_oracle
 
         result = bfs_oracle(child.matroid, child.x, child.y, monotone=True)
         seq = list(result.sequence)
         uses = sum(1 for s in seq if t1 in s)
-        lifted = red.lift(seq)
+        lifted = level.lift(seq)
         assert len(lifted) == len(seq) + uses
         final = apply_and_validate(x, ExchangeSequence(lifted))
         assert final.first == x.second
@@ -467,8 +472,8 @@ class TestTriads:
         monkeypatch.setattr(TriadLift, "replace", checked_replace(TriadLift.replace, options))
         for px, py, triangle in itertools.product(paths, paths, triangles):
             x, y = BasisPair(px, m.ground - px, m), BasisPair(py, m.ground - py, m)
-            red = reduce_triad(Instance(m, x, y), triangle, dual=True)
-            lifted = red.lift(reference_rank_le2(red.children[0]))
+            level = chain_level(Instance(m, x, y), triad=triangle, dual=True)
+            lifted = level.lift(reference_rank_le2(level.children[0]))
             final = apply_and_validate(x, ExchangeSequence(lifted))
             assert (final.first, final.second) == (y.first, y.second)
         assert options[True] > 0 and options[False] > 0, options
@@ -476,8 +481,8 @@ class TestTriads:
     def test_forbidden_must_avoid_triad(self, k4):
         m, x, y = k4
         inst = Instance(m, x, y, forbidden=frozenset({A}))
-        with pytest.raises(ReductionError):
-            reduce_triad(inst, frozenset({A, D, E}))
+        with pytest.raises(ReductionError, match="avoid the triad"):
+            chain_level(inst, triad={A, D, E})
 
 
 class TestPairTableaux:
@@ -494,7 +499,8 @@ class TestPairTableaux:
 
     def test_reductions_hand_on_fresh_tableaux(self):
         # short walks leave y sharing bases with x; both fix-ups, and a pair
-        # swap, must occur among the triad reductions
+        # swap, must occur among the triad reductions.  A graph's chain
+        # takes the triads, and the splits with two elements outside
         seen = set()
         two_outside = 0
         for seed in range(150):
@@ -504,22 +510,27 @@ class TestPairTableaux:
             x = random_exchange_walk(m, x, rng.randint(0, 4), rng)
             y = random_exchange_walk(m, x, rng.randint(0, 4), rng)
             inst = Instance(m, x, y)
-            for t, dual in ((find_triad(m), False), (find_triangle(graphic_leaf(g).gf2), True)):
-                if t is not None:
-                    red = reduce_triad(inst, t, tableaux=PairTableaux.of(inst), dual=dual)
-                    self.assert_fresh(red.tableaux[0], red.children[0])
-                    payload = red.certificate.payload
-                    seen |= {k for k in ("fix_x", "fix_y", "swapped") if payload[k]}
+            levels = []
+            t = find_triad(m)
+            if t is not None:
+                levels += [chain_level(inst, triad=t, graph=graph) for graph in (False, True)]
+            t = find_triangle(graphic_leaf(g).gf2)
+            if t is not None:
+                levels.append(chain_level(inst, triad=t, dual=True))
             # the minimal tight set, and E - delta(u) at each degree-2 vertex
             # u, whose rest side is a parallel pair
             tight = [find_nontrivial_tight_set(m, x)]
             tight += [m.ground - g.incident(u) for u, d in g.degree().items() if d == 2]
             for z in tight:
                 if z is not None:
-                    red = split_on_tight_set(inst, z, tableaux=PairTableaux.of(inst))
-                    for tabs, child in zip(red.tableaux, red.children):
-                        self.assert_fresh(tabs, child)
-                    two_outside += len(m.ground - z) == 2
+                    levels.append(chain_level(inst, z=z))
+                    if len(m.ground - z) == 2:
+                        levels.append(chain_level(inst, z=z, graph=True))
+                        two_outside += 1
+            for level in levels:
+                for tabs, child in zip(level.tableaux, level.children):
+                    self.assert_fresh(tabs, child)
+                seen |= {k for k in ("fix_x", "fix_y", "swapped") if level.payload.get(k)}
         assert seen == {"fix_x", "fix_y", "swapped"}
         assert two_outside > 100
 
@@ -655,5 +666,5 @@ class TestRankLeTwo:
         x = BasisPair(frozenset({0, 2}), frozenset({1, 3}), m)
         y = BasisPair(frozenset({1, 2}), frozenset({0, 3}), m)
         seq = rank_le2_leaf(Instance(m, x, y, forbidden=frozenset({2, 3})))
-        assert not (seq.uses(2) or seq.uses(3))
+        assert {2, 3}.isdisjoint(seq.occurrences())
 

@@ -78,7 +78,7 @@ class TestTwoSumMerge:
             if (5 in yc.first) == (5 in xc.first):
                 break
         seq_c = bfs_oracle(left, xc, yc).sequence
-        if seq_c.uses(5):
+        if 5 in seq_c.occurrences():
             pytest.skip("walk crossed the shared element")
         ctx = TwoSumContext(left, right, 5, yc, xb)
         merged = merge_two_sum(seq_c, ExchangeSequence(), ctx)
@@ -97,7 +97,7 @@ class TestTwoSumMerge:
         left, right, total, x, xc, xb = self._context()
         seq_c = bfs_oracle(left, xc, xc.swapped(), monotone=True).sequence
         seq_b = bfs_oracle(right, xb, xb.swapped(), monotone=True).sequence
-        assert seq_c.uses(5) and seq_b.uses(5)
+        assert 5 in seq_c.occurrences() and 5 in seq_b.occurrences()
         ctx = TwoSumContext(left, right, 5, xc.swapped(), xb.swapped())
         merged = merge_two_sum(seq_c, seq_b, ctx)
         assert len(merged) == seq_c.length + seq_b.length - 1
