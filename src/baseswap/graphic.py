@@ -151,14 +151,14 @@ class GraphChain(Chain):
             return "tight_split", self.split(frozenset(star[u]))
         return "triad", self.shrink(frozenset(star[u]))
 
-    def _cut(self, outside, z):
-        """M / z, for the two edges at a degree-2 vertex: their parallel
-        pair, which leaves the chain's graph."""
+    def _cut(self, outside) -> tuple:
+        """M / z and z, for the two edges at a degree-2 vertex outside z:
+        their parallel pair, which leaves the chain's graph."""
         a, b = sorted(outside)
         ends = self.graph.edges[a]
         self._delete(a)
         self._delete(b)
-        return graphic_leaf(Multigraph._of({a: ends, b: ends}))
+        return graphic_leaf(Multigraph._of({a: ends, b: ends})), frozenset(self.graph.edges)
 
     def _minor(self, contract, delete) -> "LevelEdges":
         """Delete and contract in the chain's graph; the lift keeps a copy of

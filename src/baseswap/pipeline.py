@@ -452,15 +452,16 @@ class MatrixChain(Chain):
             return "triad", self.shrink(triangle, dual=True)
         return None
 
-    def _cut(self, outside, z):
-        """M / z; the chain goes on in M | z.  With two elements outside z,
-        M / z has rank 1 and neither is a loop: a parallel pair, built
-        without contracting z."""
+    def _cut(self, outside) -> tuple:
+        """M / z and z; the chain goes on in M | z.  With two elements
+        outside z, M / z has rank 1 and neither is a loop: a parallel pair,
+        built without contracting z."""
         struct, m = self.struct, self.struct.matroid
+        z = m.ground - outside
         self.struct = _frame_minor(struct, m, frozenset(), outside)
         if len(outside) == 2:
-            return gf2_leaf(Gf2Matroid(dict.fromkeys(sorted(outside), 1)))
-        return _frame_minor(struct, m, z, frozenset())
+            return gf2_leaf(Gf2Matroid(dict.fromkeys(sorted(outside), 1))), z
+        return _frame_minor(struct, m, z, frozenset()), z
 
     def _minor(self, contract, delete) -> Gf2Matroid:
         m = self.struct.matroid

@@ -394,19 +394,19 @@ class Chain:
 
     def split(self, outside: frozenset) -> tuple:
         """Split on the tight set z, the ground set minus ``outside``: the
-        chain goes on in M | z, and M / z (``_cut``) goes back to the
-        engine.  Returns (z, restrict_last, M / z's frame).  The parent runs
-        the restriction's sequence first, or last when ``restrict_last``
-        (the designated last element lies in z), so that element stays last.
-        The tableaux answer whether z is tight (``_tight_in_tableaux``) and
-        are split between the two sides."""
+        chain goes on in M | z, and M / z goes back to the engine (``_cut``
+        takes both minors and returns M / z and z).  Returns (z,
+        restrict_last, M / z's frame).  The parent runs the restriction's
+        sequence first, or last when ``restrict_last`` (the designated last
+        element lies in z), so that element stays last.  The tableaux answer
+        whether z is tight (``_tight_in_tableaux``) and are split between
+        the two sides."""
         sets = (self.x1, self.x2, self.y1, self.y2)
-        z = frozenset(self.x1 | self.x2) - outside  # the pairs cover the frame
-        if not z or not outside:
+        if not 0 < len(outside) < len(self.x1) + len(self.x2):  # the pairs cover the frame
             raise ReductionError("tight set must be nonempty and proper")
+        rest, z = self._cut(outside)
         if not _tight_in_tableaux((self.x1, self.x2), self.tableaux.x, z, outside):
             raise ReductionError("set is not tight")
-        rest = self._cut(outside, z)
         rest_inst = _instance(rest.matroid, [s & outside for s in sets], self.forbidden & outside)
         last = self.last
         restrict_last = last is not None and last in z

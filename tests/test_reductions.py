@@ -192,19 +192,19 @@ class TestTightSets:
                 assert find_nontrivial_tight_set(m, x, self.stale_tableaux(m, x)) == want
         assert min(shapes[k] for k in (0, 1, 2)) >= 5, shapes
 
-    @pytest.mark.parametrize("graph", [False, True])
-    def test_split_on_dt(self, dt, graph):
+    def test_split_on_dt(self, dt):
         m, x = dt
         y = BasisPair(frozenset({1, 2}), frozenset({0, 3}), m)
         inst = Instance(m, x, y)
-        level = chain_level(inst, z={0, 1}, graph=graph)
-        ranks = [c.matroid.full_rank for c in level.children]
-        assert ranks == [1, 1]
-        seqs = [reference_rank_le2(c) for c in level.children]
-        lifted = level.lift(*seqs)
-        assert len(lifted) == sum(len(s) for s in seqs)
-        final = apply_and_validate(x, ExchangeSequence(lifted))
-        assert final.first == y.first
+        for graph in (False, True):
+            level = chain_level(inst, z={0, 1}, graph=graph)
+            ranks = [c.matroid.full_rank for c in level.children]
+            assert ranks == [1, 1]
+            seqs = [reference_rank_le2(c) for c in level.children]
+            lifted = level.lift(*seqs)
+            assert len(lifted) == sum(len(s) for s in seqs)
+            final = apply_and_validate(x, ExchangeSequence(lifted))
+            assert final.first == y.first
 
     def test_split_order_flip(self, dt):
         # a designated last element inside z runs the restriction last
@@ -431,15 +431,15 @@ class TestTriads:
             if step is not None:
                 assert is_valid_exchange(BasisPair(start.first, start.second, m), step)
 
-    @pytest.mark.parametrize("graph", [False, True])
-    def test_reduce_triad_lift_revalidates(self, k4, graph):
+    def test_reduce_triad_lift_revalidates(self, k4):
         m, x, y = k4
-        level = chain_level(Instance(m, x, y), triad={A, D, E}, graph=graph)
-        child = entry_checked(level.children[0])
-        sub = reference_rank_le2(child)
-        lifted = level.lift(sub)
-        final = apply_and_validate(x, ExchangeSequence(lifted))
-        assert final.first == y.first and final.second == y.second
+        for graph in (False, True):
+            level = chain_level(Instance(m, x, y), triad={A, D, E}, graph=graph)
+            child = entry_checked(level.children[0])
+            sub = reference_rank_le2(child)
+            lifted = level.lift(sub)
+            final = apply_and_validate(x, ExchangeSequence(lifted))
+            assert final.first == y.first and final.second == y.second
 
     def test_lift_length_accounting(self, k4):
         # a child sequence that never uses t1 lifts without extra steps; one
