@@ -38,6 +38,7 @@ from .io import (
     sequence_to_text,
     R10_LABELS,
 )
+from .graphic import incidence_leaf
 from .matroid import GraphicMatroid, MatroidError
 from .pipeline import (
     UnsupportedStructureError,
@@ -132,11 +133,13 @@ def _load_instance(args):
 
 def _pairs(inst) -> Instance:
     """The instance of a parsed file, with its F and designated last element,
-    after the entry rules every command shares (``Instance.checked``)."""
+    after the entry rules every command shares (``Instance.checked``).  A
+    GF(2) matrix with at most two 1s per column is read as its graph
+    (``incidence_leaf``), so its pairs are checked and replayed on forests."""
+    m = (incidence_leaf(inst["structure"]) or inst["structure"]).matroid
     y = (inst["y1"], inst["y2"]) if inst["mode"] == "white" else None
     return Instance.checked(
-        inst["structure"].matroid, inst["mode"], (inst["x1"], inst["x2"]), y,
-        inst["forbidden"], inst["last"],
+        m, inst["mode"], (inst["x1"], inst["x2"]), y, inst["forbidden"], inst["last"]
     )
 
 

@@ -15,7 +15,9 @@ from degree buckets (``_Buckets``) rather than by a scan, and takes each
 level's minor by editing one private graph.  ``solve_graphic_white`` and
 ``solve_graphic_gabow`` are ``solve_white`` and ``solve_gabow`` on the
 graph: the same entry rules (``reductions.Instance.checked``), engine,
-closing replay and bound check.
+closing replay and bound check.  ``incidence_leaf`` reads a GF(2) matrix
+with at most two 1s per column as the graph whose incidence matrix it is,
+so that the engine can solve it on that graph.
 """
 
 from __future__ import annotations
@@ -25,7 +27,32 @@ from heapq import heappop, heappush
 from .matroid import Multigraph, _is_forest
 from .exchange import BasisPair
 from .reductions import Chain, Instance
-from .structure import graphic_leaf
+from .structure import Leaf, graphic_leaf
+
+
+def incidence_leaf(struct):
+    """The graphic leaf of a GF(2) leaf whose every column has at most two
+    1s, or None for any other structure.  Each row is a vertex, named by its
+    index, and one more vertex is named by the first index past every row: a
+    column with two 1s is an edge between their rows, one with a single 1 an
+    edge from its row to the extra vertex, and a zero column a loop at it.
+    The graph's full incidence matrix is the leaf's plus one row, the sum of
+    the others, so its cycle matroid is the leaf's matroid."""
+    if not (isinstance(struct, Leaf) and struct.tag == "gf2"):
+        return None
+    columns = struct.matroid.columns
+    extra = max(map(int.bit_length, columns.values()), default=0)
+    edges = {}
+    for e, col in columns.items():
+        low = col & -col
+        high = col ^ low
+        if high & (high - 1):  # three 1s or more
+            return None
+        edges[e] = (
+            low.bit_length() - 1 if col else extra,
+            high.bit_length() - 1 if high else extra,
+        )
+    return graphic_leaf(Multigraph(edges))
 
 
 def vertex_span(graph: Multigraph, edge_ids) -> frozenset:

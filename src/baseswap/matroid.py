@@ -199,8 +199,22 @@ class Gf2Matroid(Matroid):
 
     def dual(self) -> "Gf2Matroid":
         """Explicit dual: the transposed tableau of the greedy basis
-        (``Tableau.dual_columns``).  A graph's dual is the same matrix."""
-        return Gf2Matroid(self.tableau().dual_columns())
+        (``Tableau.dual_columns``), of rank |E| - r.  A graph's dual is the
+        same matrix."""
+        tab = self.tableau()
+        dual = Gf2Matroid(tab.dual_columns())
+        dual._full_rank = len(tab.circuits)
+        return dual
+
+    def is_basis(self, subset) -> bool:
+        """A matrix built as M*(G) (``dual_of``) reads its graph: B is a
+        basis of M*(G) exactly when E - B is a spanning forest of G."""
+        primal = self.dual_of
+        if primal is None:
+            return super().is_basis(subset)
+        s = _as_frozen(subset)
+        self._check_ground(s)
+        return primal.is_basis(self.ground - s)
 
     def _minor(self, c: frozenset, d: frozenset) -> "Gf2Matroid":
         """Explicit minor: each contracted column in turn is added to every

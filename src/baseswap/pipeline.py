@@ -19,7 +19,9 @@ each side (a 3-sum's graph side once per segment), add Python stack depth.
 A caller's matroid reaches the engine as the GF(2) matrix of its
 fundamental circuits (``structure.as_structure``), while the entry rules
 (``reductions.Instance.checked``) and the closing replay run on the
-caller's matroid.
+caller's matroid.  A GF(2) matrix with at most two 1s per column is read at
+the root as the graph it is the incidence matrix of
+(``graphic.incidence_leaf``), and solved on it where F allows.
 
 The strips run on the frames that are handed no tableaux, the root of each
 engine call: a tight split or a triad leaves disjoint pairs that cover
@@ -71,7 +73,7 @@ from .reductions import (
     find_triad,
     find_triangle,
 )
-from .graphic import GraphChain, vertex_span
+from .graphic import GraphChain, incidence_leaf, vertex_span
 from .sums import (
     ThreeSumContext,
     TwoSumContext,
@@ -165,21 +167,35 @@ def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
     (``Instance.checked``) and the closing replay run on the caller's
     matroid ``m``; the engine runs on the structure's, which is the [I | A]
     image of a caller's matroid, and that image must keep the pair's
-    bases."""
+    bases.  A GF(2) leaf whose every column has at most two 1s is its graph
+    (``graphic.incidence_leaf``): the entry rules and the closing replay
+    read that graph's forests, and the engine solves on it, traced as
+    ``graph``, when F spans at most three of its vertices (otherwise the
+    matrix's chain runs as for any other matrix).  The bounds are those of
+    the structure given."""
     struct = as_structure(source)
     m = source if isinstance(source, Matroid) else struct.matroid
+    foreign = m is not struct.matroid  # a caller's matroid
+    graph = incidence_leaf(struct)
+    if graph is not None and not foreign:
+        m = graph.matroid
     inst = Instance.checked(m, mode, x, y, forbidden, last)
     x, y = inst.x, inst.y
-    image = struct.matroid
+    trace = TraceNode("solve", {"mode": mode})
+    engine = struct
+    if graph is not None and len(vertex_span(graph.graph, inst.forbidden)) <= 3:
+        engine = graph
+        trace.payload["graph"] = True
+    image = engine.matroid
     if image is not m:
-        if not all(map(image.is_basis, dict.fromkeys((x.first, x.second, y.first, y.second)))):
+        bases = dict.fromkeys((x.first, x.second, y.first, y.second))
+        if foreign and not all(map(image.is_basis, bases)):
             raise GroundSetError(
                 "the caller's matroid is not binary: its [I | A] image over GF(2) "
                 "loses a basis of the pair"
             )
         inst = Instance(image, _as_pair(image, x), _as_pair(image, y), inst.forbidden)
-    trace = TraceNode("solve", {"mode": mode})
-    seq = ExchangeSequence(_engine(struct, inst, mode, last, cap, trace.children))
+    seq = ExchangeSequence(_engine(engine, inst, mode, last, cap, trace.children))
     try:  # the closing replay: a step it rejects is a failed internal check
         final = apply_and_validate(x, seq, inst.forbidden)
     except SequenceValidationError as err:

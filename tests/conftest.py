@@ -162,6 +162,18 @@ def random_basis(m, rng) -> frozenset:
     return frozenset(basis)
 
 
+def drawn_pair(m, rng) -> BasisPair:
+    """A random basis, then the greedy basis of a random order of the other
+    elements followed by it: the pair often has common and uncovered
+    elements."""
+    first = random_basis(m, rng)
+    second: set = set()
+    for e in rng.sample(sorted(m.ground - first), len(m.ground - first)) + sorted(first):
+        if m.rank(second | {e}) > len(second):
+            second.add(e)
+    return BasisPair(first, frozenset(second), m)
+
+
 def reference_replay(pair, seq, forbidden=()):
     """``apply_and_validate`` by its rank-based reference: one
     ``is_valid_exchange`` per step."""

@@ -424,6 +424,29 @@ class TestReplayDispatch:
             assert main(["verify", str(inst), str(seq)]) == (0 if want == "ok" else 1)
             assert capsys.readouterr().out.strip() == want
 
+    @pytest.mark.parametrize("mode", ["white", "gabow"])
+    def test_verify_replays_an_incidence_file_on_its_graph(self, mode, tmp_path, capsys, monkeypatch):
+        # ``baseswap verify`` on a ``kind: gf2`` incidence matrix (the last
+        # vertex row dropped) checks and replays the pairs on its graph's
+        # forests and builds no GF(2) tableau
+        from baseswap.cli import _gen_bispanning, main
+        from test_graphic import _gf2_encoding
+
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(_gf2_encoding(_gen_bispanning(30, random.Random(8), mode))))
+        assert main(["solve", str(inst), "--json"]) == 0
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        monkeypatch.setattr(Gf2Matroid, "tableau", _refuse)
+        k = len(steps) // 2
+        seq = tmp_path / "seq.json"
+        for sent, want in (
+            (steps, "ok"),
+            (steps[: k + 1] + steps[k:], f"fail at step {k + 1}: invalid exchange ({steps[k]['e']}, {steps[k]['f']})"),
+        ):
+            seq.write_text(json.dumps(sent))
+            assert main(["verify", str(inst), str(seq)]) == (0 if want == "ok" else 1)
+            assert capsys.readouterr().out.strip() == want
+
     def test_a_graph_pair_builds_no_tableau(self, monkeypatch):
         g, pair = random_bispanning_graph(30, random.Random(5))
         m = GraphicMatroid(g)

@@ -9,25 +9,26 @@ from hypothesis import given, settings, strategies as st
 
 import baseswap.exchange
 from baseswap.cli import main
-from baseswap.exchange import BasisPair, apply_and_validate
+from baseswap.exchange import BasisPair, apply_and_validate, check_reversal
 from baseswap.gen import (
     random_bispanning_graph,
     random_exchange_walk,
     random_forbidden_set,
 )
 from baseswap.graphic import (
+    incidence_leaf,
     solve_graphic_gabow,
     solve_graphic_white,
     vertex_span,
 )
-from baseswap.matroid import GraphicMatroid, GroundSetError, Multigraph
+from baseswap.matroid import Gf2Matroid, GraphicMatroid, GroundSetError, Multigraph
 from baseswap.pipeline import solve_gabow, solve_white
 from baseswap.reductions import IncompatiblePairsError, ReductionError
-from baseswap.structure import cographic_leaf, graphic_leaf
+from baseswap.structure import cographic_leaf, gf2_leaf, graphic_leaf
 
 from conftest import (
-    A, B, C, D, E, F, DT_EDGES, DualMatroid, bucket_pick, reference_degree,
-    reference_pick_reduction_vertex,
+    A, B, C, D, E, F, DT_EDGES, DualMatroid, bucket_pick, drawn_pair, multigraphs,
+    reference_degree, reference_pick_reduction_vertex, subsets,
 )
 
 
@@ -530,8 +531,10 @@ def test_golden_traces(n, seed, mode):
 # the same trace digest for solves on GF(2) frames, recorded before those
 # frames ran their reductions through the chain a graph solve runs: the
 # incidence matrices of `gen bispanning --n 24` as the bench's ``binary``
-# workload encodes them, `gen r10`, the remark tree (as in
-# GOLDEN_SUM_MINORS) and `gen tree-composed --n 40`
+# workload encodes them, plus one redundant row (the sum of the first two),
+# whose columns with three 1s keep the solve on the GF(2) chain; `gen r10`,
+# the remark tree (as in GOLDEN_SUM_MINORS) and `gen tree-composed --n 40`.
+# The plain encodings ("incidence-bispanning") are solved on their graph
 GOLDEN_GF2_TRACES = {
     ("gf2-bispanning", 0, "white"): "d68bcc7ce9ba26462706ea60731ebb51d877aa8a529569875e8f2055eb591c3f",
     ("gf2-bispanning", 0, "gabow"): "1c3aeb145e12caa4270c0ff69b65e381c7c051efbfffeb4c91b64e050a96997e",
@@ -539,6 +542,12 @@ GOLDEN_GF2_TRACES = {
     ("gf2-bispanning", 1, "gabow"): "f31c6148ca53971bf48d7807767473f3a539038338750347039c41665ed2390b",
     ("gf2-bispanning", 2, "white"): "4c4867793966e21e5e220c506fd5b30375d94094feecff068a754d4394f16cc9",
     ("gf2-bispanning", 2, "gabow"): "6ede3ce19aa006b7c02beff567eb644f90f876002a348f5b5dfb836c39ea13f7",
+    ("incidence-bispanning", 0, "white"): "9176f4f19474b922af7fcde3b51d5f71ba798db4fea90ad8fdca20cf464ecd17",
+    ("incidence-bispanning", 0, "gabow"): "a88f8953e2edf60104db80d02fdb0b0aed339acce79888a46d80c318024f2bec",
+    ("incidence-bispanning", 1, "white"): "377c57734f6824289d8bc161158d195863ffe779007d321f316a2db26b35e594",
+    ("incidence-bispanning", 1, "gabow"): "69cd738c1ce26631f8aab9eff2b3f6347fc05ce31b1b894497c31598e001f860",
+    ("incidence-bispanning", 2, "white"): "cb9f37287082e0aa50bc0221289f79097e71cc4b28ebe5c66525fdfe7f2591a5",
+    ("incidence-bispanning", 2, "gabow"): "39af1a6be9af2a2787de36ec1685ab785afeb2b5d59bb3c624fd123fc09fdfb4",
     ("r10", 0, "white"): "f23a642158418e009b648170a2b04afd5aeea22c392a5623dbc71a6fd9c06ed0",
     ("r10", 0, "gabow"): "6f2a0931da314ab61f3e1a98d5128bfa7aacfa75e7c598e9e718b660b2c01daf",
     ("remark", 17, "white"): "9dda783ba4e5afdebdd7e1ec3a845859cf8a115c62842c382bf63cafb1d3610b",
@@ -554,14 +563,17 @@ GOLDEN_GF2_TRACES = {
 }
 
 
-def _gf2_encoding(obj: dict) -> dict:
+def _gf2_encoding(obj: dict, redundant: bool = False) -> dict:
     """A graph instance re-encoded as ``kind: gf2``: the vertex-edge
-    incidence matrix with the last vertex row dropped; pairs, F and
+    incidence matrix with the last vertex row dropped, and with one more
+    row, the sum of the first two, when ``redundant``; pairs, F and
     ``last`` kept."""
     edges = {lab: (u, v) for lab, u, v in map(str.split, obj["matroid"]["text"].splitlines())}
     labels = sorted(edges)
     verts = sorted({v for uv in edges.values() for v in uv})[:-1]
     rows = ["".join("1" if v in edges[lab] else "0" for lab in labels) for v in verts]
+    if redundant:
+        rows.append("".join("01"[a != b] for a, b in zip(rows[0], rows[1])))
     return {**obj, "matroid": {"kind": "gf2", "text": "\n".join([" ".join(labels)] + rows)}}
 
 
@@ -569,8 +581,9 @@ def _gf2_frame_report(kind: str, seed: int, mode: str):
     from baseswap.cli import _gen_bispanning, _gen_r10, _gen_tree
 
     rng = random.Random(seed)
-    if kind == "gf2-bispanning":
-        return _report(_gf2_encoding(_gen_bispanning(24, rng, mode)))
+    if kind.endswith("-bispanning"):
+        redundant = kind == "gf2-bispanning"
+        return _report(_gf2_encoding(_gen_bispanning(24, rng, mode), redundant))
     if kind == "r10":
         return _report(_gen_r10(rng, mode))
     if kind == "tree-composed":
@@ -589,6 +602,128 @@ def _gf2_frame_report(kind: str, seed: int, mode: str):
 def test_golden_gf2_traces(kind, seed, mode):
     report = _gf2_frame_report(kind, seed, mode)
     assert _trace_digest(report) == GOLDEN_GF2_TRACES[(kind, seed, mode)]
+
+
+@st.composite
+def incidence_encodings(draw, graph: Multigraph):
+    """``graph``'s vertex-edge incidence matrix as a ``kind: gf2`` file may
+    hold it: with up to two isolated vertices added, one row, drawn at
+    random, dropped and the others in a drawn order."""
+    isolated = sorted(draw(st.sets(st.sampled_from(["i", "j"]))))
+    rows = draw(st.permutations(sorted(graph.vertices(), key=repr) + isolated))[1:]
+    bit = {v: 1 << i for i, v in enumerate(rows)}
+    return Gf2Matroid({e: bit.get(u, 0) ^ bit.get(v, 0) for e, (u, v) in graph.edges.items()})
+
+
+class TestIncidenceRoute:
+    """A GF(2) matrix whose every column has at most two 1s is solved on its
+    graph (``incidence_leaf``) when F spans at most three of its vertices,
+    within the graph bounds r^2 / 2(r - 1), and reported with the bounds
+    of its kind (c = 2)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_the_graph_has_the_matrix_rank(self, graph, data):
+        graph = Multigraph(dict(list(graph.edges.items())[:8]))
+        m = data.draw(incidence_encodings(graph))
+        built = incidence_leaf(gf2_leaf(m)).graph
+        assert built.edges.keys() == m.ground
+        on_graph, original = GraphicMatroid(built), GraphicMatroid(graph)
+        for subset in subsets(sorted(m.ground)):
+            assert on_graph.rank(subset) == m.rank(subset) == original.rank(subset)
+
+    def _check(self, report, m, x, y, forbidden=frozenset()):
+        r = m.full_rank
+        seq = report.sequence
+        assert report.trace.payload == {"mode": report.mode, "graph": True}
+        final = apply_and_validate(BasisPair(x.first, x.second, m), seq, forbidden)
+        assert (final.first, final.second) == (y.first, y.second)
+        assert seq.length <= r * r and seq.width <= (max(1, 2 * (r - 1)) if r else 0)
+        if report.mode == "gabow":
+            assert seq.length == r
+        assert report.bound_length == (r if report.mode == "gabow" else max(r, 2 * r * r))
+        assert report.bound_width == (max(1, 4 * (r - 1)) if r else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(multigraphs(), st.data(), st.randoms(use_true_random=False))
+    def test_routed_solves_meet_the_graph_bounds(self, graph, data, rng):
+        g = GraphicMatroid(graph)
+        x = drawn_pair(g, rng)
+        y = random_exchange_walk(g, x, rng.randint(1, 8), rng)
+        m = data.draw(incidence_encodings(graph))
+        forbidden = random_forbidden_set(x, y, incidence_leaf(gf2_leaf(m)).graph, rng)
+        report = solve_white(m, (x.first, x.second), (y.first, y.second), forbidden)
+        self._check(report, m, x, y, forbidden)
+        # the reversal, on the graph with the common elements contracted
+        common = x.common
+        m = data.draw(incidence_encodings(graph.contract_edges(common)))
+        x = BasisPair(x.first - common, x.second - common, m)
+        last = rng.choice(sorted(x.union)) if x.union and rng.random() < 0.7 else None
+        report = solve_gabow(m, x, last)
+        check_reversal(x, report.sequence, last)
+        self._check(report, m, x, x.swapped())
+
+    @pytest.mark.parametrize("mode", ["white", "gabow"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_column_with_three_ones_takes_the_matrix_chain(self, seed, mode):
+        from baseswap.cli import _gen_bispanning
+        from baseswap.io import parse_instance
+
+        obj = _gf2_encoding(_gen_bispanning(12, random.Random(seed), mode), redundant=True)
+        inst = parse_instance(obj)
+        m = inst["structure"].matroid
+        assert max(col.bit_count() for col in m.columns.values()) == 3
+        assert incidence_leaf(inst["structure"]) is None
+        report = _report(obj)
+        assert report.trace.payload == {"mode": mode}
+        x = BasisPair(inst["x1"], inst["x2"], m)
+        y = x.swapped() if mode == "gabow" else BasisPair(inst["y1"], inst["y2"], m)
+        final = apply_and_validate(x, report.sequence, inst["forbidden"])
+        assert (final.first, final.second) == (y.first, y.second)
+
+    def test_f_on_four_vertices_takes_the_matrix_chain(self):
+        # the graph rule refuses F on four vertices; the matrix's chain,
+        # which asks nothing of F's span, still solves this instance
+        from baseswap.cli import _gen_bispanning
+        from baseswap.io import parse_instance
+
+        obj = {**_gen_bispanning(8, random.Random(2), "white"), "forbidden": ["e0", "e12"]}
+        graph = parse_instance(obj)["structure"].graph
+        with pytest.raises(GroundSetError, match="forbidden edges span more than three"):
+            _report(obj)
+        encoded = _gf2_encoding(obj)
+        inst = parse_instance(encoded)
+        assert len(vertex_span(incidence_leaf(inst["structure"]).graph, inst["forbidden"])) == 4
+        assert len(vertex_span(graph, inst["forbidden"])) == 4
+        report = _report(encoded)
+        assert report.trace.payload == {"mode": "white"} and report.length
+        m = inst["structure"].matroid
+        x, y = BasisPair(inst["x1"], inst["x2"], m), BasisPair(inst["y1"], inst["y2"], m)
+        final = apply_and_validate(x, report.sequence, inst["forbidden"])
+        assert (final.first, final.second) == (y.first, y.second)
+        r = m.full_rank
+        assert (report.bound_length, report.bound_width) == (2 * r * r, 4 * (r - 1))
+
+    def test_a_bad_f_exits_two(self, tmp_path, capsys):
+        # F is checked before its span is read, so an element outside the
+        # ground set or outside the matching intersections is refused as
+        # for any other matrix
+        from baseswap.cli import _gen_bispanning
+        from baseswap.io import parse_instance
+
+        obj = _gf2_encoding(_gen_bispanning(8, random.Random(2), "white"))
+        inst = parse_instance(obj)
+        x, y = (inst["x1"], inst["x2"]), (inst["y1"], inst["y2"])
+        with pytest.raises(ReductionError, match="forbidden set must stay inside"):
+            solve_white(inst["structure"], x, y, forbidden={max(inst["structure"].ground) + 1})
+        label = inst["labels"].label
+        outside = sorted((inst["x1"] & inst["y2"]) | (inst["x2"] & inst["y1"]))
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**obj, "forbidden": [label(outside[0])]}))
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: forbidden set must stay inside matching intersections\n"
+        )
 
 
 @pytest.mark.parametrize("kind, seed, mode", sorted(GOLDEN_BEYOND_GRAPHS))

@@ -33,9 +33,10 @@ from baseswap.pipeline import (
     solve_gabow,
     solve_white,
 )
-from baseswap.reductions import find_triad, find_triangle
+from baseswap.reductions import ReductionError, find_triad, find_triangle
 from baseswap.structure import (
     as_structure,
+    binary_image,
     compose_structures,
     cographic_leaf,
     gf2_view,
@@ -58,9 +59,9 @@ from conftest import (
     chain_level,
     definitional_matroid,
     checked_replace,
+    drawn_pair,
     gf2_matrices,
     multigraphs,
-    random_basis,
     r10_two_sum_tree,
     strip_level,
     subsets,
@@ -323,10 +324,12 @@ class TestSolveEndToEnd:
     )
     def test_callers_matroid_solves_as_its_matrix(self, m, rng):
         # a caller's matroid is solved as its [I | A] image from the root,
-        # strips included: a lazy view of m gives m's own sequences (or
-        # refusals).  The white pair has uncovered and common elements and
-        # a drawn F; the reversal, on m with the common elements contracted,
-        # has uncovered elements and a drawn designated last element
+        # strips included: a lazy view of m gives the image's own sequences
+        # (or refusals).  The image, not m: an incidence matrix m is solved
+        # on its graph, and its image may not be.  The white pair has
+        # uncovered and common elements and a drawn F; the reversal, on m
+        # with the common elements contracted, has uncovered elements and a
+        # drawn designated last element
         def outcome(solve, m, *args):
             try:
                 return solve(m, *args).sequence.steps
@@ -335,14 +338,9 @@ class TestSolveEndToEnd:
 
         def same(solve, m, *args):
             wrapped = DualMatroid(DualMatroid(m))
-            assert outcome(solve, wrapped, *args) == outcome(solve, m, *args)
+            assert outcome(solve, wrapped, *args) == outcome(solve, binary_image(m), *args)
 
-        first = random_basis(m, rng)
-        second: set = set()
-        for e in rng.sample(sorted(m.ground - first), len(m.ground - first)) + sorted(first):
-            if m.rank(second | {e}) > len(second):
-                second.add(e)
-        x = BasisPair(first, frozenset(second), m)
+        x = drawn_pair(m, rng)
         y = random_exchange_walk(m, x, rng.randint(1, 8), rng)
         eligible = sorted((x.first & y.first) | (x.second & y.second))
         same(solve_white, m, x, y, frozenset(e for e in eligible if rng.random() < 0.3))
@@ -544,6 +542,26 @@ class TestMoreStructure:
         solve_white(cographic_leaf(g), x, y)
         solve_gabow(cographic_leaf(g), x)
         assert [graph.graph.edges for graph in graphs] == [g.edges] * 2
+
+    def test_cographic_root_checks_its_members_on_its_graph(self, monkeypatch):
+        # B is a basis of M*(G) exactly when E - B is a spanning forest of G,
+        # so a cographic root's entry rules, like its replay, run no GF(2)
+        # elimination, and refuse a bad member with the same messages
+        rng = random.Random(4)
+        g, x = random_bispanning_graph(12, rng)
+        y = random_exchange_walk(GraphicMatroid(g), x, 12, rng)
+
+        def refuse(*args):
+            raise RuntimeError("a GF(2) elimination ran")
+
+        monkeypatch.setattr(Gf2Matroid, "_eliminate", refuse)
+        leaf = cographic_leaf(g)
+        assert solve_white(leaf, x, y).rank == leaf.matroid.full_rank == len(g.edges) // 2
+        solve_gabow(leaf, x)
+        with pytest.raises(ReductionError, match="^instance member is not a basis$"):
+            solve_white(leaf, x, (y.first - {min(y.first)}, y.second))
+        with pytest.raises(GroundSetError, match=r"^elements \[99\] not in ground set$"):
+            solve_gabow(leaf, (x.first, x.second - {min(x.second)} | {99}))
 
     def test_cographic_leaf_in_a_one_sum(self):
         # a tight split of the sum hands its cographic side tableaux of
