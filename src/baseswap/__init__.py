@@ -23,7 +23,6 @@ _HOMES = {
         "bfs_oracle", "compatible", "is_valid_exchange",
     ),
     "union": ("matroid_union_partition", "InfeasiblePartitionError"),
-    "graphic": ("solve_graphic_white", "solve_graphic_gabow"),
     "special": ("r10_matroid", "f7_matroid"),
     "pipeline": ("solve_white", "solve_gabow", "SolveReport"),
 }

@@ -1,4 +1,4 @@
-"""The graph rule of the engine and the graph entry points.
+"""The graph rule of the engine, and GF(2) incidence matrices read as graphs.
 
 On a graph, the engine (``pipeline``) reduces at a low-degree vertex u: it
 splits on the tight set E - delta(u) at a degree-2 vertex, or shrinks along
@@ -12,12 +12,12 @@ A split's other side is a parallel pair and a triad has one child, so a
 graph solve's reductions form a chain.  ``GraphChain`` is the engine's
 chain of reductions (``reductions.Chain``) on a graph: it picks each vertex
 from degree buckets (``_Buckets``) rather than by a scan, and takes each
-level's minor by editing one private graph.  ``solve_graphic_white`` and
-``solve_graphic_gabow`` are ``solve_white`` and ``solve_gabow`` on the
-graph: the same entry rules (``reductions.Instance.checked``), engine,
-closing replay and bound check.  ``incidence_leaf`` reads a GF(2) matrix
-with at most two 1s per column as the graph whose incidence matrix it is,
-so that the engine can solve it on that graph.
+level's minor by editing its own edge and incidence dicts; the
+``Multigraph`` it starts from is never changed.  ``incidence_leaf`` reads
+a GF(2) matrix with at most two 1s per column as the graph whose
+incidence matrix it is, so that the engine can solve it on that graph.  A
+caller solves a graph as ``solve_white`` or ``solve_gabow`` on its
+``structure.graphic_leaf``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .matroid import Multigraph, _is_forest
-from .exchange import BasisPair
 from .reductions import Chain, Instance
 from .structure import Leaf, graphic_leaf
 
@@ -151,54 +150,54 @@ class LevelEdges:
 class GraphChain(Chain):
     """A graph solve's chain of frames, reduced in place.
 
-    The chain edits a private copy of its first frame's graph, whose index
-    holds sets, as ``delete_edges`` and ``contract_edges`` would build the
+    The chain owns its graph as two dicts: ``edges`` ({id: (u, v)}, a copy
+    of its first frame's) and ``star``, the incidence index with sets.  It
+    edits both as ``delete_edges`` and ``contract_edges`` would build the
     minors: the same names and edge order, so the same picks.  ``frame``
     hands the current frame to the engine as an ordinary frame, when the
     chain is done, as ``split`` hands each parallel pair."""
 
-    __slots__ = ("graph", "buckets")
+    __slots__ = ("edges", "star", "buckets")
 
     def __init__(self, graph: Multigraph, inst: Instance, last, tableaux):
         super().__init__(inst, last, tableaux)
-        star = {v: set(ids) for v, ids in graph.incidence().items()}
-        self.graph = Multigraph._of(dict(graph.edges), star)
-        self.buckets = _Buckets(star)
+        self.edges = dict(graph.edges)
+        self.star = {v: set(ids) for v, ids in graph.incidence().items()}
+        self.buckets = _Buckets(self.star)
 
     def frame(self) -> tuple:
-        leaf = graphic_leaf(Multigraph(self.graph.edges))
+        leaf = graphic_leaf(Multigraph(self.edges))
         return leaf, self._instance(leaf.matroid), self.last, self.tableaux
 
     def reduce(self) -> tuple:
         """One reduction by the graph rule: the split on E - delta(u) at a
         degree-2 vertex u, else the triad delta(u)."""
-        star = self.graph._ends
-        u, kind = self.buckets.pick(self.graph.edges, self.forbidden, self.last)
+        u, kind = self.buckets.pick(self.edges, self.forbidden, self.last)
         if kind == "degree2":
-            return "tight_split", self.split(frozenset(star[u]))
-        return "triad", self.shrink(frozenset(star[u]))
+            return "tight_split", self.split(frozenset(self.star[u]))
+        return "triad", self.shrink(frozenset(self.star[u]))
 
     def _cut(self, outside) -> tuple:
         """M / z and z, for the two edges at a degree-2 vertex outside z:
         their parallel pair, which leaves the chain's graph."""
         a, b = sorted(outside)
-        ends = self.graph.edges[a]
+        ends = self.edges[a]
         self._delete(a)
         self._delete(b)
-        return graphic_leaf(Multigraph._of({a: ends, b: ends})), frozenset(self.graph.edges)
+        return graphic_leaf(Multigraph({a: ends, b: ends})), frozenset(self.edges)
 
     def _minor(self, contract, delete) -> "LevelEdges":
         """Delete and contract in the chain's graph; the lift keeps a copy of
         the level's edge ends."""
-        frame = LevelEdges(self.graph.edges)
+        frame = LevelEdges(self.edges)
         self._delete(delete)
         self._contract(contract)
         return frame
 
     def _delete(self, e) -> None:
         """Delete the edge e, as ``Multigraph.delete_edges`` would."""
-        star = self.graph._ends
-        for w in self.graph.edges.pop(e):
+        star = self.star
+        for w in self.edges.pop(e):
             ids = star[w]
             ids.discard(e)
             if ids:
@@ -210,7 +209,7 @@ class GraphChain(Chain):
         """Contract the edge e = (p, q), as ``Multigraph.contract_edges``
         would: q's other edges move to p, which keeps its name, and keep
         their places in the edge order."""
-        edges, star = self.graph.edges, self.graph._ends
+        edges, star = self.edges, self.star
         p, q = edges.pop(e)
         moved = star.pop(q)
         moved.discard(e)
@@ -221,22 +220,3 @@ class GraphChain(Chain):
         kept.discard(e)
         kept |= moved
         self.buckets.touch(p)
-
-
-def solve_graphic_white(graph: Multigraph, x: BasisPair, y: BasisPair, forbidden=()):
-    """F-avoiding sequence from x to y, width <= 2(r-1), length <= r^2.
-
-    Requires compatible pairs and |V(F)| <= 3 with F inside
-    (X1 ∩ Y1) ∪ (X2 ∩ Y2).
-    """
-    from .pipeline import solve_white  # the engine imports this module
-
-    return solve_white(graphic_leaf(graph), x, y, forbidden).sequence
-
-
-def solve_graphic_gabow(graph: Multigraph, x: BasisPair, h: int):
-    """Reverse a disjoint pair in exactly r strictly monotone steps,
-    exchanging ``h`` in the last one."""
-    from .pipeline import solve_gabow  # the engine imports this module
-
-    return solve_gabow(graphic_leaf(graph), x, last=h).sequence

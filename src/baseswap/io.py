@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .matroid import Multigraph, Gf2Matroid, SumSpec
-from .special import r10_matroid, fano_gf2, K5_EDGES, F7_ELEMENTS
+from .special import r10_matroid, f7_matroid, K5_EDGES, F7_ELEMENTS
 from .structure import (
     compose_structures,
     cographic_leaf,
@@ -153,7 +153,7 @@ def _leaf_from_node(node: dict):
         base = Gf2Matroid.from_rows(rows, range(len(labels)))
     elif tag in ("r10", "f7"):
         labels = _builtin_labels(tag, node)
-        base = r10_matroid() if tag == "r10" else fano_gf2()
+        base = r10_matroid() if tag == "r10" else f7_matroid()
     else:
         raise ParseError(f"unknown leaf tag {tag!r}")
     columns = [base.columns[i] for i in range(len(labels))]

@@ -7,8 +7,7 @@ are GF(2) matrices built in ``structure``.  Only the two explicit backends
 take duals and minors: the solver swaps any other matroid for its GF(2)
 image before it reduces.  Instances are immutable after construction and
 all queries are read-only, so values can be shared freely between threads;
-rank caches and a graph's incidence index fill idempotently.  The one
-mutable graph is a graph solve's private copy (``Multigraph``).
+rank caches and a graph's incidence index fill idempotently.
 
 A ``Tableau`` holds the fundamental circuits of one basis of a binary
 matroid as bitmasks and answers "is B - b + f a basis?" with one bit; an
@@ -163,9 +162,6 @@ class Matroid:
         """The minor for checked, disjoint sets, not both empty, which only
         an explicit backend builds."""
         raise NotImplementedError(f"{type(self).__name__} has no explicit minor")
-
-    def contract(self, subset) -> "Matroid":
-        return self.minor(contract=subset)
 
 
 class Gf2Matroid(Matroid):
@@ -486,29 +482,17 @@ class RootedForest:
 class Multigraph:
     """Loopless-or-not multigraph given as an edge dict {id: (u, v)}.
 
-    Vertices are arbitrary hashables.  Instances are treated as immutable;
-    contraction and deletion return fresh graphs.  The one exception is the
-    private copy a graph solve's chain of reductions edits in place
-    (``graphic.GraphChain``), whose index holds sets.
+    Vertices are arbitrary hashables.  Instances are immutable: contraction
+    and deletion return fresh graphs, built from scratch.
 
     The incidence index (``incidence``) maps each vertex to the ids of its
     edges, one id per end, so a loop is listed twice; it is built on first
-    use.  Deleting a few edges of an indexed graph copies its two dicts and
-    edits only the vertices it touches; any other minor is built from
-    scratch, and indexes itself when asked.
+    use.
     """
 
     def __init__(self, edges: dict):
         self.edges = dict(edges)
         self._ends = None  # the incidence index, once built
-
-    @classmethod
-    def _of(cls, edges: dict, ends=None) -> "Multigraph":
-        """A graph that takes ``edges`` (and the index ``ends``) as they are."""
-        graph = cls.__new__(cls)
-        graph.edges = edges
-        graph._ends = ends
-        return graph
 
     def incidence(self) -> dict:
         """{vertex: ids of its edges}; callers must not change it."""
@@ -540,22 +524,7 @@ class Multigraph:
 
     def delete_edges(self, edge_ids) -> "Multigraph":
         drop = _as_frozen(edge_ids)
-        edges, ends = self.edges, self._ends
-        if ends is None or 2 * len(drop) > len(edges):
-            return Multigraph._of({e: uv for e, uv in edges.items() if e not in drop})
-        kept, index = dict(edges), dict(ends)
-        touched = set()
-        for e in drop:
-            uv = kept.pop(e, None)
-            if uv is not None:
-                touched.update(uv)
-        for w in touched:
-            ids = tuple(x for x in index[w] if x not in drop)
-            if ids:
-                index[w] = ids
-            else:
-                del index[w]
-        return Multigraph._of(kept, index)
+        return Multigraph({e: uv for e, uv in self.edges.items() if e not in drop})
 
     def contract_edges(self, edge_ids) -> "Multigraph":
         """Contract the given edges in one union-find pass.
@@ -592,11 +561,7 @@ class Multigraph:
                 while b in parent:
                     b = parent[b]
                 kept[e] = (a, b)
-        return Multigraph._of(kept)
-
-    def forest_rank(self, edge_ids) -> int:
-        """Rank of an edge subset: vertices touched minus components."""
-        return len(self.forest(edge_ids))
+        return Multigraph(kept)
 
     def forest(self, edge_ids) -> list:
         """The edges of ``edge_ids``, taken in order, that each join two
@@ -645,7 +610,7 @@ class GraphicMatroid(Matroid):
         self.graph = graph
 
     def _rank(self, subset: frozenset) -> int:
-        return self.graph.forest_rank(subset)
+        return len(self.graph.forest(subset))
 
     def greedy_basis(self) -> frozenset:
         """Kruskal in id order: one union-find pass."""

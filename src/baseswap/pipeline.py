@@ -455,12 +455,13 @@ class MatrixChain(Chain):
         return self.struct, self._instance(self.struct.matroid), self.last, self.tableaux
 
     def reduce(self):
-        m = self.struct.matroid
-        z = find_nontrivial_tight_set(m, BasisPair(self.x1, self.x2), self.tableaux.x)
+        m, tabs = self.struct.matroid, self.tableaux.x
+        x = BasisPair(tabs[0].cocircuits.keys(), tabs[1].cocircuits.keys())
+        z = find_nontrivial_tight_set(m, x, tabs)
         if z is not None:
             return "tight_split", self.split(m.ground - z)
         cover = m.ground - self.forbidden - {self.last}
-        triad = find_triad(m, cover, self.tableaux.x[0])
+        triad = find_triad(m, cover, tabs[0])
         if triad is not None:
             return "triad", self.shrink(triad)
         triangle = find_triangle(m, cover)

@@ -5,9 +5,10 @@ rank <= 2 frames the reductions end on, are the engine's (``pipeline``).
 Past the strips a frame's pairs are disjoint and cover its ground set, and
 so are those of a tight split's restriction and of a triad's minor.  So the
 engine reduces a frame level after level on one mutable state (``Chain``):
-the pairs and F as sets, the designated last element, and the tableaux of
-the pairs' bases (``PairTableaux``), from which tightness and the fix-up
-checks are read as bits and which each reduction updates in place.
+the tableaux of the pairs' bases (``PairTableaux``), F as a set and the
+designated last element.  The tableaux are the pairs: a tableau's cocircuit
+keys are its basis.  Tightness and the fix-up checks are read from them as
+bits, and each reduction updates them in place.
 ``Chain.split`` and ``Chain.shrink`` hold the bookkeeping of the two
 reductions once; a graph (``graphic.GraphChain``) and a GF(2) frame
 (``pipeline.MatrixChain``) differ only in how they pick a reduction and how
@@ -81,9 +82,10 @@ def _as_pair(m: Matroid, pair) -> BasisPair:
     return BasisPair(_as_frozen(first), _as_frozen(second), m)
 
 
-def _instance(m: Matroid, sets, forbidden) -> Instance:
-    """The instance on m of the pairs (x1, x2, y1, y2) and F, frozen."""
-    x1, x2, y1, y2 = map(frozenset, sets)
+def _instance(m: Matroid, tableaux: "PairTableaux", forbidden) -> Instance:
+    """The instance on m of the pairs whose bases key the cocircuits of
+    ``tableaux``, and F, frozen."""
+    x1, x2, y1, y2 = (frozenset(tab.cocircuits) for tab in tableaux.x + tableaux.y)
     return Instance(m, BasisPair(x1, x2, m), BasisPair(y1, y2, m), frozenset(forbidden))
 
 
@@ -251,32 +253,33 @@ def _closure(arcs: dict, v: int, full: int) -> int:
     return seen
 
 
-def _tight_in_tableaux(bases: tuple, tabs, z: frozenset, outside: frozenset) -> bool:
-    """|Z| = 2 r(Z), read from the tableaux ``tabs`` of the two ``bases``:
-    each basis B meets Z in |Z|/2 elements and spans Z with them, that is,
-    no element of Z - B has a circuit that leaves Z (no C*(B, b) of a b
-    outside Z meets Z).  The cocircuits are masked with the smaller of Z
-    and ``outside`` (the ground set minus Z).  The mask of Z holds only
-    elements of the ground set, so stale bits are skipped; a bit that a
-    cocircuit holds beyond the mask of ``outside`` is in Z exactly when it
-    has a circuit of its own.  The test is exact when the bases partition
-    the ground set, as after the strips; for any other pair it may only
-    wrongly say no."""
-    for basis in bases:
-        if 2 * (len(basis) - len(outside & basis)) != len(z):
+def _tight_in_tableaux(tabs, z: frozenset, outside: frozenset) -> bool:
+    """|Z| = 2 r(Z), read from the tableaux ``tabs`` of two bases, their
+    cocircuit keys: each basis B meets Z in |Z|/2 elements and spans Z with
+    them, that is, no element of Z - B has a circuit that leaves Z (no
+    C*(B, b) of a b outside Z meets Z).  The cocircuits are masked with the
+    smaller of Z and ``outside`` (the ground set minus Z).  The mask of Z
+    holds only elements of the ground set, so stale bits are skipped; a bit
+    that a cocircuit holds beyond the mask of ``outside`` is in Z exactly
+    when it has a circuit of its own.  The test is exact when the bases
+    partition the ground set, as after the strips; for any other pair it
+    may only wrongly say no."""
+    for tab in tabs:
+        cocircuits = tab.cocircuits
+        if 2 * (len(cocircuits) - len(cocircuits.keys() & outside)) != len(z):
             return False
     if len(outside) < len(z):
         keep = ~_encode(outside)
-        for basis, tab in zip(bases, tabs):
+        for tab in tabs:
             circuits, cocircuits = tab.circuits, tab.cocircuits
-            for b in basis & outside:
-                if any(y in circuits for y in _bits(cocircuits[b] & keep)):
+            for b in outside:
+                if b in cocircuits and any(y in circuits for y in _bits(cocircuits[b] & keep)):
                     return False
         return True
     zmask = _encode(z)
-    for basis, tab in zip(bases, tabs):
+    for tab in tabs:
         cocircuits = tab.cocircuits
-        if any(cocircuits[b] & zmask for b in basis - z):
+        if any(mask & zmask for b, mask in cocircuits.items() if b not in z):
             return False
     return True
 
@@ -322,13 +325,12 @@ def _first_triangle(cols: dict, cover) -> Optional[frozenset]:
 
 def _triad_fixups(tset: frozenset, x_inside, y_inside, tableaux: PairTableaux) -> tuple:
     """The fix-up rule on a triad ``tset`` that the first bases of x and y
-    meet in ``x_inside`` and ``y_inside``: (step_x, step_y, cx, cy), the
-    steps (None for no step) and the triad elements of each first basis
-    after them.  Both pairs must leave the same triad element alone on its
-    side, which takes at most one exchange per pair; among the valid
-    choices the one with fewest steps wins, then the lexicographically
-    smallest.  A step's validity is read from the tableaux of its pair's
-    bases."""
+    meet in ``x_inside`` and ``y_inside``: (step_x, step_y), the steps (None
+    for no step).  Both pairs must leave the same triad element alone on its
+    side, which takes at most one exchange per pair, and which keeps the
+    number of triad elements in each first basis; among the valid choices
+    the one with fewest steps wins, then the lexicographically smallest.  A
+    step's validity is read from the tableaux of its pair's bases."""
     for inside in (x_inside, y_inside):
         if len(inside) not in (1, 2):
             raise ReductionError("triad must meet both bases")
@@ -351,14 +353,10 @@ def _triad_fixups(tset: frozenset, x_inside, y_inside, tableaux: PairTableaux) -
         if step_x is not None and step_y is not None:
             key = (bool(step_x) + bool(step_y), tuple(step_x), tuple(step_y))
             if best is None or key < best[0]:
-                best = (key, step_x or None, step_y or None, lone)
+                best = (key, step_x or None, step_y or None)
     if best is None:
         raise AssertionError("no consistent triad split exists; this cannot happen")
-    _, step_x, step_y, lone = best
-    cx, cy = (
-        tset - {lone} if len(inside) == 2 else frozenset({lone}) for inside in (x_inside, y_inside)
-    )
-    return step_x, step_y, cx, cy
+    return best[1:]
 
 
 # -- the chain of reductions ---------------------------------------------------
@@ -367,8 +365,8 @@ def _triad_fixups(tset: frozenset, x_inside, y_inside, tableaux: PairTableaux) -
 class Chain:
     """A frame's chain of reductions, run in place.
 
-    The state is the pairs x = (x1, x2) and y = (y1, y2) and F as mutable
-    sets, the designated ``last`` element, and the pairs' ``PairTableaux``.
+    The state is the pairs' ``PairTableaux``, whose cocircuit keys are the
+    four bases, F as a mutable set and the designated ``last`` element.
     ``split`` and ``shrink`` apply a tight split and a triad reduction to it;
     a subclass picks each level's reduction (``reduce``: ("tight_split",
     ``split``'s result), ("triad", ``shrink``'s result), or None when none
@@ -377,20 +375,22 @@ class Chain:
     ``last``, tableaux).  ``done`` says when the frame is the identity or
     has rank at most 2."""
 
-    __slots__ = ("x1", "x2", "y1", "y2", "forbidden", "last", "tableaux")
+    __slots__ = ("forbidden", "last", "tableaux")
 
     def __init__(self, inst: Instance, last, tableaux: PairTableaux):
-        self.x1, self.x2 = set(inst.x.first), set(inst.x.second)
-        self.y1, self.y2 = set(inst.y.first), set(inst.y.second)
         self.forbidden = set(inst.forbidden)
         self.last = last
         self.tableaux = tableaux
 
     def done(self) -> bool:
-        return len(self.x1) <= 2 or (self.x1 == self.y1 and self.x2 == self.y2)
+        (x1, x2), (y1, y2) = self.tableaux.x, self.tableaux.y
+        return len(x1.cocircuits) <= 2 or (
+            x1.cocircuits.keys() == y1.cocircuits.keys()
+            and x2.cocircuits.keys() == y2.cocircuits.keys()
+        )
 
     def _instance(self, m: Matroid) -> Instance:
-        return _instance(m, (self.x1, self.x2, self.y1, self.y2), self.forbidden)
+        return _instance(m, self.tableaux, self.forbidden)
 
     def split(self, outside: frozenset) -> tuple:
         """Split on the tight set z, the ground set minus ``outside``: the
@@ -401,21 +401,21 @@ class Chain:
         element lies in z), so that element stays last.  The tableaux answer
         whether z is tight (``_tight_in_tableaux``) and are split between
         the two sides."""
-        sets = (self.x1, self.x2, self.y1, self.y2)
-        if not 0 < len(outside) < len(self.x1) + len(self.x2):  # the pairs cover the frame
+        x1, x2 = self.tableaux.x
+        # the pairs cover the frame
+        if not 0 < len(outside) < len(x1.cocircuits) + len(x2.cocircuits):
             raise ReductionError("tight set must be nonempty and proper")
         rest, z = self._cut(outside)
-        if not _tight_in_tableaux((self.x1, self.x2), self.tableaux.x, z, outside):
+        if not _tight_in_tableaux(self.tableaux.x, z, outside):
             raise ReductionError("set is not tight")
-        rest_inst = _instance(rest.matroid, [s & outside for s in sets], self.forbidden & outside)
+        rest_tableaux = self.tableaux.split(outside)
+        rest_inst = _instance(rest.matroid, rest_tableaux, self.forbidden & outside)
         last = self.last
         restrict_last = last is not None and last in z
         rest_last = last if last in outside else None
         self.last = last if restrict_last else None
-        for s in sets:
-            s -= outside
         self.forbidden -= outside
-        return z, restrict_last, (rest, rest_inst, rest_last, self.tableaux.split(outside))
+        return z, restrict_last, (rest, rest_inst, rest_last, rest_tableaux)
 
     def shrink(self, t: frozenset, dual: bool = False) -> tuple:
         """Shrink along the triad t: the fix-ups (``_triad_fixups``), which
@@ -431,33 +431,22 @@ class Chain:
         covering, so a pair of bases of M is also one of M*, and an exchange
         is valid in both or in neither: the fix-ups and the lift ask M
         itself.  The fix-ups pivot the tableaux in place, copying only one
-        the other pair shares (``PairTableaux.fixed``)."""
+        the other pair shares (``PairTableaux.fixed``), and the minor drops
+        t2 and t3 from the bases."""
         if self.forbidden & t:
             raise ReductionError("forbidden set must avoid the triad")
-        step_x, step_y, cx, cy = _triad_fixups(t, t & self.x1, t & self.y1, self.tableaux)
-        for first, second, first_t in ((self.x1, self.x2, cx), (self.y1, self.y2, cy)):
-            first -= t
-            first |= first_t
-            second -= t
-            second |= t - first_t
-        swapped = len(cx) == 1
-        if swapped:
-            self.x1, self.x2, self.y1, self.y2 = self.x2, self.x1, self.y2, self.y1
-        t1, t2 = sorted(t & self.x1)
-        (t3,) = t & self.x2
-        if t1 in self.y1 and t2 in self.y1:
-            self.y1.discard(t2)
-            self.y2.discard(t3)
-        elif t1 in self.y2 and t2 in self.y2:
-            self.y1.discard(t3)
-            self.y2.discard(t2)
-        else:
+        tabs = self.tableaux
+        x_inside = t & tabs.x[0].cocircuits.keys()
+        step_x, step_y = _triad_fixups(t, x_inside, t & tabs.y[0].cocircuits.keys(), tabs)
+        swapped = len(x_inside) == 1  # a fix-up keeps the count
+        self.tableaux = tabs = tabs.fixed(step_x, step_y, swapped)
+        x1, y1 = tabs.x[0].cocircuits.keys(), tabs.y[0].cocircuits
+        t1, t2 = sorted(t & x1)
+        (t3,) = t - x1
+        if (t1 in y1) != (t2 in y1):
             raise ReductionError("pairs are not consistent on the triad")
-        self.x1.discard(t2)
-        self.x2.discard(t3)
         contract, delete = (t3, t2) if dual else (t2, t3)
-        self.tableaux = self.tableaux.fixed(step_x, step_y, swapped)
-        self.tableaux.minor(contract, delete)
+        tabs.minor(contract, delete)
         suffix = step_y.reversed() if step_y else None
         frame = self._minor(contract, delete)
         lift = TriadLift(t1, t2, t3, delete, swapped, step_x, suffix, frame)

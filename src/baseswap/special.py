@@ -59,10 +59,7 @@ F7_LINES = (
 )
 
 
-def fano_gf2() -> Gf2Matroid:
+def f7_matroid() -> Gf2Matroid:
     """F7 over GF(2) on elements 0..6 (a..g); the lines of ``F7_LINES`` are
     exactly the triples whose columns sum to zero."""
     return Gf2Matroid({0: 0b001, 1: 0b010, 2: 0b100, 3: 0b011, 4: 0b110, 5: 0b101, 6: 0b111})
-
-
-f7_matroid = fano_gf2

@@ -149,8 +149,6 @@ def structure_minor(struct, contract=(), delete=()):
     # checked here, since a graph ignores ids it does not hold
     if c & d or not c | d <= struct.ground:
         raise GroundSetError("minor sets must be disjoint and lie in the ground set")
-    if isinstance(struct, Leaf):
-        return _leaf_minor(struct, c, d)
     return structure_minors(struct, ((c, d),), c | d)
 
 

@@ -227,7 +227,7 @@ def partition_off_triangle(m: Matroid, triangle):
             f"|E| = {len(m.ground)} but 2r+1 = {2 * m.full_rank + 1}"
         )
     target = m.ground - t
-    contraction = m.contract(t)
+    contraction = m.minor(contract=t)
     s1, s2 = matroid_union_partition(m, contraction, target)
     if not (m.is_basis(s1) and contraction.is_basis(s2)):
         raise SumStructureError("partition does not split into the two bases")

@@ -373,6 +373,66 @@ def strip_level(inst) -> tuple:
     return child, trace[0].flatten() if trace else []
 
 
+class ReferencePairs:
+    """A chain's pairs x = (x1, x2), y = (y1, y2) and F kept as mutable
+    sets, and moved by the set rules of its two reductions: the reference
+    for the pairs ``reductions.Chain`` reads from its tableaux' keys."""
+
+    def __init__(self, inst):
+        self.sets = [set(inst.x.first), set(inst.x.second), set(inst.y.first), set(inst.y.second)]
+        self.forbidden = set(inst.forbidden)
+
+    def pairs(self) -> tuple:
+        return tuple(map(frozenset, self.sets)), frozenset(self.forbidden)
+
+    def split(self, outside) -> tuple:
+        """The tight split on the ground set minus ``outside``: the chain
+        keeps each set without ``outside``; returns the other side's pairs
+        and F, each cut to ``outside``."""
+        rest = tuple(frozenset(s & outside) for s in self.sets), frozenset(self.forbidden & outside)
+        for s in self.sets:
+            s -= outside
+        self.forbidden -= outside
+        return rest
+
+    def shrink(self, payload: dict) -> None:
+        """The triad reduction of a certificate ``payload``: each fix-up
+        step exchanges its two elements between its pair's sets, the pairs
+        are swapped when x1 then holds one triad element, and t2 and t3
+        leave the sets (t2 from the member of y that holds t1 and t2)."""
+        t = payload["triad"]
+        for pair, key in ((self.sets[:2], "fix_x"), (self.sets[2:], "fix_y")):
+            if payload[key] is not None:
+                first, second = pair
+                e, f = payload[key]
+                first.remove(e)
+                first.add(f)
+                second.remove(f)
+                second.add(e)
+        x1, x2, y1, y2 = self.sets
+        swapped = len(t & x1) == 1
+        if swapped:
+            x1, x2, y1, y2 = self.sets = [x2, x1, y2, y1]
+        t1, t2 = sorted(t & x1)
+        (t3,) = t & x2
+        assert (t1, t2, t3, swapped) == tuple(payload[k] for k in ("t1", "t2", "t3", "swapped"))
+        if t1 in y1 and t2 in y1:
+            y1.discard(t2)
+            y2.discard(t3)
+        else:
+            assert t1 in y2 and t2 in y2, "pairs are not consistent on the triad"
+            y1.discard(t3)
+            y2.discard(t2)
+        x1.discard(t2)
+        x2.discard(t3)
+
+
+def frame_pairs(inst) -> tuple:
+    """An instance's four bases, then its F, in ``ReferencePairs.pairs``'
+    form."""
+    return (inst.x.first, inst.x.second, inst.y.first, inst.y.second), inst.forbidden
+
+
 def checked_replace(replace, options):
     """A stand-in for ``TriadLift.replace`` that calls ``replace`` and
     requires its steps to equal ``reference_replace``'s, with option A or

@@ -21,12 +21,11 @@ from baseswap.gen import (
     random_exchange_walk,
     random_forbidden_set,
 )
-from baseswap.graphic import solve_graphic_gabow, solve_graphic_white
 from baseswap.io import parse_instance
 from baseswap.matroid import GraphicMatroid, Multigraph, SumSpec, graphic_matroid
-from baseswap.pipeline import solve_white
+from baseswap.pipeline import solve_gabow, solve_white
 from baseswap.reductions import find_nontrivial_tight_set
-from baseswap.special import f7_matroid, fano_gf2, r10_fixture_pair, r10_matroid
+from baseswap.special import f7_matroid, r10_fixture_pair, r10_matroid
 from baseswap.structure import compose_structures, compose_sum, gf2_view, graphic_leaf
 from baseswap.sums import SparsityError, four_regular_triangle_partition
 from baseswap.union import matroid_union_partition
@@ -60,7 +59,7 @@ def test_criterion_1_graphic_white_bounds():
         m = GraphicMatroid(graph)
         y = random_exchange_walk(m, x, rng.randint(1, n), rng)
         forbidden = random_forbidden_set(x, y, graph, rng)
-        seq = solve_graphic_white(graph, x, y, forbidden=forbidden)
+        seq = solve_white(graphic_leaf(graph), x, y, forbidden=forbidden).sequence
         final = apply_and_validate(x, seq, forbidden=forbidden)
         assert final.first == y.first and final.second == y.second
         assert seq.length <= (n - 1) ** 2
@@ -74,7 +73,7 @@ def test_criterion_2_graphic_gabow_exact():
     start = time.time()
     for n, graph, x, rng in _family():
         h = rng.choice(sorted(x.union))
-        seq = solve_graphic_gabow(graph, x, h)
+        seq = solve_gabow(graphic_leaf(graph), x, last=h).sequence
         assert seq.length == n - 1
         assert h in seq.steps[-1]
         final = apply_and_validate(x, seq)
@@ -304,7 +303,7 @@ def _lemma_backends():
     yield "graphic DT", graphic_matroid(DT_EDGES)
     yield "dual view", DualMatroid(graphic_matroid(K4_EDGES))
     yield "minor view", MinorMatroid(graphic_matroid(K4_EDGES), frozenset({0}), frozenset())
-    yield "gf2 F7", fano_gf2()
+    yield "gf2 F7", f7_matroid()
     yield "gf2 R10", r10_matroid()
     k3 = graphic_matroid({5: (1, 2), 20: (2, 3), 21: (1, 3)})
     k4 = graphic_matroid(

@@ -15,12 +15,7 @@ from baseswap.gen import (
     random_exchange_walk,
     random_forbidden_set,
 )
-from baseswap.graphic import (
-    incidence_leaf,
-    solve_graphic_gabow,
-    solve_graphic_white,
-    vertex_span,
-)
+from baseswap.graphic import incidence_leaf, vertex_span
 from baseswap.matroid import Gf2Matroid, GraphicMatroid, GroundSetError, Multigraph
 from baseswap.pipeline import solve_gabow, solve_white
 from baseswap.reductions import IncompatiblePairsError, ReductionError
@@ -35,7 +30,7 @@ from conftest import (
 class TestWhite:
     def test_k4_within_bounds(self, k4):
         m, x, y = k4
-        seq = solve_graphic_white(m.graph, x, y)
+        seq = solve_white(graphic_leaf(m.graph), x, y).sequence
         r = m.full_rank
         assert 1 <= seq.length <= r * r
         assert seq.width <= 2 * (r - 1)
@@ -46,19 +41,19 @@ class TestWhite:
         # F = {b} fits inside (X1 n Y1) u (X2 n Y2) for the swapped target
         m, x, y = k4
         target = y.swapped()
-        seq = solve_graphic_white(m.graph, x, target, forbidden={B})
+        seq = solve_white(graphic_leaf(m.graph), x, target, forbidden={B}).sequence
         final = apply_and_validate(x, seq, forbidden={B})
         assert final.first == target.first
 
     def test_same_pair_empty(self, k4):
         m, x, _ = k4
-        assert solve_graphic_white(m.graph, x, x).length == 0
+        assert solve_white(graphic_leaf(m.graph), x, x).sequence.length == 0
 
     def test_figure_three_refusal(self, k4):
         # F = {b, e} spans four vertices and must be refused outright
         m, x, y = k4
         with pytest.raises(GroundSetError):
-            solve_graphic_white(m.graph, x, y.swapped(), forbidden={B, E})
+            solve_white(graphic_leaf(m.graph), x, y.swapped(), forbidden={B, E})
 
     def test_incompatible_rejected(self, k4):
         # two spanning trees sharing a, so their union misses e: bases, but
@@ -66,13 +61,13 @@ class TestWhite:
         m, x, _ = k4
         unequal_union = BasisPair(frozenset({A, B, C}), frozenset({A, D, F}), m)
         with pytest.raises(IncompatiblePairsError):
-            solve_graphic_white(m.graph, x, unequal_union)
+            solve_white(graphic_leaf(m.graph), x, unequal_union)
 
     def test_non_basis_member_rejected(self, k4):
         m, x, _ = k4
         not_forests = BasisPair(frozenset({A, B, D}), frozenset({C, E, F}), m)
         with pytest.raises(ReductionError) as err:
-            solve_graphic_white(m.graph, x, not_forests)
+            solve_white(graphic_leaf(m.graph), x, not_forests)
         assert err.type is ReductionError
 
     def test_random_instances_meet_bounds(self):
@@ -83,7 +78,7 @@ class TestWhite:
             m = GraphicMatroid(g)
             y = random_exchange_walk(m, x, rng.randint(1, n), rng)
             f = random_forbidden_set(x, y, g, rng)
-            seq = solve_graphic_white(g, x, y, forbidden=f)
+            seq = solve_white(graphic_leaf(g), x, y, forbidden=f).sequence
             final = apply_and_validate(x, seq, forbidden=f)
             assert final.first == y.first and final.second == y.second
             r = m.full_rank
@@ -94,7 +89,7 @@ class TestWhite:
 class TestGabow:
     def test_dt_two_steps(self, dt):
         m, x = dt
-        seq = solve_graphic_gabow(m.graph, x, h=0)
+        seq = solve_gabow(graphic_leaf(m.graph), x, last=0).sequence
         assert seq.length == 2
         final = apply_and_validate(x, seq)
         assert final.first == x.second
@@ -102,7 +97,7 @@ class TestGabow:
     def test_k4_every_h(self, k4):
         m, x, _ = k4
         for h in range(6):
-            seq = solve_graphic_gabow(m.graph, x, h)
+            seq = solve_gabow(graphic_leaf(m.graph), x, last=h).sequence
             assert seq.length == 3
             assert h in seq.steps[-1]
             final = apply_and_validate(x, seq)
@@ -117,7 +112,7 @@ class TestGabow:
         m = GraphicMatroid(g)
         x = BasisPair(frozenset({0, 4, 5, 6}), frozenset({1, 2, 3, 7}), m)
         assert m.is_basis(x.first) and m.is_basis(x.second)
-        seq = solve_graphic_gabow(g, x, h=3)
+        seq = solve_gabow(graphic_leaf(g), x, last=3).sequence
         assert seq.length == 4
 
     def test_strictly_monotone(self):
@@ -126,7 +121,7 @@ class TestGabow:
             n = rng.randint(4, 20)
             g, x = random_bispanning_graph(n, rng)
             h = rng.choice(sorted(x.union))
-            seq = solve_graphic_gabow(g, x, h)
+            seq = solve_gabow(graphic_leaf(g), x, last=h).sequence
             r = GraphicMatroid(g).full_rank
             assert seq.length == r and seq.width == 1
             assert h in seq.steps[-1]
@@ -142,7 +137,7 @@ class TestGabow:
         g = Multigraph({0: (1, 2), 1: (2, 3), 2: (1, 3)})
         m = GraphicMatroid(g)
         with pytest.raises(ReductionError) as err:
-            solve_graphic_gabow(g, BasisPair(frozenset({0, 1}), frozenset({2}), m), h=0)
+            solve_gabow(graphic_leaf(g), BasisPair(frozenset({0, 1}), frozenset({2}), m), last=0)
         assert err.type is ReductionError
 
 
@@ -350,8 +345,10 @@ class TestGraphChain:
     @staticmethod
     def _graph_solves():
         """(graphs the solve reads, solve) per case: a caller's
-        ``GraphicMatroid``, a graphic leaf, and the wheel-octahedron 3-sum,
-        whose bullet runs a chain per segment."""
+        ``GraphicMatroid``, a graphic leaf, a cographic leaf (whose pairs
+        of spanning trees that partition the graph are pairs of bases of
+        the dual too), and the wheel-octahedron 3-sum, whose bullet runs a
+        chain per segment."""
         from baseswap.cli import _gen_tree
         from baseswap.io import parse_instance
 
@@ -362,6 +359,8 @@ class TestGraphChain:
         yield [g], lambda: solve_white(m, x, y)
         h, xh = random_bispanning_graph(30, random.Random(6))
         yield [h], lambda: solve_gabow(graphic_leaf(h), xh, last=max(xh.first))
+        yield [g], lambda: solve_white(cographic_leaf(g), (x.first, x.second), (y.first, y.second))
+        yield [h], lambda: solve_gabow(cographic_leaf(h), (xh.first, xh.second))
         for mode in ("white", "gabow"):
             inst = parse_instance(_gen_tree(40, random.Random(17), mode))
             tree = inst["structure"]
@@ -381,6 +380,36 @@ class TestGraphChain:
             assert [(list(g.edges.items()), g.incidence()) for g in graphs] == before
             assert solve().sequence == first.sequence
             assert any(node.kind == "triad" for node in first.trace.flatten())
+
+    def test_a_routed_solve_leaves_its_graph_unchanged(self, monkeypatch):
+        # the graph an incidence matrix is solved on is built by the route,
+        # so its edges and index are read as the route hands it over
+        import baseswap.pipeline as pipeline
+
+        routed = []
+
+        def route(struct):
+            leaf = incidence_leaf(struct)
+            if leaf is not None:
+                graph = leaf.graph
+                routed.append((graph, list(graph.edges.items()), dict(graph.incidence())))
+            return leaf
+
+        monkeypatch.setattr(pipeline, "incidence_leaf", route)
+        g, x = random_bispanning_graph(30, random.Random(8))
+        bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices()))}
+        m = Gf2Matroid({e: bit[u] ^ bit[v] for e, (u, v) in g.edges.items()})
+        y = random_exchange_walk(GraphicMatroid(g), x, 20, random.Random(9))
+        reports = [
+            solve_white(gf2_leaf(m), (x.first, x.second), (y.first, y.second)),
+            solve_gabow(gf2_leaf(m), (x.first, x.second), last=min(x.second)),
+        ]
+        assert len(routed) == 2
+        for report in reports:
+            assert report.trace.payload.get("graph") is True
+            assert any(node.kind == "triad" for node in report.trace.flatten())
+        for graph, edges, index in routed:
+            assert list(graph.edges.items()) == edges and graph.incidence() == index
 
     def test_lifts_keep_no_graph_per_level(self, monkeypatch):
         # when the forward pass starts, the solve holds a bounded number of

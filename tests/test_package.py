@@ -166,3 +166,26 @@ def test_every_definition_is_read_by_the_library_or_the_bench():
         if name not in referenced and qual not in CALLER_ONLY
     }
     assert not unread, sorted(unread)
+
+
+def test_only_the_matroid_module_reads_a_graphs_private_attributes():
+    # a Multigraph is immutable: its private attributes (the incidence
+    # index it fills on first use) are read only by ``matroid.py``, and
+    # other modules go through its public methods
+    home = ast.parse((ROOT / "src" / "baseswap" / "matroid.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in ast.walk(home) if isinstance(n, ast.ClassDef) and n.name == "Multigraph"]
+    private = {
+        name for node in ast.walk(cls)
+        for name in (getattr(node, "attr", None), getattr(node, "name", None))
+        if name and name.startswith("_") and not name.endswith("__")
+    }
+    assert "_ends" in private
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    readers = sorted(
+        (path.name, node.lineno)
+        for path in sources if path.name != "matroid.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+        or isinstance(node, ast.Constant) and node.value in private
+    )
+    assert not readers, readers

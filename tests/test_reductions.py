@@ -22,14 +22,15 @@ from baseswap.reductions import (
     find_triad,
     find_triangle,
 )
-from baseswap.gen import random_bispanning_graph, random_exchange_walk
-from baseswap.pipeline import UnsupportedStructureError, _bfs_solve
-from baseswap.structure import gf2_view, graphic_leaf
+from baseswap.gen import random_bispanning_graph, random_exchange_walk, random_forbidden_set
+from baseswap.graphic import GraphChain
+from baseswap.pipeline import MatrixChain, UnsupportedStructureError, _bfs_solve
+from baseswap.structure import as_structure, gf2_view, graphic_leaf
 
 from conftest import (
-    A, B, C, D, E, F, K4_EDGES, brute_tight_sets, chain_level, checked_replace, random_basis,
-    reference_find_triad, reference_rank_le2, reference_sinks, reference_tight_set, strip_level,
-    subsets,
+    A, B, C, D, E, F, K4_EDGES, ReferencePairs, brute_tight_sets, chain_level, checked_replace,
+    frame_pairs, random_basis, reference_find_triad, reference_rank_le2, reference_sinks,
+    reference_tight_set, strip_level, subsets,
 )
 
 
@@ -571,6 +572,48 @@ class TestPairTableaux:
                 assert out.y == tabs.y and state(tabs)[2:] == before[2:]
             if step_x is None:
                 assert out.x == tabs.x and state(tabs)[:2] == before[:2]
+
+
+class TestChainPairs:
+    """A chain reads its pairs from the cocircuit keys of its tableaux.  At
+    every level, the pairs of the frame it would hand back, and those of
+    each split's other side, equal the pairs moved as sets by the rules of
+    ``conftest.ReferencePairs``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(4, 12), st.sampled_from(["white", "gabow"]),
+        st.booleans(),
+    )
+    def test_pairs_follow_the_set_rules(self, seed, n, mode, gf2):
+        rng = random.Random(seed)
+        g, x = random_bispanning_graph(n, rng)
+        m = GraphicMatroid(g)
+        if mode == "gabow":
+            y, forbidden, last = x.swapped(), frozenset(), rng.choice(sorted(x.union))
+        else:
+            y = random_exchange_walk(m, x, rng.randint(1, n), rng)
+            forbidden, last = random_forbidden_set(x, y, g, rng), None
+        if gf2:
+            m = graphic_leaf(g).gf2
+        inst = Instance(m, BasisPair(x.first, x.second, m), BasisPair(y.first, y.second, m), forbidden)
+        tableaux = PairTableaux.of(inst)
+        if gf2:
+            chain = MatrixChain(as_structure(m), inst, last, tableaux)
+        else:
+            chain = GraphChain(g, inst, last, tableaux)
+        ref = ReferencePairs(inst)
+        while not chain.done():
+            level = chain.reduce()
+            if level is None:
+                break
+            kind, out = level
+            if kind == "tight_split":
+                _, _, (rest, rest_inst, _, _) = out
+                assert frame_pairs(rest_inst) == ref.split(rest.matroid.ground)
+            else:
+                ref.shrink(out[0])
+            assert frame_pairs(chain.frame()[1]) == ref.pairs()
 
 
 def rank_le2_leaf(inst, h=None) -> ExchangeSequence:

@@ -170,7 +170,7 @@ class TestTrianglePartitions:
         t = frozenset({0, 1, 3})  # triangle a, b, d
         basis, contraction_basis = partition_off_triangle(m, t)
         assert m.is_basis(basis)
-        assert m.contract(t).is_basis(contraction_basis)
+        assert m.minor(contract=t).is_basis(contraction_basis)
         # equivalence with the per-element split: E - t_i is two bases
         for ti in sorted(t):
             rest = contraction_basis | (t - {ti})

@@ -47,7 +47,7 @@ def test_mixed_matroids_partition():
     edges[6] = edges[2]  # parallel to c = 34
     m = graphic_matroid(edges)
     t = frozenset({0, 1, 3})  # triangle a, b, d
-    contraction = m.contract(t)
+    contraction = m.minor(contract=t)
     s1, s2 = matroid_union_partition(m, contraction, m.ground - t)
     assert m.is_basis(s1)
     assert contraction.is_basis(s2)
