@@ -10,22 +10,24 @@ strictly monotone steps, which can finish on a designated edge.
 
 A split's other side is a parallel pair and a triad has one child, so a
 graph solve's reductions form a chain.  ``GraphChain`` is the engine's
-chain of reductions (``reductions.Chain``) on a graph: it picks each vertex
-from degree buckets (``_Buckets``) rather than by a scan, and takes each
-level's minor by editing its own edge and incidence dicts; the
-``Multigraph`` it starts from is never changed.  ``incidence_leaf`` reads
-a GF(2) matrix with at most two 1s per column as the graph whose
-incidence matrix it is, so that the engine can solve it on that graph.  A
-caller solves a graph as ``solve_white`` or ``solve_gabow`` on its
-``structure.graphic_leaf``.
+chain of reductions (``reductions.Chain``) on a graph: it numbers the
+vertices 0, 1, ... when it starts, picks each vertex from degree buckets
+(``_Buckets``) rather than by a scan, carries the pairs' bases as rooted
+spanning forests (``reductions.ForestPairs``), and takes each level's minor
+by editing its own edge dict and incidence index, and the forests with
+them; the ``Multigraph`` it starts from is never changed, and no GF(2)
+tableau is built.  ``incidence_leaf`` reads a GF(2) matrix with at most
+two 1s per column as the graph whose incidence matrix it is, so that the
+engine can solve it on that graph.  A caller solves a graph as
+``solve_white`` or ``solve_gabow`` on its ``structure.graphic_leaf``.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .matroid import Multigraph, _is_forest
-from .reductions import Chain, Instance
+from .matroid import Multigraph
+from .reductions import Chain, ForestPairs, Instance
 from .structure import Leaf, graphic_leaf
 
 
@@ -63,21 +65,34 @@ def vertex_span(graph: Multigraph, edge_ids) -> frozenset:
     return frozenset(verts)
 
 
+def _numbered(graph: Multigraph) -> tuple:
+    """(names, edges, star): the graph with its vertices numbered in the
+    order its incidence index lists them, ``names`` the name of each number,
+    ``edges`` {id: (u, v)} over the numbers, and ``star`` the list of each
+    number's edge ids, as sets."""
+    index = graph.incidence()
+    names = list(index)
+    number = {v: i for i, v in enumerate(names)}
+    edges = {e: (number[u], number[v]) for e, (u, v) in graph.edges.items()}
+    return names, edges, [set(ids) for ids in index.values()]
+
+
 class _Buckets:
-    """The vertices of degree 2 and of degree 3 of a graph, each kind in a
-    heap ordered by ``str`` of the name, then by a fixed index.  ``star`` is
-    the graph's incidence index: read here, and edited by its owner, which
-    calls ``touch`` on each vertex whose degree it changes.  An entry whose
-    vertex no longer has its heap's degree is dropped when it comes up."""
+    """The vertices of degree 2 and of degree 3 of a graph numbered 0, 1,
+    ..., each kind in a heap ordered by ``str`` of the vertex's name (in
+    ``names``), then by its number.  ``star`` is the graph's incidence index,
+    a list of edge id sets: read here, and edited by its owner, which calls
+    ``touch`` on each vertex whose degree it changes.  An entry whose vertex
+    no longer has its heap's degree is dropped when it comes up."""
 
     __slots__ = ("star", "key", "shared", "heaps")
 
-    def __init__(self, star: dict):
+    def __init__(self, star: list, names: list):
         self.star = star
-        self.key = {v: (str(v), i) for i, v in enumerate(star)}
-        self.shared = len({name for name, _ in self.key.values()}) < len(star)  # 1 and "1"
+        self.key = [(str(name), v) for v, name in enumerate(names)]
+        self.shared = len({name for name, _ in self.key}) < len(names)  # 1 and "1"
         self.heaps = {2: [], 3: []}
-        for v in star:
+        for v in range(len(star)):
             self.touch(v)
 
     def touch(self, v) -> None:
@@ -108,7 +123,7 @@ class _Buckets:
         held, ties, least = [], [], None
         while heap:
             key, v = heap[0]
-            if len(star.get(v, ())) != degree:
+            if len(star[v]) != degree:
                 heappop(heap)  # stale
             elif ties and key[0] != least:
                 break
@@ -130,44 +145,64 @@ class _Buckets:
 
 
 class LevelEdges:
-    """A copy of one chain level's edges {id: (u, v)}: the frame a graph
-    triad's lift keeps, since its one query (``TriadLift.replace``) reads
-    nothing else."""
+    """A copy of one chain level's edges {id: (u, v)} over vertices numbered
+    below ``size``: the frame a graph triad's lift keeps, since its one
+    query (``TriadLift.replace``) reads nothing else."""
 
-    __slots__ = ("edges",)
+    __slots__ = ("edges", "size")
 
-    def __init__(self, edges: dict):
+    def __init__(self, edges: dict, size: int):
         self.edges = dict(edges)
+        self.size = size
 
     @property
     def ground(self):
         return self.edges.keys()
 
     def _independent(self, elements) -> bool:
-        return _is_forest(self.edges, elements)
+        """Whether the edges ``elements`` form a forest: a union-find on a
+        list of parents, stopping at the first edge that closes a cycle."""
+        edges = self.edges
+        parent = list(range(self.size))
+        for e in elements:
+            u, v = edges[e]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]  # to the grandparent
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                return False
+            parent[u] = v
+        return True
 
 
 class GraphChain(Chain):
     """A graph solve's chain of frames, reduced in place.
 
-    The chain owns its graph as two dicts: ``edges`` ({id: (u, v)}, a copy
-    of its first frame's) and ``star``, the incidence index with sets.  It
-    edits both as ``delete_edges`` and ``contract_edges`` would build the
-    minors: the same names and edge order, so the same picks.  ``frame``
-    hands the current frame to the engine as an ordinary frame, when the
-    chain is done, as ``split`` hands each parallel pair."""
+    The chain owns its graph with its vertices numbered (``_numbered``):
+    ``edges`` ({id: (u, v)}) and ``star``, the incidence index, a list of
+    sets; ``names`` maps the numbers back.  It edits both as
+    ``delete_edges`` and ``contract_edges`` would build the minors: the same
+    vertices and edge order, so the same picks.  Its pairs are the forests
+    of its four bases on ``edges`` (``ForestPairs``), moved along before
+    each edit.  ``frame`` hands the current frame to the engine as an
+    ordinary frame, with the names, when the chain is done, as ``split``
+    hands each parallel pair."""
 
-    __slots__ = ("edges", "star", "buckets")
+    __slots__ = ("names", "edges", "star", "buckets")
 
-    def __init__(self, graph: Multigraph, inst: Instance, last, tableaux):
-        super().__init__(inst, last, tableaux)
-        self.edges = dict(graph.edges)
-        self.star = {v: set(ids) for v, ids in graph.incidence().items()}
-        self.buckets = _Buckets(self.star)
+    def __init__(self, graph: Multigraph, inst: Instance, last):
+        self.names, self.edges, self.star = _numbered(graph)
+        super().__init__(inst, last, ForestPairs.on(self.edges, self.star, inst))
+        self.buckets = _Buckets(self.star, self.names)
+
+    def _named(self, edges: dict) -> Multigraph:
+        names = self.names
+        return Multigraph({e: (names[u], names[v]) for e, (u, v) in edges.items()})
 
     def frame(self) -> tuple:
-        leaf = graphic_leaf(Multigraph(self.edges))
-        return leaf, self._instance(leaf.matroid), self.last, self.tableaux
+        leaf = graphic_leaf(self._named(self.edges))
+        return leaf, self._instance(leaf.matroid), self.last, self.pairs
 
     def reduce(self) -> tuple:
         """One reduction by the graph rule: the split on E - delta(u) at a
@@ -184,12 +219,12 @@ class GraphChain(Chain):
         ends = self.edges[a]
         self._delete(a)
         self._delete(b)
-        return graphic_leaf(Multigraph({a: ends, b: ends})), frozenset(self.edges)
+        return graphic_leaf(self._named({a: ends, b: ends})), frozenset(self.edges)
 
     def _minor(self, contract, delete) -> "LevelEdges":
         """Delete and contract in the chain's graph; the lift keeps a copy of
         the level's edge ends."""
-        frame = LevelEdges(self.edges)
+        frame = LevelEdges(self.edges, len(self.names))
         self._delete(delete)
         self._contract(contract)
         return frame
@@ -202,8 +237,6 @@ class GraphChain(Chain):
             ids.discard(e)
             if ids:
                 self.buckets.touch(w)
-            else:
-                del star[w]
 
     def _contract(self, e) -> None:
         """Contract the edge e = (p, q), as ``Multigraph.contract_edges``
@@ -211,7 +244,7 @@ class GraphChain(Chain):
         their places in the edge order."""
         edges, star = self.edges, self.star
         p, q = edges.pop(e)
-        moved = star.pop(q)
+        moved, star[q] = star[q], set()
         moved.discard(e)
         for x in moved:
             a, b = edges[x]

@@ -11,11 +11,12 @@ rank caches and a graph's incidence index fill idempotently.
 
 A ``Tableau`` holds the fundamental circuits of one basis of a binary
 matroid as bitmasks and answers "is B - b + f a basis?" with one bit; an
-exchange is one XOR pass over it.  The solver's fix-ups and searches read
-tableaux.  A ``RootedForest`` answers the same question for a graph by
-climbing parent pointers, and the sequence replay carries a graph's bases
-as forests and a GF(2) matrix's as tableaux; ``Matroid.is_basis`` is the
-rank reference of both.
+exchange is one XOR pass over it.  A GF(2) frame's fix-ups and searches
+read tableaux.  A ``RootedForest`` answers the same question for a graph by
+climbing parent pointers: a graph solve's chain of reductions and the
+sequence replay carry a graph's bases as forests, and the replay carries a
+GF(2) matrix's as tableaux; ``Matroid.is_basis`` is the rank reference of
+both.
 
 Every parse loads this module, so it imports no other.
 """
@@ -440,15 +441,46 @@ class RootedForest:
 
     B - b + f is a basis exactly when b lies on the tree path between the
     ends of f, that is, when exactly one end of f lies in the subtree under
-    b.  ``exchange`` finds out by climbing from both ends, at the cost of
-    their depths, then re-roots that subtree at the end of f inside it and
-    hangs it from the other end through f.
+    b.  ``exchangeable`` finds out by climbing from the ends of f, at the
+    cost of their depths; an end at b's upper vertex is not under b and
+    needs no climb.  ``exchange`` then re-roots that subtree at the end of
+    f inside it and hangs it from the other end through f.  A graph chain
+    also moves its forests to its minors, on an edge dict it edits in
+    place: ``split`` drops a leaf edge and ``contract`` a tree edge.
     """
 
     __slots__ = ("edges", "up", "via", "child")
 
     def __init__(self, edges: dict, up: dict, via: dict, child: dict):
         self.edges, self.up, self.via, self.child = edges, up, via, child
+
+    def copy(self) -> "RootedForest":
+        return RootedForest(self.edges, dict(self.up), dict(self.via), dict(self.child))
+
+    def _below(self, w, c) -> bool:
+        """Whether the vertex w lies in the subtree under c: a climb from w
+        that stops at c or at a root."""
+        up = self.up
+        while w != c:
+            if w not in up:
+                return False
+            w = up[w]
+        return True
+
+    def _crossing(self, c, f):
+        """The ends (w, v) of the edge f with w under the vertex c and v not,
+        or None when both or neither are (a loop is never across)."""
+        u, v = self.edges[f]
+        top = self.up[c]  # not under c
+        under = u != top and self._below(u, c)
+        if under == (v != top and self._below(v, c)):
+            return None
+        return (u, v) if under else (v, u)
+
+    def exchangeable(self, b, f) -> bool:
+        """Whether B - b + f is a basis, for b in B and an edge f outside it;
+        nothing changes."""
+        return self._crossing(self.child[b], f) is not None
 
     def exchange(self, b, f) -> bool:
         """Move to B - b + f and return True when b is in B, f is an edge
@@ -458,15 +490,11 @@ class RootedForest:
         if b not in child or f in child or f not in self.edges:
             return False
         c = child[b]
-        ends = u, v = self.edges[f]
-        while u != c and u in up:
-            u = up[u]
-        while v != c and v in up:
-            v = up[v]
-        if (u == c) == (v == c):  # both ends under b, or neither (a loop too)
+        ends = self._crossing(c, f)
+        if ends is None:
             return False
-        u, v = ends if u == c else ends[::-1]
-        via, w, edge = self.via, u, f  # u, under b, hangs from v through f
+        w, v = ends
+        via, edge = self.via, f  # w, under b, hangs from v through f
         while w != c:
             next_w, next_edge = up[w], via[w]
             up[w], via[w], child[edge] = v, edge, w
@@ -474,6 +502,40 @@ class RootedForest:
         up[c], via[c], child[edge] = v, edge, c
         del child[b]
         return True
+
+    def split(self, outside) -> "RootedForest":
+        """Drop the one edge e of ``outside`` in B, where ``outside`` is the
+        two edges at a vertex u of degree 2, so u is a leaf of B or a root
+        with one child.  Return the forest of e in the parallel pair that
+        ``outside`` becomes once the rest is contracted."""
+        held = [e for e in outside if e in self.child]
+        if len(held) != 1:
+            raise AssertionError("a forest must hold one edge at a degree-2 vertex")
+        (e,) = held
+        c = self.child.pop(e)
+        p = self.up.pop(c)
+        del self.via[c]
+        return RootedForest(dict.fromkeys(outside, (p, c)), {c: p}, {c: e}, {e: c})
+
+    def contract(self, e, star) -> None:
+        """Contract the tree edge e = (p, q) as a graph chain does, merging q
+        into p, before the chain edits ``edges``: the tree edges below q,
+        found in its incidence ``star[q]``, hang from p instead, and when p
+        lies below q it takes q's place."""
+        up, via, child = self.up, self.via, self.child
+        p, q = self.edges[e]
+        c = child.pop(e)
+        for x in star[q]:
+            w = child.get(x)
+            if w is not None and w != q:
+                up[w] = p
+        if c == q:
+            del up[q], via[q]
+        elif q in up:
+            up[p], via[p] = up.pop(q), via.pop(q)
+            child[via[p]] = p
+        else:
+            del up[p], via[p]
 
     def basis(self) -> frozenset:
         return frozenset(self.child)

@@ -23,17 +23,20 @@ caller's matroid.  A GF(2) matrix with at most two 1s per column is read at
 the root as the graph it is the incidence matrix of
 (``graphic.incidence_leaf``), and solved on it where F allows.
 
-The strips run on the frames that are handed no tableaux, the root of each
+The strips run on the frames that are handed no pairs, the root of each
 engine call: a tight split or a triad leaves disjoint pairs that cover
 their ground sets.  Past the strips a cographic leaf is solved on its
-graph, so every later frame is a graph or a GF(2) matrix.  Then comes one
-tableau per basis of the two pairs; the searches and fix-ups read them,
-and each reduction updates them in place, so they are built once per engine
-call and once more where a cographic leaf is swapped.  A chain hands back
-to the stack only its splits' other sides and the frame it ends on.  A
-frame's rank is the size of a basis of its pair, so no frame asks the rank
-of its whole ground set.  A minor of a sum node is a GF(2) matrix minor
-whose tree is built only where a sum route or its refusal reads it.
+graph, so every later frame is a graph or a GF(2) matrix.  Then a GF(2)
+frame takes one tableau per basis of the two pairs, and a graph one rooted
+spanning forest per basis, numbered over its chain's vertices
+(``reductions.ForestPairs``); the searches and fix-ups read them, and each
+reduction updates them in place.  A GF(2) chain's tableaux are built once
+per engine call; a graph frame builds its own forests, so a graph solve
+builds no tableau.  A chain hands back to the stack only its splits' other
+sides and the frame it ends on.  A frame's rank is the size of a basis of
+its pair, so no frame asks the rank of its whole ground set.  A minor of a
+sum node is a GF(2) matrix minor whose tree is built only where a sum route
+or its refusal reads it.
 
 The frames build a tree of reductions, each with its lift as data, and one
 forward pass over the tree emits the sequence (``_lift_forward``): a step
@@ -218,7 +221,7 @@ def _solve(source, mode: str, x, y, forbidden, last, cap: int) -> SolveReport:
 
 def _engine(struct, inst: Instance, mode: str, last, cap: int, out_trace: list):
     """Solve an instance on an explicit stack of frames (structure,
-    instance, last, trace list, tableaux or None), so a chain of reductions
+    instance, last, trace list, pairs or None), so a chain of reductions
     adds no Python stack depth.  Each frame becomes a node of the reduction
     tree: a leaf's list of steps, or a ``_Node`` holding its reduction's lift
     data and its child nodes in the order the parent runs them; a frame's
@@ -328,28 +331,26 @@ def _oriented(step, parity) -> tuple:
     return (f, e) if parity else (e, f)
 
 
-def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, cap: int):
+def _reduce(struct, inst: Instance, last, out_trace: list, pairs, mode: str, cap: int):
     """One frame: its node (a leaf's list of steps), and the frames it hands
     back, each with the slot its node fills."""
     if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
         out_trace.append(TraceNode("identity"))
         return [], []
 
-    if tableaux is None:
-        # a frame handed tableaux comes from a chain, whose pairs are
-        # disjoint and cover its ground set already
+    if pairs is None:
+        # a frame handed pairs comes from a chain, whose pairs are disjoint
+        # and cover its ground set already
         struct, inst, out_trace = _strip(struct, inst, out_trace)
 
     if isinstance(struct, Leaf) and struct.tag == "cographic":
         # the pair is disjoint and covering here, so X1 - e + f is a basis
         # of M* exactly when its complement X2 - f + e is a basis of M: the
         # graph is solved as a graphic leaf on the same pairs, with the same
-        # steps.  Tableaux handed down from a sum are those of the dual, so
-        # the new frame builds its own
+        # steps
         struct = graphic_leaf(struct.graph)
         m = struct.matroid
         inst = Instance(m, _as_pair(m, inst.x), _as_pair(m, inst.y), inst.forbidden)
-        tableaux = None
 
     m = inst.matroid
     if len(inst.x.first) <= 2:  # the rank, read from a basis
@@ -358,14 +359,15 @@ def _reduce(struct, inst: Instance, last, out_trace: list, tableaux, mode: str, 
         out_trace.append(TraceNode("rank_le2"))
         return _bfs_solve(m, inst, True, last, len(m.ground)), []
 
-    tableaux = tableaux or PairTableaux.of(inst)
     if isinstance(struct, Leaf) and struct.graph is not None:
         # minors never widen F's vertex span: only a solve's first graph
-        # frame can fail this
+        # frame can fail this.  The chain builds its own forests: tableaux
+        # handed down by a GF(2) chain are not read
         if len(vertex_span(struct.graph, inst.forbidden)) > 3:
             raise GroundSetError("forbidden edges span more than three vertices")
-        return _chain(GraphChain(struct.graph, inst, last, tableaux), out_trace, mode, cap)
-    return _chain(MatrixChain(struct, inst, last, tableaux), out_trace, mode, cap)
+        return _chain(GraphChain(struct.graph, inst, last), out_trace, mode, cap)
+    chain = MatrixChain(struct, inst, last, pairs or PairTableaux.of(inst))
+    return _chain(chain, out_trace, mode, cap)
 
 
 def _strip(struct, inst: Instance, out_trace: list) -> tuple:
@@ -413,13 +415,13 @@ def _chain(chain: Chain, out_trace: list, mode: str, cap: int) -> tuple:
             return root[0], frames
         kind, out = level
         if kind == "tight_split":
-            z, restrict_last, (struct, inst, last, tabs) = out
+            z, restrict_last, (struct, inst, last, pairs) = out
             node = TraceNode(kind, {"z": z, "restrict_last": restrict_last})
             inner, outer = TraceNode("child"), TraceNode("child")
             node.children += (inner, outer)
             kids, lift, trace = [None, None], None, inner.children
             kids_at = (1, 0) if restrict_last else (0, 1)  # the chain's, the other side's
-            frames.append(((struct, inst, last, outer.children, tabs), kids, kids_at[1]))
+            frames.append(((struct, inst, last, outer.children, pairs), kids, kids_at[1]))
         else:
             payload, lift = out
             node = TraceNode(kind, payload)
@@ -428,8 +430,8 @@ def _chain(chain: Chain, out_trace: list, mode: str, cap: int) -> tuple:
         slots[at] = _Node(lift, kids)
         slots, at, out_trace = kids, kids_at[0], trace
         if chain.done():
-            struct, inst, last, tabs = chain.frame()
-            frames.append(((struct, inst, last, out_trace, tabs), slots, at))
+            struct, inst, last, pairs = chain.frame()
+            frames.append(((struct, inst, last, out_trace, pairs), slots, at))
             return root[0], frames
 
 
@@ -443,7 +445,7 @@ class MatrixChain(Chain):
 
     __slots__ = ("struct",)
 
-    def __init__(self, struct, inst: Instance, last, tableaux):
+    def __init__(self, struct, inst: Instance, last, tableaux: PairTableaux):
         super().__init__(inst, last, tableaux)
         self.struct = struct
 
@@ -452,10 +454,10 @@ class MatrixChain(Chain):
         return super().done() or (isinstance(struct, Leaf) and struct.graph is not None)
 
     def frame(self) -> tuple:
-        return self.struct, self._instance(self.struct.matroid), self.last, self.tableaux
+        return self.struct, self._instance(self.struct.matroid), self.last, self.pairs
 
     def reduce(self):
-        m, tabs = self.struct.matroid, self.tableaux.x
+        m, tabs = self.struct.matroid, self.pairs.x
         x = BasisPair(tabs[0].cocircuits.keys(), tabs[1].cocircuits.keys())
         z = find_nontrivial_tight_set(m, x, tabs)
         if z is not None:

@@ -5,15 +5,17 @@ rank <= 2 frames the reductions end on, are the engine's (``pipeline``).
 Past the strips a frame's pairs are disjoint and cover its ground set, and
 so are those of a tight split's restriction and of a triad's minor.  So the
 engine reduces a frame level after level on one mutable state (``Chain``):
-the tableaux of the pairs' bases (``PairTableaux``), F as a set and the
-designated last element.  The tableaux are the pairs: a tableau's cocircuit
-keys are its basis.  Tightness and the fix-up checks are read from them as
-bits, and each reduction updates them in place.
+the pairs' four bases, F as a set and the designated last element.  A GF(2)
+frame carries the bases as tableaux (``PairTableaux``), a graph as rooted
+spanning forests (``ForestPairs``); either is the pairs, keyed by the bases.
+Tightness and the fix-up checks are read from them, as bits or as climbs,
+and each reduction updates them in place.
 ``Chain.split`` and ``Chain.shrink`` hold the bookkeeping of the two
 reductions once; a graph (``graphic.GraphChain``) and a GF(2) frame
-(``pipeline.MatrixChain``) differ only in how they pick a reduction and how
-they take a level's minor.  The triad and triangle searches read a GF(2)
-matrix: the frame's own, or a tableau's transpose for the dual.
+(``pipeline.MatrixChain``) differ only in how they pick a reduction, how
+they carry the bases and how they take a level's minor.  The triad and
+triangle searches read a GF(2) matrix: the frame's own, or a tableau's
+transpose for the dual.
 
 Each level records its lift as data: the order in which the parent runs a
 split's two sides, and for a triad the elements, fix-up steps and frame
@@ -27,7 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .matroid import Matroid, Gf2Matroid, GroundSetError, _as_frozen, _bits, _decode, _encode
+from .matroid import (
+    Matroid,
+    Gf2Matroid,
+    GraphicMatroid,
+    GroundSetError,
+    Multigraph,
+    _as_frozen,
+    _bits,
+    _decode,
+    _encode,
+)
 from .exchange import BasisPair, ExchangeStep, compatible
 
 
@@ -82,10 +94,9 @@ def _as_pair(m: Matroid, pair) -> BasisPair:
     return BasisPair(_as_frozen(first), _as_frozen(second), m)
 
 
-def _instance(m: Matroid, tableaux: "PairTableaux", forbidden) -> Instance:
-    """The instance on m of the pairs whose bases key the cocircuits of
-    ``tableaux``, and F, frozen."""
-    x1, x2, y1, y2 = (frozenset(tab.cocircuits) for tab in tableaux.x + tableaux.y)
+def _instance(m: Matroid, pairs: "PairTableaux", forbidden) -> Instance:
+    """The instance on m of the bases of ``pairs``, and F, frozen."""
+    x1, x2, y1, y2 = map(frozenset, pairs.bases())
     return Instance(m, BasisPair(x1, x2, m), BasisPair(y1, y2, m), frozenset(forbidden))
 
 
@@ -94,7 +105,9 @@ class PairTableaux:
     x.first and x.second, ``y`` those of y.first and y.second.  Equal bases
     share one tableau, so each update is made once per distinct basis.  The
     updates follow the reductions: ``split`` along a tight set, ``fixed``
-    for the triad fix-ups and ``minor`` for the triad's child."""
+    for the triad fix-ups and ``minor`` for the triad's child.  A graph
+    chain carries its bases as rooted forests instead (``ForestPairs``),
+    through the same interface."""
 
     __slots__ = ("x", "y")
 
@@ -112,41 +125,118 @@ class PairTableaux:
     def _distinct(self):
         return {id(tab): tab for tab in self.x + self.y}.values()
 
+    def _new(self, x: tuple, y: tuple) -> "PairTableaux":
+        return PairTableaux(x, y)
+
+    def bases(self) -> tuple:
+        """The four bases x.first, x.second, y.first and y.second, as live
+        views: a tableau's cocircuit keys."""
+        return tuple(tab.cocircuits.keys() for tab in self.x + self.y)
+
+    def tight(self, z: frozenset, outside: frozenset) -> bool:
+        """|Z| = 2 r(Z), read from the tableaux of x, their cocircuit keys:
+        each basis B meets Z in |Z|/2 elements and spans Z with them, that
+        is, no element of Z - B has a circuit that leaves Z (no C*(B, b) of
+        a b outside Z meets Z).  The mask of Z holds only elements of the
+        ground set, so stale bits are skipped.  The test is exact when the
+        bases partition the ground set, as after the strips; for any other
+        pair it may only wrongly say no."""
+        for tab in self.x:
+            cocircuits = tab.cocircuits
+            if 2 * (len(cocircuits) - len(cocircuits.keys() & outside)) != len(z):
+                return False
+        zmask = _encode(z)
+        for tab in self.x:
+            if any(mask & zmask for b, mask in tab.cocircuits.items() if b not in z):
+                return False
+        return True
+
     def split(self, outside: frozenset) -> "PairTableaux":
         """Keep the tableaux of the bases' parts inside the tight set z, the
         ground set minus ``outside``, in M | z, and return those of the parts
         outside it, in M / z (``Tableau.split``)."""
         rest = {id(tab): tab.split(outside) for tab in self._distinct()}
-        return PairTableaux(
-            tuple(rest[id(tab)] for tab in self.x), tuple(rest[id(tab)] for tab in self.y)
-        )
+        x, y = (tuple(rest[id(tab)] for tab in pair) for pair in (self.x, self.y))
+        return self._new(x, y)
 
     def fixed(self, step_x, step_y, swapped: bool) -> "PairTableaux":
         """The tableaux after the fix-up steps (None for no step), and with
         each pair's two bases trading places when ``swapped``.  A step
-        pivots its pair's tableaux in place, except one the other pair
+        exchanges in its pair's tableaux in place, except one the other pair
         shares (y = x swapped for a reversal, or an equal basis), which it
-        pivots a copy of."""
+        exchanges in a copy of; an exchange that fails raises."""
 
         def exchanged(pair, other, step):
             if step is None:
                 return pair
             e, f = step
             first, second = (tab.copy() if tab in other else tab for tab in pair)
-            first.pivot(e, f)
-            second.pivot(f, e)
+            if not (first.exchange(e, f) and second.exchange(f, e)):
+                raise AssertionError(f"fix-up step {step} is not an exchange; this cannot happen")
             return first, second
 
         x = exchanged(self.x, self.y, step_x)
         y = exchanged(self.y, x, step_y)
         if swapped:
             x, y = x[::-1], y[::-1]
-        return PairTableaux(x, y)
+        return self._new(x, y)
 
     def minor(self, contract: int, delete: int) -> None:
         """Move every tableau to M / contract \\ delete (``Tableau.minor``)."""
         for tab in self._distinct():
             tab.minor(contract, delete)
+
+
+class ForestPairs(PairTableaux):
+    """A graph chain's four bases as rooted spanning forests
+    (``RootedForest``) on the chain's edge dict, which the chain edits in
+    place, so the forests see each contraction's renaming; ``star`` is the
+    chain's incidence index, which a contraction reads.  The chain splits
+    only on the two edges at a degree-2 vertex and takes each triad's minor
+    before it edits its graph."""
+
+    __slots__ = ("star",)
+
+    def __init__(self, x: tuple, y: tuple, star):
+        super().__init__(x, y)
+        self.star = star
+
+    @classmethod
+    def on(cls, edges: dict, star, inst: Instance) -> "ForestPairs":
+        """The forests of the instance's bases on the graph ``edges``, whose
+        incidence index is ``star``; a member that is not a basis raises
+        GroundSetError (``GraphicMatroid.forest``)."""
+        m = GraphicMatroid(Multigraph(edges))
+        bases = (inst.x.first, inst.x.second, inst.y.first, inst.y.second)
+        built = {basis: m.forest(basis) for basis in dict.fromkeys(bases)}
+        for forest in built.values():
+            forest.edges = edges
+        forests = tuple(built[basis] for basis in bases)
+        return cls(forests[:2], forests[2:], star)
+
+    def _new(self, x: tuple, y: tuple) -> "ForestPairs":
+        return ForestPairs(x, y, self.star)
+
+    def bases(self) -> tuple:
+        """The four bases, as live views: a forest's tree edges."""
+        (x1, x2), (y1, y2) = self.x, self.y
+        return x1.child.keys(), x2.child.keys(), y1.child.keys(), y2.child.keys()
+
+    def tight(self, z: frozenset, outside: frozenset) -> bool:
+        """Whether z is tight, where ``outside`` is the two edges at a
+        degree-2 vertex u of a graph with |E| = 2r, as after the strips:
+        exactly when each basis of x holds one of them, so that it spans
+        z = E - delta(u) with the rest of its edges."""
+        return len(outside) == 2 and all(len(outside & f.child.keys()) == 1 for f in self.x)
+
+    def minor(self, contract: int, delete: int) -> None:
+        """Move every forest to M / contract \\ delete: one holding ``delete``
+        exchanges it for ``contract`` first, as ``Tableau.minor`` pivots,
+        then ``contract`` leaves (``RootedForest.contract``)."""
+        for forest in self._distinct():
+            if delete in forest.child and not forest.exchange(delete, contract):
+                raise AssertionError("the triad's minor exchange failed; this cannot happen")
+            forest.contract(contract, self.star)
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,37 +343,6 @@ def _closure(arcs: dict, v: int, full: int) -> int:
     return seen
 
 
-def _tight_in_tableaux(tabs, z: frozenset, outside: frozenset) -> bool:
-    """|Z| = 2 r(Z), read from the tableaux ``tabs`` of two bases, their
-    cocircuit keys: each basis B meets Z in |Z|/2 elements and spans Z with
-    them, that is, no element of Z - B has a circuit that leaves Z (no
-    C*(B, b) of a b outside Z meets Z).  The cocircuits are masked with the
-    smaller of Z and ``outside`` (the ground set minus Z).  The mask of Z
-    holds only elements of the ground set, so stale bits are skipped; a bit
-    that a cocircuit holds beyond the mask of ``outside`` is in Z exactly
-    when it has a circuit of its own.  The test is exact when the bases
-    partition the ground set, as after the strips; for any other pair it
-    may only wrongly say no."""
-    for tab in tabs:
-        cocircuits = tab.cocircuits
-        if 2 * (len(cocircuits) - len(cocircuits.keys() & outside)) != len(z):
-            return False
-    if len(outside) < len(z):
-        keep = ~_encode(outside)
-        for tab in tabs:
-            circuits, cocircuits = tab.circuits, tab.cocircuits
-            for b in outside:
-                if b in cocircuits and any(y in circuits for y in _bits(cocircuits[b] & keep)):
-                    return False
-        return True
-    zmask = _encode(z)
-    for tab in tabs:
-        cocircuits = tab.cocircuits
-        if any(mask & zmask for b, mask in cocircuits.items() if b not in z):
-            return False
-    return True
-
-
 # -- triads ------------------------------------------------------------------
 
 
@@ -323,14 +382,15 @@ def _first_triangle(cols: dict, cover) -> Optional[frozenset]:
     return None
 
 
-def _triad_fixups(tset: frozenset, x_inside, y_inside, tableaux: PairTableaux) -> tuple:
+def _triad_fixups(tset: frozenset, x_inside, y_inside, pairs: PairTableaux) -> tuple:
     """The fix-up rule on a triad ``tset`` that the first bases of x and y
     meet in ``x_inside`` and ``y_inside``: (step_x, step_y), the steps (None
     for no step).  Both pairs must leave the same triad element alone on its
     side, which takes at most one exchange per pair, and which keeps the
     number of triad elements in each first basis; among the valid choices
     the one with fewest steps wins, then the lexicographically smallest.  A
-    step's validity is read from the tableaux of its pair's bases."""
+    step's validity is read from the tableaux or forests of its pair's
+    bases."""
     for inside in (x_inside, y_inside):
         if len(inside) not in (1, 2):
             raise ReductionError("triad must meet both bases")
@@ -347,9 +407,18 @@ def _triad_fixups(tset: frozenset, x_inside, y_inside, tableaux: PairTableaux) -
         valid = tabs[0].exchangeable(e, f) and tabs[1].exchangeable(f, e)
         return ExchangeStep(e, f) if valid else None
 
+    def alone(inside):
+        """The element a pair already leaves alone on its side."""
+        (lone,) = tset - inside if len(inside) == 2 else inside
+        return lone
+
+    if alone(x_inside) == alone(y_inside):
+        return None, None  # no step beats every choice that takes one
+
     best = None
     for lone in sorted(tset):
-        step_x, step_y = step(x_inside, tableaux.x, lone), step(y_inside, tableaux.y, lone)
+        step_x = step(x_inside, pairs.x, lone)
+        step_y = None if step_x is None else step(y_inside, pairs.y, lone)
         if step_x is not None and step_y is not None:
             key = (bool(step_x) + bool(step_y), tuple(step_x), tuple(step_y))
             if best is None or key < best[0]:
@@ -365,32 +434,29 @@ def _triad_fixups(tset: frozenset, x_inside, y_inside, tableaux: PairTableaux) -
 class Chain:
     """A frame's chain of reductions, run in place.
 
-    The state is the pairs' ``PairTableaux``, whose cocircuit keys are the
-    four bases, F as a mutable set and the designated ``last`` element.
-    ``split`` and ``shrink`` apply a tight split and a triad reduction to it;
-    a subclass picks each level's reduction (``reduce``: ("tight_split",
-    ``split``'s result), ("triad", ``shrink``'s result), or None when none
-    applies), takes the level's minors (``_cut``, ``_minor``) and hands the
-    current frame back to the engine (``frame``: structure, instance,
-    ``last``, tableaux).  ``done`` says when the frame is the identity or
-    has rank at most 2."""
+    The state is the pairs' four bases (``pairs``: a ``PairTableaux``, or
+    on a graph its ``ForestPairs``), F as a mutable set and the designated
+    ``last`` element.  ``split`` and ``shrink`` apply a tight split and a
+    triad reduction to it; a subclass picks each level's reduction
+    (``reduce``: ("tight_split", ``split``'s result), ("triad",
+    ``shrink``'s result), or None when none applies), takes the level's
+    minors (``_cut``, ``_minor``) and hands the current frame back to the
+    engine (``frame``: structure, instance, ``last``, pairs).  ``done``
+    says when the frame is the identity or has rank at most 2."""
 
-    __slots__ = ("forbidden", "last", "tableaux")
+    __slots__ = ("forbidden", "last", "pairs")
 
-    def __init__(self, inst: Instance, last, tableaux: PairTableaux):
+    def __init__(self, inst: Instance, last, pairs: PairTableaux):
         self.forbidden = set(inst.forbidden)
         self.last = last
-        self.tableaux = tableaux
+        self.pairs = pairs
 
     def done(self) -> bool:
-        (x1, x2), (y1, y2) = self.tableaux.x, self.tableaux.y
-        return len(x1.cocircuits) <= 2 or (
-            x1.cocircuits.keys() == y1.cocircuits.keys()
-            and x2.cocircuits.keys() == y2.cocircuits.keys()
-        )
+        x1, x2, y1, y2 = self.pairs.bases()
+        return len(x1) <= 2 or (x1 == y1 and x2 == y2)
 
     def _instance(self, m: Matroid) -> Instance:
-        return _instance(m, self.tableaux, self.forbidden)
+        return _instance(m, self.pairs, self.forbidden)
 
     def split(self, outside: frozenset) -> tuple:
         """Split on the tight set z, the ground set minus ``outside``: the
@@ -398,24 +464,23 @@ class Chain:
         takes both minors and returns M / z and z).  Returns (z,
         restrict_last, M / z's frame).  The parent runs the restriction's
         sequence first, or last when ``restrict_last`` (the designated last
-        element lies in z), so that element stays last.  The tableaux answer
-        whether z is tight (``_tight_in_tableaux``) and are split between
-        the two sides."""
-        x1, x2 = self.tableaux.x
+        element lies in z), so that element stays last.  The pairs answer
+        whether z is tight and are split between the two sides."""
+        x1, x2, _, _ = self.pairs.bases()
         # the pairs cover the frame
-        if not 0 < len(outside) < len(x1.cocircuits) + len(x2.cocircuits):
+        if not 0 < len(outside) < len(x1) + len(x2):
             raise ReductionError("tight set must be nonempty and proper")
         rest, z = self._cut(outside)
-        if not _tight_in_tableaux(self.tableaux.x, z, outside):
+        if not self.pairs.tight(z, outside):
             raise ReductionError("set is not tight")
-        rest_tableaux = self.tableaux.split(outside)
-        rest_inst = _instance(rest.matroid, rest_tableaux, self.forbidden & outside)
+        rest_pairs = self.pairs.split(outside)
+        rest_inst = _instance(rest.matroid, rest_pairs, self.forbidden & outside)
         last = self.last
         restrict_last = last is not None and last in z
         rest_last = last if last in outside else None
         self.last = last if restrict_last else None
         self.forbidden -= outside
-        return z, restrict_last, (rest, rest_inst, rest_last, rest_tableaux)
+        return z, restrict_last, (rest, rest_inst, rest_last, rest_pairs)
 
     def shrink(self, t: frozenset, dual: bool = False) -> tuple:
         """Shrink along the triad t: the fix-ups (``_triad_fixups``), which
@@ -430,23 +495,24 @@ class Chain:
         lives on (M* / t2 \\ t3)* = M / t3 \\ t2.  The pairs are disjoint and
         covering, so a pair of bases of M is also one of M*, and an exchange
         is valid in both or in neither: the fix-ups and the lift ask M
-        itself.  The fix-ups pivot the tableaux in place, copying only one
-        the other pair shares (``PairTableaux.fixed``), and the minor drops
-        t2 and t3 from the bases."""
+        itself.  The fix-ups exchange in the pairs in place, copying only a
+        basis the other pair shares (``PairTableaux.fixed``), and the minor
+        drops t2 and t3 from the bases."""
         if self.forbidden & t:
             raise ReductionError("forbidden set must avoid the triad")
-        tabs = self.tableaux
-        x_inside = t & tabs.x[0].cocircuits.keys()
-        step_x, step_y = _triad_fixups(t, x_inside, t & tabs.y[0].cocircuits.keys(), tabs)
+        pairs = self.pairs
+        x1, _, y1, _ = pairs.bases()
+        x_inside = t & x1
+        step_x, step_y = _triad_fixups(t, x_inside, t & y1, pairs)
         swapped = len(x_inside) == 1  # a fix-up keeps the count
-        self.tableaux = tabs = tabs.fixed(step_x, step_y, swapped)
-        x1, y1 = tabs.x[0].cocircuits.keys(), tabs.y[0].cocircuits
+        self.pairs = pairs = pairs.fixed(step_x, step_y, swapped)
+        x1, _, y1, _ = pairs.bases()
         t1, t2 = sorted(t & x1)
         (t3,) = t - x1
         if (t1 in y1) != (t2 in y1):
             raise ReductionError("pairs are not consistent on the triad")
         contract, delete = (t3, t2) if dual else (t2, t3)
-        tabs.minor(contract, delete)
+        pairs.minor(contract, delete)
         suffix = step_y.reversed() if step_y else None
         frame = self._minor(contract, delete)
         lift = TriadLift(t1, t2, t3, delete, swapped, step_x, suffix, frame)

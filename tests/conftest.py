@@ -336,20 +336,20 @@ def chain_level(inst, z=None, triad=None, dual=False, last=None, tableaux=None, 
     whose pairs are disjoint and cover its ground set: the split on the
     tight set ``z``, or the shrink along ``triad`` (a triangle, with
     ``dual``), with ``last`` designated and the pairs' tableaux (built when
-    not given).  The chain is a graph's (``graphic.GraphChain``) with
-    ``graph``, else a GF(2) frame's (``pipeline.MatrixChain``) on the
-    instance's matroid as a leaf.  Returns a ``Level``."""
+    not given).  The chain is a graph's (``graphic.GraphChain``, which
+    carries its own forests) with ``graph``, else a GF(2) frame's
+    (``pipeline.MatrixChain``) on the instance's matroid as a leaf.
+    Returns a ``Level``, whose ``tableaux`` are a graph chain's forests."""
     from baseswap.graphic import GraphChain
     from baseswap.pipeline import MatrixChain
     from baseswap.reductions import PairTableaux
     from baseswap.structure import as_structure
 
     m = inst.matroid
-    tableaux = tableaux or PairTableaux.of(inst)
     if graph:
-        chain = GraphChain(m.graph, inst, last, tableaux)
+        chain = GraphChain(m.graph, inst, last)
     else:
-        chain = MatrixChain(as_structure(m), inst, last, tableaux)
+        chain = MatrixChain(as_structure(m), inst, last, tableaux or PairTableaux.of(inst))
     if triad is None:
         z, restrict_last, (_, rest, _, rest_tableaux) = chain.split(m.ground - frozenset(z))
         _, child, _, tabs = chain.frame()
@@ -657,10 +657,15 @@ def bucket_pick(graph, forbidden=(), last=None):
     """A graph chain's pick (``graphic._Buckets``) on a whole graph: a
     degree-2 vertex, else a degree-3 vertex clear of F and the ``last``
     edge, the first in ``sorted(vertices, key=str)`` order, of equal names
-    the one the edges reach first."""
-    from baseswap.graphic import _Buckets
+    the one the edges reach first.  The buckets run on the graph's vertices
+    numbered as a chain numbers them, over the graph's own index (a loop
+    listed twice); the vertex is returned by name."""
+    from baseswap.graphic import _Buckets, _numbered
 
-    return _Buckets(graph.incidence()).pick(graph.edges, frozenset(forbidden), last)
+    names, edges, _ = _numbered(graph)
+    star = list(graph.incidence().values())
+    vertex, kind = _Buckets(star, names).pick(edges, frozenset(forbidden), last)
+    return names[vertex], kind
 
 
 def reference_pick_reduction_vertex(graph, forbidden=(), last=None):

@@ -281,18 +281,25 @@ def _with_equal_names(g: Multigraph, rng: random.Random) -> Multigraph:
 
 def _checked_picks(monkeypatch, picks: list):
     """Make every pick of a graph chain also ask the reference scan on the
-    chain's current graph, and require the same (vertex, kind)."""
+    chain's current graph, and require the same (vertex, kind).  The chain
+    numbers its vertices; the graph and the vertex are compared by name."""
     from baseswap.graphic import _Buckets
 
-    pick = _Buckets.pick
+    init, pick, names_of = _Buckets.__init__, _Buckets.pick, {}
+
+    def recording(buckets, star, names):
+        names_of[id(buckets)] = names
+        init(buckets, star, names)
 
     def checked(buckets, edges, forbidden, last):
-        got = pick(buckets, edges, forbidden, last)
-        graph = Multigraph(edges)
-        assert got == reference_pick_reduction_vertex(graph, forbidden, last)
-        picks.append((got[0], graph))
+        vertex, kind = got = pick(buckets, edges, forbidden, last)
+        names = names_of[id(buckets)]
+        graph = Multigraph({e: (names[u], names[v]) for e, (u, v) in edges.items()})
+        assert (names[vertex], kind) == reference_pick_reduction_vertex(graph, forbidden, last)
+        picks.append((names[vertex], graph))
         return got
 
+    monkeypatch.setattr(_Buckets, "__init__", recording)
     monkeypatch.setattr(_Buckets, "pick", checked)
 
 
@@ -410,6 +417,66 @@ class TestGraphChain:
             assert any(node.kind == "triad" for node in report.trace.flatten())
         for graph, edges, index in routed:
             assert list(graph.edges.items()) == edges and graph.incidence() == index
+
+    def test_graph_solves_build_no_tableau(self, monkeypatch):
+        # a graph solve carries its bases as forests from the entry checks
+        # to the closing replay: a graphic leaf, a GF(2) incidence matrix
+        # routed to its graph, a cographic root swapped to its graph (the
+        # leaf's dual matrix is built before the solve), and each graph
+        # segment of a 3-sum, counted inside its own engine call
+        import baseswap.pipeline as pipeline
+        from baseswap.matroid import Tableau
+        from baseswap.structure import Leaf
+        from test_pipeline import partition_pair, remark_construction
+
+        built, counting, graph_engines = Counter(), [False], Counter()
+        init, engine = Tableau.__init__, pipeline._engine
+
+        def counted_init(tab, *args):
+            built[counting[0]] += 1
+            init(tab, *args)
+
+        def counted(solve, *args, **kwargs):
+            was, counting[0] = counting[0], True
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                counting[0] = was
+
+        def graph_engine(struct, *args):
+            if isinstance(struct, Leaf) and struct.graph is not None:
+                graph_engines[struct.tag] += 1
+                return counted(engine, struct, *args)
+            return engine(struct, *args)
+
+        monkeypatch.setattr(Tableau, "__init__", counted_init)
+        monkeypatch.setattr(pipeline, "_engine", graph_engine)
+        g, x = random_bispanning_graph(30, random.Random(12))
+        m = GraphicMatroid(g)
+        y = random_exchange_walk(m, x, 20, random.Random(13))
+        pairs = (x.first, x.second), (y.first, y.second)
+        bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices()))}
+        incidence = gf2_leaf(Gf2Matroid({e: bit[u] ^ bit[v] for e, (u, v) in g.edges.items()}))
+        cographic = cographic_leaf(g)
+        reports = []
+        forbidden = random_forbidden_set(x, y, g, random.Random(14))
+        for leaf in (graphic_leaf(g), incidence, cographic):
+            reports.append(counted(solve_white, leaf, *pairs, forbidden))
+            reports.append(counted(solve_gabow, leaf, pairs[0], last=max(x.first)))
+        assert built[True] == 0, built
+        node = remark_construction()  # four 4-regular gadgets 3-summed
+        xt, view = partition_pair(node)
+        yt = random_exchange_walk(view, xt, 10, random.Random(23))
+        for solve in (
+            lambda: solve_white(node, xt, BasisPair(yt.first, yt.second, node.matroid)),
+            lambda: solve_gabow(node, xt),
+        ):
+            segments = graph_engines["graphic"]
+            reports.append(solve())
+            assert any(n.kind == "three_sum" for n in reports[-1].trace.flatten())
+            assert graph_engines["graphic"] > segments, graph_engines
+        assert built[True] == 0 and built[False] > 0, built  # the GF(2) sides build some
+        assert all(any(node.kind == "triad" for node in r.trace.flatten()) for r in reports)
 
     def test_lifts_keep_no_graph_per_level(self, monkeypatch):
         # when the forward pass starts, the solve holds a bounded number of

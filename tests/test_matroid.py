@@ -15,7 +15,8 @@ from baseswap.matroid import (
     _bits,
     graphic_matroid,
 )
-from baseswap.graphic import _Buckets
+from baseswap.gen import random_bispanning_graph
+from baseswap.graphic import LevelEdges, _Buckets, _numbered
 from baseswap.structure import cographic_leaf, compose_sum, graphic_leaf
 
 from conftest import (
@@ -160,8 +161,11 @@ class TestIncidenceIndex:
         h = Multigraph({1: (0, "a"), 2: (0, "b"), 3: ("0", "a"), 4: ("0", "b")})
         order = list(g.degree())
         assert order.index("0") < order.index(0)
-        pick = _Buckets(g.incidence()).pick(h.edges, frozenset(), None)
-        assert pick == reference_pick_reduction_vertex(h) == (0, "degree2")
+        names, _, star = _numbered(g)  # numbered in the index's order
+        number = {v: i for i, v in enumerate(names)}
+        edges = {e: (number[u], number[v]) for e, (u, v) in h.edges.items()}
+        vertex, kind = _Buckets(star, names).pick(edges, frozenset(), None)
+        assert (names[vertex], kind) == reference_pick_reduction_vertex(h) == (0, "degree2")
 
 
 class TestBasis:
@@ -333,6 +337,17 @@ class TestIndependenceTest:
         ground = sorted(m.ground)
         subset = data.draw(st.permutations(ground))[: data.draw(st.integers(0, len(ground)))]
         assert m._independent(subset) == (m.rank(subset) == len(subset))
+
+    @settings(max_examples=400, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_level_edges_match_the_rank(self, g, data):
+        # a graph chain level's copy of its edges, over numbered vertices,
+        # answers the lift's query with a list of parents
+        names, edges, _ = _numbered(g)
+        frame, m = LevelEdges(edges, len(names)), GraphicMatroid(g)
+        ground = sorted(m.ground)
+        subset = data.draw(st.permutations(ground))[: data.draw(st.integers(0, len(ground)))]
+        assert frame._independent(subset) == (m.rank(subset) == len(subset))
 
 
 class TestGf2Minor:
@@ -607,6 +622,75 @@ class TestRootedForest:
                 m.forest(drawn)
             with pytest.raises(GroundSetError):
                 m.tableau(drawn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs(), st.randoms(use_true_random=False))
+    def test_exchange_test_changes_nothing(self, g, rng):
+        # exchangeable answers as is_basis does for every b in B and f
+        # outside it, loops and parallel edges included, and leaves the
+        # forest as it was
+        m = GraphicMatroid(g)
+        basis = random_basis(m, rng)
+        forest = m.forest(basis)
+        before = dict(forest.up), dict(forest.via), dict(forest.child)
+        for b, f in itertools.product(sorted(basis), sorted(m.ground - basis)):
+            assert forest.exchangeable(b, f) == m.is_basis(basis - {b} | {f}), (b, f)
+        assert (forest.up, forest.via, forest.child) == before
+
+    @staticmethod
+    def _mixed_names(g, rng):
+        """g with two vertices renamed 1 and "1" and the others "v<v>"."""
+        one, other = rng.sample(sorted(g.vertices()), 2)
+        name = {v: f"v{v}" for v in g.vertices()}
+        name[one], name[other] = 1, "1"
+        return Multigraph({e: (name[u], name[v]) for e, (u, v) in g.edges.items()})
+
+    @staticmethod
+    def _assert_forest_of(forest, g, basis):
+        """The forest is a rooted spanning forest of ``basis`` in g, and
+        answers every exchange test as a fresh one does."""
+        m = GraphicMatroid(g)
+        fresh = m.forest(basis)
+        _check_rooted(forest, g, basis)
+        for b, f in itertools.product(sorted(basis), sorted(m.ground - basis)):
+            assert forest.exchangeable(b, f) == fresh.exchangeable(b, f), (b, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 14), st.integers(0, 2**32 - 1))
+    def test_contraction_and_leaf_drop_match_fresh_forests(self, n, seed):
+        # on bispanning graphs with vertices named 1 and "1": contracting a
+        # tree edge (p, q), q into p as Multigraph.contract_edges names it,
+        # and dropping the edge a basis of a disjoint pair holds at a
+        # degree-2 vertex, each leave the forest of the minor's basis
+        rng = random.Random(seed)
+        g, pair = random_bispanning_graph(n, rng)
+        g = self._mixed_names(g, rng)
+        for basis in (pair.first, pair.second):
+            h, b = g, basis
+            forest = GraphicMatroid(h).forest(b)
+            steps = 0
+            while len(b) > 1:
+                ends = h.incidence()
+                # the chain splits where the basis holds one of the two edges
+                low = [v for v, ids in ends.items()
+                       if len(ids) == 2 and len(b.intersection(ids)) == 1]
+                if low and rng.random() < 0.5:
+                    outside = frozenset(ends[rng.choice(low)])
+                    rest = forest.split(outside)
+                    (e,) = outside & b
+                    parallel = Multigraph(rest.edges)
+                    assert rest.edges.keys() == outside and len(set(parallel.edges.values())) == 1
+                    self._assert_forest_of(rest, parallel, frozenset({e}))
+                    h, b = h.delete_edges(outside), b - outside
+                else:
+                    e = rng.choice(sorted(b))
+                    forest.contract(e, {v: set(ids) for v, ids in ends.items()})
+                    h, b = h.contract_edges({e}), b - {e}
+                forest.edges = h.edges
+                self._assert_forest_of(forest, h, b)
+                steps += 1
+            assert steps > 0
+
 
 
 def k3_matroid(first_id, vertex_base=0):

@@ -13,8 +13,11 @@ from baseswap.exchange import (
     apply_step,
     is_valid_exchange,
 )
-from baseswap.matroid import Gf2Matroid, GraphicMatroid, GroundSetError, graphic_matroid
+from baseswap.matroid import (
+    Gf2Matroid, GraphicMatroid, GroundSetError, RootedForest, graphic_matroid,
+)
 from baseswap.reductions import (
+    ForestPairs,
     Instance,
     PairTableaux,
     ReductionError,
@@ -23,7 +26,7 @@ from baseswap.reductions import (
     find_triangle,
 )
 from baseswap.gen import random_bispanning_graph, random_exchange_walk, random_forbidden_set
-from baseswap.graphic import GraphChain
+from baseswap.graphic import GraphChain, _numbered
 from baseswap.pipeline import MatrixChain, UnsupportedStructureError, _bfs_solve
 from baseswap.structure import as_structure, gf2_view, graphic_leaf
 
@@ -488,13 +491,20 @@ class TestTriads:
 
 class TestPairTableaux:
     """The tableaux a reduction hands its children equal fresh builds on the
-    children's bases; bits at removed elements are not read."""
+    children's bases; bits at removed elements are not read.  A graph
+    chain's forests (``ForestPairs``) hold the same bases and answer every
+    exchange test as the fresh tableaux do."""
 
     @staticmethod
     def assert_fresh(tabs, child):
         fresh = PairTableaux.of(child)
         keep = sum(1 << e for e in child.matroid.ground)
         for got, want in zip(tabs.x + tabs.y, fresh.x + fresh.y):
+            if isinstance(got, RootedForest):
+                assert got.basis() == want.basis()
+                for b, f in itertools.product(want.cocircuits, want.circuits):
+                    assert got.exchangeable(b, f) == want.exchangeable(b, f)
+                continue
             assert {e: c & keep for e, c in got.circuits.items()} == want.circuits
             assert {b: c & keep for b, c in got.cocircuits.items()} == want.cocircuits
 
@@ -597,11 +607,10 @@ class TestChainPairs:
         if gf2:
             m = graphic_leaf(g).gf2
         inst = Instance(m, BasisPair(x.first, x.second, m), BasisPair(y.first, y.second, m), forbidden)
-        tableaux = PairTableaux.of(inst)
         if gf2:
-            chain = MatrixChain(as_structure(m), inst, last, tableaux)
+            chain = MatrixChain(as_structure(m), inst, last, PairTableaux.of(inst))
         else:
-            chain = GraphChain(g, inst, last, tableaux)
+            chain = GraphChain(g, inst, last)
         ref = ReferencePairs(inst)
         while not chain.done():
             level = chain.reduce()
@@ -614,6 +623,81 @@ class TestChainPairs:
             else:
                 ref.shrink(out[0])
             assert frame_pairs(chain.frame()[1]) == ref.pairs()
+
+
+class TestForestPairs:
+    """A graph chain carries its bases as rooted forests (``ForestPairs``).
+    At every level they hold the same bases, and answer every exchange test
+    as, a ``PairTableaux`` of the same instance moved alongside by the same
+    splits, fix-ups and minors; so does each split's other side."""
+
+    @staticmethod
+    def assert_same(forests, tabs, ground):
+        for forest, tab in zip(forests.x + forests.y, tabs.x + tabs.y):
+            basis = tab.basis()
+            assert forest.basis() == basis
+            for b, f in itertools.product(basis, ground - basis):
+                assert forest.exchangeable(b, f) == tab.exchangeable(b, f), (b, f)
+
+    def run_chain(self, g, inst, last) -> int:
+        """Drive the graph chain of ``inst`` to its end beside the reference
+        tableaux; returns the number of levels."""
+        chain, ref = GraphChain(g, inst, last), PairTableaux.of(inst)
+        self.assert_same(chain.pairs, ref, frozenset(chain.edges))
+        levels = 0
+        while not chain.done():
+            kind, out = chain.reduce()
+            if kind == "tight_split":
+                _, _, (rest, _, _, rest_pairs) = out
+                outside = rest.matroid.ground
+                self.assert_same(rest_pairs, ref.split(outside), outside)
+            else:
+                payload = out[0]
+                fixes = (payload["fix_x"], payload["fix_y"])
+                ref = ref.fixed(*(s and ExchangeStep(*s) for s in fixes), payload["swapped"])
+                ref.minor(payload["t2"], payload["t3"])
+            self.assert_same(chain.pairs, ref, frozenset(chain.edges))
+            levels += 1
+        return levels
+
+    def test_tight_split_verdict_matches_the_tableaux(self):
+        # at each degree-2 vertex u of a graph with |E| = 2r, and for any two
+        # spanning trees, not only a disjoint pair: z = E - delta(u) is
+        # tight for them exactly when each holds one edge at u
+        verdicts = Counter()
+        for seed in range(40):
+            rng = random.Random(seed)
+            g, _ = random_bispanning_graph(rng.randint(3, 9), rng)
+            m = GraphicMatroid(g)
+            x = BasisPair(random_basis(m, rng), random_basis(m, rng), m)
+            inst = Instance(m, x, x)
+            _, edges, star = _numbered(g)
+            forests, tabs = ForestPairs.on(edges, star, inst), PairTableaux.of(inst)
+            for ids in g.incidence().values():
+                if len(ids) == 2:
+                    outside = frozenset(ids)
+                    verdict = forests.tight(m.ground - outside, outside)
+                    assert verdict == tabs.tight(m.ground - outside, outside)
+                    verdicts[verdict] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 11), st.sampled_from(["white", "gabow"]))
+    def test_forests_answer_as_the_tableaux(self, seed, n, mode):
+        # white with a drawn F, and a reversal with every designated last
+        # element; short walks leave y sharing bases with x
+        rng = random.Random(seed)
+        g, x = random_bispanning_graph(n, rng)
+        m = GraphicMatroid(g)
+        if mode == "gabow":
+            cases = [(x.swapped(), frozenset(), last) for last in [None, *sorted(x.union)]]
+        else:
+            y = random_exchange_walk(m, x, rng.randint(1, n), rng)
+            cases = [(y, random_forbidden_set(x, y, g, rng), None)]
+        for y, forbidden, last in cases:
+            inst = Instance(m, x, BasisPair(y.first, y.second, m), forbidden)
+            levels = self.run_chain(g, inst, last)
+            assert levels > 0 or (mode == "white" and y.first == x.first)
 
 
 def rank_le2_leaf(inst, h=None) -> ExchangeSequence:
