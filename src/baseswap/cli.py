@@ -153,6 +153,8 @@ def cmd_solve(args) -> int:
                 _pairs(inst)  # solve_gabow takes no F, and these rules refuse it
             report = solve_gabow(inst["structure"], x, last=inst["last"], bfs_cap=args.bfs_cap)
         else:
+            if inst["last"] is not None:
+                _pairs(inst)  # solve_white takes no last element, and these rules refuse it
             report = solve_white(
                 inst["structure"], x, (inst["y1"], inst["y2"]), forbidden=inst["forbidden"],
                 bfs_cap=args.bfs_cap,

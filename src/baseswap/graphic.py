@@ -13,21 +13,22 @@ graph solve's reductions form a chain.  ``GraphChain`` is the engine's
 chain of reductions (``reductions.Chain``) on a graph: it numbers the
 vertices 0, 1, ... when it starts, picks each vertex from degree buckets
 (``_Buckets``) rather than by a scan, carries the pairs' bases as rooted
-spanning forests (``reductions.ForestPairs``), and takes each level's minor
-by editing its own edge dict and incidence index, and the forests with
-them; the ``Multigraph`` it starts from is never changed, and no GF(2)
-tableau is built.  ``incidence_leaf`` reads a GF(2) matrix with at most
-two 1s per column as the graph whose incidence matrix it is, so that the
-engine can solve it on that graph.  A caller solves a graph as
+spanning forests (``RootedForest``s in ``reductions.Pairs``), and takes
+each level's minor by editing its own edge dict and incidence index, and
+the forests with them; the ``Multigraph`` it starts from is never changed,
+and no GF(2) tableau is built.  ``incidence_leaf`` reads a GF(2) matrix
+with at most two 1s per column as the graph whose incidence matrix it is,
+so that the engine can solve it on that graph.  A caller solves a graph as
 ``solve_white`` or ``solve_gabow`` on its ``structure.graphic_leaf``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush
 
-from .matroid import Multigraph
-from .reductions import Chain, ForestPairs, Instance
+from .matroid import Multigraph, RootedForest
+from .reductions import Chain, Instance, Pairs
 from .structure import Leaf, graphic_leaf
 
 
@@ -184,16 +185,17 @@ class GraphChain(Chain):
     sets; ``names`` maps the numbers back.  It edits both as
     ``delete_edges`` and ``contract_edges`` would build the minors: the same
     vertices and edge order, so the same picks.  Its pairs are the forests
-    of its four bases on ``edges`` (``ForestPairs``), moved along before
-    each edit.  ``frame`` hands the current frame to the engine as an
-    ordinary frame, with the names, when the chain is done, as ``split``
-    hands each parallel pair."""
+    of its four bases on ``edges`` and ``star`` (``RootedForest.of``),
+    moved along before each edit.  ``frame`` hands the current frame to the
+    engine as an ordinary frame, with the names, when the chain is done, as
+    ``split`` hands each parallel pair."""
 
     __slots__ = ("names", "edges", "star", "buckets")
 
     def __init__(self, graph: Multigraph, inst: Instance, last):
         self.names, self.edges, self.star = _numbered(graph)
-        super().__init__(inst, last, ForestPairs.on(self.edges, self.star, inst))
+        forest = partial(RootedForest.of, self.edges, star=self.star)
+        super().__init__(inst, last, Pairs.of(inst, forest))
         self.buckets = _Buckets(self.star, self.names)
 
     def _named(self, edges: dict) -> Multigraph:

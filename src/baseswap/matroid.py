@@ -349,6 +349,11 @@ class Tableau:
     may leave bits set at elements they remove from the ground set: every
     reader skips bits of elements that have no mask of their own.  Updates
     change the tableau in place; ``copy`` keeps one.
+
+    A chain of reductions (``reductions.Pairs``) carries a GF(2) frame's
+    bases as tableaux and a graph's as ``RootedForest``s, through the
+    interface the two share: ``held``, ``exchangeable``, ``exchange``,
+    ``copy``, ``tight``, ``split`` and ``minor``.
     """
 
     __slots__ = ("circuits", "cocircuits")
@@ -369,6 +374,10 @@ class Tableau:
 
     def copy(self) -> "Tableau":
         return Tableau(dict(self.circuits), dict(self.cocircuits))
+
+    def held(self):
+        """B, as a live view: the cocircuit keys."""
+        return self.cocircuits.keys()
 
     def exchangeable(self, b: int, f: int) -> bool:
         """Whether B - b + f is a basis, for b in B and f outside it."""
@@ -409,6 +418,18 @@ class Tableau:
         del self.circuits[delete]
         del self.cocircuits[contract]
 
+    def tight(self, z: frozenset, outside: frozenset) -> bool:
+        """Whether B meets z, the ground set minus ``outside``, in |z|/2
+        elements and spans z with them, that is, no element of z - B has a
+        circuit that leaves z (no C*(B, b) of a b outside z meets z).  The
+        mask of z holds only elements of the ground set, so stale bits are
+        skipped."""
+        cocircuits = self.cocircuits
+        if 2 * (len(cocircuits) - len(cocircuits.keys() & outside)) != len(z):
+            return False
+        zmask = _encode(z)
+        return not any(mask & zmask for b, mask in cocircuits.items() if b not in z)
+
     def split(self, outside) -> "Tableau":
         """Keep B ∩ z in M | z and return the tableau of B - z in M / z,
         where z is the ground set minus ``outside`` and holds the circuit of
@@ -444,18 +465,59 @@ class RootedForest:
     b.  ``exchangeable`` finds out by climbing from the ends of f, at the
     cost of their depths; an end at b's upper vertex is not under b and
     needs no climb.  ``exchange`` then re-roots that subtree at the end of
-    f inside it and hangs it from the other end through f.  A graph chain
-    also moves its forests to its minors, on an edge dict it edits in
-    place: ``split`` drops a leaf edge and ``contract`` a tree edge.
+    f inside it and hangs it from the other end through f.
+
+    A graph chain carries its bases as forests through the interface that
+    ``Tableau`` shares, on an edge dict and an incidence index ``star``
+    that the chain edits in place: ``split`` drops a leaf edge, and
+    ``minor`` exchanges and ``contract`` contracts a tree edge before each
+    edit.  A forest built outside a chain has no ``star``.
     """
 
-    __slots__ = ("edges", "up", "via", "child")
+    __slots__ = ("edges", "star", "up", "via", "child")
 
-    def __init__(self, edges: dict, up: dict, via: dict, child: dict):
-        self.edges, self.up, self.via, self.child = edges, up, via, child
+    def __init__(self, edges: dict, star, up: dict, via: dict, child: dict):
+        self.edges, self.star, self.up, self.via, self.child = edges, star, up, via, child
+
+    @classmethod
+    def of(cls, edges: dict, basis: frozenset, star=None) -> "RootedForest":
+        """One rooted spanning forest of ``basis``, edge ids of ``edges``,
+        found depth first, so ``child`` lists the tree edges parents first.
+        A cycle, or an edge outside it joining two of its trees (it does not
+        span), raises GroundSetError."""
+        adj: dict = {}
+        for x in basis:
+            u, v = edges[x]
+            adj.setdefault(u, []).append((v, x))
+            adj.setdefault(v, []).append((u, x))
+        up, via, child, root_of = {}, {}, {}, {}  # root_of: vertex -> its tree's root
+        for root in adj:
+            if root in root_of:
+                continue
+            root_of[root] = root
+            stack = [(root, None)]
+            while stack:
+                node, above = stack.pop()
+                for nxt, x in adj[node]:
+                    if x == above:
+                        continue
+                    if nxt in root_of:  # a second way into nxt: B holds a cycle
+                        raise GroundSetError("fundamental_circuits requires a basis")
+                    root_of[nxt] = root
+                    up[nxt], via[nxt], child[x] = node, x, nxt
+                    stack.append((nxt, x))
+        for e in edges.keys() - basis:
+            u, v = edges[e]
+            if u != v and (u not in root_of or root_of[u] != root_of.get(v)):
+                raise GroundSetError("fundamental_circuits requires a basis")
+        return cls(edges, star, up, via, child)
 
     def copy(self) -> "RootedForest":
-        return RootedForest(self.edges, dict(self.up), dict(self.via), dict(self.child))
+        return RootedForest(self.edges, self.star, dict(self.up), dict(self.via), dict(self.child))
+
+    def held(self):
+        """B, as a live view: the tree edges."""
+        return self.child.keys()
 
     def _below(self, w, c) -> bool:
         """Whether the vertex w lies in the subtree under c: a climb from w
@@ -503,6 +565,12 @@ class RootedForest:
         del child[b]
         return True
 
+    def tight(self, z: frozenset, outside: frozenset) -> bool:
+        """Whether B spans z = E - ``outside`` with |z|/2 of its edges, where
+        ``outside`` is the two edges at a degree-2 vertex u of a graph with
+        |E| = 2r, as after the strips: exactly when B holds one of them."""
+        return len(outside) == 2 and len(outside & self.child.keys()) == 1
+
     def split(self, outside) -> "RootedForest":
         """Drop the one edge e of ``outside`` in B, where ``outside`` is the
         two edges at a vertex u of degree 2, so u is a leaf of B or a root
@@ -515,9 +583,18 @@ class RootedForest:
         c = self.child.pop(e)
         p = self.up.pop(c)
         del self.via[c]
-        return RootedForest(dict.fromkeys(outside, (p, c)), {c: p}, {c: e}, {e: c})
+        return RootedForest(dict.fromkeys(outside, (p, c)), None, {c: p}, {c: e}, {e: c})
 
-    def contract(self, e, star) -> None:
+    def minor(self, contract, delete) -> None:
+        """Move to B - {contract, delete} in G / contract \\ delete, where
+        exactly one of the two lies in B: a ``delete`` in B is first
+        exchanged for ``contract``, as ``Tableau.minor`` pivots; then
+        ``contract`` leaves (``contract``)."""
+        if delete in self.child and not self.exchange(delete, contract):
+            raise AssertionError("the triad's minor exchange failed; this cannot happen")
+        self.contract(contract)
+
+    def contract(self, e) -> None:
         """Contract the tree edge e = (p, q) as a graph chain does, merging q
         into p, before the chain edits ``edges``: the tree edges below q,
         found in its incidence ``star[q]``, hang from p instead, and when p
@@ -525,7 +602,7 @@ class RootedForest:
         up, via, child = self.up, self.via, self.child
         p, q = self.edges[e]
         c = child.pop(e)
-        for x in star[q]:
+        for x in self.star[q]:
             w = child.get(x)
             if w is not None and w != q:
                 up[w] = p
@@ -645,25 +722,6 @@ class Multigraph:
         return kept
 
 
-def _is_forest(edges: dict, elements) -> bool:
-    """Whether the edges ``elements`` of ``edges`` ({id: (u, v)}) form a
-    forest: ``Multigraph.forest``'s union-find, stopping at the first edge
-    that closes a cycle."""
-    parent: dict = {}  # non-root vertex -> a vertex closer to its root
-    for e in elements:
-        u, v = edges[e]
-        while u in parent:
-            up = parent[u]
-            parent[u] = u = parent.get(up, up)  # to the grandparent
-        while v in parent:
-            vp = parent[v]
-            parent[v] = v = parent.get(vp, vp)
-        if u == v:
-            return False
-        parent[u] = v
-    return True
-
-
 class GraphicMatroid(Matroid):
     """Graphic matroid of a multigraph; elements are edge ids."""
 
@@ -679,11 +737,6 @@ class GraphicMatroid(Matroid):
         return frozenset(self.graph.forest(sorted(self.ground)))
 
     dual = Gf2Matroid.dual
-
-    def _independent(self, elements) -> bool:
-        """Whether the edges ``elements``, ids of the ground set, form a
-        forest (``_is_forest``).  Nothing is cached or checked."""
-        return _is_forest(self.graph.edges, elements)
 
     def circuit_in(self, independent, e: int):
         if e not in self.ground:
@@ -722,40 +775,13 @@ class GraphicMatroid(Matroid):
 
     def forest(self, basis=None) -> "RootedForest":
         """One rooted spanning forest of ``basis`` (default: the greedy
-        basis), found depth first, so ``child`` lists the tree edges parents
-        first.  A set with elements outside the ground set, a cycle, or an
-        edge outside it joining two of its trees (it does not span) raises
-        GroundSetError."""
-        edges = self.graph.edges
+        basis), with no ``star`` (``RootedForest.of``).  A set with elements
+        outside the ground set, a cycle, or an edge outside it joining two
+        of its trees (it does not span) raises GroundSetError."""
         b = self.greedy_basis() if basis is None else _as_frozen(basis)
         if not b <= self.ground:
             raise GroundSetError(f"elements {sorted(b - self.ground)} not in ground set")
-        adj: dict = {}
-        for x in b:
-            u, v = edges[x]
-            adj.setdefault(u, []).append((v, x))
-            adj.setdefault(v, []).append((u, x))
-        up, via, child, root_of = {}, {}, {}, {}  # root_of: vertex -> its tree's root
-        for root in adj:
-            if root in root_of:
-                continue
-            root_of[root] = root
-            stack = [(root, None)]
-            while stack:
-                node, above = stack.pop()
-                for nxt, x in adj[node]:
-                    if x == above:
-                        continue
-                    if nxt in root_of:  # a second way into nxt: B holds a cycle
-                        raise GroundSetError("fundamental_circuits requires a basis")
-                    root_of[nxt] = root
-                    up[nxt], via[nxt], child[x] = node, x, nxt
-                    stack.append((nxt, x))
-        for e in self.ground - b:
-            u, v = edges[e]
-            if u != v and (u not in root_of or root_of[u] != root_of.get(v)):
-                raise GroundSetError("fundamental_circuits requires a basis")
-        return RootedForest(edges, up, via, child)
+        return RootedForest.of(self.graph.edges, b)
 
     def tableau(self, basis=None) -> "Tableau":
         """From the rooted spanning forest of B (``forest``), as bitmasks.

@@ -28,11 +28,11 @@ engine call: a tight split or a triad leaves disjoint pairs that cover
 their ground sets.  Past the strips a cographic leaf is solved on its
 graph, so every later frame is a graph or a GF(2) matrix.  Then a GF(2)
 frame takes one tableau per basis of the two pairs, and a graph one rooted
-spanning forest per basis, numbered over its chain's vertices
-(``reductions.ForestPairs``); the searches and fix-ups read them, and each
-reduction updates them in place.  A GF(2) chain's tableaux are built once
-per engine call; a graph frame builds its own forests, so a graph solve
-builds no tableau.  A chain hands back to the stack only its splits' other
+spanning forest per basis, numbered over its chain's vertices; one class
+carries either (``reductions.Pairs``), the searches and fix-ups read them,
+and each reduction updates them in place.  A GF(2) chain's tableaux are
+built once per engine call; a graph frame builds its own forests, so a
+graph solve builds no tableau.  A chain hands back to the stack only its splits' other
 sides and the frame it ends on.  A frame's rank is the size of a basis of
 its pair, so no frame asks the rank of its whole ground set.  A minor of a
 sum node is a GF(2) matrix minor whose tree is built only where a sum route
@@ -69,7 +69,7 @@ from .reductions import (
     Chain,
     Instance,
     IncompatiblePairsError,
-    PairTableaux,
+    Pairs,
     TriadLift,
     _as_pair,
     find_nontrivial_tight_set,
@@ -366,7 +366,7 @@ def _reduce(struct, inst: Instance, last, out_trace: list, pairs, mode: str, cap
         if len(vertex_span(struct.graph, inst.forbidden)) > 3:
             raise GroundSetError("forbidden edges span more than three vertices")
         return _chain(GraphChain(struct.graph, inst, last), out_trace, mode, cap)
-    chain = MatrixChain(struct, inst, last, pairs or PairTableaux.of(inst))
+    chain = MatrixChain(struct, inst, last, pairs or Pairs.of(inst))
     return _chain(chain, out_trace, mode, cap)
 
 
@@ -445,7 +445,7 @@ class MatrixChain(Chain):
 
     __slots__ = ("struct",)
 
-    def __init__(self, struct, inst: Instance, last, tableaux: PairTableaux):
+    def __init__(self, struct, inst: Instance, last, tableaux: Pairs):
         super().__init__(inst, last, tableaux)
         self.struct = struct
 

@@ -5,9 +5,9 @@ rank <= 2 frames the reductions end on, are the engine's (``pipeline``).
 Past the strips a frame's pairs are disjoint and cover its ground set, and
 so are those of a tight split's restriction and of a triad's minor.  So the
 engine reduces a frame level after level on one mutable state (``Chain``):
-the pairs' four bases, F as a set and the designated last element.  A GF(2)
-frame carries the bases as tableaux (``PairTableaux``), a graph as rooted
-spanning forests (``ForestPairs``); either is the pairs, keyed by the bases.
+the pairs' four bases, F as a set and the designated last element.  The
+pairs (``Pairs``) carry each basis as a tableau on a GF(2) frame and as a
+rooted spanning forest on a graph, through the interface the two share.
 Tightness and the fix-up checks are read from them, as bits or as climbs,
 and each reduction updates them in place.
 ``Chain.split`` and ``Chain.shrink`` hold the bookkeeping of the two
@@ -32,9 +32,7 @@ from typing import Optional
 from .matroid import (
     Matroid,
     Gf2Matroid,
-    GraphicMatroid,
     GroundSetError,
-    Multigraph,
     _as_frozen,
     _bits,
     _decode,
@@ -64,9 +62,10 @@ class Instance:
     def checked(cls, m: Matroid, mode: str, x, y=None, forbidden=(), last=None) -> "Instance":
         """The instance of a solve in ``mode`` on m, after every entry rule.
         A reversal ("gabow") needs disjoint bases and ``last`` inside their
-        union, and its target is x swapped.  Then all four members must be
-        bases, the pairs compatible, and F inside (X1 ∩ Y1) ∪ (X2 ∩ Y2), so a
-        reversal takes no F.  The pairs are BasisPairs or (first, second)."""
+        union, and its target is x swapped; a transform ("white") takes no
+        ``last``.  Then all four members must be bases, the pairs
+        compatible, and F inside (X1 ∩ Y1) ∪ (X2 ∩ Y2), so a reversal takes
+        no F.  The pairs are BasisPairs or (first, second)."""
         x = _as_pair(m, x)
         if mode == "gabow":
             if x.first & x.second:
@@ -74,6 +73,8 @@ class Instance:
             if last is not None and last not in x.union:
                 raise ReductionError("designated last element must lie in one of the bases")
             y = x.swapped()
+        elif last is not None:
+            raise ReductionError("a designated last element needs a reversal (gabow mode)")
         else:
             y = _as_pair(m, y)
         if not all(map(m.is_basis, dict.fromkeys((x.first, x.second, y.first, y.second)))):
@@ -94,20 +95,20 @@ def _as_pair(m: Matroid, pair) -> BasisPair:
     return BasisPair(_as_frozen(first), _as_frozen(second), m)
 
 
-def _instance(m: Matroid, pairs: "PairTableaux", forbidden) -> Instance:
+def _instance(m: Matroid, pairs: "Pairs", forbidden) -> Instance:
     """The instance on m of the bases of ``pairs``, and F, frozen."""
     x1, x2, y1, y2 = map(frozenset, pairs.bases())
     return Instance(m, BasisPair(x1, x2, m), BasisPair(y1, y2, m), frozenset(forbidden))
 
 
-class PairTableaux:
-    """The tableaux of an instance's four bases: ``x`` holds those of
-    x.first and x.second, ``y`` those of y.first and y.second.  Equal bases
-    share one tableau, so each update is made once per distinct basis.  The
-    updates follow the reductions: ``split`` along a tight set, ``fixed``
-    for the triad fix-ups and ``minor`` for the triad's child.  A graph
-    chain carries its bases as rooted forests instead (``ForestPairs``),
-    through the same interface."""
+class Pairs:
+    """The carriers of an instance's four bases: ``x`` holds those of
+    x.first and x.second, ``y`` those of y.first and y.second.  A GF(2)
+    frame's carriers are tableaux (``Tableau``), a graph chain's rooted
+    spanning forests (``RootedForest``); the two share one interface.
+    Equal bases share one carrier, so each update is made once per distinct
+    basis.  The updates follow the reductions: ``split`` along a tight set,
+    ``fixed`` for the triad fix-ups and ``minor`` for the triad's child."""
 
     __slots__ = ("x", "y")
 
@@ -116,53 +117,43 @@ class PairTableaux:
         self.y = y
 
     @classmethod
-    def of(cls, inst: Instance) -> "PairTableaux":
+    def of(cls, inst: Instance, build=None) -> "Pairs":
+        """The pairs of the instance's bases, each carried by ``build(basis)``
+        (default: the matroid's ``tableau``)."""
+        build = build or inst.matroid.tableau
         bases = (inst.x.first, inst.x.second, inst.y.first, inst.y.second)
-        built = {basis: inst.matroid.tableau(basis) for basis in dict.fromkeys(bases)}
-        tabs = tuple(built[basis] for basis in bases)
-        return cls(tabs[:2], tabs[2:])
+        built = {basis: build(basis) for basis in dict.fromkeys(bases)}
+        carriers = tuple(built[basis] for basis in bases)
+        return cls(carriers[:2], carriers[2:])
 
     def _distinct(self):
-        return {id(tab): tab for tab in self.x + self.y}.values()
-
-    def _new(self, x: tuple, y: tuple) -> "PairTableaux":
-        return PairTableaux(x, y)
+        return {id(carrier): carrier for carrier in self.x + self.y}.values()
 
     def bases(self) -> tuple:
         """The four bases x.first, x.second, y.first and y.second, as live
-        views: a tableau's cocircuit keys."""
-        return tuple(tab.cocircuits.keys() for tab in self.x + self.y)
+        views (``held``)."""
+        (x1, x2), (y1, y2) = self.x, self.y
+        return x1.held(), x2.held(), y1.held(), y2.held()
 
     def tight(self, z: frozenset, outside: frozenset) -> bool:
-        """|Z| = 2 r(Z), read from the tableaux of x, their cocircuit keys:
-        each basis B meets Z in |Z|/2 elements and spans Z with them, that
-        is, no element of Z - B has a circuit that leaves Z (no C*(B, b) of
-        a b outside Z meets Z).  The mask of Z holds only elements of the
-        ground set, so stale bits are skipped.  The test is exact when the
+        """|Z| = 2 r(Z), read from the carriers of x: each basis meets Z in
+        |Z|/2 elements and spans Z with them.  The test is exact when the
         bases partition the ground set, as after the strips; for any other
         pair it may only wrongly say no."""
-        for tab in self.x:
-            cocircuits = tab.cocircuits
-            if 2 * (len(cocircuits) - len(cocircuits.keys() & outside)) != len(z):
-                return False
-        zmask = _encode(z)
-        for tab in self.x:
-            if any(mask & zmask for b, mask in tab.cocircuits.items() if b not in z):
-                return False
-        return True
+        return all(carrier.tight(z, outside) for carrier in self.x)
 
-    def split(self, outside: frozenset) -> "PairTableaux":
-        """Keep the tableaux of the bases' parts inside the tight set z, the
+    def split(self, outside: frozenset) -> "Pairs":
+        """Keep the carriers of the bases' parts inside the tight set z, the
         ground set minus ``outside``, in M | z, and return those of the parts
-        outside it, in M / z (``Tableau.split``)."""
-        rest = {id(tab): tab.split(outside) for tab in self._distinct()}
-        x, y = (tuple(rest[id(tab)] for tab in pair) for pair in (self.x, self.y))
-        return self._new(x, y)
+        outside it, in M / z (``Tableau.split``, ``RootedForest.split``)."""
+        rest = {id(carrier): carrier.split(outside) for carrier in self._distinct()}
+        x, y = (tuple(rest[id(carrier)] for carrier in pair) for pair in (self.x, self.y))
+        return Pairs(x, y)
 
-    def fixed(self, step_x, step_y, swapped: bool) -> "PairTableaux":
-        """The tableaux after the fix-up steps (None for no step), and with
+    def fixed(self, step_x, step_y, swapped: bool) -> "Pairs":
+        """The carriers after the fix-up steps (None for no step), and with
         each pair's two bases trading places when ``swapped``.  A step
-        exchanges in its pair's tableaux in place, except one the other pair
+        exchanges in its pair's carriers in place, except one the other pair
         shares (y = x swapped for a reversal, or an equal basis), which it
         exchanges in a copy of; an exchange that fails raises."""
 
@@ -170,7 +161,7 @@ class PairTableaux:
             if step is None:
                 return pair
             e, f = step
-            first, second = (tab.copy() if tab in other else tab for tab in pair)
+            first, second = (carrier.copy() if carrier in other else carrier for carrier in pair)
             if not (first.exchange(e, f) and second.exchange(f, e)):
                 raise AssertionError(f"fix-up step {step} is not an exchange; this cannot happen")
             return first, second
@@ -179,64 +170,13 @@ class PairTableaux:
         y = exchanged(self.y, x, step_y)
         if swapped:
             x, y = x[::-1], y[::-1]
-        return self._new(x, y)
+        return Pairs(x, y)
 
     def minor(self, contract: int, delete: int) -> None:
-        """Move every tableau to M / contract \\ delete (``Tableau.minor``)."""
-        for tab in self._distinct():
-            tab.minor(contract, delete)
-
-
-class ForestPairs(PairTableaux):
-    """A graph chain's four bases as rooted spanning forests
-    (``RootedForest``) on the chain's edge dict, which the chain edits in
-    place, so the forests see each contraction's renaming; ``star`` is the
-    chain's incidence index, which a contraction reads.  The chain splits
-    only on the two edges at a degree-2 vertex and takes each triad's minor
-    before it edits its graph."""
-
-    __slots__ = ("star",)
-
-    def __init__(self, x: tuple, y: tuple, star):
-        super().__init__(x, y)
-        self.star = star
-
-    @classmethod
-    def on(cls, edges: dict, star, inst: Instance) -> "ForestPairs":
-        """The forests of the instance's bases on the graph ``edges``, whose
-        incidence index is ``star``; a member that is not a basis raises
-        GroundSetError (``GraphicMatroid.forest``)."""
-        m = GraphicMatroid(Multigraph(edges))
-        bases = (inst.x.first, inst.x.second, inst.y.first, inst.y.second)
-        built = {basis: m.forest(basis) for basis in dict.fromkeys(bases)}
-        for forest in built.values():
-            forest.edges = edges
-        forests = tuple(built[basis] for basis in bases)
-        return cls(forests[:2], forests[2:], star)
-
-    def _new(self, x: tuple, y: tuple) -> "ForestPairs":
-        return ForestPairs(x, y, self.star)
-
-    def bases(self) -> tuple:
-        """The four bases, as live views: a forest's tree edges."""
-        (x1, x2), (y1, y2) = self.x, self.y
-        return x1.child.keys(), x2.child.keys(), y1.child.keys(), y2.child.keys()
-
-    def tight(self, z: frozenset, outside: frozenset) -> bool:
-        """Whether z is tight, where ``outside`` is the two edges at a
-        degree-2 vertex u of a graph with |E| = 2r, as after the strips:
-        exactly when each basis of x holds one of them, so that it spans
-        z = E - delta(u) with the rest of its edges."""
-        return len(outside) == 2 and all(len(outside & f.child.keys()) == 1 for f in self.x)
-
-    def minor(self, contract: int, delete: int) -> None:
-        """Move every forest to M / contract \\ delete: one holding ``delete``
-        exchanges it for ``contract`` first, as ``Tableau.minor`` pivots,
-        then ``contract`` leaves (``RootedForest.contract``)."""
-        for forest in self._distinct():
-            if delete in forest.child and not forest.exchange(delete, contract):
-                raise AssertionError("the triad's minor exchange failed; this cannot happen")
-            forest.contract(contract, self.star)
+        """Move every carrier to M / contract \\ delete (``Tableau.minor``,
+        ``RootedForest.minor``)."""
+        for carrier in self._distinct():
+            carrier.minor(contract, delete)
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,7 +322,7 @@ def _first_triangle(cols: dict, cover) -> Optional[frozenset]:
     return None
 
 
-def _triad_fixups(tset: frozenset, x_inside, y_inside, pairs: PairTableaux) -> tuple:
+def _triad_fixups(tset: frozenset, x_inside, y_inside, pairs: Pairs) -> tuple:
     """The fix-up rule on a triad ``tset`` that the first bases of x and y
     meet in ``x_inside`` and ``y_inside``: (step_x, step_y), the steps (None
     for no step).  Both pairs must leave the same triad element alone on its
@@ -434,8 +374,8 @@ def _triad_fixups(tset: frozenset, x_inside, y_inside, pairs: PairTableaux) -> t
 class Chain:
     """A frame's chain of reductions, run in place.
 
-    The state is the pairs' four bases (``pairs``: a ``PairTableaux``, or
-    on a graph its ``ForestPairs``), F as a mutable set and the designated
+    The state is the pairs' four bases (``pairs``: tableaux, or on a graph
+    rooted forests, in ``Pairs``), F as a mutable set and the designated
     ``last`` element.  ``split`` and ``shrink`` apply a tight split and a
     triad reduction to it; a subclass picks each level's reduction
     (``reduce``: ("tight_split", ``split``'s result), ("triad",
@@ -446,7 +386,7 @@ class Chain:
 
     __slots__ = ("forbidden", "last", "pairs")
 
-    def __init__(self, inst: Instance, last, pairs: PairTableaux):
+    def __init__(self, inst: Instance, last, pairs: Pairs):
         self.forbidden = set(inst.forbidden)
         self.last = last
         self.pairs = pairs
@@ -496,7 +436,7 @@ class Chain:
         covering, so a pair of bases of M is also one of M*, and an exchange
         is valid in both or in neither: the fix-ups and the lift ask M
         itself.  The fix-ups exchange in the pairs in place, copying only a
-        basis the other pair shares (``PairTableaux.fixed``), and the minor
+        basis the other pair shares (``Pairs.fixed``), and the minor
         drops t2 and t3 from the bases."""
         if self.forbidden & t:
             raise ReductionError("forbidden set must avoid the triad")

@@ -342,14 +342,14 @@ def chain_level(inst, z=None, triad=None, dual=False, last=None, tableaux=None, 
     Returns a ``Level``, whose ``tableaux`` are a graph chain's forests."""
     from baseswap.graphic import GraphChain
     from baseswap.pipeline import MatrixChain
-    from baseswap.reductions import PairTableaux
+    from baseswap.reductions import Pairs
     from baseswap.structure import as_structure
 
     m = inst.matroid
     if graph:
         chain = GraphChain(m.graph, inst, last)
     else:
-        chain = MatrixChain(as_structure(m), inst, last, tableaux or PairTableaux.of(inst))
+        chain = MatrixChain(as_structure(m), inst, last, tableaux or Pairs.of(inst))
     if triad is None:
         z, restrict_last, (_, rest, _, rest_tableaux) = chain.split(m.ground - frozenset(z))
         _, child, _, tabs = chain.frame()

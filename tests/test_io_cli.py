@@ -226,6 +226,12 @@ class TestCliRoundTrips:
              "x1": ["a", "b", "c"], "x2": ["d", "e", "f"], "last": "g"},
             "designated last element must lie in one of the bases",
         ),
+        # only a reversal finishes on a designated element
+        "transform-with-last": (
+            K4, {"mode": "white", "x1": ["a", "b", "c"], "x2": ["d", "e", "f"],
+             "y1": ["a", "e", "c"], "y2": ["d", "b", "f"], "last": "a"},
+            "a designated last element needs a reversal (gabow mode)",
+        ),
         # b moves from the first member to the second
         "F-outside-intersections": (
             K4, {"mode": "white", "x1": ["a", "b", "c"], "x2": ["d", "e", "f"],
@@ -435,6 +441,7 @@ class TestCliRoundTrips:
         code, out, _ = self.run(capsys, "verify", str(path), str(seq))
         assert code == 1 and out.strip() == f"fail at step 0: invalid exchange ({f}, {e})"
         inst.update(mode="white", y1=["a", "e", "c"], y2=["d", "b", "f"], forbidden=["a"])
+        del inst["last"]  # a transform takes no designated last element
         path.write_text(json.dumps(inst))
         seq.write_text(json.dumps([{"e": "a", "f": "e"}]))
         code, out, _ = self.run(capsys, "verify", str(path), str(seq))

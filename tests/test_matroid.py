@@ -330,7 +330,7 @@ def _gf2_minor_cases(draw):
 
 class TestIndependenceTest:
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(gf2_matrices(), multigraphs().map(GraphicMatroid)), st.data())
+    @given(gf2_matrices(), st.data())
     def test_matches_the_rank(self, m, data):
         # the early-exit test of a drawn subset, in a drawn order, agrees
         # with the rank oracle: loops and parallel pairs are common
@@ -660,8 +660,10 @@ class TestRootedForest:
     def test_contraction_and_leaf_drop_match_fresh_forests(self, n, seed):
         # on bispanning graphs with vertices named 1 and "1": contracting a
         # tree edge (p, q), q into p as Multigraph.contract_edges names it,
-        # and dropping the edge a basis of a disjoint pair holds at a
-        # degree-2 vertex, each leave the forest of the minor's basis
+        # dropping the edge a basis of a disjoint pair holds at a degree-2
+        # vertex, and a triad's minor, contracting c and deleting d where the
+        # forest holds one of them (a held d is exchanged for c first), each
+        # leave the forest of the minor's basis
         rng = random.Random(seed)
         g, pair = random_bispanning_graph(n, rng)
         g = self._mixed_names(g, rng)
@@ -671,10 +673,16 @@ class TestRootedForest:
             steps = 0
             while len(b) > 1:
                 ends = h.incidence()
+                forest.star = {v: set(ids) for v, ids in ends.items()}
                 # the chain splits where the basis holds one of the two edges
                 low = [v for v, ids in ends.items()
                        if len(ids) == 2 and len(b.intersection(ids)) == 1]
-                if low and rng.random() < 0.5:
+                m, d = GraphicMatroid(h), rng.choice(sorted(h.edges))
+                swaps = sorted(b) if d not in b else [
+                    c for c in sorted(m.ground - b) if m.is_basis(b - {d} | {c})
+                ]
+                roll = rng.random()
+                if low and roll < 0.4:
                     outside = frozenset(ends[rng.choice(low)])
                     rest = forest.split(outside)
                     (e,) = outside & b
@@ -682,9 +690,13 @@ class TestRootedForest:
                     assert rest.edges.keys() == outside and len(set(parallel.edges.values())) == 1
                     self._assert_forest_of(rest, parallel, frozenset({e}))
                     h, b = h.delete_edges(outside), b - outside
+                elif swaps and roll < 0.7:
+                    c = rng.choice(swaps)
+                    forest.minor(c, d)
+                    h, b = h.delete_edges({d}).contract_edges({c}), b - {c, d}
                 else:
                     e = rng.choice(sorted(b))
-                    forest.contract(e, {v: set(ids) for v, ids in ends.items()})
+                    forest.contract(e)
                     h, b = h.contract_edges({e}), b - {e}
                 forest.edges = h.edges
                 self._assert_forest_of(forest, h, b)

@@ -1021,7 +1021,7 @@ def test_lift_asks_one_rank_query_per_replaced_step(case, monkeypatch):
     monkeypatch.setattr(pipeline, "_lift_forward", counted_lift_forward)
     monkeypatch.setattr(Matroid, "rank", counted_rank)
     monkeypatch.setattr(TriadLift, "replace", counted_replace)
-    for cls in (GraphicMatroid, Gf2Matroid, LevelEdges):
+    for cls in (Gf2Matroid, LevelEdges):
         monkeypatch.setattr(cls, "_independent", counted(cls._independent))
     lift_solves()[case]()
     assert counts["replace"] > 0

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,8 @@ from baseswap.matroid import (
     Gf2Matroid, GraphicMatroid, GroundSetError, RootedForest, graphic_matroid,
 )
 from baseswap.reductions import (
-    ForestPairs,
     Instance,
-    PairTableaux,
+    Pairs,
     ReductionError,
     find_nontrivial_tight_set,
     find_triad,
@@ -39,6 +39,14 @@ from conftest import (
 
 def reversal_instance(m, pair):
     return Instance(m, pair, pair.swapped())
+
+
+def on_incidence(inst) -> Instance:
+    """``inst``, on a graph, moved onto the graph's GF(2) incidence matrix,
+    where the engine runs a GF(2) frame's chain."""
+    view = gf2_view(graphic_leaf(inst.matroid.graph))
+    x, y = (BasisPair(pair.first, pair.second, view) for pair in (inst.x, inst.y))
+    return Instance(view, x, y, inst.forbidden)
 
 
 def entry_checked(inst) -> Instance:
@@ -170,7 +178,7 @@ class TestTightSets:
     @staticmethod
     def stale_tableaux(m, x):
         """The pair's tableaux with bits set at ids outside the ground set."""
-        tabs = PairTableaux.of(Instance(m, x, x)).x
+        tabs = Pairs.of(Instance(m, x, x)).x
         for tab in tabs:
             for masks in (tab.circuits, tab.cocircuits):
                 masks.update((e, c | 1 << 60 | 1 << 41) for e, c in masks.items())
@@ -279,7 +287,7 @@ class TestTightSets:
                 drawn.add(frozenset(rng.sample(sorted(x.first), k) + rng.sample(sorted(x.second), k)))
                 drawn.add(m.ground - {rng.choice(sorted(x.first)), rng.choice(sorted(x.second))})
             for z in set(brute_tight_sets(m)) | drawn:
-                tabs = PairTableaux.of(inst)
+                tabs = Pairs.of(inst)
                 for tab in tabs.x:
                     for masks in (tab.circuits, tab.cocircuits):
                         masks.update((e, c | stale) for e, c in masks.items())
@@ -436,9 +444,12 @@ class TestTriads:
                 assert is_valid_exchange(BasisPair(start.first, start.second, m), step)
 
     def test_reduce_triad_lift_revalidates(self, k4):
+        # a GF(2) frame's chain on the graph's incidence matrix, and the
+        # graph's own chain
         m, x, y = k4
+        inst = Instance(m, x, y)
         for graph in (False, True):
-            level = chain_level(Instance(m, x, y), triad={A, D, E}, graph=graph)
+            level = chain_level(inst if graph else on_incidence(inst), triad={A, D, E}, graph=graph)
             child = entry_checked(level.children[0])
             sub = reference_rank_le2(child)
             lifted = level.lift(sub)
@@ -447,9 +458,10 @@ class TestTriads:
 
     def test_lift_length_accounting(self, k4):
         # a child sequence that never uses t1 lifts without extra steps; one
-        # that uses t1 once lifts with exactly one extra step
+        # that uses t1 once lifts with exactly one extra step (K4's GF(2)
+        # incidence matrix)
         m, x, _ = k4
-        level = chain_level(reversal_instance(m, x), triad={A, D, E})
+        level = chain_level(on_incidence(reversal_instance(m, x)), triad={A, D, E})
         child = level.children[0]
         t1 = level.payload["t1"]
         from baseswap.exchange import bfs_oracle
@@ -464,8 +476,9 @@ class TestTriads:
 
     def test_triangle_lift_matches_the_reference_choice(self, monkeypatch):
         # a triangle reduction (a triad of M*) between any two partitions of
-        # K4 into two paths, along each of its four triangles: every
-        # replacement equals the two-option reference's
+        # K4 into two paths, along each of its four triangles, on its GF(2)
+        # incidence matrix: every replacement equals the two-option
+        # reference's
         from baseswap.reductions import TriadLift
 
         m = graphic_matroid(K4_EDGES)
@@ -476,7 +489,7 @@ class TestTriads:
         monkeypatch.setattr(TriadLift, "replace", checked_replace(TriadLift.replace, options))
         for px, py, triangle in itertools.product(paths, paths, triangles):
             x, y = BasisPair(px, m.ground - px, m), BasisPair(py, m.ground - py, m)
-            level = chain_level(Instance(m, x, y), triad=triangle, dual=True)
+            level = chain_level(on_incidence(Instance(m, x, y)), triad=triangle, dual=True)
             lifted = level.lift(reference_rank_le2(level.children[0]))
             final = apply_and_validate(x, ExchangeSequence(lifted))
             assert (final.first, final.second) == (y.first, y.second)
@@ -492,12 +505,12 @@ class TestTriads:
 class TestPairTableaux:
     """The tableaux a reduction hands its children equal fresh builds on the
     children's bases; bits at removed elements are not read.  A graph
-    chain's forests (``ForestPairs``) hold the same bases and answer every
-    exchange test as the fresh tableaux do."""
+    chain's forests hold the same bases and answer every exchange test as
+    the fresh tableaux do."""
 
     @staticmethod
     def assert_fresh(tabs, child):
-        fresh = PairTableaux.of(child)
+        fresh = Pairs.of(child)
         keep = sum(1 << e for e in child.matroid.ground)
         for got, want in zip(tabs.x + tabs.y, fresh.x + fresh.y):
             if isinstance(got, RootedForest):
@@ -558,7 +571,7 @@ class TestPairTableaux:
             return [(dict(t.circuits), dict(t.cocircuits)) for t in tabs.x + tabs.y]
 
         def fresh(pair):
-            return state(PairTableaux.of(Instance(m, pair, pair)))[:2]
+            return state(Pairs.of(Instance(m, pair, pair)))[:2]
 
         def stepped(pair, step):
             return apply_step(pair, step) if step else pair
@@ -572,7 +585,7 @@ class TestPairTableaux:
         back = [s.reversed() for s in steps]
         cases = [(s, None) for s in steps] + [(None, s) for s in back] + list(zip(steps, back))
         for step_x, step_y in cases:
-            tabs = PairTableaux.of(Instance(m, x, y))
+            tabs = Pairs.of(Instance(m, x, y))
             assert tabs.y[0] is tabs.x[1] and tabs.y[1] is tabs.x[0]
             before = state(tabs)
             out = tabs.fixed(step_x, step_y, False)
@@ -608,7 +621,7 @@ class TestChainPairs:
             m = graphic_leaf(g).gf2
         inst = Instance(m, BasisPair(x.first, x.second, m), BasisPair(y.first, y.second, m), forbidden)
         if gf2:
-            chain = MatrixChain(as_structure(m), inst, last, PairTableaux.of(inst))
+            chain = MatrixChain(as_structure(m), inst, last, Pairs.of(inst))
         else:
             chain = GraphChain(g, inst, last)
         ref = ReferencePairs(inst)
@@ -626,9 +639,9 @@ class TestChainPairs:
 
 
 class TestForestPairs:
-    """A graph chain carries its bases as rooted forests (``ForestPairs``).
+    """A graph chain carries its bases as rooted forests (``RootedForest``).
     At every level they hold the same bases, and answer every exchange test
-    as, a ``PairTableaux`` of the same instance moved alongside by the same
+    as, the tableaux of the same instance moved alongside by the same
     splits, fix-ups and minors; so does each split's other side."""
 
     @staticmethod
@@ -642,7 +655,7 @@ class TestForestPairs:
     def run_chain(self, g, inst, last) -> int:
         """Drive the graph chain of ``inst`` to its end beside the reference
         tableaux; returns the number of levels."""
-        chain, ref = GraphChain(g, inst, last), PairTableaux.of(inst)
+        chain, ref = GraphChain(g, inst, last), Pairs.of(inst)
         self.assert_same(chain.pairs, ref, frozenset(chain.edges))
         levels = 0
         while not chain.done():
@@ -672,7 +685,8 @@ class TestForestPairs:
             x = BasisPair(random_basis(m, rng), random_basis(m, rng), m)
             inst = Instance(m, x, x)
             _, edges, star = _numbered(g)
-            forests, tabs = ForestPairs.on(edges, star, inst), PairTableaux.of(inst)
+            forests = Pairs.of(inst, partial(RootedForest.of, edges, star=star))
+            tabs = Pairs.of(inst)
             for ids in g.incidence().values():
                 if len(ids) == 2:
                     outside = frozenset(ids)
