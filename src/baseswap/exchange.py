@@ -192,7 +192,7 @@ def _replay(m: Matroid, first, second, seq, avoid) -> Optional[tuple]:
             raise ForbiddenElementError(k, e if e in avoid else f)
         if not (first.exchange(e, f) and second.exchange(f, e)):
             raise SequenceValidationError(k, "invalid exchange {step}", step=ExchangeStep(e, f))
-    return first.basis(), second.basis()
+    return frozenset(first.held()), frozenset(second.held())
 
 
 def check_reversal(x: BasisPair, seq, last=None) -> None:

@@ -7,25 +7,22 @@ shapes, not bytes).
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from .matroid import GraphicMatroid, Multigraph, Matroid
-from .exchange import BasisPair, ExchangeStep, is_valid_exchange, apply_step
-from .union import matroid_union_partition, InfeasiblePartitionError
+from .exchange import BasisPair, ExchangeStep, apply_step
+from .union import matroid_union_partition
 
 
 def random_tree_edges(n: int, rng: random.Random) -> list:
     """Uniform random labeled tree on vertices 1..n via a Prüfer sequence."""
     if n == 1:
         return []
-    if n == 2:
-        return [(1, 2)]
     seq = [rng.randint(1, n) for _ in range(n - 2)]
     degree = {v: 1 for v in range(1, n + 1)}
     for v in seq:
         degree[v] += 1
-    import heapq
-
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)
     edges = []
@@ -40,69 +37,43 @@ def random_tree_edges(n: int, rng: random.Random) -> list:
     return edges
 
 
-def random_bispanning_graph(n: int, rng: random.Random, max_tries: int = 50):
+def random_bispanning_graph(n: int, rng: random.Random):
     """Random graph on n vertices with 2n-2 edges that splits into two
     spanning trees; returns (Multigraph, BasisPair of the split).
 
-    Samples the union of two uniform random trees (parallel edges allowed),
-    then accepts iff the matroid union partition splits the edge set into
-    two spanning trees, which also yields the returned pair.
+    Samples the union of two uniform random trees (parallel edges allowed)
+    and splits it by the matroid union partition.  The edge set is the
+    union of two spanning trees, so the partition succeeds, and its two
+    forests, sharing out 2(n - 1) edges, are spanning trees.
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    for _ in range(max_tries):
-        pairs = random_tree_edges(n, rng) + random_tree_edges(n, rng)
-        edges = dict(enumerate(pairs))
-        g = Multigraph(edges)
-        m = GraphicMatroid(g)
-        if m.full_rank != n - 1:
-            continue
-        try:
-            s1, s2 = matroid_union_partition(m, m, m.ground)
-        except InfeasiblePartitionError:
-            continue
-        if m.is_basis(s1) and m.is_basis(s2):
-            return g, BasisPair(s1, s2, m)
-    raise RuntimeError(f"no bispanning graph found for n={n}")
+    g = Multigraph(dict(enumerate(random_tree_edges(n, rng) + random_tree_edges(n, rng))))
+    m = GraphicMatroid(g)
+    s1, s2 = matroid_union_partition(m, m, m.ground)
+    return g, BasisPair(s1, s2, m)
 
 
 def random_exchange_walk(m: Matroid, pair: BasisPair, steps: int, rng: random.Random):
     """Apply ``steps`` random valid exchanges; returns the final pair.
 
-    Samples candidate steps by rejection, falling back to full enumeration
-    when a pair has few valid exchanges.
+    Each step draws e from X1 - X2 and takes the first f, in a shuffle of
+    C(X2, e) - e, for which X1 - e + f is a basis; X2 - f + e is one as f
+    lies on C(X2, e).  By symmetric exchange (Brualdi 1969) such an f
+    exists, so every draw makes a step.
     """
     current = BasisPair(pair.first, pair.second, m)
     for _ in range(steps):
         firsts = sorted(current.first - current.second)
-        seconds = sorted(current.second - current.first)
-        if not firsts or not seconds:
+        if not firsts:
             break
-        chosen = None
-        for _attempt in range(12):
-            e = rng.choice(firsts)
-            # f must close a circuit with e in the second basis; among such
-            # f, first - e + f being a basis completes validity
-            circuit = m.circuit_in(current.second, e)
-            candidates = [f for f in sorted(circuit - {e}) if f in current.second]
-            rng.shuffle(candidates)
-            for f in candidates:
-                if m.is_basis(current.first - {e} | {f}):
-                    chosen = ExchangeStep(e, f)
-                    break
-            if chosen:
-                break
-        if chosen is None:
-            candidates = [
-                ExchangeStep(e, f)
-                for e in firsts
-                for f in seconds
-                if is_valid_exchange(current, ExchangeStep(e, f))
-            ]
-            if not candidates:
-                break
-            chosen = rng.choice(candidates)
-        current = apply_step(current, chosen)
+        e = rng.choice(firsts)
+        candidates = sorted(m.circuit_in(current.second, e) - {e})
+        rng.shuffle(candidates)
+        f = next((f for f in candidates if m.is_basis(current.first - {e} | {f})), None)
+        if f is None:
+            raise AssertionError(f"no symmetric exchange at {e}; this cannot happen")
+        current = apply_step(current, ExchangeStep(e, f))
     return current
 
 

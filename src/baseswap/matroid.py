@@ -348,12 +348,12 @@ class Tableau:
     elements and the split along a tight set act on the masks alone.  They
     may leave bits set at elements they remove from the ground set: every
     reader skips bits of elements that have no mask of their own.  Updates
-    change the tableau in place; ``copy`` keeps one.
+    change the tableau in place.
 
     A chain of reductions (``reductions.Pairs``) carries a GF(2) frame's
     bases as tableaux and a graph's as ``RootedForest``s, through the
     interface the two share: ``held``, ``exchangeable``, ``exchange``,
-    ``copy``, ``tight``, ``split`` and ``minor``.
+    ``tight``, ``split`` and ``minor``.
     """
 
     __slots__ = ("circuits", "cocircuits")
@@ -372,9 +372,6 @@ class Tableau:
                 cocircuits[x] |= bit
         return cls(circuits, cocircuits)
 
-    def copy(self) -> "Tableau":
-        return Tableau(dict(self.circuits), dict(self.cocircuits))
-
     def held(self):
         """B, as a live view: the cocircuit keys."""
         return self.cocircuits.keys()
@@ -391,9 +388,6 @@ class Tableau:
             return False
         self.pivot(b, f)
         return True
-
-    def basis(self) -> frozenset:
-        return frozenset(self.cocircuits)
 
     def pivot(self, b: int, f: int) -> None:
         """Move to the basis B - b + f (``exchangeable(b, f)`` must hold)."""
@@ -512,9 +506,6 @@ class RootedForest:
                 raise GroundSetError("fundamental_circuits requires a basis")
         return cls(edges, star, up, via, child)
 
-    def copy(self) -> "RootedForest":
-        return RootedForest(self.edges, self.star, dict(self.up), dict(self.via), dict(self.child))
-
     def held(self):
         """B, as a live view: the tree edges."""
         return self.child.keys()
@@ -613,9 +604,6 @@ class RootedForest:
             child[via[p]] = p
         else:
             del up[p], via[p]
-
-    def basis(self) -> frozenset:
-        return frozenset(self.child)
 
 
 class Multigraph:

@@ -92,7 +92,6 @@ from .structure import (
     as_structure,
     collapse_one_sums,
     gf2_leaf,
-    graphic_leaf,
     structure_minor,
     structure_minors,
 )
@@ -333,7 +332,12 @@ def _oriented(step, parity) -> tuple:
 
 def _reduce(struct, inst: Instance, last, out_trace: list, pairs, mode: str, cap: int):
     """One frame: its node (a leaf's list of steps), and the frames it hands
-    back, each with the slot its node fills."""
+    back, each with the slot its node fills.  Past the strips the pairs are
+    disjoint and cover the frame, so X1 - e + f is a basis of a cographic
+    leaf's M*(G) exactly when its complement X2 - f + e is one of M(G): the
+    leaf's graph and instance are solved as they stand, with the same
+    steps, by the graph chain or, at rank <= 2, by the search on its own
+    matrix."""
     if inst.x.first == inst.y.first and inst.x.second == inst.y.second:
         out_trace.append(TraceNode("identity"))
         return [], []
@@ -343,15 +347,6 @@ def _reduce(struct, inst: Instance, last, out_trace: list, pairs, mode: str, cap
         # and cover its ground set already
         struct, inst, out_trace = _strip(struct, inst, out_trace)
 
-    if isinstance(struct, Leaf) and struct.tag == "cographic":
-        # the pair is disjoint and covering here, so X1 - e + f is a basis
-        # of M* exactly when its complement X2 - f + e is a basis of M: the
-        # graph is solved as a graphic leaf on the same pairs, with the same
-        # steps
-        struct = graphic_leaf(struct.graph)
-        m = struct.matroid
-        inst = Instance(m, _as_pair(m, inst.x), _as_pair(m, inst.y), inst.forbidden)
-
     m = inst.matroid
     if len(inst.x.first) <= 2:  # the rank, read from a basis
         # past the strips the pairs are disjoint and cover the frame, so it
@@ -360,9 +355,9 @@ def _reduce(struct, inst: Instance, last, out_trace: list, pairs, mode: str, cap
         return _bfs_solve(m, inst, True, last, len(m.ground)), []
 
     if isinstance(struct, Leaf) and struct.graph is not None:
-        # minors never widen F's vertex span: only a solve's first graph
-        # frame can fail this.  The chain builds its own forests: tableaux
-        # handed down by a GF(2) chain are not read
+        # a graphic or cographic leaf.  Minors never widen F's vertex span:
+        # only a solve's first graph frame can fail this.  The chain builds
+        # its own forests: tableaux handed down by a GF(2) chain are not read
         if len(vertex_span(struct.graph, inst.forbidden)) > 3:
             raise GroundSetError("forbidden edges span more than three vertices")
         return _chain(GraphChain(struct.graph, inst, last), out_trace, mode, cap)

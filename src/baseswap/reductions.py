@@ -151,26 +151,22 @@ class Pairs:
         return Pairs(x, y)
 
     def fixed(self, step_x, step_y, swapped: bool) -> "Pairs":
-        """The carriers after the fix-up steps (None for no step), and with
-        each pair's two bases trading places when ``swapped``.  A step
-        exchanges in its pair's carriers in place, except one the other pair
-        shares (y = x swapped for a reversal, or an equal basis), which it
-        exchanges in a copy of; an exchange that fails raises."""
-
-        def exchanged(pair, other, step):
+        """The carriers after the fix-up steps (None for no step), exchanged
+        in place, and with each pair's two bases trading places when
+        ``swapped``.  Past the strips two pairs share a carrier only when y
+        is x swapped (or x, which a chain never reduces), and then both
+        leave the same triad element alone and take no step.  So a step on a
+        shared carrier raises before any carrier changes; an exchange that
+        fails raises too."""
+        for (first, second), other, step in ((self.x, self.y, step_x), (self.y, self.x, step_y)):
             if step is None:
-                return pair
+                continue
             e, f = step
-            first, second = (carrier.copy() if carrier in other else carrier for carrier in pair)
+            if first in other or second in other:
+                raise AssertionError(f"fix-up step {step} on a shared basis; this cannot happen")
             if not (first.exchange(e, f) and second.exchange(f, e)):
                 raise AssertionError(f"fix-up step {step} is not an exchange; this cannot happen")
-            return first, second
-
-        x = exchanged(self.x, self.y, step_x)
-        y = exchanged(self.y, x, step_y)
-        if swapped:
-            x, y = x[::-1], y[::-1]
-        return Pairs(x, y)
+        return Pairs(self.x[::-1], self.y[::-1]) if swapped else self
 
     def minor(self, contract: int, delete: int) -> None:
         """Move every carrier to M / contract \\ delete (``Tableau.minor``,
@@ -435,8 +431,8 @@ class Chain:
         lives on (M* / t2 \\ t3)* = M / t3 \\ t2.  The pairs are disjoint and
         covering, so a pair of bases of M is also one of M*, and an exchange
         is valid in both or in neither: the fix-ups and the lift ask M
-        itself.  The fix-ups exchange in the pairs in place, copying only a
-        basis the other pair shares (``Pairs.fixed``), and the minor
+        itself.  The fix-ups exchange in the pairs in place (``Pairs.fixed``;
+        a pair that shares a basis with the other takes none), and the minor
         drops t2 and t3 from the bases."""
         if self.forbidden & t:
             raise ReductionError("forbidden set must avoid the triad")

@@ -627,6 +627,36 @@ def dfs_forest_rank(edges, subset):
     return len(seen) - comps
 
 
+def referee_graph_sequence(edges, x, y, steps, forbidden=(), last=None, reversal=False):
+    """A check of a graph instance's steps that reads no library code, only
+    ``dfs_forest_rank`` and set operations: both sides of x, and of the pair
+    after every step (e, f), which moves e from the first side to the second
+    and f back, are spanning trees of ``edges``; no step touches F; and the
+    steps end on y.  A ``reversal`` must also move every element once and,
+    when ``last`` is given, use it in its last step.  Raises AssertionError
+    at the first failure."""
+    rank = dfs_forest_rank(edges, edges)
+
+    def spanning(tree) -> bool:
+        return len(tree) == rank == dfs_forest_rank(edges, tree)
+
+    avoid = set(forbidden)
+    first, second = set(x[0]), set(x[1])
+    assert spanning(first) and spanning(second), "x is not a pair of spanning trees"
+    moved = []
+    for k, (e, f) in enumerate(steps):
+        assert e in first - second and f in second - first, f"step {k} ({e}, {f}) moves nothing"
+        assert not avoid & {e, f}, f"step {k} ({e}, {f}) touches F"
+        first = first - {e} | {f}
+        second = second - {f} | {e}
+        assert spanning(first) and spanning(second), f"step {k} ({e}, {f}) is not an exchange"
+        moved += [e, f]
+    assert (first, second) == (set(y[0]), set(y[1])), "the steps do not reach y"
+    if reversal:
+        assert sorted(moved) == sorted(set(x[0]) | set(x[1])), "an element does not move once"
+        assert last is None or last in steps[-1], "the last step does not use the last element"
+
+
 def reference_contract_edges(graph, edge_ids):
     """Contraction one edge at a time, in sorted id order, rebuilding the
     edge dict for every edge: contracting (u, v) renames v to u everywhere;

@@ -22,8 +22,8 @@ from baseswap.reductions import IncompatiblePairsError, ReductionError
 from baseswap.structure import cographic_leaf, gf2_leaf, graphic_leaf
 
 from conftest import (
-    A, B, C, D, E, F, DT_EDGES, DualMatroid, bucket_pick, drawn_pair, multigraphs,
-    reference_degree, reference_pick_reduction_vertex, subsets,
+    A, B, C, D, E, F, DualMatroid, bucket_pick, drawn_pair, multigraphs,
+    reference_degree, reference_pick_reduction_vertex, referee_graph_sequence, subsets,
 )
 
 
@@ -575,20 +575,44 @@ GOLDEN_TRACES = {
 }
 
 
-def _solve_digest(gen_args, tmp_path, capsys) -> str:
+def _gen_and_solve(gen_args, tmp_path, capsys) -> tuple:
+    """The instance object `baseswap gen` writes for ``gen_args``, and the
+    JSON step list `baseswap solve --json` prints for it."""
     inst = tmp_path / "inst.json"
     assert main(["gen", *gen_args, "-o", str(inst)]) == 0
     capsys.readouterr()
     assert main(["solve", str(inst), "--json"]) == 0
-    steps = json.loads(capsys.readouterr().out)["steps"]
-    return hashlib.sha256(json.dumps(steps).encode()).hexdigest()
+    return json.loads(inst.read_text()), json.loads(capsys.readouterr().out)["steps"]
+
+
+def _solve_digest(gen_args, tmp_path, capsys) -> str:
+    return _steps_digest(_gen_and_solve(gen_args, tmp_path, capsys)[1])
+
+
+def _referee(obj: dict, steps: list) -> None:
+    """``referee_graph_sequence`` on a generated graph instance and its
+    steps, read from the files' labels."""
+    edges = {}
+    for line in obj["matroid"]["text"].splitlines():
+        label, u, v = line.split()
+        edges[label] = (u, v)
+    x = (obj["x1"], obj["x2"])
+    reversal = obj["mode"] == "gabow"
+    y = x[::-1] if reversal else (obj["y1"], obj["y2"])
+    pairs = [(step["e"], step["f"]) for step in steps]
+    referee_graph_sequence(
+        edges, x, y, pairs, obj.get("forbidden", ()), obj.get("last"), reversal
+    )
 
 
 @pytest.mark.parametrize("n, seed, mode", sorted({**GOLDEN_SEQUENCES, **GOLDEN_AT_BENCH_SCALE}))
 def test_golden_sequences(n, seed, mode, tmp_path, capsys):
+    # each golden is also replayed by a referee that reads no library code
     args = ["bispanning", "--n", str(n), "--seed", str(seed), "--mode", mode]
     want = {**GOLDEN_SEQUENCES, **GOLDEN_AT_BENCH_SCALE}[(n, seed, mode)]
-    assert _solve_digest(args, tmp_path, capsys) == want
+    obj, steps = _gen_and_solve(args, tmp_path, capsys)
+    _referee(obj, steps)
+    assert _steps_digest(steps) == want
 
 
 def _trace_digest(report) -> str:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -623,6 +624,34 @@ def test_gen_solve_verify_under_python_O(tmp_path):
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps(json.loads(cli("solve", str(inst), "--json"))["steps"]))
     assert cli("verify", str(inst), str(seq)).strip() == "ok"
+
+
+# sha256 of the `baseswap gen` output of seeds 0-4, concatenated, per kind,
+# size and mode, recorded before the generators lost their retry loops,
+# enumeration fallback and basis re-checks
+GEN_DIGESTS = {
+    ("bispanning", 6, "white"): "a57ffdd43cb8f9f30d9f26689769dae0e0a410f73314a01ec1aa57930431ab41",
+    ("bispanning", 6, "gabow"): "60e413e70dbe846916edb56c14483f28de7cca4784c4633b0ea1dd5fb166f390",
+    ("bispanning", 40, "white"): "98353a993f18023fcb7723779a80ad37a7a8a015425499830cd6c86dd7c805a1",
+    ("bispanning", 40, "gabow"): "b4631cd330ed6225f4242fbdfd099fa2bd132edf425a9cc140178c560a2ba813",
+    ("tree-composed", 8, "white"): "b2201f4aa9f53d02cfb15c6f4020aadb73da6415a773d422579eaa5a12c147ff",
+    ("tree-composed", 8, "gabow"): "2cca452e3e38b71485b75f7033e9f7e0850826485d3419233e9fabc714a3dc6f",
+    ("tree-composed", 40, "white"): "3aab401602a3a01428a743c181417e29aecd92372c9bc1fffe1ba46aa6ebb50f",
+    ("tree-composed", 40, "gabow"): "bd0b248ec08e0413013a7db57e77fac1a55c558cd674a0a88f35ec36fa10b9b2",
+    ("r10", None, "white"): "70f40ec1879394a79b67d4b322bcd7ec15fc1ae8dae46798d39f9a8f2eaf3c05",
+    ("r10", None, "gabow"): "e3ac8dcec1c446e6fa05c2a3bceb8e5137ba5cb256d9259d332de8dc2f338597",
+}
+
+
+@pytest.mark.parametrize("kind, n, mode", list(GEN_DIGESTS))
+def test_gen_output_is_golden(kind, n, mode):
+    size = [] if n is None else ["--n", str(n)]
+    digest = hashlib.sha256()
+    for seed in range(5):
+        code, out, _ = _cli("gen", kind, *size, "--seed", str(seed), "--mode", mode)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == GEN_DIGESTS[kind, n, mode]
 
 
 # -- fuzzing instance files through the command line -------------------------

@@ -189,3 +189,30 @@ def test_only_the_matroid_module_reads_a_graphs_private_attributes():
         or isinstance(node, ast.Constant) and node.value in private
     )
     assert not readers, readers
+
+
+def _unread_imports(tree) -> list:
+    """The names a module imports (``__future__`` aside) that no
+    ``ast.Name`` reads."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    unread = {
+        str(path.relative_to(ROOT)): names
+        for path in sources
+        if (names := _unread_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not unread, unread

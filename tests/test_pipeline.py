@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from baseswap import pipeline
 from baseswap.exchange import (
     BasisPair,
-    ExchangeSequence,
     apply_and_validate,
     bfs_oracle,
     check_reversal,
@@ -28,7 +27,6 @@ from baseswap.matroid import (
 )
 from baseswap.pipeline import (
     Instance,
-    SolveReport,
     UnsupportedStructureError,
     solve_gabow,
     solve_white,

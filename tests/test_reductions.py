@@ -442,6 +442,9 @@ class TestTriads:
         for step, start in ((step_x, x), (step_y, y)):
             if step is not None:
                 assert is_valid_exchange(BasisPair(start.first, start.second, m), step)
+        # the reversal's pairs share their bases and take no fix-up
+        steps, _ = self.fixups(Instance(m, x, x.swapped()), t)
+        assert steps == [None, None]
 
     def test_reduce_triad_lift_revalidates(self, k4):
         # a GF(2) frame's chain on the graph's incidence matrix, and the
@@ -514,7 +517,7 @@ class TestPairTableaux:
         keep = sum(1 << e for e in child.matroid.ground)
         for got, want in zip(tabs.x + tabs.y, fresh.x + fresh.y):
             if isinstance(got, RootedForest):
-                assert got.basis() == want.basis()
+                assert frozenset(got.held()) == frozenset(want.held())
                 for b, f in itertools.product(want.cocircuits, want.circuits):
                     assert got.exchangeable(b, f) == want.exchangeable(b, f)
                 continue
@@ -559,22 +562,15 @@ class TestPairTableaux:
         assert two_outside > 100
 
 
-    def test_fixed_leaves_a_shared_tableau_untouched(self):
-        # a reversal's y is x swapped, so each tableau serves both pairs: a
-        # fix-up of one pair pivots copies and leaves the other pair's as
-        # they were; when both pairs step, each ends on its own bases
+    def test_fixed_refuses_a_step_on_a_shared_tableau(self):
+        # a reversal's y is x swapped, and an identity's y is x, so each
+        # tableau serves both pairs: such pairs take no fix-up, and a step
+        # on one raises before any tableau changes
         m = graphic_matroid(K4_EDGES)
         x = BasisPair(frozenset({A, B, C}), frozenset({D, E, F}), m)
-        y = x.swapped()
 
         def state(tabs):
             return [(dict(t.circuits), dict(t.cocircuits)) for t in tabs.x + tabs.y]
-
-        def fresh(pair):
-            return state(Pairs.of(Instance(m, pair, pair)))[:2]
-
-        def stepped(pair, step):
-            return apply_step(pair, step) if step else pair
 
         steps = [
             ExchangeStep(e, f)
@@ -584,17 +580,14 @@ class TestPairTableaux:
         ]
         back = [s.reversed() for s in steps]
         cases = [(s, None) for s in steps] + [(None, s) for s in back] + list(zip(steps, back))
-        for step_x, step_y in cases:
-            tabs = Pairs.of(Instance(m, x, y))
-            assert tabs.y[0] is tabs.x[1] and tabs.y[1] is tabs.x[0]
-            before = state(tabs)
-            out = tabs.fixed(step_x, step_y, False)
-            assert state(out)[:2] == fresh(stepped(x, step_x))
-            assert state(out)[2:] == fresh(stepped(y, step_y))
-            if step_y is None:
-                assert out.y == tabs.y and state(tabs)[2:] == before[2:]
-            if step_x is None:
-                assert out.x == tabs.x and state(tabs)[:2] == before[:2]
+        for y in (x.swapped(), x):
+            for (step_x, step_y), swapped in itertools.product(cases, (False, True)):
+                tabs = Pairs.of(Instance(m, x, y))
+                assert {id(t) for t in tabs.x} == {id(t) for t in tabs.y}
+                before = state(tabs)
+                with pytest.raises(AssertionError, match="shared basis"):
+                    tabs.fixed(step_x, step_y, swapped)
+                assert state(tabs) == before
 
 
 class TestChainPairs:
@@ -647,8 +640,8 @@ class TestForestPairs:
     @staticmethod
     def assert_same(forests, tabs, ground):
         for forest, tab in zip(forests.x + forests.y, tabs.x + tabs.y):
-            basis = tab.basis()
-            assert forest.basis() == basis
+            basis = frozenset(tab.held())
+            assert frozenset(forest.held()) == basis
             for b, f in itertools.product(basis, ground - basis):
                 assert forest.exchangeable(b, f) == tab.exchangeable(b, f), (b, f)
 
